@@ -31,8 +31,8 @@ from .fields import (
     decompose_force,
     decompose_theta,
 )
-from .evolution import SimState, field_totals
-from .operators import Nabla
+from .evolution import SimState, _aprime, field_totals
+from .operators import Nabla, apply_dminus
 
 __all__ = [
     "EnergyMomentum",
@@ -47,6 +47,8 @@ __all__ = [
     "poynting_residual",
     "first_law_residual",
     "box_rho_residual",
+    "freeness_residual",
+    "united_field",
     "interaction_energy",
     "BoxRegion",
     "FluxSurface",
@@ -64,12 +66,19 @@ def _norms(r) -> tuple[float, float]:
     return float(a.max()), float(np.sqrt((a**2).mean()))
 
 
-def _bq_norms(b: Biquaternion) -> tuple[float, float]:
-    a = np.abs(b.scalar)
-    v = np.abs(b.vector)
-    linf = max(float(a.max()), float(v.max()))
-    l2 = float(np.sqrt((np.sum(a**2) + np.sum(v**2)) / (a.size + v.size)))
-    return linf, l2
+def _density(X: np.ndarray) -> np.ndarray:
+    """0.5 sum_k |X_k|^2: the energy density W of A, or Q of J."""
+    return 0.5 * (np.abs(X) ** 2).sum(axis=0)
+
+
+def _momentum(X: np.ndarray) -> np.ndarray:
+    """0.5 i [X, conj X]: the momentum density P of A, or P_J of J."""
+    return (0.5j * ccross(X, X.conj())).real
+
+
+def _source_power(E, H, j_E, j_H, c: float) -> np.ndarray:
+    """Power the sources put into the field, (j_H . H - j_E . E)/c."""
+    return ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / c
 
 
 # -- pointwise quantities -------------------------------------------------------
@@ -90,9 +99,8 @@ def energy_momentum(a: AField, medium: Medium) -> EnergyMomentum:
     The two momentum routes (complex bracket vs Poynting in physical
     variables) are cross-checked against each other on every call.
     """
-    A = a.A
-    W = 0.5 * (np.abs(A) ** 2).sum(axis=0)
-    P = (0.5j * ccross(A, A.conj())).real
+    W = _density(a.A)
+    P = _momentum(a.A)
     E, H = decompose_afield(a, medium)
     scale = max(1.0, float(np.abs(P).max()))
     assert np.abs(P - ccross(E, H).real / medium.c).max() <= 1e-12 * scale, (
@@ -126,14 +134,14 @@ def current_energy(theta: ChargeCurrent, medium: Medium) -> CurrentEnergy:
     against each other on every call.
     """
     J, rho = theta.J, theta.rho
-    P_J = (0.5j * ccross(J, J.conj())).real
+    P_J = _momentum(J)
     _, _, j_E, j_H = decompose_theta(theta, medium)
     scale = max(1.0, float(np.abs(P_J).max()))
     assert np.abs(P_J - ccross(j_H, j_E) / medium.c).max() <= 1e-12 * scale, (
         "current momentum routes disagree"
     )
     return CurrentEnergy(
-        Q=0.5 * (np.abs(J) ** 2).sum(axis=0),
+        Q=_density(J),
         P_J=P_J,
         charge_energy=0.5 * np.abs(rho) ** 2,
         mixed=(rho * J.conj()).real,
@@ -151,7 +159,7 @@ def reciprocity_residual(
 ) -> tuple[float, float]:
     """Norms of Theta^1 o A^2 + Theta^2 o A^1 (zero when action equals reaction)."""
     r = theta1.as_biquaternion() @ a2.as_biquaternion() + theta2.as_biquaternion() @ a1.as_biquaternion()
-    return _bq_norms(r)
+    return r.linf(), r.l2()
 
 
 # -- history-based law residuals -------------------------------------------------
@@ -175,13 +183,11 @@ def poynting_residual(
     delta: float,
 ) -> tuple[float, float]:
     """Norms of dW/dtau + div P - (j_H . H - j_E . E)/c."""
-    W_m = 0.5 * (np.abs(a_minus.A) ** 2).sum(axis=0)
-    W_p = 0.5 * (np.abs(a_plus.A) ** 2).sum(axis=0)
-    P = (0.5j * ccross(a_mid.A, a_mid.A.conj())).real
     E, H = decompose_afield(a_mid, medium)
     _, _, j_E, j_H = decompose_theta(theta_mid, medium)
-    src = ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / medium.c
-    r = (W_p - W_m) / (2 * delta) + nabla.div(P) - src
+    src = _source_power(E, H, j_E, j_H, medium.c)
+    dW = (_density(a_plus.A) - _density(a_minus.A)) / (2 * delta)
+    r = dW + nabla.div(_momentum(a_mid.A)) - src
     return _norms(r)
 
 
@@ -199,12 +205,10 @@ def first_law_residual(
     With no partner field the right side is zero and this is the free-current
     energy law dQ/dtau = -U, U = -div P_J + Re(grad rho, conj J).
     """
-    Q_m = 0.5 * (np.abs(th_minus.J) ** 2).sum(axis=0)
-    Q_p = 0.5 * (np.abs(th_plus.J) ** 2).sum(axis=0)
     ce = current_energy(th_mid, medium)
     grad_rho = nabla.grad(th_mid.rho)
     lhs = medium.kappa * (
-        (Q_p - Q_m) / (2 * delta)
+        (_density(th_plus.J) - _density(th_minus.J)) / (2 * delta)
         - nabla.div(ce.P_J)
         + cdot(grad_rho, th_mid.J.conj()).real
     )
@@ -223,6 +227,41 @@ def box_rho_residual(
     """Norms of the wave-operator residual (d^2/dtau^2 - Laplacian) rho."""
     d2 = (rho_plus - 2 * rho_mid + rho_minus) / (delta * delta)
     return _norms(d2 - nabla.laplacian(rho_mid))
+
+
+def freeness_residual(
+    nabla: Nabla,
+    th_minus: ChargeCurrent,
+    th_mid: ChargeCurrent,
+    th_plus: ChargeCurrent,
+    delta: float,
+) -> tuple[float, float]:
+    """Norms of D- Theta with a centred tau derivative (zero for a free current)."""
+    dtheta = Biquaternion(
+        1j * (th_plus.rho - th_minus.rho) / (2 * delta),
+        (th_plus.J - th_minus.J) / (2 * delta),
+    )
+    r = apply_dminus(nabla, th_mid.as_biquaternion(), dtheta)
+    return r.linf(), r.l2()
+
+
+def united_field(
+    prev: SimState, mid: SimState, nxt: SimState, nabla: Nabla
+) -> tuple[AField, ChargeCurrent, float]:
+    """Summed field at ``mid`` plus the freeness residual max |D- Theta_total|.
+
+    The tau derivative of Theta_total is taken as a centred difference of the
+    neighbouring snapshots, so the residual measures how well the united field
+    satisfies the source-free law without using the evolution equations.
+    """
+    delta = nxt.tau - mid.tau
+    assert abs((mid.tau - prev.tau) - delta) < 1e-12 * max(1.0, abs(delta)), (
+        "united_field needs uniformly spaced snapshots"
+    )
+    a_tot, th_tot = field_totals(mid)
+    _, th_m = field_totals(prev)
+    _, th_p = field_totals(nxt)
+    return a_tot, th_tot, freeness_residual(nabla, th_m, th_tot, th_p, delta)[0]
 
 
 # -- interaction energy ----------------------------------------------------------
@@ -495,15 +534,13 @@ class IntegralLawAccumulator:
 
     def sample(self, tau, rho_c, J_c, A, J_a, E, H, j_E, j_H):
         reg = self.region
-        W = 0.5 * (np.abs(A) ** 2).sum(axis=0)
-        P = (0.5j * ccross(A, A.conj())).real
-        src = ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / self.medium.c
+        src = _source_power(E, H, j_E, j_H, self.medium.c)
         self._tau.append(float(tau))
         self._snap["charge"].append(reg.volume_integral(rho_c))
-        self._snap["energy"].append(reg.volume_integral(W).real)
+        self._snap["energy"].append(reg.volume_integral(_density(A)).real)
         self._snap["volume"].append(reg.volume_integral(A))
         self._flux["charge"].append(reg.boundary_flux(J_c))
-        self._flux["energy"].append(reg.boundary_flux(P).real)
+        self._flux["energy"].append(reg.boundary_flux(_momentum(A)).real)
         self._flux["energy_src"].append(reg.volume_integral(src).real)
         self._flux["volume"].append(1j * reg.boundary_cross(A) + reg.volume_integral(J_a))
         if self.surface is not None:
@@ -598,7 +635,8 @@ class ResidualSeries:
 
     @property
     def max_linf(self) -> float:
-        return max((r[1] for r in self.rows), default=0.0)
+        """Largest L_inf row; NaN if any row is NaN."""
+        return float(np.max([r[1] for r in self.rows])) if self.rows else 0.0
 
     @property
     def final(self):
@@ -606,7 +644,7 @@ class ResidualSeries:
 
     @property
     def breached(self) -> bool:
-        return self.tolerance is not None and self.max_linf > self.tolerance
+        return self.tolerance is not None and not (self.max_linf <= self.tolerance)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -642,7 +680,13 @@ class DiagnosticsEngine:
     ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance
     (optional), region (optional {"lo": [...], "hi": [...]}).  Call
     ``sample(state, step)`` every step; the engine keeps a three-deep window at
-    each series' cadence and a tau-integral accumulator for the integral laws.
+    each history cadence and a tau-integral accumulator for the integral laws.
+
+    Windows hold references to the sampled states, not copies: between steps
+    the engine keeps the last two states of each window, so a caller must not
+    mutate a state in place after passing it to ``sample`` (rebind instead, as
+    ``step_rk4`` does).  A series breaches its tolerance if any row is above
+    it or is not finite.
     """
 
     def __init__(self, grid: Grid, medium: Medium, mode: str, nabla: Nabla, specs):
@@ -664,6 +708,8 @@ class DiagnosticsEngine:
             assert cad >= 1, f"cadence must be >= 1, got {cad}"
             self.series[name] = ResidualSeries(name, spec.get("tolerance"))
             self.cadence[name] = cad
+            if name in _HISTORY_NAMES:
+                self._windows.setdefault(cad, deque(maxlen=3))
             if name in _INTEGRAL_NAMES:
                 self._acc_names.append(name)
                 if "region" in spec and spec["region"] is not None:
@@ -688,21 +734,13 @@ class DiagnosticsEngine:
                 surface = FluxSurface(grid, axis, region.lo[axis], part, region.lo[part], region.hi[part])
             self._acc = IntegralLawAccumulator(grid, medium, region, surface=surface)
 
-    def _window(self, cad: int) -> deque:
-        if cad not in self._windows:
-            self._windows[cad] = deque(maxlen=3)
-        return self._windows[cad]
-
     def sample(self, state: SimState, step: int):
-        hist_cads = {
-            self.cadence[n] for n in self.series if n in _HISTORY_NAMES
-        }
-        for cad in hist_cads:
+        for cad, win in self._windows.items():
             if step % cad == 0:
-                win = self._window(cad)
-                win.append(state.copy())
+                win.append(state)
                 if len(win) == 3:
                     self._eval_window(cad, win)
+                    win.popleft()
         for name in self.series:
             if name in _HISTORY_NAMES or name in _INTEGRAL_NAMES:
                 continue
@@ -717,78 +755,43 @@ class DiagnosticsEngine:
         if abs((mid.tau - prev.tau) - delta) > 1e-9 * max(1.0, delta):
             return  # non-uniform tail sample; skip centred differences
         med, nab = self.medium, self.nabla
+        (a_m, th_m), (a_0, th_0), (a_p, th_p) = (field_totals(s) for s in win)
         for name, ser in self.series.items():
-            if self.cadence.get(name) != cad or name not in _HISTORY_NAMES:
+            if self.cadence[name] != cad or name not in _HISTORY_NAMES:
                 continue
             if name == "charge":
-                rm, r0, rp, J0 = self._charge_pair(prev, mid, nxt)
-                ser.append(mid.tau, *charge_conservation_residual(nab, rm, rp, J0, delta))
+                if self.mode in ("free_theta", "strong_field"):
+                    r = charge_conservation_residual(nab, th_m.rho, th_p.rho, th_0.J, delta)
+                else:  # the charge that sources A is div A
+                    r = charge_conservation_residual(
+                        nab, nab.div(a_m.A), nab.div(a_p.A), th_0.J, delta
+                    )
             elif name == "poynting":
-                a_m, _ = field_totals(prev)
-                a_0, th_0 = field_totals(mid)
-                a_p, _ = field_totals(nxt)
-                ser.append(mid.tau, *poynting_residual(nab, med, a_m, a_0, a_p, th_0, delta))
+                r = poynting_residual(nab, med, a_m, a_0, a_p, th_0, delta)
             elif name == "first_law":
-                linf, l2 = self._first_law(prev, mid, nxt, delta)
-                ser.append(mid.tau, linf, l2)
+                r = self._first_law(prev, mid, nxt, delta)
             elif name == "box_rho":
-                _, th_m = field_totals(prev)
-                _, th_0 = field_totals(mid)
-                _, th_p = field_totals(nxt)
-                ser.append(mid.tau, *box_rho_residual(nab, th_m.rho, th_0.rho, th_p.rho, delta))
-            elif name == "freeness":
-                _, th_m = field_totals(prev)
-                _, th_0 = field_totals(mid)
-                _, th_p = field_totals(nxt)
-                dth = Biquaternion(
-                    1j * (th_p.rho - th_m.rho) / (2 * delta),
-                    (th_p.J - th_m.J) / (2 * delta),
-                )
-                from .operators import apply_dminus
-
-                ser.append(mid.tau, *_bq_norms(apply_dminus(nab, th_0.as_biquaternion(), dth)))
-
-    def _charge_pair(self, prev, mid, nxt):
-        """(rho_-, rho_0, rho_+, J_0) for the charge law in the current mode."""
-        if self.mode in ("free_theta", "strong_field"):
-            _, tm = field_totals(prev)
-            _, t0 = field_totals(mid)
-            _, tp = field_totals(nxt)
-            return tm.rho, t0.rho, tp.rho, t0.J
-        am, _ = field_totals(prev)
-        a0, t0 = field_totals(mid)
-        ap, _ = field_totals(nxt)
-        return (
-            self.nabla.div(am.A),
-            self.nabla.div(a0.A),
-            self.nabla.div(ap.A),
-            t0.J,
-        )
+                r = box_rho_residual(nab, th_m.rho, th_0.rho, th_p.rho, delta)
+            else:  # freeness
+                r = freeness_residual(nab, th_m, th_0, th_p, delta)
+            ser.append(mid.tau, *r)
 
     def _first_law(self, prev, mid, nxt, delta):
         worst = (0.0, 0.0)
-        M = mid.n_fields
-        for k in range(M):
-            th_m, th_0, th_p = prev.theta(k), mid.theta(k), nxt.theta(k)
-            ap = self._aprime_field(mid, k)
+        for k in range(mid.n_fields):
             linf, l2 = first_law_residual(
-                self.nabla, self.medium, th_m, th_0, th_p, delta, aprime_mid=ap
+                self.nabla, self.medium, prev.theta(k), mid.theta(k), nxt.theta(k), delta,
+                aprime_mid=self._aprime_field(mid, k),
             )
             worst = (max(worst[0], linf), max(worst[1], l2))
         return worst
 
     def _aprime_field(self, state: SimState, k: int) -> AField | None:
-        if state.mode == "free_theta":
-            return None
+        """Partner field A' of field k, or None where the mode has no partner."""
         if state.mode == "strong_field":
             return AField(state.grid, state.background)
         if state.mode in ("interaction", "united") and state.n_fields >= 2:
-            Ap = state.U[:, 0:3].sum(axis=0) - state.U[k, 0:3]
-            if state.background is not None:
-                Ap = Ap + state.background
-            return AField(state.grid, Ap)
-        if state.mode == "maxwell":
-            return None
+            return AField(state.grid, _aprime(state.U, k, state.background))
         return None
 
     def _eval_pointwise(self, name: str, state: SimState):

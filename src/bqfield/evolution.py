@@ -24,7 +24,7 @@ import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
 from .fields import AField, ChargeCurrent, Grid, Medium
-from .operators import Nabla, apply_dminus
+from .operators import Nabla
 
 __all__ = [
     "MODES",
@@ -37,7 +37,6 @@ __all__ = [
     "state_rhs",
     "step_rk4",
     "field_totals",
-    "united_field",
 ]
 
 MODES = ("maxwell", "free_theta", "interaction", "strong_field", "united")
@@ -228,7 +227,7 @@ def step_rk4(
     return new, drift
 
 
-# -- united field ---------------------------------------------------------------
+# -- field totals ---------------------------------------------------------------
 
 
 def field_totals(state: SimState) -> tuple[AField, ChargeCurrent]:
@@ -237,26 +236,3 @@ def field_totals(state: SimState) -> tuple[AField, ChargeCurrent]:
     rho = state.U[:, _RHO].sum(axis=0)
     J = state.U[:, _J].sum(axis=0)
     return AField(state.grid, A), ChargeCurrent(state.grid, rho, J)
-
-
-def united_field(
-    prev: SimState, mid: SimState, nxt: SimState, nabla: Nabla
-) -> tuple[AField, ChargeCurrent, float]:
-    """Summed field at ``mid`` plus the freeness residual max |D- Theta_total|.
-
-    The tau derivative of Theta_total is taken as a centred difference of the
-    neighbouring snapshots, so the residual measures how well the united field
-    satisfies the source-free law without using the evolution equations.
-    """
-    a_tot, th_tot = field_totals(mid)
-    delta = nxt.tau - mid.tau
-    assert abs((mid.tau - prev.tau) - delta) < 1e-12 * max(1.0, abs(delta)), (
-        "united_field needs uniformly spaced snapshots"
-    )
-    _, th_m = field_totals(prev)
-    _, th_p = field_totals(nxt)
-    dtheta = Biquaternion(
-        1j * (th_p.rho - th_m.rho) / (2 * delta), (th_p.J - th_m.J) / (2 * delta)
-    )
-    resid = apply_dminus(nabla, th_tot.as_biquaternion(), dtheta)
-    return a_tot, th_tot, resid.linf()

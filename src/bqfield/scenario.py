@@ -402,6 +402,15 @@ def parse_scenario(doc: dict) -> Scenario:
             out["surface"] = sout
         _done(spec, p)
         specs.append(out)
+    # the integral laws share one accumulator: one cadence, one region, one surface
+    integral = [s for s in specs if s["name"].startswith("integral_")]
+    for key in ("cadence", "region", "surface"):
+        given = []
+        for s in integral:
+            if s.get(key) is not None and s[key] not in given:
+                given.append(s[key])
+        if len(given) > 1:
+            raise ScenarioError(f"integral series must share one {key}, got {given}")
 
     _done(d, "")
     return Scenario(

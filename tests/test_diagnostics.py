@@ -499,6 +499,16 @@ def test_residual_series_bookkeeping(tmp_path):
     free = ResidualSeries("poynting")
     free.append(0.0, 100.0, 1.0)
     assert not free.breached
+    # a non-finite row is a breach wherever it sits; NaN propagates to max_linf
+    for rows in ([np.nan, 1e-9], [1e-9, np.nan], [1e-9, np.inf]):
+        s = ResidualSeries("charge", tolerance=1e-6)
+        for i, linf in enumerate(rows):
+            s.append(0.1 * i, linf, linf)
+        assert s.breached, rows
+        assert not np.isfinite(s.max_linf)
+        assert np.isnan(s.max_linf) == any(np.isnan(rows))
+    free.append(0.1, np.nan, np.nan)
+    assert np.isnan(free.max_linf) and not free.breached
 
 
 def test_diagnostics_engine_run_level():
@@ -534,6 +544,113 @@ def test_diagnostics_engine_run_level():
     assert not charge.breached and not poynt.breached
     # rho = div A = 0 on this mode
     assert drift.max_linf <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "interaction", "strong_field", "united"])
+def test_diagnostics_engine_rows_match_residual_functions(mode):
+    """Every engine row equals, to the last bit, the public residual function
+    called on the same states: this pins the engine's mode dispatch (charge
+    pair, first-law A', freeness) and its window bookkeeping."""
+    from bqfield import (
+        StepperConfig,
+        decompose_afield,
+        decompose_theta,
+        field_totals,
+        freeness_residual,
+        step_rk4,
+    )
+    from bqfield.diagnostics import _norms
+
+    g = cube(10, dtau=0.25 * 2 * np.pi / 10)
+    med = Medium(epsilon=1.3, mu=0.8, kappa=1.5)
+    nab = Nabla(g)
+    M = 2 if mode in ("interaction", "united") else 1
+    rng = np.random.default_rng(7)
+
+    def smooth(shape):
+        return 0.2 * nab.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    background = smooth((3,) + g.shape) if mode == "strong_field" else None
+    states = [SimState(0.0, smooth((M, 7) + g.shape), g, med, mode, background)]
+    names = ["charge", "poynting", "first_law", "box_rho", "freeness", "reciprocity",
+             "constraint_drift", "interaction_power_eh", "interaction_power_bd",
+             "energy_decomposition"]
+    lo, hi = (0, 2, 0), (10, 7, 5)
+    surface = {"axis": 0, "index": 1, "part_axis": 2, "j0": 1, "j1": 6}
+    integral = ["integral_charge", "integral_energy", "integral_flux", "integral_volume"]
+    specs = [{"name": n} for n in names] + [
+        {"name": n, "region": {"lo": lo, "hi": hi}, "surface": surface} for n in integral
+    ]
+    eng = DiagnosticsEngine(g, med, mode, nab, specs)
+    eng.sample(states[0], 0)
+    for i in range(4):
+        st, _ = step_rk4(states[-1], nab, StepperConfig(), i)
+        states.append(st)
+        eng.sample(st, i + 1)
+        assert all(len(w) == 2 for w in eng._windows.values())  # references, not a trail
+    eng.finalize()
+
+    def worst(pairs):
+        return max([0.0] + [p[0] for p in pairs]), max([0.0] + [p[1] for p in pairs])
+
+    def aprime(s, k):
+        if mode == "strong_field":
+            return AField(g, s.background)
+        if M >= 2:
+            return AField(g, s.U[:, 0:3].sum(axis=0) - s.U[k, 0:3])
+        return None
+
+    expect = {n: [] for n in names}
+    for s_m, s_0, s_p in zip(states, states[1:], states[2:]):
+        d = s_p.tau - s_0.tau
+        (a_m, t_m), (a_0, t_0), (a_p, t_p) = (field_totals(s) for s in (s_m, s_0, s_p))
+        if mode in ("free_theta", "strong_field"):
+            charge = charge_conservation_residual(nab, t_m.rho, t_p.rho, t_0.J, d)
+        else:
+            charge = charge_conservation_residual(nab, nab.div(a_m.A), nab.div(a_p.A), t_0.J, d)
+        first = [
+            first_law_residual(nab, med, s_m.theta(k), s_0.theta(k), s_p.theta(k), d,
+                               aprime_mid=aprime(s_0, k))
+            for k in range(M)
+        ]
+        for name, r in (
+            ("charge", charge),
+            ("poynting", poynting_residual(nab, med, a_m, a_0, a_p, t_0, d)),
+            ("first_law", worst(first)),
+            ("box_rho", box_rho_residual(nab, t_m.rho, t_0.rho, t_p.rho, d)),
+            ("freeness", freeness_residual(nab, t_m, t_0, t_p, d)),
+        ):
+            expect[name].append((s_0.tau, *r))
+    for s in states:
+        recip = [
+            reciprocity_residual(s.theta(k), s.afield(l), s.theta(l), s.afield(k))
+            for k in range(M) for l in range(k + 1, M)
+        ]
+        drift = [_norms(s.U[k, 3] - nab.div(s.U[k, 0:3])) for k in range(M)]
+        eh, bd = [], []
+        for k in range(M):
+            ap = aprime(s, k)
+            if ap is None:
+                continue
+            Ep, Hp = decompose_afield(ap, med)
+            _, _, j_E, j_H = decompose_theta(s.theta(k), med)
+            eh.append(_norms((Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0)))
+            bd.append(_norms(med.mu * (Hp * j_E).sum(axis=0) - med.epsilon * (Ep * j_H).sum(axis=0)))
+        ie = interaction_energy([s.afield(k) for k in range(M)], med)
+        expect["reciprocity"].append((s.tau, *worst(recip)))
+        expect["constraint_drift"].append((s.tau, *worst(drift)))
+        expect["interaction_power_eh"].append((s.tau, *worst(eh)))
+        expect["interaction_power_bd"].append((s.tau, *worst(bd)))
+        expect["energy_decomposition"].append((s.tau, ie.decomposition_residual, ie.decomposition_residual))
+    laws = integral_laws(states, med, lo, hi, surface=FluxSurface(g, **surface))
+    for name in integral:
+        expect[name] = laws[name.removeprefix("integral_")]
+
+    assert len(expect["charge"]) == 3 and len(expect["reciprocity"]) == 5
+    for name in names + integral:
+        assert eng.series[name].rows == expect[name], name
+    # the dispatch reaches the partner field exactly where the mode has one
+    assert (eng.series["interaction_power_eh"].max_linf > 0) == (mode in ("interaction", "strong_field", "united"))
 
 
 def test_diagnostics_engine_rejects_bad_specs():

@@ -44,6 +44,8 @@ def eigenmode_doc(n=8, steps=8, tols=None):
 
 # -- schema -------------------------------------------------------------------------
 
+SURFACE = {"axis": 0, "index": 0, "part_axis": 1, "j0": 0, "j1": 4}
+
 
 def test_parse_minimal_scenario_defaults():
     sc = parse_scenario(eigenmode_doc())
@@ -78,6 +80,18 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d["grid"].update(dtau=1.0), "step bound"),
         (lambda d: d["grid"].update(n=[8, 8]), "grid.n"),
         (lambda d: d.update(nabla="stencil9"), "nabla"),
+        # the integral laws share one accumulator: one cadence, region and surface
+        (lambda d: d["diagnostics"].extend(
+            [{"name": "integral_charge"}, {"name": "integral_energy", "cadence": 2}]),
+         "share one cadence"),
+        (lambda d: d["diagnostics"].extend(
+            [{"name": "integral_charge", "region": {"lo": [0, 0, 0], "hi": [8, 8, 4]}},
+             {"name": "integral_energy", "region": {"lo": [0, 0, 0], "hi": [8, 4, 8]}}]),
+         "share one region"),
+        (lambda d: d["diagnostics"].extend(
+            [{"name": "integral_charge", "surface": SURFACE},
+             {"name": "integral_energy", "surface": dict(SURFACE, j1=2)}]),
+         "share one surface"),
     ],
 )
 def test_parse_rejects_bad_documents(mangle, fragment):
@@ -118,6 +132,14 @@ def test_parse_region_and_surface_checked():
     ]
     with pytest.raises(ScenarioError, match="part_axis"):
         parse_scenario(doc)
+    # integral series may repeat the shared region and surface, or leave them out
+    box = {"lo": [0, 0, 0], "hi": [8, 8, 4]}
+    doc["diagnostics"] = [
+        {"name": "integral_charge", "region": box, "surface": SURFACE},
+        {"name": "integral_energy", "region": box, "surface": SURFACE},
+        {"name": "integral_flux"},
+    ]
+    assert len(parse_scenario(doc).diagnostics) == 3
 
 
 def test_load_scenario_bad_json(tmp_path):
