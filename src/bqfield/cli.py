@@ -25,7 +25,17 @@ import sys
 import numpy as np
 
 from .runner import run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import (
+    ScenarioError,
+    _complex_scalar,
+    _complex_vector,
+    _done,
+    _medium,
+    _number,
+    _real_vector,
+    _take,
+    load_scenario,
+)
 from .selftest import run_selftest
 from .shock import (
     FrontData,
@@ -34,7 +44,6 @@ from .shock import (
     characteristic_roots,
     theta_jump_residual,
 )
-from .fields import Medium
 
 __all__ = ["main"]
 
@@ -65,40 +74,25 @@ def _cmd_run(args) -> int:
     return report.exit_code
 
 
-def _complex_from(v):
-    if isinstance(v, dict):
-        return complex(v.get("re", 0.0), v.get("im", 0.0))
-    return complex(v)
-
-
-def _cvec_from(v):
-    if isinstance(v, dict):
-        re = np.asarray(v.get("re", [0.0, 0.0, 0.0]), dtype=float)
-        im = np.asarray(v.get("im", [0.0, 0.0, 0.0]), dtype=float)
-        return re + 1j * im
-    return np.asarray(v, dtype=float).astype(np.complex128)
-
-
 def _cmd_shock_check(args) -> int:
     try:
         with open(args.front) as fh:
             doc = json.load(fh)
-        med_doc = doc.get("medium", {})
-        medium = Medium(
-            epsilon=float(med_doc.get("epsilon", 1.0)),
-            mu=float(med_doc.get("mu", 1.0)),
-            kappa=float(med_doc.get("kappa", 1.0)),
-        )
+        if not isinstance(doc, dict):
+            raise ScenarioError("a front datum must be a JSON object")
+        d = dict(doc)
+        zero = [0.0, 0.0, 0.0]
         front = FrontData(
-            m=np.asarray(doc["m"], dtype=float),
-            jump_E=np.asarray(doc.get("jump_E", [0.0, 0.0, 0.0]), dtype=float),
-            jump_H=np.asarray(doc.get("jump_H", [0.0, 0.0, 0.0]), dtype=float),
-            jump_rho=_complex_from(doc.get("jump_rho", 0.0)),
-            jump_J=_cvec_from(doc.get("jump_J", [0.0, 0.0, 0.0])),
-            medium=medium,
+            m=_real_vector(_take(d, "m", "", required=True), "m"),
+            jump_E=_real_vector(_take(d, "jump_E", "", default=zero), "jump_E"),
+            jump_H=_real_vector(_take(d, "jump_H", "", default=zero), "jump_H"),
+            jump_rho=_complex_scalar(_take(d, "jump_rho", ""), "jump_rho"),
+            jump_J=_complex_vector(_take(d, "jump_J", ""), "jump_J"),
+            medium=_medium(_take(d, "medium", "", default={}), "medium"),
         )
-        tol = float(doc.get("tolerance", 1e-10))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, AssertionError) as exc:
+        tol = _number(_take(d, "tolerance", "", default=1e-10), "tolerance")
+        _done(d, "")
+    except (OSError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = {}

@@ -31,7 +31,7 @@ from .fields import (
     decompose_force,
     decompose_theta,
 )
-from .evolution import SimState, _aprime, field_totals
+from .evolution import SimState, field_totals, partner_field
 from .operators import Nabla, apply_dminus
 
 __all__ = [
@@ -779,20 +779,13 @@ class DiagnosticsEngine:
     def _first_law(self, prev, mid, nxt, delta):
         worst = (0.0, 0.0)
         for k in range(mid.n_fields):
+            ap = partner_field(mid, k)
             linf, l2 = first_law_residual(
                 self.nabla, self.medium, prev.theta(k), mid.theta(k), nxt.theta(k), delta,
-                aprime_mid=self._aprime_field(mid, k),
+                aprime_mid=None if ap is None else AField(mid.grid, ap),
             )
             worst = (max(worst[0], linf), max(worst[1], l2))
         return worst
-
-    def _aprime_field(self, state: SimState, k: int) -> AField | None:
-        """Partner field A' of field k, or None where the mode has no partner."""
-        if state.mode == "strong_field":
-            return AField(state.grid, state.background)
-        if state.mode in ("interaction", "united") and state.n_fields >= 2:
-            return AField(state.grid, _aprime(state.U, k, state.background))
-        return None
 
     def _eval_pointwise(self, name: str, state: SimState):
         ser = self.series[name]
@@ -818,10 +811,10 @@ class DiagnosticsEngine:
         elif name in ("interaction_power_eh", "interaction_power_bd"):
             worst = (0.0, 0.0)
             for k in range(state.n_fields):
-                ap = self._aprime_field(state, k)
+                ap = partner_field(state, k)
                 if ap is None:
                     continue
-                Ep, Hp = decompose_afield(ap, med)
+                Ep, Hp = decompose_afield(AField(state.grid, ap), med)
                 _, _, j_E, j_H = decompose_theta(state.theta(k), med)
                 if name == "interaction_power_eh":
                     r = (Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0)

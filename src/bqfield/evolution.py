@@ -34,6 +34,7 @@ __all__ = [
     "maxwell_rhs",
     "free_theta_rhs",
     "interaction_rhs",
+    "partner_field",
     "state_rhs",
     "step_rk4",
     "field_totals",
@@ -53,13 +54,11 @@ class StepperConfig:
     scheme: str = "rk4"
     cfl: float = 0.25
     constraint_projection: bool = False
-    force_term_reading: str = "standard"  # or "literal_i"
     dealias: bool = True
 
     def __post_init__(self):
         assert self.scheme == "rk4", f"only the classical rk4 scheme is provided, got {self.scheme!r}"
         assert self.cfl > 0, f"cfl must be positive, got {self.cfl}"
-        assert self.force_term_reading in ("standard", "literal_i"), self.force_term_reading
 
     def max_dtau(self, grid: Grid) -> float:
         return self.cfl * min(grid.h)
@@ -90,6 +89,8 @@ class SimState:
         assert self.mode in MODES, f"unknown mode {self.mode!r}"
         assert self.U.ndim == 5 and self.U.shape[1] == 7, f"bad state shape {self.U.shape}"
         assert self.U.shape[2:] == self.grid.n, "state does not match grid"
+        if self.mode == "strong_field" and self.background is None:
+            raise ValueError("strong_field mode needs a background A'")
 
     @property
     def n_fields(self) -> int:
@@ -116,10 +117,12 @@ def maxwell_rhs(nabla: Nabla, A: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def free_theta_rhs(nabla: Nabla, rho: np.ndarray, J: np.ndarray):
-    """(drho, dJ) for the source-free current system D- Theta = 0."""
-    drho = -nabla.div(J)
-    dJ = -nabla.grad(rho) + 1j * nabla.curl(J)
-    return drho, dJ
+    """(drho, dJ) for the source-free current system D- Theta = 0.
+
+    With Theta = i rho + J this is dTheta/dtau = i nabla o Theta.
+    """
+    g = nabla.quaternion_gradient(Biquaternion(1j * rho, J))
+    return g.scalar, 1j * g.vector
 
 
 def _force_biquaternion(rho, J, Aprime) -> Biquaternion:
@@ -139,8 +142,7 @@ def interaction_rhs(
     """(drho, dJ) for kappa D- Theta = -Theta o A' with A' given.
 
     The scalar part gives drho = -div J - i S / kappa and the vector part
-    dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.  The
-    non-default "literal_i" reading rotates the vector forcing by -i.
+    dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.
     """
     drho, dJ = free_theta_rhs(nabla, rho, J)
     fbq = _force_biquaternion(rho, J, Aprime)
@@ -148,41 +150,43 @@ def interaction_rhs(
     if config.dealias:
         SV = nabla.dealias(np.concatenate([S[None], V]))
         S, V = SV[0], SV[1:]
-    if config.force_term_reading == "literal_i":
-        V = -1j * V
     drho = drho - 1j * S / medium.kappa
     dJ = dJ + V / medium.kappa
     return drho, dJ
 
 
-def _aprime(U: np.ndarray, k: int, background: np.ndarray | None) -> np.ndarray:
-    """Sum of the other fields' A (plus any frozen background)."""
-    Ap = U[:, _A].sum(axis=0) - U[k, _A]
-    if background is not None:
-        Ap = Ap + background
-    return Ap
+def partner_field(state: SimState, k: int) -> np.ndarray | None:
+    """Partner field A' acting on field k, or None where the mode has none.
+
+    The frozen background in ``strong_field``; the sum of the other fields' A
+    (plus any background) in ``interaction`` and ``united``.
+    """
+    if state.mode == "strong_field":
+        return state.background
+    if state.mode not in ("interaction", "united"):
+        return None
+    Ap = state.U[:, _A].sum(axis=0) - state.U[k, _A]
+    return Ap if state.background is None else Ap + state.background
 
 
 def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarray:
-    """Time derivative of the full state array for the state's mode."""
+    """Time derivative of the full state array for the state's mode.
+
+    A advances by the Maxwell law except in ``free_theta`` and
+    ``strong_field``; Theta is held in ``maxwell`` and otherwise moves by free
+    transport plus the force of its partner field, where it has one.
+    """
     U, mode = state.U, state.mode
     dU = np.zeros_like(U)
-    if mode == "maxwell":
-        for k in range(U.shape[0]):
+    for k in range(state.n_fields):
+        if mode not in ("free_theta", "strong_field"):
             dU[k, _A] = maxwell_rhs(nabla, U[k, _A], U[k, _J])
-    elif mode == "free_theta":
-        for k in range(U.shape[0]):
+        if mode == "maxwell":
+            continue
+        Ap = partner_field(state, k)
+        if Ap is None:
             dU[k, _RHO], dU[k, _J] = free_theta_rhs(nabla, U[k, _RHO], U[k, _J])
-    elif mode == "strong_field":
-        assert state.background is not None, "strong_field mode needs a background A'"
-        for k in range(U.shape[0]):
-            dU[k, _RHO], dU[k, _J] = interaction_rhs(
-                nabla, state.medium, U[k, _RHO], U[k, _J], state.background, config
-            )
-    else:  # interaction / united
-        for k in range(U.shape[0]):
-            Ap = _aprime(U, k, state.background)
-            dU[k, _A] = maxwell_rhs(nabla, U[k, _A], U[k, _J])
+        else:
             dU[k, _RHO], dU[k, _J] = interaction_rhs(
                 nabla, state.medium, U[k, _RHO], U[k, _J], Ap, config
             )

@@ -80,7 +80,7 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
         U[k, 3] = rho0
         U[k, 4:7] = J0
     background = sc.background
-    if sc.stepper.dealias and sc.nabla_scheme == "spectral":
+    if sc.stepper.dealias:
         U = nabla.dealias(U)
         if background is not None:
             background = nabla.dealias(background)

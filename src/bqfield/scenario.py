@@ -98,18 +98,43 @@ def _int_vector(v, path: str, lo: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _medium(md, path: str) -> Medium:
+    if not isinstance(md, dict):
+        raise ScenarioError(f"{path} must be an object")
+    md = dict(md)
+    eps = _number(_take(md, "epsilon", path, default=1.0), _ctx(path, "epsilon"))
+    mu = _number(_take(md, "mu", path, default=1.0), _ctx(path, "mu"))
+    kappa = _number(_take(md, "kappa", path, default=1.0), _ctx(path, "kappa"))
+    _done(md, path)
+    if eps <= 0 or mu <= 0 or kappa <= 0:
+        raise ScenarioError(f"{path} constants must be positive")
+    return Medium(epsilon=eps, mu=mu, kappa=kappa)
+
+
 # -- initial-data presets ---------------------------------------------------------
 
 
-def _periodic_gaussian(grid: Grid, center, width: float) -> np.ndarray:
-    """Product gaussian periodised with three images per axis."""
-    g = np.ones(grid.n)
-    for a, x in enumerate(grid.meshgrid()):
-        acc = np.zeros(grid.n)
+def _periodic_gaussian(grid: Grid, center, width: float, gradient: bool = False) -> np.ndarray:
+    """Product gaussian periodised with three images per axis, or its gradient.
+
+    The gaussian is separable: each axis contributes a 1-D image sum g_a (and
+    its derivative g_a'), and the factors are combined by broadcasting.
+    """
+    g, dg = [], []
+    for a, x in enumerate(grid.axes()):
+        acc, dacc = np.zeros_like(x), np.zeros_like(x)
         for shift in (-1.0, 0.0, 1.0):
-            acc += np.exp(-((x - center[a] + shift * grid.L[a]) ** 2) / (2 * width**2))
-        g = g * acc
-    return g
+            xa = x - center[a] + shift * grid.L[a]
+            e = np.exp(-(xa**2) / (2 * width**2))
+            acc += e
+            dacc += e * (-xa / width**2)
+        shape = [1, 1, 1]
+        shape[a] = -1
+        g.append(acc.reshape(shape))
+        dg.append(dacc.reshape(shape))
+    if not gradient:
+        return g[0] * g[1] * g[2]
+    return np.stack([dg[0] * g[1] * g[2], g[0] * dg[1] * g[2], g[0] * g[1] * dg[2]])
 
 
 def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
@@ -165,25 +190,7 @@ def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
                 raise ScenarioError(
                     f"{path}: gradient pulses take no polarization (they point along grad g)"
                 )
-            vec = np.empty((3,) + grid.n, dtype=np.complex128)
-            X = grid.meshgrid()
-            for a in range(3):
-                acc = np.zeros(grid.n)
-                for shift in (-1.0, 0.0, 1.0):
-                    xa = X[a] - center[a] + shift * grid.L[a]
-                    part = np.exp(-(xa**2) / (2 * width**2)) * (-xa / width**2)
-                    other = np.ones(grid.n)
-                    for b in range(3):
-                        if b == a:
-                            continue
-                        accb = np.zeros(grid.n)
-                        for sh in (-1.0, 0.0, 1.0):
-                            accb += np.exp(
-                                -((X[b] - center[b] + sh * grid.L[b]) ** 2) / (2 * width**2)
-                            )
-                        other *= accb
-                    acc += part * other
-                vec[a] = amp * acc
+            vec = amp * _periodic_gaussian(grid, center, width, gradient=True)
         else:
             p = _complex_vector(pol, _ctx(path, "polarization"))
             vec = amp * p[:, None, None, None] * g
@@ -253,17 +260,7 @@ def parse_scenario(doc: dict) -> Scenario:
     dtau_raw = _take(gd, "dtau", "grid")
     _done(gd, "grid")
 
-    md = _take(d, "medium", "", default={})
-    if not isinstance(md, dict):
-        raise ScenarioError("medium must be an object")
-    md = dict(md)
-    eps = _number(_take(md, "epsilon", "medium", default=1.0), "medium.epsilon")
-    mu = _number(_take(md, "mu", "medium", default=1.0), "medium.mu")
-    kappa = _number(_take(md, "kappa", "medium", default=1.0), "medium.kappa")
-    _done(md, "medium")
-    if eps <= 0 or mu <= 0 or kappa <= 0:
-        raise ScenarioError("medium constants must be positive")
-    medium = Medium(epsilon=eps, mu=mu, kappa=kappa)
+    medium = _medium(_take(d, "medium", "", default={}), "medium")
 
     sd = _take(d, "stepper", "", default={})
     if not isinstance(sd, dict):
@@ -272,24 +269,18 @@ def parse_scenario(doc: dict) -> Scenario:
     scheme = _take(sd, "scheme", "stepper", default="rk4")
     cfl = _number(_take(sd, "cfl", "stepper", default=0.25), "stepper.cfl")
     proj = _take(sd, "constraint_projection", "stepper", default=False)
-    reading = _take(sd, "force_term_reading", "stepper", default="standard")
     dealias = _take(sd, "dealias", "stepper", default=True)
     _done(sd, "stepper")
     if scheme != "rk4":
         raise ScenarioError(f"stepper.scheme must be 'rk4', got {scheme!r}")
     if not isinstance(proj, bool) or not isinstance(dealias, bool):
         raise ScenarioError("stepper flags must be booleans")
-    if reading not in ("standard", "literal_i"):
-        raise ScenarioError(
-            f"stepper.force_term_reading must be 'standard' or 'literal_i', got {reading!r}"
-        )
     if cfl <= 0:
         raise ScenarioError("stepper.cfl must be positive")
     stepper = StepperConfig(
         scheme=scheme,
         cfl=cfl,
         constraint_projection=proj,
-        force_term_reading=reading,
         dealias=dealias,
     )
 

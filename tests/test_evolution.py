@@ -18,6 +18,7 @@ from bqfield import (
     field_totals,
     free_theta_rhs,
     maxwell_rhs,
+    state_rhs,
     step_rk4,
     united_field,
 )
@@ -166,6 +167,41 @@ def test_uniform_strong_field_matches_expm():
             assert np.abs(got_J - y[1:]).max() <= 1e-10
     # fields stay spatially uniform
     assert np.abs(st.U[0, 3] - st.U[0, 3, 0, 0, 0]).max() <= 1e-13
+
+
+def test_strong_field_state_needs_background():
+    with pytest.raises(ValueError, match="background"):
+        pack_state(cube(4, 0.05), Medium(), "strong_field")
+
+
+class CountingNabla(Nabla):
+    """Nabla that counts single-channel 3-D transforms."""
+
+    transforms = 0
+
+    def fftn(self, f):
+        self.transforms += int(np.prod(np.shape(f)[:-3]))
+        return super().fftn(f)
+
+    def ifftn(self, fh):
+        self.transforms += int(np.prod(np.shape(fh)[:-3]))
+        return super().ifftn(fh)
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize(
+    "mode,per_field",
+    [("maxwell", 6), ("free_theta", 8), ("strong_field", 16), ("interaction", 22), ("united", 22)],
+)
+def test_state_rhs_transforms_per_field(scheme, mode, per_field):
+    """Transforms per field per state_rhs call: curl 6, nabla o Theta 8, force dealias 8."""
+    g = cube(12, 0.05)
+    rng = np.random.default_rng(14)
+    U = rng.standard_normal((2, 7) + g.shape) + 1j * rng.standard_normal((2, 7) + g.shape)
+    bg = rng.standard_normal((3,) + g.shape) + 0j if mode == "strong_field" else None
+    nab = CountingNabla(g, scheme=scheme)
+    state_rhs(SimState(0.0, U, g, Medium(), mode, bg), nab, StepperConfig())
+    assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
 
 
 def test_cfl_guard_rejects_large_dtau():

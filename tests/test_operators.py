@@ -165,6 +165,21 @@ def test_factorization_order_swap():
     assert (lhs - rhs).linf() <= 1e-10 * max(rhs.linf(), 1.0)
 
 
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+def test_quaternion_gradient_is_minus_div_plus_grad_curl(scheme):
+    """nabla o F = -div F + (grad f + curl F): exact on central4, round-off on spectral."""
+    g = cube(12)
+    nab = Nabla(g, scheme=scheme)
+    F = random_band_limited_bq(g, np.random.default_rng(13))
+    got = nab.quaternion_gradient(F)
+    want = Biquaternion(-nab.div(F.vector), nab.grad(F.scalar) + nab.curl(F.vector))
+    if scheme == "central4":
+        assert np.array_equal(got.scalar, want.scalar)
+        assert np.array_equal(got.vector, want.vector)
+    else:
+        assert (got - want).linf() <= 1e-13 * want.linf()
+
+
 def test_dealias_idempotent_and_bandpass():
     g = cube(12)
     nab = Nabla(g)

@@ -80,6 +80,7 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d["grid"].update(dtau=1.0), "step bound"),
         (lambda d: d["grid"].update(n=[8, 8]), "grid.n"),
         (lambda d: d.update(nabla="stencil9"), "nabla"),
+        (lambda d: d.update(stepper={"force_term_reading": "standard"}), "force_term_reading"),
         # the integral laws share one accumulator: one cadence, region and surface
         (lambda d: d["diagnostics"].extend(
             [{"name": "integral_charge"}, {"name": "integral_energy", "cadence": 2}]),
@@ -217,6 +218,27 @@ def test_run_breach_exit(tmp_path):
     assert report.series["poynting"].breached
 
 
+def test_run_nan_residual_mid_run_breaches(tmp_path, monkeypatch):
+    """A residual that turns NaN mid-run is a breach: exit 1, and so says summary.json."""
+    import bqfield.diagnostics as diagnostics
+
+    real, calls = diagnostics.poynting_residual, []
+
+    def nan_on_third_call(*args):
+        calls.append(args)
+        return (float("nan"), float("nan")) if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(diagnostics, "poynting_residual", nan_on_third_call)
+    sc = parse_scenario(eigenmode_doc(tols={"poynting": 1.0}))
+    report = run_scenario(sc, out_dir=tmp_path / "out")
+    assert len(calls) > 3
+    assert report.exit_code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["exit_code"] == 1
+    assert summary["series"]["poynting"]["breached"] is True
+    assert summary["series"]["charge"]["breached"] is False
+
+
 def test_run_abort_exit(tmp_path):
     doc = {
         "mode": "strong_field",
@@ -339,6 +361,15 @@ def test_cli_shock_check_codes(tmp_path, capsys):
     assert main(["shock-check", str(p2)]) == 1
     assert main(["shock-check", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # strict keys: a misspelt key or complex part is named, not dropped
+    for doc, key in (
+        ({"m": [0, 0, 1], "jump_e": [1, 0, 0]}, "jump_e"),
+        (dict(ok, jump_rho={"re": 1, "imag": 2}), "imag"),
+    ):
+        p3 = tmp_path / "front3.json"
+        p3.write_text(json.dumps(doc))
+        assert main(["shock-check", str(p3)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_roots_output(capsys):
