@@ -12,8 +12,9 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
 * ``united``       -- interaction dynamics; the summed field is diagnosed as free.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units).  The quadratic coupling -Theta o A' is the only nonlinear term and is
-filtered with the 2/3 rule, so band-limited data stays alias-free.
+units), its stages in derivative space (Fourier coefficients on spectral).  The
+quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
+space and filtered with the 2/3 rule, so band-limited data stays alias-free.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
 from .fields import AField, ChargeCurrent, Grid, Medium
-from .operators import Nabla
+from .operators import DerivativeSpace, Nabla
 
 __all__ = [
     "MODES",
@@ -45,6 +46,7 @@ MODES = ("maxwell", "free_theta", "interaction", "strong_field", "united")
 _A = slice(0, 3)
 _RHO = 3
 _J = slice(4, 7)
+_FORCED = ("strong_field", "interaction", "united")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,21 +140,18 @@ def interaction_rhs(
     J: np.ndarray,
     Aprime: np.ndarray,
     config: StepperConfig,
+    physical: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """(drho, dJ) for kappa D- Theta = -Theta o A' with A' given.
 
     The scalar part gives drho = -div J - i S / kappa and the vector part
-    dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.
+    dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.  The
+    force reads ``physical`` = (rho, J) where nabla is a ``DerivativeSpace``.
     """
     drho, dJ = free_theta_rhs(nabla, rho, J)
-    fbq = _force_biquaternion(rho, J, Aprime)
-    S, V = fbq.scalar, fbq.vector
-    if config.dealias:
-        SV = nabla.dealias(np.concatenate([S[None], V]))
-        S, V = SV[0], SV[1:]
-    drho = drho - 1j * S / medium.kappa
-    dJ = dJ + V / medium.kappa
-    return drho, dJ
+    fbq = _force_biquaternion(*(physical or (rho, J)), Aprime)
+    SV = nabla.product_term(np.concatenate([fbq.scalar[None], fbq.vector]), config.dealias)
+    return drho - 1j * SV[0] / medium.kappa, dJ + SV[1:] / medium.kappa
 
 
 def partner_field(state: SimState, k: int) -> np.ndarray | None:
@@ -161,35 +160,52 @@ def partner_field(state: SimState, k: int) -> np.ndarray | None:
     The frozen background in ``strong_field``; the sum of the other fields' A
     (plus any background) in ``interaction`` and ``united``.
     """
+    if state.mode not in _FORCED:
+        return None
     if state.mode == "strong_field":
         return state.background
-    if state.mode not in ("interaction", "united"):
-        return None
     Ap = state.U[:, _A].sum(axis=0) - state.U[k, _A]
     return Ap if state.background is None else Ap + state.background
 
 
-def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarray:
-    """Time derivative of the full state array for the state's mode.
+def _advanced(mode: str) -> slice:
+    """The block of channels a mode advances: A and/or Theta."""
+    return slice(3 if mode in ("free_theta", "strong_field") else 0, 3 if mode == "maxwell" else 7)
+
+
+def _blocks(X: np.ndarray, adv: slice, J=None):
+    """(A, rho, J) views of a stack of the channels adv, else None (or the given J)."""
+    theta = adv.stop == 7
+    return X[:, :3] if adv.start == 0 else None, X[:, -4] if theta else None, X[:, -3:] if theta else J
+
+
+def _fields_rhs(nabla, state: SimState, src, dst, config: StepperConfig) -> None:
+    """Fill dst = (dA, drho, dJ) (None where held) from src = (A, rho, J),
+    field stacks in nabla's space; the force reads ``state``, in physical space.
 
     A advances by the Maxwell law except in ``free_theta`` and
     ``strong_field``; Theta is held in ``maxwell`` and otherwise moves by free
     transport plus the force of its partner field, where it has one.
     """
-    U, mode = state.U, state.mode
-    dU = np.zeros_like(U)
+    (A, rho, J), (dA, drho, dJ) = src, dst
     for k in range(state.n_fields):
-        if mode not in ("free_theta", "strong_field"):
-            dU[k, _A] = maxwell_rhs(nabla, U[k, _A], U[k, _J])
-        if mode == "maxwell":
+        if dA is not None:
+            dA[k] = maxwell_rhs(nabla, A[k], J[k])
+        if drho is None:
             continue
         Ap = partner_field(state, k)
         if Ap is None:
-            dU[k, _RHO], dU[k, _J] = free_theta_rhs(nabla, U[k, _RHO], U[k, _J])
+            drho[k], dJ[k] = free_theta_rhs(nabla, rho[k], J[k])
         else:
-            dU[k, _RHO], dU[k, _J] = interaction_rhs(
-                nabla, state.medium, U[k, _RHO], U[k, _J], Ap, config
+            drho[k], dJ[k] = interaction_rhs(
+                nabla, state.medium, rho[k], J[k], Ap, config, (state.U[k, _RHO], state.U[k, _J])
             )
+
+
+def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarray:
+    """Time derivative of the full state array (zero in the channels held)."""
+    dU = np.zeros_like(state.U)
+    _fields_rhs(nabla, state, _blocks(state.U, slice(0, 7)), _blocks(dU, _advanced(state.mode)), config)
     return dU
 
 
@@ -199,7 +215,7 @@ def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarra
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, float | None]:
-    """One classical RK4 step of length grid.dtau.
+    """One classical RK4 step of length grid.dtau, in derivative space.
 
     Returns (new_state, constraint_drift).  With constraint_projection on, the
     evolved rho of every field is replaced by div A after the step and the
@@ -210,14 +226,27 @@ def step_rk4(
     assert dt <= config.max_dtau(state.grid) * (1 + 1e-12), (
         f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}"
     )
-    k1 = state_rhs(state, nabla, config)
-    s2 = SimState(state.tau + dt / 2, state.U + (dt / 2) * k1, state.grid, state.medium, state.mode, state.background)
-    k2 = state_rhs(s2, nabla, config)
-    s3 = SimState(state.tau + dt / 2, state.U + (dt / 2) * k2, state.grid, state.medium, state.mode, state.background)
-    k3 = state_rhs(s3, nabla, config)
-    s4 = SimState(state.tau + dt, state.U + dt * k3, state.grid, state.medium, state.mode, state.background)
-    k4 = state_rhs(s4, nabla, config)
-    Unew = state.U + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    U, space, adv = state.U, DerivativeSpace(nabla), _advanced(state.mode)
+    X0 = space.to(U[:, adv])
+    held_J = None if adv.stop == 7 else space.to(U[:, _J])  # maxwell's source
+
+    def physical(X) -> np.ndarray:
+        return np.concatenate([U[:, : adv.start], space.back(X), U[:, adv.stop :]], axis=1)
+
+    def rhs(X, tau):
+        at = state  # force modes read stages 2-4 back in physical space
+        if state.mode in _FORCED and X is not X0:
+            at = SimState(tau, physical(X), state.grid, state.medium, state.mode, state.background)
+        dX = np.empty_like(X)
+        _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv), config)
+        return dX
+
+    # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes
+    acc = k = rhs(X0, state.tau)
+    for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
+        k = rhs(X0 + c * k, state.tau + c)
+        acc += w * k
+    Unew = physical(X0 + (dt / 6) * acc)
     if not np.isfinite(Unew).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
     new = SimState(state.tau + dt, Unew, state.grid, state.medium, state.mode, state.background)

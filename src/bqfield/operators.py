@@ -26,7 +26,7 @@ from scipy import fft as sfft
 
 from .biquaternion import Biquaternion
 
-__all__ = ["Nabla", "apply_dplus", "apply_dminus", "apply_box"]
+__all__ = ["Nabla", "DerivativeSpace", "apply_dplus", "apply_dminus", "apply_box"]
 
 _AXES = (-3, -2, -1)
 
@@ -47,7 +47,8 @@ class Nabla:
     schemes = ("spectral", "central4")
 
     def __init__(self, grid, scheme: str = "spectral", workers: int = 1):
-        assert scheme in self.schemes, f"unknown scheme {scheme!r}, pick from {self.schemes}"
+        if scheme not in self.schemes:
+            raise ValueError(f"unknown scheme {scheme!r}, pick from {self.schemes}")
         self.grid = grid
         self.scheme = scheme
         self.workers = int(workers)
@@ -104,6 +105,12 @@ class Nabla:
     def _back(self, fh):
         return self.ifftn(fh) if self.scheme == "spectral" else fh
 
+    def _mask(self, fh):
+        """2/3 rule in derivative space, in place (all-pass on central4)."""
+        if self.scheme == "spectral":
+            fh *= self._dealias
+        return fh
+
     # -- operators in derivative space ----------------------------------------
     def _grad(self, fh):
         return np.stack([self._d(fh, a) for a in range(3)])
@@ -120,6 +127,9 @@ class Nabla:
                 d(Fh[1], 0) - d(Fh[0], 1),
             ]
         )
+
+    def _quaternion_gradient(self, fh, Vh):
+        return -self._div(Vh), self._grad(fh) + self._curl(Vh)
 
     # -- differential operators -------------------------------------------------
     def grad(self, f):
@@ -144,10 +154,8 @@ class Nabla:
         One forward and one inverse transform per channel on the spectral
         scheme, against 14 transforms for separate grad, div and curl.
         """
-        fh, Vh = self._to(F.scalar), self._to(F.vector)
-        return Biquaternion(
-            -self._back(self._div(Vh)), self._back(self._grad(fh) + self._curl(Vh))
-        )
+        s, v = self._quaternion_gradient(self._to(F.scalar), self._to(F.vector))
+        return Biquaternion(self._back(s), self._back(v))
 
     def dealias(self, f):
         """2/3-rule filter: zero every mode with any |k_i| > n_i/3.
@@ -155,11 +163,32 @@ class Nabla:
         Applied to quadratic products only; with band-limited inputs this
         removes the aliased tail exactly.
         """
-        if self.scheme != "spectral":
-            return f
-        fh = self.fftn(f)
-        fh *= self._dealias
-        return self.ifftn(fh)
+        return self._back(self._mask(self._to(f)))
+
+    def product_term(self, f, dealias: bool):
+        """A quadratic product as a right-hand-side term, 2/3-filtered if dealias."""
+        return self.dealias(f) if dealias else f
+
+
+class DerivativeSpace:
+    """A Nabla's operators on data kept in its derivative space: ``to``/``back``
+    move data in and out (FFT on spectral, identity on central4), and
+    ``product_term`` takes a physical product in, with the 2/3 rule as a mask.
+    """
+
+    def __init__(self, nabla: Nabla):
+        self.nabla = nabla
+        self.to, self.back = nabla._to, nabla._back
+
+    def curl(self, Fh):
+        return self.nabla._curl(Fh)
+
+    def quaternion_gradient(self, Fh: Biquaternion) -> Biquaternion:
+        return Biquaternion(*self.nabla._quaternion_gradient(Fh.scalar, Fh.vector))
+
+    def product_term(self, f, dealias: bool):
+        fh = self.to(f)
+        return self.nabla._mask(fh) if dealias else fh
 
 
 def apply_dplus(nabla: Nabla, F: Biquaternion, dF_dtau: Biquaternion) -> Biquaternion:

@@ -37,9 +37,11 @@ __all__ = [
 
 def _unit(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    assert m.shape == (3,), f"normal must be a 3-vector, got shape {m.shape}"
+    if m.shape != (3,):
+        raise ValueError(f"normal must be a 3-vector, got shape {m.shape}")
     nrm = np.linalg.norm(m)
-    assert nrm > 0, "normal must be nonzero"
+    if not nrm > 0:
+        raise ValueError("normal must be nonzero")
     return m / nrm
 
 

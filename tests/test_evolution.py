@@ -204,6 +204,62 @@ def test_state_rhs_transforms_per_field(scheme, mode, per_field):
     assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
 
 
+def random_state(g, mode, seed=14, m=2):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((m, 7) + g.shape) + 1j * rng.standard_normal((m, 7) + g.shape)
+    bg = rng.standard_normal((3,) + g.shape) + 0j if mode == "strong_field" else None
+    return SimState(0.0, U, g, Medium(kappa=1.5), mode, bg)
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize(
+    "mode,per_field",
+    [("maxwell", 9), ("free_theta", 8), ("strong_field", 36), ("interaction", 51), ("united", 51)],
+)
+def test_step_rk4_transforms_per_field(scheme, mode, per_field):
+    """Transforms per field per step: the advanced channels in and out once,
+    maxwell's J in once, and per force stage 4 in plus (stages 2-4) rho, J and
+    the partner's A back."""
+    g = cube(12, 0.05)
+    nab = CountingNabla(g, scheme=scheme)
+    step_rk4(random_state(g, mode), nab, StepperConfig())
+    assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
+
+
+def reference_rk4(state, nabla, config):
+    """Classical RK4 on physical stage states built from state_rhs."""
+    dt, U = state.grid.dtau, state.U
+
+    def at(tau, V):
+        return SimState(tau, V, state.grid, state.medium, state.mode, state.background)
+
+    k1 = state_rhs(state, nabla, config)
+    k2 = state_rhs(at(state.tau + dt / 2, U + (dt / 2) * k1), nabla, config)
+    k3 = state_rhs(at(state.tau + dt / 2, U + (dt / 2) * k2), nabla, config)
+    k4 = state_rhs(at(state.tau + dt, U + dt * k3), nabla, config)
+    return at(state.tau + dt, U + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
+def test_step_rk4_matches_reference_rk4(scheme, mode):
+    """Three steps agree with RK4 on physical stages: held channels bit-equal,
+    advanced ones to round-off."""
+    g = cube(12, 0.05)
+    nab = Nabla(g, scheme=scheme)
+    cfg = StepperConfig()
+    got = ref = random_state(g, mode, seed=23)
+    for i in range(3):
+        got, _ = step_rk4(got, nab, cfg, i)
+        ref = reference_rk4(ref, nab, cfg)
+    held = {"maxwell": slice(3, 7), "free_theta": slice(0, 3), "strong_field": slice(0, 3)}
+    if mode in held:
+        assert np.array_equal(got.U[:, held[mode]], ref.U[:, held[mode]])
+    assert got.tau == ref.tau
+    tol = 0.0 if scheme == "central4" else 1e-13  # central4 does the same arithmetic
+    assert np.abs(got.U - ref.U).max() <= tol * np.abs(ref.U).max()
+
+
 def test_cfl_guard_rejects_large_dtau():
     g = cube(8, 1.0)  # dtau far above 0.25 * h
     nab = Nabla(g)

@@ -3,6 +3,8 @@ analytic fields, vector-calculus identities, the mutual gradients D+- and
 the wave-operator factorization D- D+ = dtau^2 - Laplacian.
 """
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -205,5 +207,12 @@ def test_central4_scheme_skips_dealias():
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="upwind"):
         Nabla(cube(8), scheme="upwind")
+    # the check is not an assert, so it holds under python -O too
+    code = (
+        "from bqfield import Grid, Nabla\n"
+        "try: Nabla(Grid(n=(8, 8, 8), L=(1.0, 1.0, 1.0), dtau=0.01), scheme='upwind')\n"
+        "except ValueError: raise SystemExit(7)"
+    )
+    assert subprocess.run([sys.executable, "-O", "-c", code]).returncode == 7

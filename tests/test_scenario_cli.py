@@ -379,6 +379,18 @@ def test_cli_roots_output(capsys):
     assert main(["roots", "--m", "1,2"]) == 2
 
 
+def test_cli_zero_normal_exits_two_under_optimize(tmp_path):
+    """The normal checks are not asserts: under python -O a zero normal still
+    exits 2 from both shock-check and roots."""
+    front = tmp_path / "front.json"
+    front.write_text(json.dumps({"m": [0, 0, 0]}))
+    for argv in (["shock-check", str(front)], ["roots", "--m", "0,0,0"], ["roots", "--m", "1,2"]):
+        code = f"import sys; from bqfield.cli import main; sys.exit(main({argv!r}))"
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert r.returncode == 2, (argv, r.stdout, r.stderr)
+        assert "normal must be" in r.stderr
+
+
 def test_cli_usage_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
