@@ -56,7 +56,11 @@ def _cmd_run(args) -> int:
         return 2
     workers = 1 if args.reference else args.threads
     out = args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out"
-    report = run_scenario(sc, out_dir=out, workers=workers)
+    try:
+        report = run_scenario(sc, out_dir=out, workers=workers)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summ = report.summary()
     print(f"mode={summ['mode']} steps={summ['steps']} tau_final={summ['tau_final']:.6g} "
           f"wall={summ['wall_seconds']:.2f}s")

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .fields import (
     decompose_force,
     decompose_theta,
 )
-from .evolution import SimState, field_totals, partner_field
+from .evolution import SimState, _force_biquaternion, field_totals, partner_field
 from .operators import Nabla, apply_dminus
 
 __all__ = [
@@ -43,6 +46,9 @@ __all__ = [
     "current_energy",
     "power_force",
     "reciprocity_residual",
+    "constraint_drift_residual",
+    "interaction_power_eh",
+    "interaction_power_bd",
     "charge_conservation_residual",
     "poynting_residual",
     "first_law_residual",
@@ -56,6 +62,8 @@ __all__ = [
     "cumulative_integral",
     "integral_laws",
     "DiagnosticsEngine",
+    "Law",
+    "LAWS",
     "DIAGNOSTIC_NAMES",
 ]
 
@@ -76,9 +84,21 @@ def _momentum(X: np.ndarray) -> np.ndarray:
     return (0.5j * ccross(X, X.conj())).real
 
 
+def _cross_xi(X: np.ndarray, Y: np.ndarray) -> Biquaternion:
+    """0.5 (X o Y* + Y o X*) of pure vectors, Re(X, conj Y) - i Im[X, conj Y]:
+    the bilinear form of _density and _momentum, which it doubles at X = Y."""
+    Yc = Y.conj()
+    return Biquaternion(cdot(X, Yc).real, -1j * ccross(X, Yc).imag)
+
+
 def _source_power(E, H, j_E, j_H, c: float) -> np.ndarray:
     """Power the sources put into the field, (j_H . H - j_E . E)/c."""
     return ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / c
+
+
+def _force(theta: ChargeCurrent, aprime: AField) -> Biquaternion:
+    """-Theta o A' through the stepper's force body."""
+    return _force_biquaternion(theta.rho, theta.J, aprime.A)
 
 
 # -- pointwise quantities -------------------------------------------------------
@@ -94,21 +114,10 @@ class EnergyMomentum:
 
 
 def energy_momentum(a: AField, medium: Medium) -> EnergyMomentum:
-    """W = 0.5 sum |A_k|^2 = 0.5(eps|E|^2 + mu|H|^2), P = 0.5 i [A, conj A] = E x H / c.
-
-    The two momentum routes (complex bracket vs Poynting in physical
-    variables) are cross-checked against each other on every call.
-    """
-    W = _density(a.A)
-    P = _momentum(a.A)
-    E, H = decompose_afield(a, medium)
-    scale = max(1.0, float(np.abs(P).max()))
-    assert np.abs(P - ccross(E, H).real / medium.c).max() <= 1e-12 * scale, (
-        "momentum density routes disagree"
-    )
-    bq = a.as_biquaternion()
-    Xi = 0.5 * (bq @ bq.conj())
-    return EnergyMomentum(W=W, P=P, Xi=Xi)
+    """W = 0.5 sum |A_k|^2 = 0.5(eps|E|^2 + mu|H|^2), P = 0.5 i [A, conj A] = E x H / c;
+    A already carries the medium."""
+    W, P = _density(a.A), _momentum(a.A)
+    return EnergyMomentum(W=W, P=P, Xi=Biquaternion(W, 1j * P))
 
 
 @dataclass(eq=False)
@@ -128,21 +137,12 @@ class CurrentEnergy:
 
 
 def current_energy(theta: ChargeCurrent, medium: Medium) -> CurrentEnergy:
-    """Q = 0.5 sum |J_k|^2, P_J = 0.5 i [J, conj J] = [j_H, j_E] / c.
-
-    Both P_J routes (complex bracket vs real current pair) are cross-checked
-    against each other on every call.
-    """
+    """Q = 0.5 sum |J_k|^2, P_J = 0.5 i [J, conj J] = [j_H, j_E] / c; Theta
+    already carries the medium."""
     J, rho = theta.J, theta.rho
-    P_J = _momentum(J)
-    _, _, j_E, j_H = decompose_theta(theta, medium)
-    scale = max(1.0, float(np.abs(P_J).max()))
-    assert np.abs(P_J - ccross(j_H, j_E) / medium.c).max() <= 1e-12 * scale, (
-        "current momentum routes disagree"
-    )
     return CurrentEnergy(
         Q=_density(J),
-        P_J=P_J,
+        P_J=_momentum(J),
         charge_energy=0.5 * np.abs(rho) ** 2,
         mixed=(rho * J.conj()).real,
     )
@@ -150,16 +150,31 @@ def current_energy(theta: ChargeCurrent, medium: Medium) -> CurrentEnergy:
 
 def power_force(theta: ChargeCurrent, aprime: AField) -> PowerForce:
     """Power-force density F = -Theta o A' acting on theta in the partner field A'."""
-    fbq = -(theta.as_biquaternion() @ aprime.as_biquaternion())
-    return decompose_force(fbq)
+    return decompose_force(_force(theta, aprime))
 
 
 def reciprocity_residual(
     theta1: ChargeCurrent, a2: AField, theta2: ChargeCurrent, a1: AField
 ) -> tuple[float, float]:
-    """Norms of Theta^1 o A^2 + Theta^2 o A^1 (zero when action equals reaction)."""
-    r = theta1.as_biquaternion() @ a2.as_biquaternion() + theta2.as_biquaternion() @ a1.as_biquaternion()
+    """Norms of Theta^1 o A^2 + Theta^2 o A^1 = -(F^12 + F^21) (zero when action equals reaction)."""
+    r = _force(theta1, a2) + _force(theta2, a1)
     return r.linf(), r.l2()
+
+
+def interaction_power_eh(theta: ChargeCurrent, aprime: AField, medium: Medium) -> tuple[float, float]:
+    """Norms of E'.j_E + H'.j_H = c Re(J, A'), where (J, A') is the scalar of
+    the force -Theta o A', taken alone (the vector part costs ten times more)."""
+    return _norms(medium.c * cdot(theta.J, aprime.A).real)
+
+
+def interaction_power_bd(theta: ChargeCurrent, aprime: AField) -> tuple[float, float]:
+    """Norms of mu H'.j_E - eps E'.j_H = Im(J, A'), the force's scalar as above."""
+    return _norms(cdot(theta.J, aprime.A).imag)
+
+
+def constraint_drift_residual(nabla: Nabla, a: AField, theta: ChargeCurrent) -> tuple[float, float]:
+    """Norms of rho - div A (zero while the field's own charge sources it)."""
+    return _norms(theta.rho - nabla.div(a.A))
 
 
 # -- history-based law residuals -------------------------------------------------
@@ -205,18 +220,16 @@ def first_law_residual(
     With no partner field the right side is zero and this is the free-current
     energy law dQ/dtau = -U, U = -div P_J + Re(grad rho, conj J).
     """
-    ce = current_energy(th_mid, medium)
     grad_rho = nabla.grad(th_mid.rho)
     lhs = medium.kappa * (
         (_density(th_plus.J) - _density(th_minus.J)) / (2 * delta)
-        - nabla.div(ce.P_J)
+        - nabla.div(_momentum(th_mid.J))
         + cdot(grad_rho, th_mid.J.conj()).real
     )
     if aprime_mid is None:
         rhs = 0.0
     else:
-        fbq = -(th_mid.as_biquaternion() @ aprime_mid.as_biquaternion())
-        F = 1j * fbq.vector
+        F = 1j * _force(th_mid, aprime_mid).vector
         rhs = cdot(F, th_mid.J.conj()).imag
     return _norms(lhs - rhs)
 
@@ -255,9 +268,8 @@ def united_field(
     satisfies the source-free law without using the evolution equations.
     """
     delta = nxt.tau - mid.tau
-    assert abs((mid.tau - prev.tau) - delta) < 1e-12 * max(1.0, abs(delta)), (
-        "united_field needs uniformly spaced snapshots"
-    )
+    if not abs((mid.tau - prev.tau) - delta) < 1e-12 * max(1.0, abs(delta)):
+        raise ValueError("united_field needs uniformly spaced snapshots")
     a_tot, th_tot = field_totals(mid)
     _, th_m = field_totals(prev)
     _, th_p = field_totals(nxt)
@@ -287,28 +299,17 @@ def interaction_energy(
 
     Xi^{kl} = 0.5 (A^k o A*^l + A^l o A*^k); delta W = Re scalar of delta Xi
     integrated over the box classifies the exchange: "release" (> tol),
-    "absorb" (< -tol) or "conserve".
+    "absorb" (< -tol) or "conserve".  Every term is built from the densities
+    W, P and their bilinear form, so the residual is a round-off check.
     """
     assert len(afields) >= 1, "need at least one field"
     grid = afields[0].grid
-    bqs = [a.as_biquaternion() for a in afields]
-    xi_fields = [0.5 * (b @ b.conj()) for b in bqs]
-    xi_cross = {}
-    for k in range(len(bqs)):
-        for l in range(k + 1, len(bqs)):
-            xi_cross[(k, l)] = 0.5 * (
-                bqs[k] @ bqs[l].conj() + bqs[l] @ bqs[k].conj()
-            )
-    total_vec = sum(a.A for a in afields)
-    tot_bq = Biquaternion(np.zeros(grid.n, dtype=np.complex128), total_vec)
-    xi_total = 0.5 * (tot_bq @ tot_bq.conj())
-    delta_xi = Biquaternion(grid.zeros_scalar(), grid.zeros_vector())
-    for v in xi_cross.values():
-        delta_xi = delta_xi + v
-    recon = delta_xi
-    for v in xi_fields:
-        recon = recon + v
-    resid = (xi_total - recon).linf()
+    A = [a.A for a in afields]
+    xi_fields = [energy_momentum(a, medium).Xi for a in afields]
+    xi_cross = {(k, l): _cross_xi(A[k], A[l]) for k, l in combinations(range(len(A)), 2)}
+    xi_total = energy_momentum(AField(grid, sum(A)), medium).Xi
+    delta_xi = sum(xi_cross.values(), Biquaternion(grid.zeros_scalar(), grid.zeros_vector()))
+    resid = (xi_total - sum(xi_fields, delta_xi)).linf()
     dV = float(np.prod(grid.h))
     dw = float(delta_xi.scalar.real.sum() * dV)
     if dw > tol:
@@ -653,25 +654,76 @@ class ResidualSeries:
                 fh.write(f"{tau:.17g},{linf:.17g},{l2:.17g}\n")
 
 
-DIAGNOSTIC_NAMES = (
-    "charge",
-    "poynting",
-    "first_law",
-    "box_rho",
-    "freeness",
-    "reciprocity",
-    "constraint_drift",
-    "interaction_power_eh",
-    "interaction_power_bd",
-    "energy_decomposition",
-    "integral_charge",
-    "integral_energy",
-    "integral_flux",
-    "integral_volume",
-)
+def _worst(norms) -> tuple[float, float]:
+    """Largest (L_inf, rms) over the fields or pairs of a series, NaN if any is;
+    (0, 0) where there are none."""
+    a = np.array([(0.0, 0.0), *norms])
+    return float(a[:, 0].max()), float(a[:, 1].max())
 
-_HISTORY_NAMES = {"charge", "poynting", "first_law", "box_rho", "freeness"}
-_INTEGRAL_NAMES = {"integral_charge", "integral_energy", "integral_flux", "integral_volume"}
+
+def _partners(state: SimState) -> list[AField | None]:
+    """Each field's partner A' (see partner_field), None where it has none."""
+    aps = (partner_field(state, k) for k in range(state.n_fields))
+    return [None if ap is None else AField(state.grid, ap) for ap in aps]
+
+
+def _charge_law(e, s, a, th, d):
+    if e.mode in ("free_theta", "strong_field"):
+        rho_m, rho_p = th[0].rho, th[2].rho
+    else:  # the charge that sources A is div A
+        rho_m, rho_p = e.nabla.div(a[0].A), e.nabla.div(a[2].A)
+    return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
+
+
+def _energy_law(e, s):
+    ie = interaction_energy([s.afield(k) for k in range(s.n_fields)], e.medium)
+    e.delta_w.append((s.tau, ie.delta_w_integral))
+    e.classification = ie.classification
+    return ie.decomposition_residual, ie.decomposition_residual
+
+
+class Law(NamedTuple):
+    """How the engine evaluates one series.
+
+    ``kind`` "window": ``evaluate(engine, states, a, th, delta)`` on three
+    uniformly spaced states, their summed A-fields and charge-currents; it
+    returns (L_inf, rms).  "pointwise": ``evaluate(engine, state)``.
+    "integral": ``evaluate(rows)`` picks the series' rows from the accumulator.
+    Each calls its public residual function by its module-level name.
+    """
+
+    kind: str
+    evaluate: Callable
+
+
+LAWS = {
+    "charge": Law("window", _charge_law),
+    "poynting": Law("window", lambda e, s, a, th, d: poynting_residual(
+        e.nabla, e.medium, *a, th[1], d)),
+    "first_law": Law("window", lambda e, s, a, th, d: _worst(
+        first_law_residual(e.nabla, e.medium, *(x.theta(k) for x in s), d, ap)
+        for k, ap in enumerate(_partners(s[1])))),
+    "box_rho": Law("window", lambda e, s, a, th, d: box_rho_residual(
+        e.nabla, *(t.rho for t in th), d)),
+    "freeness": Law("window", lambda e, s, a, th, d: freeness_residual(e.nabla, *th, d)),
+    "reciprocity": Law("pointwise", lambda e, s: _worst(
+        reciprocity_residual(s.theta(k), s.afield(l), s.theta(l), s.afield(k))
+        for k, l in combinations(range(s.n_fields), 2))),
+    "constraint_drift": Law("pointwise", lambda e, s: _worst(
+        constraint_drift_residual(e.nabla, s.afield(k), s.theta(k)) for k in range(s.n_fields))),
+    "interaction_power_eh": Law("pointwise", lambda e, s: _worst(
+        interaction_power_eh(s.theta(k), ap, e.medium)
+        for k, ap in enumerate(_partners(s)) if ap is not None)),
+    "interaction_power_bd": Law("pointwise", lambda e, s: _worst(
+        interaction_power_bd(s.theta(k), ap)
+        for k, ap in enumerate(_partners(s)) if ap is not None)),
+    "energy_decomposition": Law("pointwise", _energy_law),
+    "integral_charge": Law("integral", itemgetter("charge")),
+    "integral_energy": Law("integral", itemgetter("energy")),
+    "integral_flux": Law("integral", itemgetter("flux")),
+    "integral_volume": Law("integral", itemgetter("volume")),
+}
+DIAGNOSTIC_NAMES = tuple(LAWS)
 
 
 class DiagnosticsEngine:
@@ -680,7 +732,8 @@ class DiagnosticsEngine:
     ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance
     (optional), region (optional {"lo": [...], "hi": [...]}).  Call
     ``sample(state, step)`` every step; the engine keeps a three-deep window at
-    each history cadence and a tau-integral accumulator for the integral laws.
+    each window cadence and a tau-integral accumulator for the integral laws,
+    and evaluates each series by its entry in ``LAWS``.
 
     Windows hold references to the sampled states, not copies: between steps
     the engine keeps the last two states of each window, so a caller must not
@@ -695,23 +748,25 @@ class DiagnosticsEngine:
         self.cadence: dict[str, int] = {}
         self._windows: dict[int, deque] = {}
         self._acc: IntegralLawAccumulator | None = None
-        self._acc_names: list[str] = []
         self.delta_w: list[tuple[float, float]] = []
         self.classification: str | None = None
         region_lo, region_hi = (0, 0, 0), None
         surface = None
         for spec in specs:
             name = spec["name"]
-            assert name in DIAGNOSTIC_NAMES, f"unknown diagnostic {name!r}"
-            assert name not in self.series, f"duplicate diagnostic {name!r}"
+            if name not in LAWS:
+                raise ValueError(f"unknown diagnostic {name!r}")
+            if name in self.series:
+                raise ValueError(f"duplicate diagnostic {name!r}")
             cad = int(spec.get("cadence", 1))
-            assert cad >= 1, f"cadence must be >= 1, got {cad}"
+            if cad < 1:
+                raise ValueError(f"cadence must be >= 1, got {cad}")
             self.series[name] = ResidualSeries(name, spec.get("tolerance"))
             self.cadence[name] = cad
-            if name in _HISTORY_NAMES:
+            kind = LAWS[name].kind
+            if kind == "window":
                 self._windows.setdefault(cad, deque(maxlen=3))
-            if name in _INTEGRAL_NAMES:
-                self._acc_names.append(name)
+            elif kind == "integral":
                 if "region" in spec and spec["region"] is not None:
                     region_lo = tuple(spec["region"]["lo"])
                     region_hi = tuple(spec["region"]["hi"])
@@ -721,9 +776,10 @@ class DiagnosticsEngine:
                         grid, int(s["axis"]), int(s["index"]),
                         int(s["part_axis"]), int(s["j0"]), int(s["j1"]),
                     )
-        if self._acc_names:
-            cads = {self.cadence[n] for n in self._acc_names}
-            assert len(cads) == 1, "integral laws must share one cadence"
+        cads = {self.cadence[n] for n in self._named("integral")}
+        if cads:
+            if len(cads) > 1:
+                raise ValueError("integral laws must share one cadence")
             self._acc_cadence = cads.pop()
             region = BoxRegion(grid, region_lo, region_hi)
             if surface is None and region_hi is not None:
@@ -734,6 +790,9 @@ class DiagnosticsEngine:
                 surface = FluxSurface(grid, axis, region.lo[axis], part, region.lo[part], region.hi[part])
             self._acc = IntegralLawAccumulator(grid, medium, region, surface=surface)
 
+    def _named(self, kind: str) -> list[str]:
+        return [n for n in self.series if LAWS[n].kind == kind]
+
     def sample(self, state: SimState, step: int):
         for cad, win in self._windows.items():
             if step % cad == 0:
@@ -741,101 +800,26 @@ class DiagnosticsEngine:
                 if len(win) == 3:
                     self._eval_window(cad, win)
                     win.popleft()
-        for name in self.series:
-            if name in _HISTORY_NAMES or name in _INTEGRAL_NAMES:
-                continue
+        for name in self._named("pointwise"):
             if step % self.cadence[name] == 0:
-                self._eval_pointwise(name, state)
+                self.series[name].append(state.tau, *LAWS[name].evaluate(self, state))
         if self._acc is not None and step % self._acc_cadence == 0:
             self._acc.sample(state.tau, *_state_integral_inputs(state, self.medium))
 
     def _eval_window(self, cad: int, win):
-        prev, mid, nxt = win
+        states = prev, mid, nxt = tuple(win)
         delta = nxt.tau - mid.tau
         if abs((mid.tau - prev.tau) - delta) > 1e-9 * max(1.0, delta):
             return  # non-uniform tail sample; skip centred differences
-        med, nab = self.medium, self.nabla
-        (a_m, th_m), (a_0, th_0), (a_p, th_p) = (field_totals(s) for s in win)
-        for name, ser in self.series.items():
-            if self.cadence[name] != cad or name not in _HISTORY_NAMES:
-                continue
-            if name == "charge":
-                if self.mode in ("free_theta", "strong_field"):
-                    r = charge_conservation_residual(nab, th_m.rho, th_p.rho, th_0.J, delta)
-                else:  # the charge that sources A is div A
-                    r = charge_conservation_residual(
-                        nab, nab.div(a_m.A), nab.div(a_p.A), th_0.J, delta
-                    )
-            elif name == "poynting":
-                r = poynting_residual(nab, med, a_m, a_0, a_p, th_0, delta)
-            elif name == "first_law":
-                r = self._first_law(prev, mid, nxt, delta)
-            elif name == "box_rho":
-                r = box_rho_residual(nab, th_m.rho, th_0.rho, th_p.rho, delta)
-            else:  # freeness
-                r = freeness_residual(nab, th_m, th_0, th_p, delta)
-            ser.append(mid.tau, *r)
-
-    def _first_law(self, prev, mid, nxt, delta):
-        worst = (0.0, 0.0)
-        for k in range(mid.n_fields):
-            ap = partner_field(mid, k)
-            linf, l2 = first_law_residual(
-                self.nabla, self.medium, prev.theta(k), mid.theta(k), nxt.theta(k), delta,
-                aprime_mid=None if ap is None else AField(mid.grid, ap),
-            )
-            worst = (max(worst[0], linf), max(worst[1], l2))
-        return worst
-
-    def _eval_pointwise(self, name: str, state: SimState):
-        ser = self.series[name]
-        med = self.medium
-        if name == "constraint_drift":
-            worst = 0.0
-            rms = 0.0
-            for k in range(state.n_fields):
-                r = state.U[k, 3] - self.nabla.div(state.U[k, 0:3])
-                linf, l2 = _norms(r)
-                worst, rms = max(worst, linf), max(rms, l2)
-            ser.append(state.tau, worst, rms)
-        elif name == "reciprocity":
-            worst = (0.0, 0.0)
-            M = state.n_fields
-            for k in range(M):
-                for l in range(k + 1, M):
-                    linf, l2 = reciprocity_residual(
-                        state.theta(k), state.afield(l), state.theta(l), state.afield(k)
-                    )
-                    worst = (max(worst[0], linf), max(worst[1], l2))
-            ser.append(state.tau, *worst)
-        elif name in ("interaction_power_eh", "interaction_power_bd"):
-            worst = (0.0, 0.0)
-            for k in range(state.n_fields):
-                ap = partner_field(state, k)
-                if ap is None:
-                    continue
-                Ep, Hp = decompose_afield(AField(state.grid, ap), med)
-                _, _, j_E, j_H = decompose_theta(state.theta(k), med)
-                if name == "interaction_power_eh":
-                    r = (Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0)
-                else:
-                    r = med.mu * (Hp * j_E).sum(axis=0) - med.epsilon * (Ep * j_H).sum(axis=0)
-                linf, l2 = _norms(r)
-                worst = (max(worst[0], linf), max(worst[1], l2))
-            ser.append(state.tau, *worst)
-        elif name == "energy_decomposition":
-            afields = [state.afield(k) for k in range(state.n_fields)]
-            ie = interaction_energy(afields, med)
-            ser.append(state.tau, ie.decomposition_residual, ie.decomposition_residual)
-            self.delta_w.append((state.tau, ie.delta_w_integral))
-            self.classification = ie.classification
+        a, th = zip(*(field_totals(s) for s in states))
+        for name in self._named("window"):
+            if self.cadence[name] == cad:
+                self.series[name].append(mid.tau, *LAWS[name].evaluate(self, states, a, th, delta))
 
     def finalize(self) -> dict[str, ResidualSeries]:
         if self._acc is not None:
             rows = self._acc.finalize()
-            key = {"integral_charge": "charge", "integral_energy": "energy",
-                   "integral_flux": "flux", "integral_volume": "volume"}
-            for name in self._acc_names:
-                for row in rows[key[name]]:
+            for name in self._named("integral"):
+                for row in LAWS[name].evaluate(rows):
                     self.series[name].append(*row)
         return self.series

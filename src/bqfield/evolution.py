@@ -59,8 +59,10 @@ class StepperConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        assert self.scheme == "rk4", f"only the classical rk4 scheme is provided, got {self.scheme!r}"
-        assert self.cfl > 0, f"cfl must be positive, got {self.cfl}"
+        if self.scheme != "rk4":
+            raise ValueError(f"only the classical rk4 scheme is provided, got {self.scheme!r}")
+        if not self.cfl > 0:
+            raise ValueError(f"cfl must be positive, got {self.cfl}")
 
     def max_dtau(self, grid: Grid) -> float:
         return self.cfl * min(grid.h)
@@ -88,9 +90,10 @@ class SimState:
     background: np.ndarray | None = None  # frozen A' for strong_field, (3, nx, ny, nz)
 
     def __post_init__(self):
-        assert self.mode in MODES, f"unknown mode {self.mode!r}"
-        assert self.U.ndim == 5 and self.U.shape[1] == 7, f"bad state shape {self.U.shape}"
-        assert self.U.shape[2:] == self.grid.n, "state does not match grid"
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.U.ndim != 5 or self.U.shape[1] != 7 or self.U.shape[2:] != self.grid.n:
+            raise ValueError(f"state shape {self.U.shape} is not (M, 7) + grid n {self.grid.n}")
         if self.mode == "strong_field" and self.background is None:
             raise ValueError("strong_field mode needs a background A'")
 
@@ -223,9 +226,8 @@ def step_rk4(
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
     dt = state.grid.dtau
-    assert dt <= config.max_dtau(state.grid) * (1 + 1e-12), (
-        f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}"
-    )
+    if not dt <= config.max_dtau(state.grid) * (1 + 1e-12):
+        raise ValueError(f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}")
     U, space, adv = state.U, DerivativeSpace(nabla), _advanced(state.mode)
     X0 = space.to(U[:, adv])
     held_J = None if adv.stop == 7 else space.to(U[:, _J])  # maxwell's source

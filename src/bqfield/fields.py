@@ -42,9 +42,9 @@ class Medium:
     kappa: float = 1.0
 
     def __post_init__(self):
-        assert self.epsilon > 0, f"epsilon must be positive, got {self.epsilon}"
-        assert self.mu > 0, f"mu must be positive, got {self.mu}"
-        assert self.kappa > 0, f"kappa must be positive, got {self.kappa}"
+        for name in ("epsilon", "mu", "kappa"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def c(self) -> float:
@@ -63,9 +63,12 @@ class Grid:
     def __post_init__(self):
         self.n = tuple(int(v) for v in self.n)
         self.L = tuple(float(v) for v in self.L)
-        assert len(self.n) == 3 and all(v >= 4 for v in self.n), f"bad grid n={self.n}"
-        assert all(v > 0 for v in self.L), f"box lengths must be positive, got {self.L}"
-        assert self.dtau > 0, f"dtau must be positive, got {self.dtau}"
+        if not (len(self.n) == 3 and all(v >= 4 for v in self.n)):
+            raise ValueError(f"bad grid n={self.n}")
+        if not all(v > 0 for v in self.L):
+            raise ValueError(f"box lengths must be positive, got {self.L}")
+        if not self.dtau > 0:
+            raise ValueError(f"dtau must be positive, got {self.dtau}")
 
     @property
     def h(self) -> tuple[float, float, float]:
@@ -109,9 +112,8 @@ class AField:
 
     def __post_init__(self):
         self.A = np.ascontiguousarray(self.A, dtype=np.complex128)
-        assert self.A.shape == (3,) + self.grid.n, (
-            f"A shape {self.A.shape} does not match grid {(3,) + self.grid.n}"
-        )
+        if self.A.shape != (3,) + self.grid.n:
+            raise ValueError(f"A shape {self.A.shape} does not match grid {(3,) + self.grid.n}")
 
     def as_biquaternion(self) -> Biquaternion:
         return from_vector(self.A)
@@ -128,8 +130,8 @@ class ChargeCurrent:
     def __post_init__(self):
         self.rho = np.ascontiguousarray(self.rho, dtype=np.complex128)
         self.J = np.ascontiguousarray(self.J, dtype=np.complex128)
-        assert self.rho.shape == self.grid.n, f"rho shape {self.rho.shape} != {self.grid.n}"
-        assert self.J.shape == (3,) + self.grid.n, f"J shape {self.J.shape} mismatched"
+        if self.rho.shape != self.grid.n or self.J.shape != (3,) + self.grid.n:
+            raise ValueError(f"rho {self.rho.shape}, J {self.J.shape} do not match grid {self.grid.n}")
 
     def as_biquaternion(self) -> Biquaternion:
         return Biquaternion(1j * self.rho, self.J)

@@ -94,6 +94,9 @@ def run_scenario(
     sc: Scenario, out_dir: str | Path | None = None, workers: int = 1
 ) -> RunReport:
     t0 = time.perf_counter()
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:  # before the first step, so an unwritable directory costs no run
+        out.mkdir(parents=True, exist_ok=True)
     state, nabla = build_state(sc, workers=workers)
     engine = DiagnosticsEngine(sc.grid, sc.medium, sc.mode, nabla, sc.diagnostics)
     engine.sample(state, 0)
@@ -125,9 +128,7 @@ def run_scenario(
         classification=engine.classification,
         abort=abort,
     )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for name, s in series.items():
             s.to_csv(out / f"{name}.csv")
         with open(out / "summary.json", "w") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .evolution import MODES, StepperConfig
 from .fields import Grid, Medium
-from .diagnostics import DIAGNOSTIC_NAMES
+from .diagnostics import LAWS
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "build_preset"]
 
@@ -348,7 +348,7 @@ def parse_scenario(doc: dict) -> Scenario:
         spec = dict(spec)
         p = f"diagnostics[{i}]"
         name = _take(spec, "name", p, required=True)
-        if name not in DIAGNOSTIC_NAMES:
+        if name not in LAWS:
             raise ScenarioError(f"{p}.name: unknown diagnostic {name!r}")
         if name in seen:
             raise ScenarioError(f"{p}.name: duplicate diagnostic {name!r}")
@@ -394,7 +394,7 @@ def parse_scenario(doc: dict) -> Scenario:
         _done(spec, p)
         specs.append(out)
     # the integral laws share one accumulator: one cadence, one region, one surface
-    integral = [s for s in specs if s["name"].startswith("integral_")]
+    integral = [s for s in specs if LAWS[s["name"]].kind == "integral"]
     for key in ("cadence", "region", "surface"):
         given = []
         for s in integral:

@@ -24,7 +24,10 @@ from bqfield import (
     charge_conservation_residual,
     cumulative_integral,
     current_energy,
+    decompose_afield,
+    decompose_theta,
     energy_momentum,
+    field_totals,
     first_law_residual,
     integral_laws,
     interaction_energy,
@@ -72,7 +75,33 @@ def test_energy_momentum_circular_wave():
     np.testing.assert_allclose(em.Xi.vector, 1j * em.P, atol=1e-14)
 
 
-def test_energy_momentum_poynting_route():
+@pytest.fixture(scope="module")
+def united_states():
+    """Every state of a short two-field ``united`` run sampled by the engine
+    with all series, in a medium other than vacuum."""
+    from bqfield import StepperConfig, step_rk4
+    from bqfield.diagnostics import DIAGNOSTIC_NAMES
+
+    g = cube(8, dtau=0.25 * 2 * np.pi / 8)
+    med = Medium(epsilon=1.3, mu=0.8, kappa=1.5)
+    nab = Nabla(g)
+    rng = np.random.default_rng(37)
+    U = 0.2 * nab.dealias(rng.standard_normal((2, 7) + g.shape) + 1j * rng.standard_normal((2, 7) + g.shape))
+    states = [SimState(0.0, U, g, med, "united")]
+    eng = DiagnosticsEngine(g, med, "united", nab, [{"name": n} for n in DIAGNOSTIC_NAMES])
+    eng.sample(states[0], 0)
+    for i in range(3):
+        states.append(step_rk4(states[-1], nab, StepperConfig(), i)[0])
+        eng.sample(states[-1], i + 1)
+    return states
+
+
+def within_route_bound(P, other):
+    """The two momentum routes agree to 1e-12 max(1, |P|) on a run's states."""
+    return np.abs(P - other).max() <= 1e-12 * max(1.0, float(np.abs(P).max()))
+
+
+def test_energy_momentum_poynting_route(united_states):
     # P must equal E x H / c for any medium, here checked from the outside
     g = cube(8)
     rng = np.random.default_rng(21)
@@ -82,6 +111,35 @@ def test_energy_momentum_poynting_route():
     em = energy_momentum(assemble_afield(g, E, H, med), med)
     np.testing.assert_allclose(em.P, np.cross(E, H, axis=0) / med.c, atol=1e-12)
     np.testing.assert_allclose(em.W, 0.5 * (2.5 * (E**2).sum(0) + 0.3 * (H**2).sum(0)), atol=1e-12)
+    # and on every field and total of a run's states
+    for s in united_states:
+        for a in [s.afield(k) for k in range(s.n_fields)] + [field_totals(s)[0]]:
+            E, H = decompose_afield(a, s.medium)
+            assert within_route_bound(energy_momentum(a, s.medium).P, np.cross(E, H, axis=0) / s.medium.c)
+
+
+def test_energy_xi_is_half_a_times_a_conjugate(united_states):
+    """Reference: Xi = 0.5 A o A* through the biquaternion product, for
+    energy_momentum and for every term of interaction_energy."""
+    g = cube(6)
+    rng = np.random.default_rng(33)
+    random = [
+        AField(g, rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape))
+        for _ in range(3)
+    ]
+    runs = [random] + [[s.afield(k) for k in range(s.n_fields)] for s in united_states]
+    for afields in runs:
+        b = [a.as_biquaternion() for a in afields]
+        tot = AField(afields[0].grid, sum(a.A for a in afields)).as_biquaternion()
+        ie = interaction_energy(afields, Medium())
+        xi = [0.5 * (x @ x.conj()) for x in b]
+        pairs = [(ie.xi_total, 0.5 * (tot @ tot.conj()))]
+        pairs += zip(ie.xi_fields, xi)
+        pairs += zip([energy_momentum(a, Medium()).Xi for a in afields], xi)
+        pairs += [(v, 0.5 * (b[k] @ b[l].conj() + b[l] @ b[k].conj())) for (k, l), v in ie.xi_cross.items()]
+        assert len(pairs) == 1 + 2 * len(b) + len(b) * (len(b) - 1) // 2
+        for got, want in pairs:
+            assert (got - want).linf() <= 1e-13 * max(want.linf(), 1.0)
 
 
 def test_current_energy_pinned_example():
@@ -115,7 +173,7 @@ def test_current_energy_full_biquaternion_route():
     assert (full - direct).linf() <= 1e-13 * max(direct.linf(), 1.0)
 
 
-def test_current_energy_cross_route_any_medium():
+def test_current_energy_cross_route_any_medium(united_states):
     g = cube(6)
     rng = np.random.default_rng(25)
     for eps, mu in ((1.0, 1.0), (3.0, 0.2), (0.5, 5.0)):
@@ -127,6 +185,12 @@ def test_current_energy_cross_route_any_medium():
         np.testing.assert_allclose(
             ce.P_J, np.cross(j_H, j_E, axis=0) / med.c, atol=1e-12
         )
+    # and on every field and total of a run's states
+    for s in united_states:
+        for th in [s.theta(k) for k in range(s.n_fields)] + [field_totals(s)[1]]:
+            _, _, j_E, j_H = decompose_theta(th, s.medium)
+            P_J = current_energy(th, s.medium).P_J
+            assert within_route_bound(P_J, np.cross(j_H, j_E, axis=0) / s.medium.c)
 
 
 def power_force_oracle(rho_E, rho_H, j_E, j_H, E1, H1, med):
@@ -553,10 +617,9 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
     pair, first-law A', freeness) and its window bookkeeping."""
     from bqfield import (
         StepperConfig,
-        decompose_afield,
-        decompose_theta,
-        field_totals,
         freeness_residual,
+        interaction_power_bd,
+        interaction_power_eh,
         step_rk4,
     )
     from bqfield.diagnostics import _norms
@@ -632,10 +695,15 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
             ap = aprime(s, k)
             if ap is None:
                 continue
+            eh.append(interaction_power_eh(s.theta(k), ap, med))
+            bd.append(interaction_power_bd(s.theta(k), ap))
+            # the laws read the force's scalar (J, A'); in physical variables
+            # they are the partner's E/H powers on the current pair
             Ep, Hp = decompose_afield(ap, med)
             _, _, j_E, j_H = decompose_theta(s.theta(k), med)
-            eh.append(_norms((Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0)))
-            bd.append(_norms(med.mu * (Hp * j_E).sum(axis=0) - med.epsilon * (Ep * j_H).sum(axis=0)))
+            eh_phys = _norms((Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0))
+            bd_phys = _norms(med.mu * (Hp * j_E).sum(axis=0) - med.epsilon * (Ep * j_H).sum(axis=0))
+            np.testing.assert_allclose(eh[-1] + bd[-1], eh_phys + bd_phys, rtol=1e-13, atol=0)
         ie = interaction_energy([s.afield(k) for k in range(M)], med)
         expect["reciprocity"].append((s.tau, *worst(recip)))
         expect["constraint_drift"].append((s.tau, *worst(drift)))
@@ -657,12 +725,12 @@ def test_diagnostics_engine_rejects_bad_specs():
     g = cube(8)
     med = Medium()
     nab = Nabla(g)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiagnosticsEngine(g, med, "maxwell", nab, [{"name": "entropy"}])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiagnosticsEngine(
             g, med, "maxwell", nab,
             [{"name": "charge"}, {"name": "charge"}],
         )
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiagnosticsEngine(g, med, "maxwell", nab, [{"name": "charge", "cadence": 0}])

@@ -36,9 +36,9 @@ def test_medium_defaults_and_speed():
 
 
 def test_medium_rejects_nonpositive():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Medium(epsilon=0.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Medium(mu=-1.0)
 
 
@@ -103,9 +103,9 @@ def test_theta_biquaternion_has_imaginary_charge_scalar():
 
 def test_afield_shape_validation():
     g = small_grid(4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AField(g, np.zeros((3, 4, 4, 5), dtype=complex))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ChargeCurrent(g, rho=np.zeros((4, 4, 4)), J=np.zeros((2, 4, 4, 4)))
 
 

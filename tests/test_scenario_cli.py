@@ -219,23 +219,33 @@ def test_run_breach_exit(tmp_path):
 
 
 def test_run_nan_residual_mid_run_breaches(tmp_path, monkeypatch):
-    """A residual that turns NaN mid-run is a breach: exit 1, and so says summary.json."""
+    """A residual that turns NaN mid-run is a breach: exit 1, and so says
+    summary.json.  That holds for a series that reports the worst over its
+    fields (first_law) as well."""
     import bqfield.diagnostics as diagnostics
 
-    real, calls = diagnostics.poynting_residual, []
+    calls = {}
 
-    def nan_on_third_call(*args):
-        calls.append(args)
-        return (float("nan"), float("nan")) if len(calls) == 3 else real(*args)
+    def nan_on_third_call(name):
+        real, calls[name] = getattr(diagnostics, name), []
 
-    monkeypatch.setattr(diagnostics, "poynting_residual", nan_on_third_call)
-    sc = parse_scenario(eigenmode_doc(tols={"poynting": 1.0}))
-    report = run_scenario(sc, out_dir=tmp_path / "out")
-    assert len(calls) > 3
+        def law(*args, **kwargs):
+            calls[name].append(args)
+            return (float("nan"), float("nan")) if len(calls[name]) == 3 else real(*args, **kwargs)
+
+        return law
+
+    for name in ("poynting_residual", "first_law_residual"):
+        monkeypatch.setattr(diagnostics, name, nan_on_third_call(name))
+    doc = eigenmode_doc(tols={"poynting": 1.0})
+    doc["diagnostics"].append({"name": "first_law", "tolerance": 1.0})
+    report = run_scenario(parse_scenario(doc), out_dir=tmp_path / "out")
+    assert all(len(c) > 3 for c in calls.values())
     assert report.exit_code == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["exit_code"] == 1
     assert summary["series"]["poynting"]["breached"] is True
+    assert summary["series"]["first_law"]["breached"] is True
     assert summary["series"]["charge"]["breached"] is False
 
 
@@ -334,6 +344,18 @@ def test_cli_invalid_json_is_usage_error(tmp_path, capsys):
     p.write_text("{]")
     assert main(["run", str(p)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_two_before_any_step(tmp_path, capsys, monkeypatch):
+    from bqfield import runner
+
+    steps = []
+    monkeypatch.setattr(runner, "step_rk4", lambda *a, **k: steps.append(a))
+    p = write_doc(tmp_path, eigenmode_doc())
+    # the output directory would sit under a regular file
+    assert main(["run", str(p), "--out", str(p / "res")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert steps == []
 
 
 def test_cli_breach_exit_code(tmp_path, capsys):
