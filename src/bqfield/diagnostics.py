@@ -3,14 +3,13 @@
 Everything here *measures* and never feeds back into the evolution.  Pointwise
 quantities (energy-momentum, power-force, reciprocity defect) are evaluated per
 snapshot; law residuals that need d/dtau use three uniformly spaced history
-samples and centred differences; the integral identities accumulate surface
-fluxes with trapezoid quadrature in tau.
+samples and centred differences; each integral identity stores an amount and
+its rate per sample and integrates the rate in tau with a fourth-order rule.
 
 Volume and surface integrals over grid-aligned sub-boxes integrate the
 trigonometric interpolant exactly along partially covered axes (plain
 rectangle weights on fully covered ones, where periodicity already makes them
-exact). Plain trapezoid weights are available for reference but carry an O(h^2)
-endpoint error on half-covered axes.
+exact).
 """
 
 from __future__ import annotations
@@ -302,7 +301,8 @@ def interaction_energy(
     "absorb" (< -tol) or "conserve".  Every term is built from the densities
     W, P and their bilinear form, so the residual is a round-off check.
     """
-    assert len(afields) >= 1, "need at least one field"
+    if not afields:
+        raise ValueError("need at least one field")
     grid = afields[0].grid
     A = [a.A for a in afields]
     xi_fields = [energy_momentum(a, medium).Xi for a in afields]
@@ -329,7 +329,7 @@ def interaction_energy(
     )
 
 
-# -- sub-box quadrature and the four integral identities -------------------------
+# -- sub-box weights and the four integral identities -----------------------------
 
 
 def _interp_weights(n: int, L: float, i0: int, i1: int) -> np.ndarray:
@@ -345,40 +345,28 @@ def _interp_weights(n: int, L: float, i0: int, i1: int) -> np.ndarray:
     return w.real.copy()
 
 
-def _trapezoid_weights(n: int, L: float, i0: int, i1: int) -> np.ndarray:
-    h = L / n
-    w = np.zeros(n)
-    idx = [(i0 + j) % n for j in range(i1 - i0 + 1)]
-    for j, i in enumerate(idx):
-        w[i] += h if 0 < j < len(idx) - 1 else h / 2
-    return w
+def _axis_weights(grid: Grid, a: int, i0: int, i1: int) -> np.ndarray:
+    """Weights along axis ``a`` for the run [i0, i1): rectangle weights on a full
+    period, where periodicity makes them exact, else the interpolant's integral."""
+    if i1 - i0 == grid.n[a]:
+        return np.full(grid.n[a], grid.h[a])
+    return _interp_weights(grid.n[a], grid.L[a], i0, i1)
 
 
 class BoxRegion:
-    """Grid-aligned sub-box [lo, hi) in index space; hi_a == n_a covers axis a fully.
+    """Grid-aligned sub-box [lo, hi) in index space; hi_a == n_a covers axis a fully."""
 
-    quadrature: "spectral" (exact interpolant integral on partial axes) or
-    "trapezoid".
-    """
-
-    def __init__(self, grid: Grid, lo=(0, 0, 0), hi=None, quadrature: str = "spectral"):
+    def __init__(self, grid: Grid, lo=(0, 0, 0), hi=None):
         hi = tuple(grid.n) if hi is None else tuple(int(v) for v in hi)
         lo = tuple(int(v) for v in lo)
-        assert quadrature in ("spectral", "trapezoid"), quadrature
         for a in range(3):
-            assert 0 <= lo[a] < hi[a] <= grid.n[a], (
-                f"bad region bounds axis {a}: [{lo[a]}, {hi[a]}) with n={grid.n[a]}"
-            )
+            if not 0 <= lo[a] < hi[a] <= grid.n[a]:
+                raise ValueError(
+                    f"bad region bounds axis {a}: [{lo[a]}, {hi[a]}) with n={grid.n[a]}"
+                )
         self.grid, self.lo, self.hi = grid, lo, hi
         self.full = tuple(hi[a] - lo[a] == grid.n[a] for a in range(3))
-        self.w = []
-        for a in range(3):
-            if self.full[a]:
-                self.w.append(np.full(grid.n[a], grid.h[a]))
-            elif quadrature == "spectral":
-                self.w.append(_interp_weights(grid.n[a], grid.L[a], lo[a], hi[a]))
-            else:
-                self.w.append(_trapezoid_weights(grid.n[a], grid.L[a], lo[a], hi[a]))
+        self.w = [_axis_weights(grid, a, lo[a], hi[a]) for a in range(3)]
 
     def volume_integral(self, f):
         """Integral over the box of a scalar (or leading-axes batched) field."""
@@ -422,33 +410,25 @@ class BoxRegion:
         return out
 
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
-
-
 class FluxSurface:
     """Open rectangle S in the plane ``axis=index``: full along one tangent axis,
-    a [j0, j1) run along the other; oriented by +e_axis."""
+    a [j0, j1) run of 1..n cells along the other; oriented by +e_axis."""
 
-    def __init__(self, grid: Grid, axis: int, index: int, part_axis: int, j0: int, j1: int,
-                 quadrature: str = "spectral"):
-        assert axis != part_axis
+    def __init__(self, grid: Grid, axis: int, index: int, part_axis: int, j0: int, j1: int):
+        if axis == part_axis or not {axis, part_axis} <= {0, 1, 2}:
+            raise ValueError(f"axis and part_axis must be distinct in 0..2, got {axis}, {part_axis}")
+        if not 0 < j1 - j0 <= grid.n[part_axis]:
+            raise ValueError(
+                f"the run [{j0}, {j1}) must hold 1..{grid.n[part_axis]} cells along axis {part_axis}"
+            )
         self.grid, self.axis, self.index = grid, axis, index
         self.part_axis = part_axis
         self.full_axis = 3 - axis - part_axis
         self.j0, self.j1 = j0, j1
-        if quadrature == "spectral" and 0 < j1 - j0 < grid.n[part_axis]:
-            self.w_part = _interp_weights(grid.n[part_axis], grid.L[part_axis], j0, j1)
-        else:
-            self.w_part = (
-                np.full(grid.n[part_axis], grid.h[part_axis])
-                if j1 - j0 == grid.n[part_axis]
-                else _trapezoid_weights(grid.n[part_axis], grid.L[part_axis], j0, j1)
-            )
-        self.w_full = np.full(grid.n[self.full_axis], grid.h[self.full_axis])
-        self.sign = _EPS3[axis, part_axis, self.full_axis]
+        self.w_part = _axis_weights(grid, part_axis, j0, j1)
+        self.w_full = _axis_weights(grid, self.full_axis, 0, grid.n[self.full_axis])
+        # the contour runs along the full axis; +1 when (axis, part, full) is cyclic
+        self.sign = 1.0 if (part_axis - axis) % 3 == 1 else -1.0
 
     def _plane(self, f):
         sl = [slice(None)] * 3
@@ -516,11 +496,11 @@ def cumulative_integral(tau: np.ndarray, f: np.ndarray) -> np.ndarray:
 class IntegralLawAccumulator:
     """Accumulates the four integral identities along a sampled trajectory.
 
-    Per sample it needs the charge pair (rho_c, J_c), the field A with the
-    source J_a that actually drives it, and the (E, H, j_E, j_H) decomposition
-    for the energy law.  Fluxes are stored per sample and integrated in tau at
-    ``finalize`` with a fourth-order rule, so the residual rows land at the
-    quadrature floor rather than at trapezoid O(dtau^2).
+    Each law is an *amount* (in the region, or through the surface) and a
+    *rate* (boundary flux plus sources), both stored per sample; ``finalize``
+    reports amount - amount_0 + int rate dtau, with the rate integrated by a
+    fourth-order rule, so the rows land at that rule's O(dtau^4) floor rather
+    than at trapezoid O(dtau^2).  Without a surface the flux law reads 0.
     """
 
     def __init__(self, grid: Grid, medium: Medium, region: BoxRegion,
@@ -528,73 +508,43 @@ class IntegralLawAccumulator:
         self.grid, self.medium, self.region = grid, medium, region
         self.surface = surface
         self._tau: list[float] = []
-        self._snap: dict[str, list] = {"charge": [], "energy": [], "volume": [], "flux": []}
-        self._flux: dict[str, list] = {"charge": [], "energy": [], "energy_src": [],
-                                       "volume": [], "flux": []}
+        self._laws: dict[str, tuple[list, list]] = {
+            key: ([], []) for key in ("charge", "energy", "flux", "volume")
+        }
         self.rows: dict[str, list] = {}
 
-    def sample(self, tau, rho_c, J_c, A, J_a, E, H, j_E, j_H):
-        reg = self.region
-        src = _source_power(E, H, j_E, j_H, self.medium.c)
-        self._tau.append(float(tau))
-        self._snap["charge"].append(reg.volume_integral(rho_c))
-        self._snap["energy"].append(reg.volume_integral(_density(A)).real)
-        self._snap["volume"].append(reg.volume_integral(A))
-        self._flux["charge"].append(reg.boundary_flux(J_c))
-        self._flux["energy"].append(reg.boundary_flux(_momentum(A)).real)
-        self._flux["energy_src"].append(reg.volume_integral(src).real)
-        self._flux["volume"].append(1j * reg.boundary_cross(A) + reg.volume_integral(J_a))
-        if self.surface is not None:
-            self._snap["flux"].append(self.surface.surface_integral(A[self.surface.axis]))
-            self._flux["flux"].append(
-                1j * self.surface.contour_integral(A)
-                + self.surface.surface_integral(J_a[self.surface.axis])
-            )
-        else:
-            self._snap["flux"].append(0.0j)
-            self._flux["flux"].append(0.0j)
+    def sample(self, state: SimState):
+        """Record each law's amount and rate at ``state``."""
+        reg, srf = self.region, self.surface
+        a_tot, th_tot = field_totals(state)
+        A, J = a_tot.A, th_tot.J
+        J_a = np.zeros_like(A) if state.mode == "free_theta" else J  # the source that drives A
+        E, H = decompose_afield(a_tot, self.medium)
+        _, _, j_E, j_H = decompose_theta(th_tot, self.medium)
+        src = reg.volume_integral(_source_power(E, H, j_E, j_H, self.medium.c)).real
+        laws = {
+            "charge": (reg.volume_integral(th_tot.rho), reg.boundary_flux(J)),
+            "energy": (reg.volume_integral(_density(A)).real,
+                       reg.boundary_flux(_momentum(A)).real - src),
+            "flux": (0.0j, 0.0j) if srf is None else (
+                srf.surface_integral(A[srf.axis]),
+                1j * srf.contour_integral(A) + srf.surface_integral(J_a[srf.axis])),
+            "volume": (reg.volume_integral(A), 1j * reg.boundary_cross(A) + reg.volume_integral(J_a)),
+        }
+        self._tau.append(float(state.tau))
+        for key, (amount, rate) in laws.items():
+            self._laws[key][0].append(amount)
+            self._laws[key][1].append(rate)
 
     def finalize(self) -> dict[str, list]:
+        """Rows (tau, L_inf, rms) of each law's residual, one per sample."""
         tau = np.asarray(self._tau)
-        rows: dict[str, list] = {"charge": [], "energy": [], "flux": [], "volume": []}
-        if len(tau) == 0:
-            self.rows = rows
-            return rows
-        res = {}
-        for key in ("charge", "flux"):
-            snap = np.asarray(self._snap[key])
-            res[key] = (snap - snap[0]) + cumulative_integral(tau, np.asarray(self._flux[key]))
-        snap = np.asarray(self._snap["energy"])
-        res["energy"] = (
-            (snap - snap[0])
-            + cumulative_integral(tau, np.asarray(self._flux["energy"]))
-            - cumulative_integral(tau, np.asarray(self._flux["energy_src"]))
-        )
-        snap = np.asarray(self._snap["volume"])
-        res["volume"] = (snap - snap[0]) + cumulative_integral(
-            tau, np.asarray(self._flux["volume"])
-        )
-        for key in ("charge", "energy", "flux"):
-            for t, r in zip(tau, res[key]):
-                rows[key].append((float(t), abs(r), abs(r)))
-        for t, r in zip(tau, res["volume"]):
-            ra = np.abs(r)
-            rows["volume"].append((float(t), float(ra.max()), float(np.sqrt((ra**2).mean()))))
-        self.rows = rows
-        return rows
-
-
-def _state_integral_inputs(state: SimState, medium: Medium):
-    """Charge pair, A-field with its own source, and real decompositions."""
-    a_tot, th_tot = field_totals(state)
-    rho_c, J_c = th_tot.rho, th_tot.J
-    if state.mode == "free_theta":
-        J_a = np.zeros_like(a_tot.A)  # A carries no source in this mode
-    else:
-        J_a = th_tot.J
-    E, H = decompose_afield(a_tot, medium)
-    _, _, j_E, j_H = decompose_theta(th_tot, medium)
-    return rho_c, J_c, a_tot.A, J_a, E, H, j_E, j_H
+        self.rows = {}
+        for key, (amount, rate) in self._laws.items():
+            amount = np.asarray(amount)
+            res = amount - amount[:1] + cumulative_integral(tau, np.asarray(rate))
+            self.rows[key] = [(float(t), *_norms(r)) for t, r in zip(tau, res)]
+        return self.rows
 
 
 def integral_laws(
@@ -603,7 +553,6 @@ def integral_laws(
     lo=(0, 0, 0),
     hi=None,
     surface: FluxSurface | None = None,
-    quadrature: str = "spectral",
 ):
     """Evaluate the four integral identities over a sampled trajectory.
 
@@ -611,12 +560,12 @@ def integral_laws(
     (tau, |residual|_inf, |residual|_rms) rows; the last row is the full-window
     residual.
     """
-    assert len(states) >= 2, "need at least two samples to integrate in tau"
+    if len(states) < 2:
+        raise ValueError("need at least two samples to integrate in tau")
     grid = states[0].grid
-    region = BoxRegion(grid, lo, hi, quadrature=quadrature)
-    acc = IntegralLawAccumulator(grid, medium, region, surface=surface)
+    acc = IntegralLawAccumulator(grid, medium, BoxRegion(grid, lo, hi), surface=surface)
     for s in states:
-        acc.sample(s.tau, *_state_integral_inputs(s, medium))
+        acc.sample(s)
     return acc.finalize()
 
 
@@ -804,7 +753,7 @@ class DiagnosticsEngine:
             if step % self.cadence[name] == 0:
                 self.series[name].append(state.tau, *LAWS[name].evaluate(self, state))
         if self._acc is not None and step % self._acc_cadence == 0:
-            self._acc.sample(state.tau, *_state_integral_inputs(state, self.medium))
+            self._acc.sample(state)
 
     def _eval_window(self, cad: int, win):
         states = prev, mid, nxt = tuple(win)

@@ -12,7 +12,7 @@ only enters through the assembly weights above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class Grid:
     n: tuple[int, int, int]
     L: tuple[float, float, float]
     dtau: float
-    _k: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.n = tuple(int(v) for v in self.n)
@@ -84,17 +83,6 @@ class Grid:
 
     def meshgrid(self):
         return np.meshgrid(*self.axes(), indexing="ij")
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers, shape (3, nx, ny, nz); cached after first use."""
-        if self._k is None:
-            ks = [
-                2 * np.pi * np.fft.fftfreq(n, d=h)
-                for n, h in zip(self.n, self.h)
-            ]
-            kx, ky, kz = np.meshgrid(*ks, indexing="ij")
-            self._k = np.stack([kx, ky, kz])
-        return self._k
 
     def zeros_scalar(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.complex128)

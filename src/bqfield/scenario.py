@@ -390,6 +390,12 @@ def parse_scenario(doc: dict) -> Scenario:
             _done(surface, f"{p}.surface")
             if sout["axis"] == sout["part_axis"] or not (0 <= sout["axis"] <= 2) or not (0 <= sout["part_axis"] <= 2):
                 raise ScenarioError(f"{p}.surface: axis and part_axis must be distinct in 0..2")
+            n_part = n[sout["part_axis"]]
+            if not 0 < sout["j1"] - sout["j0"] <= n_part:
+                raise ScenarioError(
+                    f"{p}.surface: the run j1 - j0 must be in 1..{n_part}, "
+                    f"got [{sout['j0']}, {sout['j1']})"
+                )
             out["surface"] = sout
         _done(spec, p)
         specs.append(out)

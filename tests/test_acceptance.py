@@ -42,7 +42,6 @@ from bqfield.biquaternion import basis_vector, one
 from bqfield.diagnostics import (
     BoxRegion,
     IntegralLawAccumulator,
-    _state_integral_inputs,
     charge_conservation_residual,
     poynting_residual,
 )
@@ -341,12 +340,12 @@ def test_criterion_05_integral_balances():
     whole = IntegralLawAccumulator(g, med, BoxRegion(g))
     half = IntegralLawAccumulator(g, med, BoxRegion(g, hi=(n, n, n // 2)))
     cfg = StepperConfig(cfl=0.25 * (1 + 1e-9))
-    whole.sample(st.tau, *_state_integral_inputs(st, med))
-    half.sample(st.tau, *_state_integral_inputs(st, med))
+    whole.sample(st)
+    half.sample(st)
     for i in range(steps):
         st, _ = step_rk4(st, nab, cfg, i)
-        whole.sample(st.tau, *_state_integral_inputs(st, med))
-        half.sample(st.tau, *_state_integral_inputs(st, med))
+        whole.sample(st)
+        half.sample(st)
     rw = whole.finalize()
     rh = half.finalize()
     whole_charge = max(row[1] for row in rw["charge"])

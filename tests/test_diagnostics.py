@@ -1,7 +1,7 @@
 """Diagnostics tests: energy-momentum and current-energy densities with
 independent physical-variable oracles, law residuals on analytic solutions
 with their exact centred-difference truncation levels, interaction energy,
-sub-box quadrature, and the four integral identities.
+sub-box weights, and the four integral identities.
 """
 
 import numpy as np
@@ -419,7 +419,12 @@ def test_interaction_energy_three_fields_decomposition():
         assert np.abs(v.scalar.imag).max() <= 1e-13 * scale
 
 
-# -- sub-box quadrature ------------------------------------------------------------
+def test_interaction_energy_needs_a_field():
+    with pytest.raises(ValueError, match="at least one field"):
+        interaction_energy([], Medium())
+
+
+# -- sub-box weights ---------------------------------------------------------------
 
 
 def test_interp_weights_integrate_band_limited_exactly():
@@ -455,33 +460,44 @@ def test_box_region_volume_and_flux():
     )
 
 
-def test_box_region_trapezoid_option_is_coarser():
-    g = cube(16)
-    X, _, _ = g.meshgrid()
-    f = np.sin(X)
-    exact = 2 * (2 * np.pi) ** 2
-    spec = BoxRegion(g, hi=(8, 16, 16), quadrature="spectral")
-    trap = BoxRegion(g, hi=(8, 16, 16), quadrature="trapezoid")
-    err_spec = abs(spec.volume_integral(f) - exact)
-    err_trap = abs(trap.volume_integral(f) - exact)
-    assert err_spec <= 1e-11
-    assert err_trap > 100 * max(err_spec, 1e-15)
+@pytest.mark.parametrize("lo,hi", [((0, 0, 0), (8, 8, 12)), ((4, 0, 0), (4, 8, 8)), ((-1, 0, 0), (8, 8, 8))])
+def test_box_region_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError, match="bad region bounds"):
+        BoxRegion(cube(8), lo=lo, hi=hi)
 
 
-def test_flux_surface_stokes_consistency():
-    """Circulation around the rectangle boundary equals the curl flux through it."""
+@pytest.mark.parametrize("axis,part_axis", [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
+def test_flux_surface_stokes_consistency(axis, part_axis):
+    """Circulation around the rectangle boundary equals the curl flux through
+    it, in every orientation: A = sin(x_part) e_full has curl A = cos(x_part)
+    e_part x e_full, whose component along the normal carries the sign."""
     g = cube(16)
-    nab = Nabla(g)
-    X, _, _ = g.meshgrid()
+    full = 3 - axis - part_axis
     A = np.zeros((3,) + g.shape)
-    A[1] = np.sin(X)  # curl A = z-hat cos x
-    curl = nab.curl(A)
-    # normal z at z=0, partial run x in [0, pi/2), full along y
-    s = FluxSurface(g, axis=2, index=0, part_axis=0, j0=0, j1=4)
+    A[full] = np.sin(g.meshgrid()[part_axis])
+    curl = Nabla(g).curl(A)
+    # partial run x_part in [pi/4, pi), full along the third axis
+    s = FluxSurface(g, axis=axis, index=3, part_axis=part_axis, j0=2, j1=8)
     circ = s.contour_integral(A)
-    flux = s.surface_integral(curl[2])
+    flux = s.surface_integral(curl[axis])
+    sign = np.cross(np.eye(3)[part_axis], np.eye(3)[full])[axis]
     np.testing.assert_allclose(circ, flux, atol=1e-12)
-    np.testing.assert_allclose(circ, 2 * np.pi, rtol=1e-12)
+    np.testing.assert_allclose(circ, sign * 2 * np.pi * (0.0 - np.sin(np.pi / 4)), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kw,match",
+    [
+        (dict(axis=1, part_axis=1, j0=0, j1=4), "distinct"),
+        (dict(axis=3, part_axis=0, j0=0, j1=4), "distinct"),
+        (dict(axis=2, part_axis=0, j0=5, j1=3), "run"),
+        (dict(axis=2, part_axis=0, j0=3, j1=3), "run"),
+        (dict(axis=2, part_axis=0, j0=0, j1=9), "run"),
+    ],
+)
+def test_flux_surface_rejects_bad_orientation_and_runs(kw, match):
+    with pytest.raises(ValueError, match=match):
+        FluxSurface(cube(8), index=0, **kw)
 
 
 def test_cumulative_integral_fourth_order_convergence():
@@ -544,6 +560,13 @@ def test_integral_laws_charge_wave_half_box():
     # the flux itself is O(10): the identity is tested against a real signal
     reg = BoxRegion(g, hi=(16, 16, 8))
     assert abs(reg.boundary_flux(states[0].U[0, 4:7])) > 10.0
+
+
+def test_integral_laws_need_two_samples():
+    g = cube(8)
+    st = SimState(0.0, np.zeros((1, 7) + g.shape, dtype=complex), g, Medium(), "maxwell")
+    with pytest.raises(ValueError, match="two samples"):
+        integral_laws([st], Medium())
 
 
 def test_residual_series_bookkeeping(tmp_path):

@@ -50,10 +50,6 @@ def test_grid_spacing_and_axes():
     x, y, z = g.axes()
     assert x[0] == 0.0
     assert x[-1] == pytest.approx(2 * np.pi - hx)
-    k = g.wavenumbers()
-    # integer wavenumbers on a 2*pi box, broadcast to the full mesh
-    assert k.shape == (3, 16, 16, 16)
-    np.testing.assert_allclose(k[0, :4, 0, 0], [0.0, 1.0, 2.0, 3.0])
 
 
 def test_afield_packing_roundtrip():

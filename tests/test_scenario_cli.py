@@ -93,6 +93,13 @@ def test_parse_minimal_scenario_defaults():
             [{"name": "integral_charge", "surface": SURFACE},
              {"name": "integral_energy", "surface": dict(SURFACE, j1=2)}]),
          "share one surface"),
+        # a surface run holds 1..n cells: reversed, empty and over-long runs fail
+        (lambda d: d["diagnostics"].append({"name": "integral_flux", "surface": dict(SURFACE, j0=5, j1=3)}),
+         "diagnostics[2].surface: the run j1 - j0 must be in 1..8"),
+        (lambda d: d["diagnostics"].append({"name": "integral_flux", "surface": dict(SURFACE, j0=4)}),
+         "diagnostics[2].surface: the run j1 - j0 must be in 1..8"),
+        (lambda d: d["diagnostics"].append({"name": "integral_flux", "surface": dict(SURFACE, j1=9)}),
+         "diagnostics[2].surface: the run j1 - j0 must be in 1..8"),
     ],
 )
 def test_parse_rejects_bad_documents(mangle, fragment):
