@@ -8,7 +8,8 @@ Subcommands:
   selftest             run the built-in smoke checks
 
 Exit codes: 0 success, 1 a tolerance was breached, 2 usage or input error,
-3 numerical abort (non-finite state during a run).
+3 numerical abort (non-finite state during a run), 4 an unexpected error in
+``run`` (its traceback, then ``error: <type>: <message>``, on stderr).
 
 The output directory for ``run`` comes from --out, or the scenario's
 output_dir, or the BQFIELD_OUT environment variable, or defaults to
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -61,6 +63,10 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input: not the breach code
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     summ = report.summary()
     print(f"mode={summ['mode']} steps={summ['steps']} tau_final={summ['tau_final']:.6g} "
           f"wall={summ['wall_seconds']:.2f}s")

@@ -15,11 +15,19 @@ Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
 units), its stages in derivative space (Fourier coefficients on spectral).  The
 quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
 space and filtered with the 2/3 rule, so band-limited data stays alias-free.
+
+A state holds one representation.  In the modes without a force (``maxwell``,
+``free_theta``) on the spectral scheme, ``step_rk4`` returns a state that
+keeps the Fourier coefficients it produced, and the next step starts from
+them with no transform; physical ``U`` is made on first read and the
+coefficients are dropped.  A stepped state shares its input's held channels
+(and, in maxwell, the coefficients of the held J), so no step writes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,28 +86,57 @@ class NumericalAbort(RuntimeError):
         self.state = state
 
 
-@dataclass(eq=False)
+class _Coefficients(NamedTuple):
+    """A stepped state before its first read: the advanced channels in
+    derivative space, views of the held channels before (``lo``) and after
+    (``hi``) them, and maxwell's held J in derivative space (else None)."""
+
+    space: DerivativeSpace
+    X: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    held_J: np.ndarray | None
+
+    def physical(self) -> np.ndarray:
+        return np.concatenate([self.lo, self.space.back(self.X), self.hi], axis=1)
+
+
 class SimState:
-    """Snapshot of all interacting fields at one tau."""
+    """Snapshot of all interacting fields at one tau.
 
-    tau: float
-    U: np.ndarray  # (M, 7, nx, ny, nz) complex
-    grid: Grid
-    medium: Medium
-    mode: str
-    background: np.ndarray | None = None  # frozen A' for strong_field, (3, nx, ny, nz)
+    ``U`` is the (M, 7, nx, ny, nz) complex state.  A state that ``step_rk4``
+    returned may instead hold the coefficients it produced; then ``U`` is made
+    on first read, and the state keeps it and drops the coefficients.
+    """
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.U.ndim != 5 or self.U.shape[1] != 7 or self.U.shape[2:] != self.grid.n:
-            raise ValueError(f"state shape {self.U.shape} is not (M, 7) + grid n {self.grid.n}")
-        if self.mode == "strong_field" and self.background is None:
+    def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
+                 background: np.ndarray | None = None):
+        self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
+        self.background = background  # frozen A' for strong_field, (3, nx, ny, nz)
+        self._U, self._coef = U, None
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
+            raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
+        if mode == "strong_field" and background is None:
             raise ValueError("strong_field mode needs a background A'")
+
+    def _stepped(self, tau: float, coef: _Coefficients) -> "SimState":
+        """The state at ``tau`` of this run, held as ``coef``."""
+        new = object.__new__(SimState)
+        new.tau, new.grid, new.medium, new.mode = tau, self.grid, self.medium, self.mode
+        new.background, new._U, new._coef = self.background, None, coef
+        return new
+
+    @property
+    def U(self) -> np.ndarray:
+        if self._U is None:
+            self._U, self._coef = self._coef.physical(), None
+        return self._U
 
     @property
     def n_fields(self) -> int:
-        return self.U.shape[0]
+        return (self._coef.X if self._U is None else self._U).shape[0]
 
     def afield(self, k: int = 0) -> AField:
         return AField(self.grid, self.U[k, _A])
@@ -215,30 +252,42 @@ def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarra
 # -- stepping ------------------------------------------------------------------
 
 
+def _resident(mode: str, nabla: Nabla) -> bool:
+    """Whether step_rk4 returns its coefficients rather than physical U.
+
+    Only where that removes transforms: on spectral, in the modes whose
+    stages never read the physical state.  A force mode reads physical rho, J
+    and A' in stage 1 anyway, and central4's derivative space is physical.
+    """
+    return nabla.scheme == "spectral" and mode not in _FORCED
+
+
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, float | None]:
     """One classical RK4 step of length grid.dtau, in derivative space.
 
     Returns (new_state, constraint_drift).  With constraint_projection on, the
-    evolved rho of every field is replaced by div A after the step and the
+    evolved rho of every field is replaced by div A after the step (in a fresh
+    array; the new state shares its input's held channels) and the
     pre-projection max |rho - div A| is reported; otherwise drift is None.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
     dt = state.grid.dtau
     if not dt <= config.max_dtau(state.grid) * (1 + 1e-12):
         raise ValueError(f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}")
-    U, space, adv = state.U, DerivativeSpace(nabla), _advanced(state.mode)
-    X0 = space.to(U[:, adv])
-    held_J = None if adv.stop == 7 else space.to(U[:, _J])  # maxwell's source
-
-    def physical(X) -> np.ndarray:
-        return np.concatenate([U[:, : adv.start], space.back(X), U[:, adv.stop :]], axis=1)
+    space, adv, resident = DerivativeSpace(nabla), _advanced(state.mode), _resident(state.mode, nabla)
+    if resident and state._coef is not None:
+        _, X0, lo, hi, held_J = state._coef
+    else:
+        U = state.U
+        X0, lo, hi = space.to(U[:, adv]), U[:, : adv.start], U[:, adv.stop :]
+        held_J = None if adv.stop == 7 else space.to(U[:, _J])  # maxwell's source
 
     def rhs(X, tau):
         at = state  # force modes read stages 2-4 back in physical space
         if state.mode in _FORCED and X is not X0:
-            at = SimState(tau, physical(X), state.grid, state.medium, state.mode, state.background)
+            at = state._stepped(tau, _Coefficients(space, X, lo, hi, None))
         dX = np.empty_like(X)
         _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv), config)
         return dX
@@ -248,17 +297,23 @@ def step_rk4(
     for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
         k = rhs(X0 + c * k, state.tau + c)
         acc += w * k
-    Unew = physical(X0 + (dt / 6) * acc)
-    if not np.isfinite(Unew).all():
+    X = X0 + (dt / 6) * acc
+    # a non-finite value in physical space spreads to every coefficient
+    if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = SimState(state.tau + dt, Unew, state.grid, state.medium, state.mode, state.background)
     drift = None
-    if config.constraint_projection and state.mode not in ("free_theta", "strong_field"):
-        drift = 0.0
-        for k in range(new.n_fields):
-            div_a = nabla.div(new.U[k, _A])
-            drift = max(drift, float(np.abs(new.U[k, _RHO] - div_a).max()))
-            new.U[k, _RHO] = div_a
+    if config.constraint_projection and adv.start == 0:  # the modes that advance A
+        div_hat = np.stack([space.div(X[k, _A]) for k in range(len(X))])
+        div_a = space.back(div_hat)
+        rho = space.back(X[:, _RHO]) if adv.stop == 7 else hi[:, 0]
+        drift = float(np.abs(rho - div_a).max())
+        if adv.stop == 7:
+            X[:, _RHO] = div_hat
+        else:  # maxwell holds rho, in channels the input state shares
+            hi = np.concatenate([div_a[:, None], hi[:, 1:]], axis=1)
+    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi, held_J))
+    if not resident:
+        new.U  # made here, as _resident says there is nothing to save
     return new, drift
 
 

@@ -180,6 +180,9 @@ class DerivativeSpace:
         self.nabla = nabla
         self.to, self.back = nabla._to, nabla._back
 
+    def div(self, Fh):
+        return self.nabla._div(Fh)
+
     def curl(self, Fh):
         return self.nabla._curl(Fh)
 

@@ -9,7 +9,8 @@ convention is
     1   completed, at least one residual series exceeded its tolerance
     3   numerical abort (non-finite state), partial series are still written
 
-(2 is reserved for usage and parse errors and is produced by the CLI layer.)
+(2, usage and parse errors, and 4, an unexpected error, are produced by the
+CLI layer.)
 """
 
 from __future__ import annotations

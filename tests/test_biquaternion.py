@@ -208,6 +208,20 @@ def test_cdot_ccross_bilinear():
     np.testing.assert_allclose(ccross(F, G), np.cross(F, G), atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "f_shape,g_shape",
+    [((3, 8, 8, 8), (3, 8, 8, 8)), ((3,), (3, 8, 8, 8)), ((3, 8, 1, 8), (3, 1, 8, 1)), ((3, 1, 1, 1), (3,))],
+)
+def test_ccross_bit_equal_to_numpy_cross(f_shape, g_shape):
+    rng = np.random.default_rng(43)
+    F = rng.standard_normal(f_shape) + 1j * rng.standard_normal(f_shape)
+    G = rng.standard_normal(g_shape) + 1j * rng.standard_normal(g_shape)
+    got = ccross(F, G)
+    assert got.shape == np.cross(F, G, axis=0).shape
+    assert np.array_equal(got, np.cross(F, G, axis=0))
+    assert np.array_equal(ccross(F.real, G.real), np.cross(F.real, G.real, axis=0))
+
+
 def test_vector_broadcast_shapes():
     rng = np.random.default_rng(41)
     a = random_bq(rng, shape=(8, 8, 8))

@@ -211,19 +211,45 @@ def random_state(g, mode, seed=14, m=2):
     return SimState(0.0, U, g, Medium(kappa=1.5), mode, bg)
 
 
+# Per field on spectral: (a step from physical U, a step from the state it
+# returned, the first read of that state's U).
+STEP_TRANSFORMS = {
+    "maxwell": (6, 0, 3),
+    "free_theta": (4, 0, 4),
+    "strong_field": (36, 36, 0),
+    "interaction": (51, 51, 0),
+    "united": (51, 51, 0),
+}
+
+
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize(
     "mode,per_field",
     [("maxwell", 9), ("free_theta", 8), ("strong_field", 36), ("interaction", 51), ("united", 51)],
 )
 def test_step_rk4_transforms_per_field(scheme, mode, per_field):
-    """Transforms per field per step: the advanced channels in and out once,
-    maxwell's J in once, and per force stage 4 in plus (stages 2-4) rho, J and
-    the partner's A back."""
+    """Transforms per field to step once from physical U and read the result.
+
+    The step takes the advanced channels in once (and maxwell's J, once per
+    run).  maxwell and free_theta return their coefficients, so a step from
+    the returned state does none and the first read of U takes the advanced
+    channels back.  A force mode takes 4 in per stage plus (stages 2-4) rho,
+    J and the partner's A back, and returns physical U.
+    """
     g = cube(12, 0.05)
     nab = CountingNabla(g, scheme=scheme)
-    step_rk4(random_state(g, mode), nab, StepperConfig())
-    assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
+    counts = []
+    st = random_state(g, mode)
+    for _ in range(2):
+        before = nab.transforms
+        st, _ = step_rk4(st, nab, StepperConfig())
+        counts.append(nab.transforms - before)
+    before = nab.transforms
+    assert st.U is st.U
+    counts.append(nab.transforms - before)
+    first, again, read = STEP_TRANSFORMS[mode] if scheme == "spectral" else (0, 0, 0)
+    assert counts == [2 * first, 2 * again, 2 * read]
+    assert first + read == (per_field if scheme == "spectral" else 0)
 
 
 def reference_rk4(state, nabla, config):
@@ -258,6 +284,62 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
     assert got.tau == ref.tau
     tol = 0.0 if scheme == "central4" else 1e-13  # central4 does the same arithmetic
     assert np.abs(got.U - ref.U).max() <= tol * np.abs(ref.U).max()
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
+def test_resident_steps_match_steps_read_every_step(scheme, mode):
+    """Steps that never read U agree with steps that read it after each one:
+    held channels bit-equal, advanced ones to round-off on spectral."""
+    g = cube(12, 0.05)
+    nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
+    kept = read = random_state(g, mode, seed=31)
+    for i in range(3):
+        kept, _ = step_rk4(kept, nab, cfg, i)
+        read, _ = step_rk4(read, nab, cfg, i)
+        read.U
+    held = slice(3, 7) if mode == "maxwell" else slice(0, 3)
+    if mode in ("maxwell", "free_theta", "strong_field"):
+        assert np.array_equal(kept.U[:, held], read.U[:, held])
+    assert kept.tau == read.tau
+    tol = 0.0 if scheme == "central4" else 1e-13
+    assert np.abs(kept.U - read.U).max() <= tol * np.abs(read.U).max()
+
+
+class PlantingNabla(Nabla):
+    """Nabla whose derivatives carry ``plant`` in one cell once it is set."""
+
+    plant = None
+
+    def _d(self, fh, a):
+        out = super()._d(fh, a)
+        if self.plant is not None:
+            out[..., 1, 2, 3] = self.plant
+        return out
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
+    """One non-finite cell of an advanced channel aborts the step, whether it
+    sits in the physical input or arises inside a step from a stepped state;
+    the abort gives back the last good U."""
+    g = cube(12, 0.05)
+    nab, cfg = PlantingNabla(g, scheme=scheme), StepperConfig()
+    st = random_state(g, mode)
+    st.U[0, 1 if mode == "maxwell" else 5, 4, 5, 6] = bad
+    with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
+        step_rk4(st, nab, cfg)
+    assert exc.value.state is st and exc.value.steps == 1
+
+    good, _ = step_rk4(random_state(g, mode), nab, cfg)
+    expect = step_rk4(random_state(g, mode), nab, cfg)[0].U
+    nab.plant = bad
+    with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
+        step_rk4(good, nab, cfg, steps_done=1)
+    assert exc.value.state is good and exc.value.steps == 2
+    assert np.array_equal(exc.value.state.U, expect)
 
 
 def test_cfl_guard_rejects_large_dtau():
@@ -307,6 +389,26 @@ def test_constraint_projection_reports_drift():
     # without projection the drift is not reported
     _, none_drift = step_rk4(st, nab, StepperConfig(), 0)
     assert none_drift is None
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+def test_constraint_projection_leaves_shared_rho_unchanged(scheme):
+    """A stepped state shares its input's held channels, so projection puts
+    rho = div A in a fresh array: no input state's rho changes."""
+    g = cube(12, 0.05)
+    nab, proj = Nabla(g, scheme=scheme), StepperConfig(constraint_projection=True)
+    s0 = random_state(g, "maxwell")
+    U0 = s0.U.copy()
+    s1, _ = step_rk4(s0, nab, StepperConfig())
+    s2, drift2 = step_rk4(s1, nab, proj)
+    s3, drift3 = step_rk4(s0, nab, proj)
+    assert np.array_equal(s0.U, U0)
+    assert np.array_equal(s1.U[:, 3:7], U0[:, 3:7])
+    for st, drift in ((s2, drift2), (s3, drift3)):
+        assert drift > 1.0
+        assert np.array_equal(st.U[:, 4:7], U0[:, 4:7])
+        div_a = np.stack([nab.div(st.U[k, 0:3]) for k in range(2)])
+        assert np.abs(st.U[:, 3] - div_a).max() <= 1e-12 * np.abs(div_a).max()
 
 
 def test_united_field_freeness_residual_measures_truncation():

@@ -1,7 +1,7 @@
 """Scenario schema, runner pipeline, and command-line contract tests.
 
 Covers strict-key validation, preset construction, end-to-end runs with
-exit codes 0/1/2/3, output-directory precedence, and byte-identical CSV
+exit codes 0/1/2/3/4, output-directory precedence, and byte-identical CSV
 output under --reference.
 """
 
@@ -363,6 +363,18 @@ def test_cli_unwritable_out_exits_two_before_any_step(tmp_path, capsys, monkeypa
     assert main(["run", str(p), "--out", str(p / "res")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert steps == []
+
+
+def test_cli_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
+    from bqfield import cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", boom)
+    p = write_doc(tmp_path, eigenmode_doc())
+    assert main(["run", str(p), "--out", str(tmp_path / "res")]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
 
 
 def test_cli_breach_exit_code(tmp_path, capsys):
