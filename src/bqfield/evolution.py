@@ -16,12 +16,14 @@ units), its stages in derivative space (Fourier coefficients on spectral).  The
 quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
 space and filtered with the 2/3 rule, so band-limited data stays alias-free.
 
-A state holds one representation.  In the modes without a force (``maxwell``,
-``free_theta``) on the spectral scheme, ``step_rk4`` returns a state that
-keeps the Fourier coefficients it produced, and the next step starts from
-them with no transform; physical ``U`` is made on first read and the
-coefficients are dropped.  A stepped state shares its input's held channels
-(and, in maxwell, the coefficients of the held J), so no step writes them.
+A state holds one representation of its advanced channels.  In the modes
+without a force (``maxwell``, ``free_theta``) on the spectral scheme,
+``step_rk4`` returns a state that keeps the Fourier coefficients it produced,
+and the next step starts from them with no transform; physical ``U`` is made
+on first read and the coefficients are dropped.  A stepped state shares its
+input's held channels and, in maxwell, the coefficients of the held J, which
+it keeps past a read; so no step writes them, and a caller must not write a
+state's ``U`` in place once it has been stepped (assign ``state.U`` instead).
 """
 
 from __future__ import annotations
@@ -88,14 +90,13 @@ class NumericalAbort(RuntimeError):
 
 class _Coefficients(NamedTuple):
     """A stepped state before its first read: the advanced channels in
-    derivative space, views of the held channels before (``lo``) and after
-    (``hi``) them, and maxwell's held J in derivative space (else None)."""
+    derivative space and views of the held channels before (``lo``) and after
+    (``hi``) them."""
 
     space: DerivativeSpace
     X: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    held_J: np.ndarray | None
 
     def physical(self) -> np.ndarray:
         return np.concatenate([self.lo, self.space.back(self.X), self.hi], axis=1)
@@ -106,14 +107,17 @@ class SimState:
 
     ``U`` is the (M, 7, nx, ny, nz) complex state.  A state that ``step_rk4``
     returned may instead hold the coefficients it produced; then ``U`` is made
-    on first read, and the state keeps it and drops the coefficients.
+    on first read, and the state keeps it and drops the coefficients.  The
+    states of one run share their held channels and maxwell's held-J
+    coefficients, so ``U`` is read-only by contract: assigning ``state.U``
+    drops all of them, writing into it in place corrupts the later states.
     """
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
         self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
         self.background = background  # frozen A' for strong_field, (3, nx, ny, nz)
-        self._U, self._coef = U, None
+        self._U, self._coef, self._held_J = U, None, None
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
@@ -121,11 +125,11 @@ class SimState:
         if mode == "strong_field" and background is None:
             raise ValueError("strong_field mode needs a background A'")
 
-    def _stepped(self, tau: float, coef: _Coefficients) -> "SimState":
+    def _stepped(self, tau: float, coef: _Coefficients, held_J=None) -> "SimState":
         """The state at ``tau`` of this run, held as ``coef``."""
         new = object.__new__(SimState)
         new.tau, new.grid, new.medium, new.mode = tau, self.grid, self.medium, self.mode
-        new.background, new._U, new._coef = self.background, None, coef
+        new.background, new._U, new._coef, new._held_J = self.background, None, coef, held_J
         return new
 
     @property
@@ -133,6 +137,10 @@ class SimState:
         if self._U is None:
             self._U, self._coef = self._coef.physical(), None
         return self._U
+
+    @U.setter
+    def U(self, U: np.ndarray) -> None:
+        self._U, self._coef, self._held_J = U, None, None
 
     @property
     def n_fields(self) -> int:
@@ -258,6 +266,10 @@ def _resident(mode: str, nabla: Nabla) -> bool:
     Only where that removes transforms: on spectral, in the modes whose
     stages never read the physical state.  A force mode reads physical rho, J
     and A' in stage 1 anyway, and central4's derivative space is physical.
+    Returning coefficients everywhere was measured (perfbench, 4 alternating
+    pairs, 2-core host) to cost free-64-central4 a 10-17 % slower step and
+    peak RSS 213.7 -> 225.6 MiB, and united-32-diag 133.4 -> 136.3 MiB with
+    the step level.
     """
     return nabla.scheme == "spectral" and mode not in _FORCED
 
@@ -278,16 +290,21 @@ def step_rk4(
         raise ValueError(f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}")
     space, adv, resident = DerivativeSpace(nabla), _advanced(state.mode), _resident(state.mode, nabla)
     if resident and state._coef is not None:
-        _, X0, lo, hi, held_J = state._coef
+        _, X0, lo, hi = state._coef
     else:
         U = state.U
         X0, lo, hi = space.to(U[:, adv]), U[:, : adv.start], U[:, adv.stop :]
-        held_J = None if adv.stop == 7 else space.to(U[:, _J])  # maxwell's source
+        # held channels never change, and a rhs need not read them all
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise NumericalAbort(state.tau, steps_done + 1, state)
+    held_J = None
+    if adv.stop < 7:  # maxwell's source, the same in every state of the run
+        held_J = state._held_J if resident and state._held_J is not None else space.to(hi[:, 1:])
 
     def rhs(X, tau):
         at = state  # force modes read stages 2-4 back in physical space
         if state.mode in _FORCED and X is not X0:
-            at = state._stepped(tau, _Coefficients(space, X, lo, hi, None))
+            at = state._stepped(tau, _Coefficients(space, X, lo, hi))
         dX = np.empty_like(X)
         _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv), config)
         return dX
@@ -311,7 +328,7 @@ def step_rk4(
             X[:, _RHO] = div_hat
         else:  # maxwell holds rho, in channels the input state shares
             hi = np.concatenate([div_a[:, None], hi[:, 1:]], axis=1)
-    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi, held_J))
+    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), held_J if resident else None)
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
     return new, drift

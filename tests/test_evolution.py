@@ -212,13 +212,13 @@ def random_state(g, mode, seed=14, m=2):
 
 
 # Per field on spectral: (a step from physical U, a step from the state it
-# returned, the first read of that state's U).
+# returned, the first read of that state's U, a step from the state read).
 STEP_TRANSFORMS = {
-    "maxwell": (6, 0, 3),
-    "free_theta": (4, 0, 4),
-    "strong_field": (36, 36, 0),
-    "interaction": (51, 51, 0),
-    "united": (51, 51, 0),
+    "maxwell": (6, 0, 3, 3),
+    "free_theta": (4, 0, 4, 4),
+    "strong_field": (36, 36, 0, 36),
+    "interaction": (51, 51, 0, 51),
+    "united": (51, 51, 0, 51),
 }
 
 
@@ -231,25 +231,33 @@ def test_step_rk4_transforms_per_field(scheme, mode, per_field):
     """Transforms per field to step once from physical U and read the result.
 
     The step takes the advanced channels in once (and maxwell's J, once per
-    run).  maxwell and free_theta return their coefficients, so a step from
-    the returned state does none and the first read of U takes the advanced
-    channels back.  A force mode takes 4 in per stage plus (stages 2-4) rho,
-    J and the partner's A back, and returns physical U.
+    run: the states keep its coefficients past a read).  maxwell and
+    free_theta return their coefficients, so a step from the returned state
+    does none and the first read of U takes the advanced channels back.  A
+    force mode takes 4 in per stage plus (stages 2-4) rho, J and the
+    partner's A back, and returns physical U.
     """
     g = cube(12, 0.05)
     nab = CountingNabla(g, scheme=scheme)
     counts = []
     st = random_state(g, mode)
-    for _ in range(2):
+
+    def counted(act):
         before = nab.transforms
-        st, _ = step_rk4(st, nab, StepperConfig())
+        act()
         counts.append(nab.transforms - before)
-    before = nab.transforms
-    assert st.U is st.U
-    counts.append(nab.transforms - before)
-    first, again, read = STEP_TRANSFORMS[mode] if scheme == "spectral" else (0, 0, 0)
-    assert counts == [2 * first, 2 * again, 2 * read]
-    assert first + read == (per_field if scheme == "spectral" else 0)
+
+    def step():
+        nonlocal st
+        st, _ = step_rk4(st, nab, StepperConfig())
+
+    counted(step)
+    counted(step)
+    counted(lambda: st.U is st.U)
+    counted(step)
+    expect = STEP_TRANSFORMS[mode] if scheme == "spectral" else (0, 0, 0, 0)
+    assert counts == [2 * c for c in expect]
+    assert expect[0] + expect[2] == (per_field if scheme == "spectral" else 0)
 
 
 def reference_rk4(state, nabla, config):
@@ -340,6 +348,34 @@ def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
         step_rk4(good, nab, cfg, steps_done=1)
     assert exc.value.state is good and exc.value.steps == 2
     assert np.array_equal(exc.value.state.U, expect)
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode,channel", [("maxwell", 3), ("maxwell", 5), ("free_theta", 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_numerical_abort_fires_on_one_bad_held_cell(scheme, mode, channel, bad):
+    """A held channel no rhs reads (maxwell's rho, free_theta's A) aborts the
+    first step as well; the abort carries the input state."""
+    g = cube(12, 0.05)
+    st = random_state(g, mode)
+    st.U[1, channel, 4, 5, 6] = bad
+    with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
+        step_rk4(st, Nabla(g, scheme=scheme), StepperConfig(), steps_done=4)
+    assert exc.value.state is st and exc.value.steps == 5
+
+
+def test_state_u_assignment_drops_coefficients():
+    """Assigning U replaces the whole state, held-J coefficients included."""
+    g = cube(12, 0.05)
+    nab, cfg = Nabla(g), StepperConfig()
+    st, _ = step_rk4(random_state(g, "maxwell"), nab, cfg)
+    U = st.U.copy()
+    U[:, 4:7] *= 2
+    st.U = U
+    assert st.U is U
+    got, _ = step_rk4(st, nab, cfg)
+    ref, _ = step_rk4(SimState(st.tau, U.copy(), g, st.medium, "maxwell"), nab, cfg)
+    assert np.array_equal(got.U, ref.U)
 
 
 def test_cfl_guard_rejects_large_dtau():
