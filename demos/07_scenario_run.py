@@ -3,7 +3,8 @@
 The same document works from the command line:
     bqfield run scenario.json --out outdir
 Exit codes: 0 all tolerances held, 1 a tolerance was breached, 2 unusable
-input, 3 the run aborted on non-finite values.
+input, 3 the run aborted on non-finite values, 4 an unexpected error of the
+program while loading or running the scenario.
 
 Run with: python3 demos/07_scenario_run.py
 """

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a tolerance was breached, 2 usage or input error,
 3 numerical abort (non-finite state during a run), 4 an unexpected error in
-``run`` (its traceback, then ``error: <type>: <message>``, on stderr).
+``run``, while loading the scenario or running it (its traceback, then
+``error: <type>: <message>``, on stderr).
 
 The output directory for ``run`` comes from --out, or the scenario's
 output_dir, or the BQFIELD_OUT environment variable, or defaults to
@@ -53,14 +54,10 @@ __all__ = ["main"]
 def _cmd_run(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    workers = 1 if args.reference else args.threads
-    out = args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out"
-    try:
+        workers = 1 if args.reference else args.threads
+        out = args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out"
         report = run_scenario(sc, out_dir=out, workers=workers)
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of the input: not the breach code

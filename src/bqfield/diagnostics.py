@@ -33,7 +33,7 @@ from .fields import (
     decompose_force,
     decompose_theta,
 )
-from .evolution import SimState, _force_biquaternion, field_totals, partner_field
+from .evolution import SimState, _advanced, _force_biquaternion, field_totals, partner_field
 from .operators import Nabla, apply_dminus
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "IntegralLawAccumulator",
     "cumulative_integral",
     "integral_laws",
+    "check_specs",
     "DiagnosticsEngine",
     "Law",
     "LAWS",
@@ -418,9 +419,7 @@ class FluxSurface:
         if axis == part_axis or not {axis, part_axis} <= {0, 1, 2}:
             raise ValueError(f"axis and part_axis must be distinct in 0..2, got {axis}, {part_axis}")
         if not 0 < j1 - j0 <= grid.n[part_axis]:
-            raise ValueError(
-                f"the run [{j0}, {j1}) must hold 1..{grid.n[part_axis]} cells along axis {part_axis}"
-            )
+            raise ValueError(f"the run j1 - j0 must be in 1..{grid.n[part_axis]}, got [{j0}, {j1})")
         self.grid, self.axis, self.index = grid, axis, index
         self.part_axis = part_axis
         self.full_axis = 3 - axis - part_axis
@@ -514,23 +513,38 @@ class IntegralLawAccumulator:
         self.rows: dict[str, list] = {}
 
     def sample(self, state: SimState):
-        """Record each law's amount and rate at ``state``."""
+        """Record each law's amount and rate at ``state``.
+
+        The laws follow the mode's own equations.  Where the mode advances A,
+        the charge in the region is the outward flux of A (Gauss: the charge
+        that sources A is div A) and A's energy, flux and volume balances
+        carry their rates; where A is held, the charge is that of rho and
+        A's balances keep their amounts at zero rate.
+        """
         reg, srf = self.region, self.surface
         a_tot, th_tot = field_totals(state)
         A, J = a_tot.A, th_tot.J
-        J_a = np.zeros_like(A) if state.mode == "free_theta" else J  # the source that drives A
-        E, H = decompose_afield(a_tot, self.medium)
-        _, _, j_E, j_H = decompose_theta(th_tot, self.medium)
-        src = reg.volume_integral(_source_power(E, H, j_E, j_H, self.medium.c)).real
-        laws = {
-            "charge": (reg.volume_integral(th_tot.rho), reg.boundary_flux(J)),
-            "energy": (reg.volume_integral(_density(A)).real,
-                       reg.boundary_flux(_momentum(A)).real - src),
-            "flux": (0.0j, 0.0j) if srf is None else (
-                srf.surface_integral(A[srf.axis]),
-                1j * srf.contour_integral(A) + srf.surface_integral(J_a[srf.axis])),
-            "volume": (reg.volume_integral(A), 1j * reg.boundary_cross(A) + reg.volume_integral(J_a)),
+        amounts = {
+            "energy": reg.volume_integral(_density(A)).real,
+            "flux": 0.0j if srf is None else srf.surface_integral(A[srf.axis]),
+            "volume": reg.volume_integral(A),
         }
+        if _advanced(state.mode).start == 0:
+            E, H = decompose_afield(a_tot, self.medium)
+            _, _, j_E, j_H = decompose_theta(th_tot, self.medium)
+            src = reg.volume_integral(_source_power(E, H, j_E, j_H, self.medium.c)).real
+            rates = {
+                "energy": reg.boundary_flux(_momentum(A)).real - src,
+                "flux": 0.0j if srf is None else (
+                    1j * srf.contour_integral(A) + srf.surface_integral(J[srf.axis])),
+                "volume": 1j * reg.boundary_cross(A) + reg.volume_integral(J),
+            }
+            charge = reg.boundary_flux(A)
+        else:
+            rates = {key: np.zeros_like(amount) for key, amount in amounts.items()}
+            charge = reg.volume_integral(th_tot.rho)
+        laws = {"charge": (charge, reg.boundary_flux(J)),
+                **{key: (amount, rates[key]) for key, amount in amounts.items()}}
         self._tau.append(float(state.tau))
         for key, (amount, rate) in laws.items():
             self._laws[key][0].append(amount)
@@ -617,10 +631,10 @@ def _partners(state: SimState) -> list[AField | None]:
 
 
 def _charge_law(e, s, a, th, d):
-    if e.mode in ("free_theta", "strong_field"):
-        rho_m, rho_p = th[0].rho, th[2].rho
-    else:  # the charge that sources A is div A
+    if _advanced(e.mode).start == 0:  # the charge that sources A is div A
         rho_m, rho_p = e.nabla.div(a[0].A), e.nabla.div(a[2].A)
+    else:
+        rho_m, rho_p = th[0].rho, th[2].rho
     return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
 
 
@@ -675,11 +689,68 @@ LAWS = {
 DIAGNOSTIC_NAMES = tuple(LAWS)
 
 
+def _bounds(v):
+    """What makes two cadences, regions or surfaces the same."""
+    if isinstance(v, BoxRegion):
+        return v.lo, v.hi
+    if isinstance(v, FluxSurface):
+        return v.axis, v.index, v.part_axis, v.j0, v.j1
+    return v
+
+
+def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSurface | None]:
+    """Check diagnostics specs on ``grid``; the one home of their rules.
+
+    Every name is known and given once, cadence >= 1, tolerance > 0, and
+    every region and surface given is built; the integral series share one
+    cadence, one region and one surface.  Errors name the spec as
+    ``diagnostics[i]``.  Returns the integral laws' cadence, region (the
+    whole box by default) and surface (by default, with a region, an open
+    rectangle on its lo face, else None); all None without integral series.
+    """
+    seen, shared = set(), {}
+    for i, spec in enumerate(specs):
+        p, name = f"diagnostics[{i}]", spec["name"]
+        if name not in LAWS:
+            raise ValueError(f"{p}.name: unknown diagnostic {name!r}")
+        if name in seen:
+            raise ValueError(f"{p}.name: duplicate diagnostic {name!r}")
+        seen.add(name)
+        given = {"cadence": spec.get("cadence", 1)}
+        if not given["cadence"] >= 1:
+            raise ValueError(f"{p}.cadence must be >= 1, got {given['cadence']}")
+        if spec.get("tolerance") is not None and not spec["tolerance"] > 0:
+            raise ValueError(f"{p}.tolerance must be positive, got {spec['tolerance']}")
+        for key, make in (("region", BoxRegion), ("surface", FluxSurface)):
+            if spec.get(key) is not None:
+                try:
+                    given[key] = make(grid, **spec[key])
+                except ValueError as exc:
+                    raise ValueError(f"{p}.{key}: {exc}") from exc
+        if LAWS[name].kind == "integral":
+            for key, v in given.items():
+                first = _bounds(shared.setdefault(key, v))
+                if first != _bounds(v):
+                    raise ValueError(f"{p}.{key}: integral series must share one {key}, "
+                                     f"got {first} and {_bounds(v)}")
+    if "cadence" not in shared:
+        return None, None, None
+    region, surface = shared.get("region") or BoxRegion(grid), shared.get("surface")
+    if surface is None and "region" in shared:
+        # default open rectangle: normal along x at the region's lo face,
+        # partial along the first partially covered axis
+        part = next((a for a in range(3) if region.hi[a] - region.lo[a] < grid.n[a]), 2)
+        axis = next(a for a in range(3) if a != part)
+        surface = FluxSurface(grid, axis, region.lo[axis], part, region.lo[part], region.hi[part])
+    return shared["cadence"], region, surface
+
+
 class DiagnosticsEngine:
     """Evaluates a configured set of residual series along a run.
 
-    ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance
-    (optional), region (optional {"lo": [...], "hi": [...]}).  Call
+    ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance,
+    region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's arguments),
+    all but the name optional; ``check_specs`` checks them.  Call
     ``sample(state, step)`` every step; the engine keeps a three-deep window at
     each window cadence and a tau-integral accumulator for the integral laws,
     and evaluates each series by its entry in ``LAWS``.
@@ -699,44 +770,14 @@ class DiagnosticsEngine:
         self._acc: IntegralLawAccumulator | None = None
         self.delta_w: list[tuple[float, float]] = []
         self.classification: str | None = None
-        region_lo, region_hi = (0, 0, 0), None
-        surface = None
+        self._acc_cadence, region, surface = check_specs(grid, specs)
         for spec in specs:
-            name = spec["name"]
-            if name not in LAWS:
-                raise ValueError(f"unknown diagnostic {name!r}")
-            if name in self.series:
-                raise ValueError(f"duplicate diagnostic {name!r}")
-            cad = int(spec.get("cadence", 1))
-            if cad < 1:
-                raise ValueError(f"cadence must be >= 1, got {cad}")
+            name, cad = spec["name"], spec.get("cadence", 1)
             self.series[name] = ResidualSeries(name, spec.get("tolerance"))
             self.cadence[name] = cad
-            kind = LAWS[name].kind
-            if kind == "window":
+            if LAWS[name].kind == "window":
                 self._windows.setdefault(cad, deque(maxlen=3))
-            elif kind == "integral":
-                if "region" in spec and spec["region"] is not None:
-                    region_lo = tuple(spec["region"]["lo"])
-                    region_hi = tuple(spec["region"]["hi"])
-                if "surface" in spec and spec["surface"] is not None:
-                    s = spec["surface"]
-                    surface = FluxSurface(
-                        grid, int(s["axis"]), int(s["index"]),
-                        int(s["part_axis"]), int(s["j0"]), int(s["j1"]),
-                    )
-        cads = {self.cadence[n] for n in self._named("integral")}
-        if cads:
-            if len(cads) > 1:
-                raise ValueError("integral laws must share one cadence")
-            self._acc_cadence = cads.pop()
-            region = BoxRegion(grid, region_lo, region_hi)
-            if surface is None and region_hi is not None:
-                # default open rectangle: normal along x at the region's lo face,
-                # partial along the first partially covered axis
-                part = next((a for a in range(3) if region.hi[a] - region.lo[a] < grid.n[a]), 2)
-                axis = next(a for a in range(3) if a != part)
-                surface = FluxSurface(grid, axis, region.lo[axis], part, region.lo[part], region.hi[part])
+        if region is not None:
             self._acc = IntegralLawAccumulator(grid, medium, region, surface=surface)
 
     def _named(self, kind: str) -> list[str]:

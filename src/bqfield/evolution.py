@@ -70,12 +70,15 @@ class StepperConfig:
 
     def __post_init__(self):
         if self.scheme != "rk4":
-            raise ValueError(f"only the classical rk4 scheme is provided, got {self.scheme!r}")
+            raise ValueError(f"scheme must be 'rk4' (classical RK4), got {self.scheme!r}")
         if not self.cfl > 0:
             raise ValueError(f"cfl must be positive, got {self.cfl}")
 
-    def max_dtau(self, grid: Grid) -> float:
-        return self.cfl * min(grid.h)
+    def check_step(self, grid: Grid) -> None:
+        """Raise ValueError unless grid.dtau keeps the step bound cfl * min(h)."""
+        bound = self.cfl * min(grid.h)
+        if not grid.dtau <= bound * (1 + 1e-12):
+            raise ValueError(f"dtau = {grid.dtau} violates the step bound cfl * min(h) = {bound}")
 
 
 class NumericalAbort(RuntimeError):
@@ -285,9 +288,8 @@ def step_rk4(
     pre-projection max |rho - div A| is reported; otherwise drift is None.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
+    config.check_step(state.grid)
     dt = state.grid.dtau
-    if not dt <= config.max_dtau(state.grid) * (1 + 1e-12):
-        raise ValueError(f"dtau={dt} violates cfl bound {config.max_dtau(state.grid)}")
     space, adv, resident = DerivativeSpace(nabla), _advanced(state.mode), _resident(state.mode, nabla)
     if resident and state._coef is not None:
         _, X0, lo, hi = state._coef

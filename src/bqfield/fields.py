@@ -63,9 +63,9 @@ class Grid:
         self.n = tuple(int(v) for v in self.n)
         self.L = tuple(float(v) for v in self.L)
         if not (len(self.n) == 3 and all(v >= 4 for v in self.n)):
-            raise ValueError(f"bad grid n={self.n}")
+            raise ValueError(f"n must be 3 cell counts >= 4, got {self.n}")
         if not all(v > 0 for v in self.L):
-            raise ValueError(f"box lengths must be positive, got {self.L}")
+            raise ValueError(f"L must be positive, got {self.L}")
         if not self.dtau > 0:
             raise ValueError(f"dtau must be positive, got {self.dtau}")
 

@@ -12,13 +12,15 @@ Complex numbers are spelled {"re": x, "im": y} (``im`` optional); complex
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evolution import MODES, StepperConfig
 from .fields import Grid, Medium
-from .diagnostics import LAWS
+from .diagnostics import check_specs
+from .operators import Nabla
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "build_preset"]
 
@@ -45,9 +47,19 @@ def _done(d: dict, path: str):
         raise ScenarioError(f"unknown key(s) at {path or 'top level'}: {extra}")
 
 
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError re-raised as a ScenarioError
+    at the JSON ``path``: the object owns its rule, the parser names where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
 def _number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path} must be a number, got {v!r}")
+    # the bound rejects NaN, the infinities and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ScenarioError(f"{path} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -55,7 +67,7 @@ def _complex_scalar(v, path: str) -> complex:
     if v is None:
         return 0.0 + 0.0j
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_number(v, path))
     if isinstance(v, dict):
         d = dict(v)
         re = _number(_take(d, "re", path, default=0.0), _ctx(path, "re"))
@@ -85,30 +97,31 @@ def _complex_vector(v, path: str) -> np.ndarray:
     raise ScenarioError(f"{path} must be a list or {{re, im}} of lists, got {v!r}")
 
 
-def _int_vector(v, path: str, lo: int) -> tuple[int, ...]:
+def _integer(v, path: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioError(f"{path} must be an integer")
+    return v
+
+
+def _int_vector(v, path: str) -> tuple[int, ...]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ScenarioError(f"{path} must be a 3-element list")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ScenarioError(f"{path}[{i}] must be an integer")
-        if x < lo:
-            raise ScenarioError(f"{path}[{i}] must be >= {lo}, got {x}")
-        out.append(x)
-    return tuple(out)
+    return tuple(_integer(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _object(v, path: str) -> dict:
+    """A copy of the JSON object at ``path``, for _take to consume."""
+    if not isinstance(v, dict):
+        raise ScenarioError(f"{path} must be an object")
+    return dict(v)
 
 
 def _medium(md, path: str) -> Medium:
-    if not isinstance(md, dict):
-        raise ScenarioError(f"{path} must be an object")
-    md = dict(md)
-    eps = _number(_take(md, "epsilon", path, default=1.0), _ctx(path, "epsilon"))
-    mu = _number(_take(md, "mu", path, default=1.0), _ctx(path, "mu"))
-    kappa = _number(_take(md, "kappa", path, default=1.0), _ctx(path, "kappa"))
+    md = _object(md, path)
+    consts = {k: _number(_take(md, k, path, default=1.0), _ctx(path, k))
+              for k in ("epsilon", "mu", "kappa")}
     _done(md, path)
-    if eps <= 0 or mu <= 0 or kappa <= 0:
-        raise ScenarioError(f"{path} constants must be positive")
-    return Medium(epsilon=eps, mu=mu, kappa=kappa)
+    return _build(path, Medium, **consts)
 
 
 # -- initial-data presets ---------------------------------------------------------
@@ -229,6 +242,30 @@ class Scenario:
     output_dir: str | None = None
 
 
+def _spec(spec, p: str) -> dict:
+    """The diagnostics entry at ``p``, its JSON shape checked; check_specs owns
+    its rules."""
+    spec = _object(spec, p)
+    name = _take(spec, "name", p, required=True)
+    if not isinstance(name, str):
+        raise ScenarioError(f"{p}.name must be a string, got {name!r}")
+    tol = _take(spec, "tolerance", p)
+    out = {
+        "name": name,
+        "cadence": _integer(_take(spec, "cadence", p, default=1), f"{p}.cadence"),
+        "tolerance": None if tol is None else _number(tol, f"{p}.tolerance"),
+    }
+    for key, parts, read in (("region", ("lo", "hi"), _int_vector),
+                             ("surface", ("axis", "index", "part_axis", "j0", "j1"), _integer)):
+        v = _take(spec, key, p)
+        if v is not None:
+            kp, v = f"{p}.{key}", _object(v, f"{p}.{key}")
+            out[key] = {k: read(_take(v, k, kp, required=True), f"{kp}.{k}") for k in parts}
+            _done(v, kp)
+    _done(spec, p)
+    return out
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -245,92 +282,65 @@ def parse_scenario(doc: dict) -> Scenario:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir must be a string path")
 
-    gd = _take(d, "grid", "", required=True)
-    if not isinstance(gd, dict):
-        raise ScenarioError("grid must be an object")
-    gd = dict(gd)
-    n = _int_vector(_take(gd, "n", "grid", required=True), "grid.n", lo=4)
-    L_raw = _take(gd, "L", "grid", default=[2 * np.pi] * 3)
-    if isinstance(L_raw, (int, float)) and not isinstance(L_raw, bool):
-        L = (float(L_raw),) * 3
-    else:
-        L = tuple(_real_vector(L_raw, "grid.L"))
-    if min(L) <= 0:
-        raise ScenarioError("grid.L must be positive")
-    dtau_raw = _take(gd, "dtau", "grid")
+    gd = _object(_take(d, "grid", "", required=True), "grid")
+    n = _int_vector(_take(gd, "n", "grid", required=True), "grid.n")
+    L = _take(gd, "L", "grid", default=[2 * np.pi] * 3)
+    L = tuple(_real_vector(L, "grid.L")) if isinstance(L, (list, tuple)) else (_number(L, "grid.L"),) * 3
+    dtau = _take(gd, "dtau", "grid")
+    dtau = None if dtau is None else _number(dtau, "grid.dtau")
     _done(gd, "grid")
 
     medium = _medium(_take(d, "medium", "", default={}), "medium")
 
-    sd = _take(d, "stepper", "", default={})
-    if not isinstance(sd, dict):
-        raise ScenarioError("stepper must be an object")
-    sd = dict(sd)
+    sd = _object(_take(d, "stepper", "", default={}), "stepper")
     scheme = _take(sd, "scheme", "stepper", default="rk4")
     cfl = _number(_take(sd, "cfl", "stepper", default=0.25), "stepper.cfl")
-    proj = _take(sd, "constraint_projection", "stepper", default=False)
-    dealias = _take(sd, "dealias", "stepper", default=True)
+    flags = {k: _take(sd, k, "stepper", default=v)
+             for k, v in (("constraint_projection", False), ("dealias", True))}
     _done(sd, "stepper")
-    if scheme != "rk4":
-        raise ScenarioError(f"stepper.scheme must be 'rk4', got {scheme!r}")
-    if not isinstance(proj, bool) or not isinstance(dealias, bool):
-        raise ScenarioError("stepper flags must be booleans")
-    if cfl <= 0:
-        raise ScenarioError("stepper.cfl must be positive")
-    stepper = StepperConfig(
-        scheme=scheme,
-        cfl=cfl,
-        constraint_projection=proj,
-        dealias=dealias,
-    )
+    for k, v in flags.items():
+        if not isinstance(v, bool):
+            raise ScenarioError(f"stepper.{k} must be a boolean")
+    stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl, **flags)
 
     nabla_scheme = _take(d, "nabla", "", default="spectral")
-    if nabla_scheme not in ("spectral", "central4"):
-        raise ScenarioError(f"nabla must be 'spectral' or 'central4', got {nabla_scheme!r}")
+    if nabla_scheme not in Nabla.schemes:
+        raise ScenarioError(f"nabla must be one of {Nabla.schemes}, got {nabla_scheme!r}")
 
-    h_min = min(Li / ni for Li, ni in zip(L, n))
-    if dtau_raw is None:
-        dtau = cfl * h_min
-    else:
-        dtau = _number(dtau_raw, "grid.dtau")
-        if dtau <= 0:
-            raise ScenarioError("grid.dtau must be positive")
-        if dtau > cfl * h_min * (1 + 1e-12):
-            raise ScenarioError(
-                f"grid.dtau = {dtau} violates the step bound cfl * min(h) = {cfl * h_min}"
-            )
-    grid = Grid(n=n, L=L, dtau=dtau)
+    grid = _build("grid", Grid, n, L, 1.0 if dtau is None else dtau)
+    if dtau is None:  # the largest step the bound allows
+        grid.dtau = stepper.cfl * min(grid.h)
+    _build("grid.dtau", stepper.check_step, grid)
 
     duration = _number(_take(d, "duration", "", required=True), "duration")
     if duration <= 0:
         raise ScenarioError("duration must be positive")
-    steps = int(round(duration / dtau))
-    if steps < 1 or abs(steps * dtau - duration) > 1e-9 * max(1.0, duration):
+    steps = int(round(duration / grid.dtau))
+    if steps < 1 or abs(steps * grid.dtau - duration) > 1e-9 * max(1.0, duration):
         raise ScenarioError(
-            f"duration = {duration} is not an integer number of steps of dtau = {dtau}"
+            f"duration = {duration} is not an integer number of steps of dtau = {grid.dtau}"
         )
 
     fd = _take(d, "initial_conditions", "", required=True)
     if not isinstance(fd, list) or len(fd) < 1:
         raise ScenarioError("initial_conditions must be a non-empty list")
     if mode in ("interaction", "united") and len(fd) < 2:
-        raise ScenarioError(f"mode {mode!r} needs at least two fields")
+        raise ScenarioError(f"initial_conditions: mode {mode!r} needs at least two fields")
     fields = []
     for i, fdict in enumerate(fd):
-        if not isinstance(fdict, dict):
-            raise ScenarioError(f"initial_conditions[{i}] must be an object")
-        fdict = dict(fdict)
-        a_preset = _take(fdict, "afield", f"initial_conditions[{i}]")
-        t_preset = _take(fdict, "theta", f"initial_conditions[{i}]")
-        _done(fdict, f"initial_conditions[{i}]")
-        A0 = build_preset(a_preset, grid, f"initial_conditions[{i}].afield", "vector")
-        rho0, J0 = build_preset(t_preset, grid, f"initial_conditions[{i}].theta", "pair")
+        p = f"initial_conditions[{i}]"
+        fdict = _object(fdict, p)
+        a_preset = _take(fdict, "afield", p)
+        t_preset = _take(fdict, "theta", p)
+        _done(fdict, p)
+        A0 = build_preset(a_preset, grid, f"{p}.afield", "vector")
+        rho0, J0 = build_preset(t_preset, grid, f"{p}.theta", "pair")
         fields.append((A0, rho0, J0))
 
     bg_preset = _take(d, "background", "")
     if mode == "strong_field":
         if bg_preset is None:
-            raise ScenarioError("mode 'strong_field' requires a background preset")
+            raise ScenarioError("background: mode 'strong_field' requires a background preset")
         background = build_preset(bg_preset, grid, "background", "vector")
     else:
         if bg_preset is not None:
@@ -340,74 +350,8 @@ def parse_scenario(doc: dict) -> Scenario:
     diag = _take(d, "diagnostics", "", default=[])
     if not isinstance(diag, list):
         raise ScenarioError("diagnostics must be a list")
-    specs = []
-    seen = set()
-    for i, spec in enumerate(diag):
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"diagnostics[{i}] must be an object")
-        spec = dict(spec)
-        p = f"diagnostics[{i}]"
-        name = _take(spec, "name", p, required=True)
-        if name not in LAWS:
-            raise ScenarioError(f"{p}.name: unknown diagnostic {name!r}")
-        if name in seen:
-            raise ScenarioError(f"{p}.name: duplicate diagnostic {name!r}")
-        seen.add(name)
-        cadence = _take(spec, "cadence", p, default=1)
-        if isinstance(cadence, bool) or not isinstance(cadence, int) or cadence < 1:
-            raise ScenarioError(f"{p}.cadence must be a positive integer")
-        tol = _take(spec, "tolerance", p)
-        if tol is not None:
-            tol = _number(tol, f"{p}.tolerance")
-            if tol <= 0:
-                raise ScenarioError(f"{p}.tolerance must be positive")
-        out = {"name": name, "cadence": cadence, "tolerance": tol}
-        region = _take(spec, "region", p)
-        if region is not None:
-            if not isinstance(region, dict):
-                raise ScenarioError(f"{p}.region must be an object")
-            region = dict(region)
-            lo = _int_vector(_take(region, "lo", f"{p}.region", required=True), f"{p}.region.lo", lo=0)
-            hi = _int_vector(_take(region, "hi", f"{p}.region", required=True), f"{p}.region.hi", lo=1)
-            _done(region, f"{p}.region")
-            for a in range(3):
-                if not (0 <= lo[a] < hi[a] <= n[a]):
-                    raise ScenarioError(
-                        f"{p}.region axis {a}: need 0 <= lo < hi <= n, got [{lo[a]}, {hi[a]})"
-                    )
-            out["region"] = {"lo": lo, "hi": hi}
-        surface = _take(spec, "surface", p)
-        if surface is not None:
-            if not isinstance(surface, dict):
-                raise ScenarioError(f"{p}.surface must be an object")
-            surface = dict(surface)
-            sout = {}
-            for key in ("axis", "index", "part_axis", "j0", "j1"):
-                v = _take(surface, key, f"{p}.surface", required=True)
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ScenarioError(f"{p}.surface.{key} must be an integer")
-                sout[key] = v
-            _done(surface, f"{p}.surface")
-            if sout["axis"] == sout["part_axis"] or not (0 <= sout["axis"] <= 2) or not (0 <= sout["part_axis"] <= 2):
-                raise ScenarioError(f"{p}.surface: axis and part_axis must be distinct in 0..2")
-            n_part = n[sout["part_axis"]]
-            if not 0 < sout["j1"] - sout["j0"] <= n_part:
-                raise ScenarioError(
-                    f"{p}.surface: the run j1 - j0 must be in 1..{n_part}, "
-                    f"got [{sout['j0']}, {sout['j1']})"
-                )
-            out["surface"] = sout
-        _done(spec, p)
-        specs.append(out)
-    # the integral laws share one accumulator: one cadence, one region, one surface
-    integral = [s for s in specs if LAWS[s["name"]].kind == "integral"]
-    for key in ("cadence", "region", "surface"):
-        given = []
-        for s in integral:
-            if s.get(key) is not None and s[key] not in given:
-                given.append(s[key])
-        if len(given) > 1:
-            raise ScenarioError(f"integral series must share one {key}, got {given}")
+    specs = [_spec(spec, f"diagnostics[{i}]") for i, spec in enumerate(diag)]
+    _build("", check_specs, grid, specs)
 
     _done(d, "")
     return Scenario(

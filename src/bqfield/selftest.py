@@ -74,7 +74,6 @@ def run_selftest(verbose: bool = True) -> int:
     A0 = pol[:, None, None, None] * np.exp(1j * k * X[2])
     U = np.zeros((1, 7) + grid.n, dtype=np.complex128)
     U[0, 0:3] = A0
-    state = SimState(tau=0.0, U=U, grid=grid, medium=Medium(), mode="maxwell")
     cfg = StepperConfig(cfl=0.25)
     steps = int(round(2 * np.pi / grid.dtau))
     grid2 = Grid(n=grid.n, L=grid.L, dtau=2 * np.pi / steps)

@@ -569,6 +569,41 @@ def test_integral_laws_need_two_samples():
         integral_laws([st], Medium())
 
 
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "interaction", "strong_field", "united"])
+def test_integral_laws_follow_the_modes_equations(mode):
+    """The integral laws read the mode's own equations on a half box.  Where
+    the mode holds A (free_theta, strong_field), its energy, flux and volume
+    balances sit at zero rate and read 0 exactly (the held field's curl and
+    boundary flux once piled up to O(1) here).  Where it advances A, the
+    charge in the box is the outward flux of A, which the current's flux
+    balances: exactly in maxwell, whose J is held, and at the RK4 floor in
+    the force modes, where rho's own balance misses by O(0.1) (its force
+    source is not div J)."""
+    from bqfield import StepperConfig, step_rk4
+
+    n = 12
+    g = cube(n, dtau=0.25 * 2 * np.pi / n)
+    med = Medium(epsilon=2.0, mu=0.7)
+    nab = Nabla(g)
+    rng = np.random.default_rng(3)
+
+    def smooth(shape):
+        return 0.2 * nab.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    M = 2 if mode in ("interaction", "united") else 1
+    background = smooth((3,) + g.shape) if mode == "strong_field" else None
+    states = [SimState(0.0, smooth((M, 7) + g.shape), g, med, mode, background)]
+    for i in range(8):
+        states.append(step_rk4(states[-1], nab, StepperConfig(), i)[0])
+    laws = integral_laws(states, med, hi=(n, n, n // 2), surface=FluxSurface(g, 0, 1, 2, 1, 6))
+    worst = {key: max(r[1] for r in rows) for key, rows in laws.items()}
+    if mode in ("free_theta", "strong_field"):
+        assert worst["energy"] == worst["flux"] == worst["volume"] == 0.0
+    else:
+        assert worst["charge"] <= (1e-12 if mode == "maxwell" else 2e-3)
+        assert min(worst["energy"], worst["flux"], worst["volume"]) > 0.0
+
+
 def test_residual_series_bookkeeping(tmp_path):
     s = ResidualSeries("charge", tolerance=1e-6)
     s.append(0.0, 1e-9, 1e-10)
@@ -757,3 +792,11 @@ def test_diagnostics_engine_rejects_bad_specs():
         )
     with pytest.raises(ValueError):
         DiagnosticsEngine(g, med, "maxwell", nab, [{"name": "charge", "cadence": 0}])
+    # the integral series share one region and one surface for every caller
+    box = {"lo": (0, 0, 0), "hi": (8, 8, 4)}
+    surface = {"axis": 0, "index": 0, "part_axis": 1, "j0": 0, "j1": 4}
+    for key, other in (("region", dict(box, hi=(8, 4, 8))), ("surface", dict(surface, j1=2))):
+        first = {"region": box, "surface": surface}[key]
+        specs = [{"name": "integral_charge", key: first}, {"name": "integral_energy", key: other}]
+        with pytest.raises(ValueError, match=rf"diagnostics\[1\]\.{key}: .*share one {key}"):
+            DiagnosticsEngine(g, med, "maxwell", nab, specs)

@@ -7,6 +7,8 @@ output under --reference.
 
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -100,6 +102,11 @@ def test_parse_minimal_scenario_defaults():
          "diagnostics[2].surface: the run j1 - j0 must be in 1..8"),
         (lambda d: d["diagnostics"].append({"name": "integral_flux", "surface": dict(SURFACE, j1=9)}),
          "diagnostics[2].surface: the run j1 - j0 must be in 1..8"),
+        # a name that is not a string is a type error of the document, not a crash
+        (lambda d: d["diagnostics"].append({"name": ["charge"]}), "diagnostics[2].name must be a string"),
+        # numbers are finite: NaN or an infinity is an input error, not a crash or a NaN run
+        (lambda d: d.update(duration=float("nan")), "duration must be a finite number"),
+        (lambda d: d["initial_conditions"][0]["afield"].update(amplitude=float("inf")), "amplitude must be a finite"),
     ],
 )
 def test_parse_rejects_bad_documents(mangle, fragment):
@@ -148,6 +155,15 @@ def test_parse_region_and_surface_checked():
         {"name": "integral_flux"},
     ]
     assert len(parse_scenario(doc).diagnostics) == 3
+
+
+def test_readme_scenarios_parse():
+    """Every ```json block in README.md is a scenario the strict parser takes."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_scenario(json.loads(block))
 
 
 def test_load_scenario_bad_json(tmp_path):
@@ -375,6 +391,42 @@ def test_cli_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
     p = write_doc(tmp_path, eigenmode_doc())
     assert main(["run", str(p), "--out", str(tmp_path / "res")]) == 4
     assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
+
+
+def test_cli_unexpected_error_while_loading_exits_four(tmp_path, capsys, monkeypatch):
+    from bqfield import cli
+
+    def boom(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_scenario", boom)
+    p = write_doc(tmp_path, eigenmode_doc())
+    assert main(["run", str(p), "--out", str(tmp_path / "res")]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_non_string_diagnostic_name_exits_two(tmp_path, capsys):
+    """A list where a name belongs is an input error (2), not a crash that
+    would leave with the breach code."""
+    doc = eigenmode_doc()
+    doc["diagnostics"].append({"name": ["charge"]})
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
+    assert "diagnostics[2].name must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["charge", "reciprocity"])
+@pytest.mark.parametrize("key,value", [
+    ("region", {"lo": [0, 0, 0], "hi": [9, 8, 8]}),
+    ("surface", dict(SURFACE, j1=9)),
+])
+def test_cli_bad_region_or_surface_on_any_series_exits_two(tmp_path, capsys, name, key, value):
+    """A window or pointwise series does not read a region or surface, but
+    one that is given is still checked."""
+    doc = eigenmode_doc()
+    doc["diagnostics"] = [{"name": name, key: value}]
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
+    assert f"diagnostics[0].{key}: " in capsys.readouterr().err
 
 
 def test_cli_breach_exit_code(tmp_path, capsys):
