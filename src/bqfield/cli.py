@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a tolerance was breached, 2 usage or input error,
 3 numerical abort (non-finite state during a run), 4 an unexpected error in
-``run``, while loading the scenario or running it (its traceback, then
-``error: <type>: <message>``, on stderr).
+any subcommand: a fault of the program, not of the input (its traceback,
+then ``error: <type>: <message>``, on stderr).
 
 The output directory for ``run`` comes from --out, or the scenario's
 output_dir, or the BQFIELD_OUT environment variable, or defaults to
@@ -60,10 +60,6 @@ def _cmd_run(args) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # a fault of the program, not of the input: not the breach code
-        traceback.print_exc()
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     summ = report.summary()
     print(f"mode={summ['mode']} steps={summ['steps']} tau_final={summ['tau_final']:.6g} "
           f"wall={summ['wall_seconds']:.2f}s")
@@ -99,7 +95,7 @@ def _cmd_shock_check(args) -> int:
         )
         tol = _number(_take(d, "tolerance", "", default=1e-10), "tolerance")
         _done(d, "")
-    except (OSError, ValueError, AssertionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = {}
@@ -120,7 +116,7 @@ def _cmd_roots(args) -> int:
     try:
         m = np.asarray([float(x) for x in args.m.split(",")], dtype=float)
         roots = characteristic_roots(m)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(" ".join(f"{r:+.15g}" for r in roots))
@@ -167,7 +163,12 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault of the program, not of the input: not the breach code
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -101,6 +101,31 @@ def _force(theta: ChargeCurrent, aprime: AField) -> Biquaternion:
     return _force_biquaternion(theta.rho, theta.J, aprime.A)
 
 
+def _rho_source(nabla: Nabla, state: SimState) -> np.ndarray | None:
+    """The force's source -i (J, A')/kappa in d(rho)/dtau, summed over the
+    fields, 2/3-filtered as the stepper adds it; None where no field has a
+    partner field."""
+    S = [nabla.dealias(cdot(state.theta(k).J, ap)) for k in range(state.n_fields)
+         if (ap := partner_field(state, k)) is not None]
+    return -1j * sum(S) / state.medium.kappa if S else None
+
+
+def _uniform(steps) -> bool:
+    """Whether the tau steps are equal to 1e-9 relative.  tau is accumulated
+    in floating point, so equal steps differ by an ulp of tau (4.5e-13 after
+    20000 steps of 1/3)."""
+    return bool(np.ptp(steps) <= 1e-9 * abs(steps[0]))
+
+
+def _window_step(prev: SimState, mid: SimState, nxt: SimState) -> float:
+    """The tau step of three snapshots; ValueError unless they are uniformly spaced."""
+    delta = nxt.tau - mid.tau
+    if not _uniform([mid.tau - prev.tau, delta]):
+        raise ValueError(f"centred differences need uniformly spaced snapshots, "
+                         f"got tau = {prev.tau}, {mid.tau}, {nxt.tau}")
+    return delta
+
+
 # -- pointwise quantities -------------------------------------------------------
 
 
@@ -267,9 +292,7 @@ def united_field(
     neighbouring snapshots, so the residual measures how well the united field
     satisfies the source-free law without using the evolution equations.
     """
-    delta = nxt.tau - mid.tau
-    if not abs((mid.tau - prev.tau) - delta) < 1e-12 * max(1.0, abs(delta)):
-        raise ValueError("united_field needs uniformly spaced snapshots")
+    delta = _window_step(prev, mid, nxt)
     a_tot, th_tot = field_totals(mid)
     _, th_m = field_totals(prev)
     _, th_p = field_totals(nxt)
@@ -475,7 +498,8 @@ def cumulative_integral(tau: np.ndarray, f: np.ndarray) -> np.ndarray:
     Endpoint-corrected trapezoid (a Gregory-type rule): each interval gets
     h/2 (f_i + f_{i+1}) - h^2/12 (f'_{i+1} - f'_i) with 4th-order slope
     estimates, so the composite error telescopes to O(h^4).  Falls back to
-    plain trapezoid when spacing is non-uniform or the trail is very short.
+    plain trapezoid when the spacing is not uniform (see ``_uniform``) or the
+    trail is very short.
     """
     tau = np.asarray(tau, dtype=float)
     f = np.asarray(f)
@@ -485,7 +509,7 @@ def cumulative_integral(tau: np.ndarray, f: np.ndarray) -> np.ndarray:
     dt = np.diff(tau)
     pieces = 0.5 * dt.reshape((-1,) + (1,) * (f.ndim - 1)) * (f[:-1] + f[1:])
     h = dt[0]
-    if len(tau) >= 3 and np.abs(dt - h).max() <= 1e-9 * max(1.0, abs(h)):
+    if len(tau) >= 3 and _uniform(dt):
         fp = _slopes4(f, h)
         pieces = pieces - (h * h / 12.0) * (fp[1:] - fp[:-1])
     out[1:] = np.cumsum(pieces, axis=0)
@@ -502,10 +526,8 @@ class IntegralLawAccumulator:
     than at trapezoid O(dtau^2).  Without a surface the flux law reads 0.
     """
 
-    def __init__(self, grid: Grid, medium: Medium, region: BoxRegion,
-                 surface: FluxSurface | None = None):
-        self.grid, self.medium, self.region = grid, medium, region
-        self.surface = surface
+    def __init__(self, nabla: Nabla, region: BoxRegion, surface: FluxSurface | None = None):
+        self.nabla, self.region, self.surface = nabla, region, surface
         self._tau: list[float] = []
         self._laws: dict[str, tuple[list, list]] = {
             key: ([], []) for key in ("charge", "energy", "flux", "volume")
@@ -518,10 +540,11 @@ class IntegralLawAccumulator:
         The laws follow the mode's own equations.  Where the mode advances A,
         the charge in the region is the outward flux of A (Gauss: the charge
         that sources A is div A) and A's energy, flux and volume balances
-        carry their rates; where A is held, the charge is that of rho and
-        A's balances keep their amounts at zero rate.
+        carry their rates; where A is held, the charge is that of rho, moved
+        also by the force's source where there is a partner field, and A's
+        balances keep their amounts at zero rate.
         """
-        reg, srf = self.region, self.surface
+        reg, srf, medium = self.region, self.surface, state.medium
         a_tot, th_tot = field_totals(state)
         A, J = a_tot.A, th_tot.J
         amounts = {
@@ -530,20 +553,22 @@ class IntegralLawAccumulator:
             "volume": reg.volume_integral(A),
         }
         if _advanced(state.mode).start == 0:
-            E, H = decompose_afield(a_tot, self.medium)
-            _, _, j_E, j_H = decompose_theta(th_tot, self.medium)
-            src = reg.volume_integral(_source_power(E, H, j_E, j_H, self.medium.c)).real
+            E, H = decompose_afield(a_tot, medium)
+            _, _, j_E, j_H = decompose_theta(th_tot, medium)
+            src = reg.volume_integral(_source_power(E, H, j_E, j_H, medium.c)).real
             rates = {
                 "energy": reg.boundary_flux(_momentum(A)).real - src,
                 "flux": 0.0j if srf is None else (
                     1j * srf.contour_integral(A) + srf.surface_integral(J[srf.axis])),
                 "volume": 1j * reg.boundary_cross(A) + reg.volume_integral(J),
             }
-            charge = reg.boundary_flux(A)
+            charge = (reg.boundary_flux(A), reg.boundary_flux(J))
         else:
             rates = {key: np.zeros_like(amount) for key, amount in amounts.items()}
-            charge = reg.volume_integral(th_tot.rho)
-        laws = {"charge": (charge, reg.boundary_flux(J)),
+            rho_src = _rho_source(self.nabla, state)
+            charge = (reg.volume_integral(th_tot.rho), reg.boundary_flux(J) if rho_src is None
+                      else reg.boundary_flux(J) - reg.volume_integral(rho_src))
+        laws = {"charge": charge,
                 **{key: (amount, rates[key]) for key, amount in amounts.items()}}
         self._tau.append(float(state.tau))
         for key, (amount, rate) in laws.items():
@@ -561,13 +586,8 @@ class IntegralLawAccumulator:
         return self.rows
 
 
-def integral_laws(
-    states: list[SimState],
-    medium: Medium,
-    lo=(0, 0, 0),
-    hi=None,
-    surface: FluxSurface | None = None,
-):
+def integral_laws(states: list[SimState], nabla: Nabla, lo=(0, 0, 0), hi=None,
+                  surface: FluxSurface | None = None):
     """Evaluate the four integral identities over a sampled trajectory.
 
     Returns {"charge", "energy", "flux", "volume"} -> list of
@@ -576,8 +596,7 @@ def integral_laws(
     """
     if len(states) < 2:
         raise ValueError("need at least two samples to integrate in tau")
-    grid = states[0].grid
-    acc = IntegralLawAccumulator(grid, medium, BoxRegion(grid, lo, hi), surface=surface)
+    acc = IntegralLawAccumulator(nabla, BoxRegion(nabla.grid, lo, hi), surface=surface)
     for s in states:
         acc.sample(s)
     return acc.finalize()
@@ -635,6 +654,8 @@ def _charge_law(e, s, a, th, d):
         rho_m, rho_p = e.nabla.div(a[0].A), e.nabla.div(a[2].A)
     else:
         rho_m, rho_p = th[0].rho, th[2].rho
+        if (rho_src := _rho_source(e.nabla, s[1])) is not None:  # taken out of the centred difference
+            rho_m, rho_p = rho_m + d * rho_src, rho_p - d * rho_src
     return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
 
 
@@ -778,7 +799,7 @@ class DiagnosticsEngine:
             if LAWS[name].kind == "window":
                 self._windows.setdefault(cad, deque(maxlen=3))
         if region is not None:
-            self._acc = IntegralLawAccumulator(grid, medium, region, surface=surface)
+            self._acc = IntegralLawAccumulator(nabla, region, surface=surface)
 
     def _named(self, kind: str) -> list[str]:
         return [n for n in self.series if LAWS[n].kind == kind]
@@ -797,14 +818,12 @@ class DiagnosticsEngine:
             self._acc.sample(state)
 
     def _eval_window(self, cad: int, win):
-        states = prev, mid, nxt = tuple(win)
-        delta = nxt.tau - mid.tau
-        if abs((mid.tau - prev.tau) - delta) > 1e-9 * max(1.0, delta):
-            return  # non-uniform tail sample; skip centred differences
+        states = tuple(win)
+        delta = _window_step(*states)  # run_scenario samples at a fixed cadence
         a, th = zip(*(field_totals(s) for s in states))
         for name in self._named("window"):
             if self.cadence[name] == cad:
-                self.series[name].append(mid.tau, *LAWS[name].evaluate(self, states, a, th, delta))
+                self.series[name].append(states[1].tau, *LAWS[name].evaluate(self, states, a, th, delta))
 
     def finalize(self) -> dict[str, ResidualSeries]:
         if self._acc is not None:

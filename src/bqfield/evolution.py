@@ -14,7 +14,8 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
 units), its stages in derivative space (Fourier coefficients on spectral).  The
 quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
-space and filtered with the 2/3 rule, so band-limited data stays alias-free.
+space and filtered by the scheme's ``dealias`` (the 2/3 rule on spectral, none
+on central4), so band-limited data stays alias-free.
 
 A state holds one representation of its advanced channels.  In the modes
 without a force (``maxwell``, ``free_theta``) on the spectral scheme,
@@ -66,7 +67,6 @@ class StepperConfig:
     scheme: str = "rk4"
     cfl: float = 0.25
     constraint_projection: bool = False
-    dealias: bool = True
 
     def __post_init__(self):
         if self.scheme != "rk4":
@@ -184,24 +184,18 @@ def _force_biquaternion(rho, J, Aprime) -> Biquaternion:
     return Biquaternion(cdot(J, Aprime), -1j * rho * Aprime - ccross(J, Aprime))
 
 
-def interaction_rhs(
-    nabla: Nabla,
-    medium: Medium,
-    rho: np.ndarray,
-    J: np.ndarray,
-    Aprime: np.ndarray,
-    config: StepperConfig,
-    physical: tuple[np.ndarray, np.ndarray] | None = None,
-):
+def interaction_rhs(nabla: Nabla, medium: Medium, rho: np.ndarray, J: np.ndarray, Aprime: np.ndarray,
+                    physical: tuple[np.ndarray, np.ndarray] | None = None):
     """(drho, dJ) for kappa D- Theta = -Theta o A' with A' given.
 
     The scalar part gives drho = -div J - i S / kappa and the vector part
     dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.  The
-    force reads ``physical`` = (rho, J) where nabla is a ``DerivativeSpace``.
+    force reads ``physical`` = (rho, J) where nabla is a ``DerivativeSpace``,
+    and is 2/3-filtered by the scheme's ``dealias``.
     """
     drho, dJ = free_theta_rhs(nabla, rho, J)
     fbq = _force_biquaternion(*(physical or (rho, J)), Aprime)
-    SV = nabla.product_term(np.concatenate([fbq.scalar[None], fbq.vector]), config.dealias)
+    SV = nabla.dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
     return drho - 1j * SV[0] / medium.kappa, dJ + SV[1:] / medium.kappa
 
 
@@ -230,7 +224,7 @@ def _blocks(X: np.ndarray, adv: slice, J=None):
     return X[:, :3] if adv.start == 0 else None, X[:, -4] if theta else None, X[:, -3:] if theta else J
 
 
-def _fields_rhs(nabla, state: SimState, src, dst, config: StepperConfig) -> None:
+def _fields_rhs(nabla, state: SimState, src, dst) -> None:
     """Fill dst = (dA, drho, dJ) (None where held) from src = (A, rho, J),
     field stacks in nabla's space; the force reads ``state``, in physical space.
 
@@ -249,14 +243,14 @@ def _fields_rhs(nabla, state: SimState, src, dst, config: StepperConfig) -> None
             drho[k], dJ[k] = free_theta_rhs(nabla, rho[k], J[k])
         else:
             drho[k], dJ[k] = interaction_rhs(
-                nabla, state.medium, rho[k], J[k], Ap, config, (state.U[k, _RHO], state.U[k, _J])
+                nabla, state.medium, rho[k], J[k], Ap, (state.U[k, _RHO], state.U[k, _J])
             )
 
 
-def state_rhs(state: SimState, nabla: Nabla, config: StepperConfig) -> np.ndarray:
+def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     """Time derivative of the full state array (zero in the channels held)."""
     dU = np.zeros_like(state.U)
-    _fields_rhs(nabla, state, _blocks(state.U, slice(0, 7)), _blocks(dU, _advanced(state.mode)), config)
+    _fields_rhs(nabla, state, _blocks(state.U, slice(0, 7)), _blocks(dU, _advanced(state.mode)))
     return dU
 
 
@@ -308,7 +302,7 @@ def step_rk4(
         if state.mode in _FORCED and X is not X0:
             at = state._stepped(tau, _Coefficients(space, X, lo, hi))
         dX = np.empty_like(X)
-        _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv), config)
+        _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv))
         return dX
 
     # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes

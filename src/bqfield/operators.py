@@ -55,24 +55,16 @@ class Nabla:
         if scheme == "spectral":
             # ik arrays for first derivatives (odd Nyquist zeroed), |k|^2 for the
             # Laplacian (Nyquist kept: even derivative), and the 2/3-rule mask.
-            iks = []
-            k2s = []
-            keep = []
+            self._ik, self._k2, self._dealias = [], 0, True
             for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
+                shape = [1, 1, 1]
+                shape[ax] = -1
                 k = 2 * np.pi * np.fft.fftfreq(n, d=h)
-                k2s.append(k**2)
-                kd = k.copy()
-                if n % 2 == 0:
-                    kd[n // 2] = 0.0
-                iks.append(1j * kd)
-                m = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3
-                keep.append(m)
-            shape = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-            self._ik = [a.reshape(s) for a, s in zip(iks, shape)]
-            self._k2 = sum(a.reshape(s) for a, s in zip(k2s, shape))
-            self._dealias = np.ones(grid.n, dtype=bool)
-            for m, s in zip(keep, shape):
-                self._dealias &= m.reshape(s)
+                kd = np.where((np.arange(n) == n // 2) & (n % 2 == 0), 0.0, k)
+                self._ik.append(1j * kd.reshape(shape))
+                self._k2 = self._k2 + (k**2).reshape(shape)
+                keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3
+                self._dealias = self._dealias & keep.reshape(shape)
 
     # -- transforms ----------------------------------------------------------
     def fftn(self, f):
@@ -160,20 +152,17 @@ class Nabla:
     def dealias(self, f):
         """2/3-rule filter: zero every mode with any |k_i| > n_i/3.
 
-        Applied to quadratic products only; with band-limited inputs this
-        removes the aliased tail exactly.
+        The scheme's rule, not a setting: spectral filters every quadratic
+        product and the initial data (exact for band-limited inputs), and
+        central4 returns its input.
         """
         return self._back(self._mask(self._to(f)))
-
-    def product_term(self, f, dealias: bool):
-        """A quadratic product as a right-hand-side term, 2/3-filtered if dealias."""
-        return self.dealias(f) if dealias else f
 
 
 class DerivativeSpace:
     """A Nabla's operators on data kept in its derivative space: ``to``/``back``
     move data in and out (FFT on spectral, identity on central4), and
-    ``product_term`` takes a physical product in, with the 2/3 rule as a mask.
+    ``dealias`` takes a physical product in, with the 2/3 rule as a mask.
     """
 
     def __init__(self, nabla: Nabla):
@@ -189,9 +178,9 @@ class DerivativeSpace:
     def quaternion_gradient(self, Fh: Biquaternion) -> Biquaternion:
         return Biquaternion(*self.nabla._quaternion_gradient(Fh.scalar, Fh.vector))
 
-    def product_term(self, f, dealias: bool):
-        fh = self.to(f)
-        return self.nabla._mask(fh) if dealias else fh
+    def dealias(self, f):
+        """Nabla.dealias with the result left in this space."""
+        return self.nabla._mask(self.to(f))
 
 
 def apply_dplus(nabla: Nabla, F: Biquaternion, dF_dtau: Biquaternion) -> Biquaternion:

@@ -80,14 +80,10 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
         U[k, 0:3] = A0
         U[k, 3] = rho0
         U[k, 4:7] = J0
-    background = sc.background
-    if sc.stepper.dealias:
-        U = nabla.dealias(U)
-        if background is not None:
-            background = nabla.dealias(background)
-    state = SimState(
-        tau=0.0, U=U, grid=grid, medium=sc.medium, mode=sc.mode, background=background
-    )
+    # the scheme's 2/3 rule, as the stepper applies it to the force
+    U = nabla.dealias(U)
+    background = None if sc.background is None else nabla.dealias(sc.background)
+    state = SimState(tau=0.0, U=U, grid=grid, medium=sc.medium, mode=sc.mode, background=background)
     return state, nabla
 
 

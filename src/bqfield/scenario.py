@@ -295,13 +295,11 @@ def parse_scenario(doc: dict) -> Scenario:
     sd = _object(_take(d, "stepper", "", default={}), "stepper")
     scheme = _take(sd, "scheme", "stepper", default="rk4")
     cfl = _number(_take(sd, "cfl", "stepper", default=0.25), "stepper.cfl")
-    flags = {k: _take(sd, k, "stepper", default=v)
-             for k, v in (("constraint_projection", False), ("dealias", True))}
+    projection = _take(sd, "constraint_projection", "stepper", default=False)
     _done(sd, "stepper")
-    for k, v in flags.items():
-        if not isinstance(v, bool):
-            raise ScenarioError(f"stepper.{k} must be a boolean")
-    stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl, **flags)
+    if not isinstance(projection, bool):
+        raise ScenarioError("stepper.constraint_projection must be a boolean")
+    stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl, constraint_projection=projection)
 
     nabla_scheme = _take(d, "nabla", "", default="spectral")
     if nabla_scheme not in Nabla.schemes:

@@ -66,8 +66,9 @@ class FrontData:
         self.jump_E = np.asarray(self.jump_E, dtype=float)
         self.jump_H = np.asarray(self.jump_H, dtype=float)
         self.jump_J = np.asarray(self.jump_J, dtype=np.complex128)
-        assert self.jump_E.shape == (3,) and self.jump_H.shape == (3,)
-        assert self.jump_J.shape == (3,)
+        for name in ("jump_E", "jump_H", "jump_J"):
+            if getattr(self, name).shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got shape {getattr(self, name).shape}")
 
     @property
     def jump_A(self) -> np.ndarray:

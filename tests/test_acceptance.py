@@ -337,8 +337,8 @@ def test_criterion_05_integral_balances():
     U[0, 3] = 0.3 + 0.5 * ph  # uniform background charge plus a travelling wave
     U[0, 6] = 0.5 * ph
     st = SimState(0.0, U, g, med, "free_theta")
-    whole = IntegralLawAccumulator(g, med, BoxRegion(g))
-    half = IntegralLawAccumulator(g, med, BoxRegion(g, hi=(n, n, n // 2)))
+    whole = IntegralLawAccumulator(nab, BoxRegion(g))
+    half = IntegralLawAccumulator(nab, BoxRegion(g, hi=(n, n, n // 2)))
     cfg = StepperConfig(cfl=0.25 * (1 + 1e-9))
     whole.sample(st)
     half.sample(st)

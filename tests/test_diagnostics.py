@@ -534,7 +534,7 @@ def test_integral_laws_static_source_exact():
         U[0, 0:3] = -J0.reshape(3, 1, 1, 1) * tau
         U[0, 4:7] = J0.reshape(3, 1, 1, 1)
         states.append(SimState(tau, U, g, med, "maxwell"))
-    rows = integral_laws(states, med)
+    rows = integral_laws(states, Nabla(g))
     # quadratic-in-tau energy integral: corrected trapezoid is exact on cubics
     assert rows["energy"][-1][1] <= 1e-12
     assert rows["volume"][-1][1] <= 1e-12
@@ -554,7 +554,7 @@ def test_integral_laws_charge_wave_half_box():
         U[0, 3] = th.rho
         U[0, 4:7] = th.J
         states.append(SimState(tau, U, g, med, "free_theta"))
-    rows = integral_laws(states, med, lo=(0, 0, 0), hi=(16, 16, 8))
+    rows = integral_laws(states, Nabla(g), lo=(0, 0, 0), hi=(16, 16, 8))
     final = rows["charge"][-1][1]
     assert final <= 1e-6
     # the flux itself is O(10): the identity is tested against a real signal
@@ -566,7 +566,7 @@ def test_integral_laws_need_two_samples():
     g = cube(8)
     st = SimState(0.0, np.zeros((1, 7) + g.shape, dtype=complex), g, Medium(), "maxwell")
     with pytest.raises(ValueError, match="two samples"):
-        integral_laws([st], Medium())
+        integral_laws([st], Nabla(g))
 
 
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta", "interaction", "strong_field", "united"])
@@ -595,13 +595,125 @@ def test_integral_laws_follow_the_modes_equations(mode):
     states = [SimState(0.0, smooth((M, 7) + g.shape), g, med, mode, background)]
     for i in range(8):
         states.append(step_rk4(states[-1], nab, StepperConfig(), i)[0])
-    laws = integral_laws(states, med, hi=(n, n, n // 2), surface=FluxSurface(g, 0, 1, 2, 1, 6))
+    laws = integral_laws(states, nab, hi=(n, n, n // 2), surface=FluxSurface(g, 0, 1, 2, 1, 6))
     worst = {key: max(r[1] for r in rows) for key, rows in laws.items()}
     if mode in ("free_theta", "strong_field"):
         assert worst["energy"] == worst["flux"] == worst["volume"] == 0.0
     else:
         assert worst["charge"] <= (1e-12 if mode == "maxwell" else 2e-3)
         assert min(worst["energy"], worst["flux"], worst["volume"]) > 0.0
+
+
+def _strong_field_charge_laws(g, med, U, background, steps, region):
+    """Max L_inf of the charge and integral_charge series of a strong_field run."""
+    from bqfield import StepperConfig, step_rk4
+
+    nab = Nabla(g)
+    st = SimState(0.0, U, g, med, "strong_field", background)
+    specs = [{"name": "charge"}, {"name": "integral_charge", "region": region}]
+    eng = DiagnosticsEngine(g, med, "strong_field", nab, specs)
+    eng.sample(st, 0)
+    for i in range(steps):
+        st, _ = step_rk4(st, nab, StepperConfig(), i)
+        eng.sample(st, i + 1)
+    series = eng.finalize()
+    return series["charge"], series["integral_charge"]
+
+
+def test_strong_field_charge_laws_carry_the_force_source_uniform():
+    """A uniform Theta in a uniform A': div J = 0, so d(rho)/dtau is the
+    force's source -i (J, A')/kappa alone.  The window law sits at its
+    centred-difference truncation, computed from the exact trajectory, and
+    the integral law at its fourth-order floor (without the source both read
+    O(0.1) and more)."""
+    import scipy.linalg
+
+    kappa, dtau, steps = 2.0, 0.01, 100
+    g, med = cube(4, dtau), Medium(kappa=kappa)
+    a = np.array([0.4, -0.3, 0.8])
+    G = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        y = np.zeros(4, complex)
+        y[col] = 1.0
+        G[0, col] = -1j * (y[1:] @ a) / kappa
+        G[1:, col] = (-1j * y[0] * a - np.cross(y[1:], a)) / kappa
+    y0 = np.array([0.7 - 0.2j, 0.1j, 1.0, -0.5 + 0.3j])
+    U = np.zeros((1, 7) + g.shape, dtype=complex)
+    U[0, 3:7] = y0.reshape(4, 1, 1, 1)
+    background = np.zeros((3,) + g.shape, complex) + a.reshape(3, 1, 1, 1)
+    charge, integral = _strong_field_charge_laws(
+        g, med, U, background, steps, {"lo": [0, 0, 0], "hi": [4, 4, 2]})
+    assert len(charge.rows) == steps - 1
+    for tau, linf, _ in charge.rows:
+        y_m, y_0, y_p = (scipy.linalg.expm((tau + s) * G) @ y0 for s in (-dtau, 0.0, dtau))
+        truncation = abs((y_p[0] - y_m[0]) / (2 * dtau) - (G @ y_0)[0])
+        assert abs(linf - truncation) <= 1e-9, tau
+    assert max(r[1] for r in charge.rows) > 1e-7  # a real truncation, not zero
+    assert integral.max_linf <= 1e-9
+
+
+def test_strong_field_charge_laws_converge():
+    """Band-limited strong_field data on a half box, dtau halved twice: the
+    window law converges at second order and the integral law at fourth.
+    Without the force's source both stall at O(0.1)."""
+    n = 12
+    med = Medium(epsilon=2.0, mu=0.7)
+    worst = []
+    for div in (1, 2, 4):
+        g = cube(n, dtau=0.25 * 2 * np.pi / n / div)
+        rng = np.random.default_rng(3)
+        nab = Nabla(g)
+
+        def smooth(shape):
+            return 0.2 * nab.dealias(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        U, background = smooth((1, 7) + g.shape), smooth((3,) + g.shape)
+        charge, integral = _strong_field_charge_laws(
+            g, med, U, background, 8 * div, {"lo": [0, 0, 0], "hi": [n, n, n // 2]})
+        worst.append((charge.max_linf, integral.max_linf))
+    (c1, i1), (c2, i2), (c4, i4) = worst
+    assert c1 / c2 > 3.0 and c2 / c4 > 3.5  # second order: 4
+    assert i1 / i2 > 12.0 and i2 / i4 > 12.0  # fourth order: 16
+    assert i1 <= 1e-3
+
+
+def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
+    """Windows of a stepped run are uniform to round-off, even deep into a
+    long run where tau carries an ulp of drift per step (5e-13 at tau = 6667,
+    dtau = 1/3; 7e-12 at tau = 33333): every one is evaluated.  A window that
+    is really uneven raises instead of being dropped."""
+    from bqfield import StepperConfig, step_rk4, united_field
+
+    g, med = cube(4, dtau=0.05), Medium()
+    nab = Nabla(g)
+    rng = np.random.default_rng(5)
+    U = nab.dealias(rng.standard_normal((1, 7) + g.shape) + 0j)
+    specs = [{"name": "charge"}, {"name": "freeness", "cadence": 2}, {"name": "box_rho", "cadence": 3}]
+    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs)
+    st = SimState(0.0, U, g, med, "free_theta")
+    eng.sample(st, 0)
+    for i in range(12):
+        st, _ = step_rk4(st, nab, StepperConfig(), i)
+        eng.sample(st, i + 1)
+    eng.finalize()
+    assert [len(eng.series[n].rows) for n in ("charge", "freeness", "box_rho")] == [11, 5, 3]
+
+    tau, taus = 0.0, []
+    for _ in range(100000):
+        tau += 1 / 3
+        taus.append(tau)
+    late = [SimState(t, U, g, med, "free_theta") for t in taus[-6:]]
+    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs[:1])
+    for step, s in enumerate(late):
+        eng.sample(s, step)
+    assert len(eng.finalize()["charge"].rows) == 4
+    united_field(*late[:3], nab)
+
+    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs[:1])
+    eng.sample(SimState(0.0, U, g, med, "free_theta"), 0)
+    eng.sample(SimState(0.1, U, g, med, "free_theta"), 1)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        eng.sample(SimState(0.25, U, g, med, "free_theta"), 2)
 
 
 def test_residual_series_bookkeeping(tmp_path):
@@ -725,8 +837,13 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
     for s_m, s_0, s_p in zip(states, states[1:], states[2:]):
         d = s_p.tau - s_0.tau
         (a_m, t_m), (a_0, t_0), (a_p, t_p) = (field_totals(s) for s in (s_m, s_0, s_p))
-        if mode in ("free_theta", "strong_field"):
+        if mode == "free_theta":
             charge = charge_conservation_residual(nab, t_m.rho, t_p.rho, t_0.J, d)
+        elif mode == "strong_field":
+            # rho also moves by the force's source -i (J, A')/kappa, 2/3-filtered,
+            # taken out of the centred difference at the middle state
+            src = -1j * nab.dealias((s_0.U[0, 4:7] * s_0.background).sum(axis=0)) / med.kappa
+            charge = charge_conservation_residual(nab, t_m.rho + d * src, t_p.rho - d * src, t_0.J, d)
         else:
             charge = charge_conservation_residual(nab, nab.div(a_m.A), nab.div(a_p.A), t_0.J, d)
         first = [
@@ -768,7 +885,7 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
         expect["interaction_power_eh"].append((s.tau, *worst(eh)))
         expect["interaction_power_bd"].append((s.tau, *worst(bd)))
         expect["energy_decomposition"].append((s.tau, ie.decomposition_residual, ie.decomposition_residual))
-    laws = integral_laws(states, med, lo, hi, surface=FluxSurface(g, **surface))
+    laws = integral_laws(states, nab, lo, hi, surface=FluxSurface(g, **surface))
     for name in integral:
         expect[name] = laws[name.removeprefix("integral_")]
 

@@ -83,6 +83,9 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d["grid"].update(n=[8, 8]), "grid.n"),
         (lambda d: d.update(nabla="stencil9"), "nabla"),
         (lambda d: d.update(stepper={"force_term_reading": "standard"}), "force_term_reading"),
+        # the 2/3 rule belongs to the nabla scheme: the stepper has no switch for it
+        (lambda d: d.update(stepper={"dealias": True}), "unknown key(s) at stepper: 'dealias'"),
+        (lambda d: d.update(stepper={"constraint_projection": 1}), "stepper.constraint_projection must be a boolean"),
         # the integral laws share one accumulator: one cadence, region and surface
         (lambda d: d["diagnostics"].extend(
             [{"name": "integral_charge"}, {"name": "integral_energy", "cadence": 2}]),
@@ -164,6 +167,17 @@ def test_readme_scenarios_parse():
     assert blocks
     for block in blocks:
         parse_scenario(json.loads(block))
+
+
+def test_readme_quick_start_runs():
+    """The ```python quick start in README.md runs as written."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["state"].tau > 0
 
 
 def test_load_scenario_bad_json(tmp_path):
@@ -404,6 +418,27 @@ def test_cli_unexpected_error_while_loading_exits_four(tmp_path, capsys, monkeyp
     assert main(["run", str(p), "--out", str(tmp_path / "res")]) == 4
     assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["shock-check", "FRONT"], "afield_jump_residual"),
+    (["roots", "--m", "0,0,1"], "characteristic_roots"),
+])
+def test_cli_unexpected_error_in_any_subcommand_exits_four(tmp_path, capsys, monkeypatch, argv, target):
+    """A fault of the program exits 4 in every subcommand, not 1 (the breach
+    code) or 2 (the input-error code)."""
+    from bqfield import cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    front = tmp_path / "front.json"
+    front.write_text(json.dumps({"m": [0.0, 0.0, 1.0]}))
+    monkeypatch.setattr(cli, target, boom)
+    assert main([str(front) if a == "FRONT" else a for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: RuntimeError: boom"
 
 
 def test_cli_non_string_diagnostic_name_exits_two(tmp_path, capsys):

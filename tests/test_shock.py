@@ -131,6 +131,13 @@ def test_front_normal_is_normalised():
     np.testing.assert_allclose(f.m, [0, 0, 1.0])
 
 
+@pytest.mark.parametrize("key", ["jump_E", "jump_H", "jump_J"])
+def test_front_jumps_must_be_3_vectors(key):
+    """A ValueError, not an assert, so the check holds under python -O too."""
+    with pytest.raises(ValueError, match=f"{key} must be a 3-vector"):
+        FrontData(m=[0.0, 0.0, 1.0], **{key: [1.0, 0.0]})
+
+
 def test_characteristic_matrix_structure():
     m = np.array([0.0, 0.0, 1.0])
     B = characteristic_matrix(m, 0.5)
