@@ -12,14 +12,18 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
 * ``united``       -- interaction dynamics; the summed field is diagnosed as free.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units), its stages in derivative space (Fourier coefficients on spectral).  The
+units), its stages in the Nabla's derivative space: on spectral the Fourier
+coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.  The
 quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
-space and filtered by the scheme's ``dealias`` (the 2/3 rule on spectral, none
-on central4), so band-limited data stays alias-free.
+space and taken into that space by the scheme's ``dealias`` (the 2/3 rule on
+spectral, none on central4).  So on spectral a step projects the advanced
+channels, and maxwell's held J, onto the band, as ``build_state`` does the
+initial data; a force mode's first stage reads the input's physical values
+as they are.
 
 A state holds one representation of its advanced channels.  In the modes
 without a force (``maxwell``, ``free_theta``) on the spectral scheme,
-``step_rk4`` returns a state that keeps the Fourier coefficients it produced,
+``step_rk4`` returns a state that keeps the band coefficients it produced,
 and the next step starts from them with no transform; physical ``U`` is made
 on first read and the coefficients are dropped.  A stepped state shares its
 input's held channels and, in maxwell, the coefficients of the held J, which
@@ -58,6 +62,7 @@ _A = slice(0, 3)
 _RHO = 3
 _J = slice(4, 7)
 _FORCED = ("strong_field", "interaction", "united")
+HOLDS_A = ("free_theta", "strong_field")  # the modes whose step does not advance A
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +220,7 @@ def partner_field(state: SimState, k: int) -> np.ndarray | None:
 
 def _advanced(mode: str) -> slice:
     """The block of channels a mode advances: A and/or Theta."""
-    return slice(3 if mode in ("free_theta", "strong_field") else 0, 3 if mode == "maxwell" else 7)
+    return slice(3 if mode in HOLDS_A else 0, 3 if mode == "maxwell" else 7)
 
 
 def _blocks(X: np.ndarray, adv: slice, J=None):
@@ -274,17 +279,19 @@ def _resident(mode: str, nabla: Nabla) -> bool:
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, float | None]:
-    """One classical RK4 step of length grid.dtau, in derivative space.
+    """One classical RK4 step of length grid.dtau, in nabla's derivative space
+    (the 2/3 band on spectral).
 
-    Returns (new_state, constraint_drift).  With constraint_projection on, the
-    evolved rho of every field is replaced by div A after the step (in a fresh
-    array; the new state shares its input's held channels) and the
-    pre-projection max |rho - div A| is reported; otherwise drift is None.
+    Returns (new_state, constraint_drift).  With constraint_projection on, in
+    the modes that advance A, the evolved rho of every field is replaced by
+    div A after the step (in a fresh array; the new state shares its input's
+    held channels) and the pre-projection max |rho - div A| is reported;
+    otherwise drift is None.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
     config.check_step(state.grid)
     dt = state.grid.dtau
-    space, adv, resident = DerivativeSpace(nabla), _advanced(state.mode), _resident(state.mode, nabla)
+    space, adv, resident = nabla.space, _advanced(state.mode), _resident(state.mode, nabla)
     if resident and state._coef is not None:
         _, X0, lo, hi = state._coef
     else:

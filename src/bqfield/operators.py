@@ -15,11 +15,18 @@ the quaternion gradient nabla o F = -div F + (grad f + curl F) they read
 D+- F = dF/dtau +- i nabla o F.  Time
 derivatives are not discretised here; callers supply them (analytically in
 tests, from stored history in diagnostics).
+
+``Nabla``'s operators take and return physical arrays on the full grid, so
+they differentiate products that are not band-limited exactly.  Its
+``DerivativeSpace`` (``Nabla.space``) holds data between calls: on spectral
+only the 2/3 band of Fourier coefficients, which is all a dealiased state
+has, on central4 the physical array itself.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 
 import numpy as np
 from scipy import fft as sfft
@@ -53,18 +60,20 @@ class Nabla:
         self.scheme = scheme
         self.workers = int(workers)
         if scheme == "spectral":
-            # ik arrays for first derivatives (odd Nyquist zeroed), |k|^2 for the
-            # Laplacian (Nyquist kept: even derivative), and the 2/3-rule mask.
-            self._ik, self._k2, self._dealias = [], 0, True
+            # ik for first derivatives (odd Nyquist zeroed), keyed by the length
+            # of the axis it multiplies: n on the full grid, 2 (n // 3) + 1 on
+            # the 2/3 band; |k|^2 for the Laplacian (Nyquist kept: even
+            # derivative).
+            self._ik, self._k2 = [], 0
             for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
                 shape = [1, 1, 1]
                 shape[ax] = -1
                 k = 2 * np.pi * np.fft.fftfreq(n, d=h)
                 kd = np.where((np.arange(n) == n // 2) & (n % 2 == 0), 0.0, k)
-                self._ik.append(1j * kd.reshape(shape))
+                band = np.concatenate([kd[full] for _, full in _band_runs(n)])
+                self._ik.append({len(v): 1j * v.reshape(shape) for v in (kd, band)})
                 self._k2 = self._k2 + (k**2).reshape(shape)
-                keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3
-                self._dealias = self._dealias & keep.reshape(shape)
+        self.space = DerivativeSpace(self)
 
     # -- transforms ----------------------------------------------------------
     def fftn(self, f):
@@ -81,7 +90,7 @@ class Nabla:
 
     def _d(self, fh, a: int):
         if self.scheme == "spectral":
-            return self._ik[a] * fh
+            return self._ik[a][fh.shape[a - 3]] * fh
         r = partial(np.roll, fh, axis=a - 3)
         return (-r(-2) + 8 * r(-1) - 8 * r(1) + r(2)) / (12 * self.grid.h[a])
 
@@ -96,12 +105,6 @@ class Nabla:
 
     def _back(self, fh):
         return self.ifftn(fh) if self.scheme == "spectral" else fh
-
-    def _mask(self, fh):
-        """2/3 rule in derivative space, in place (all-pass on central4)."""
-        if self.scheme == "spectral":
-            fh *= self._dealias
-        return fh
 
     # -- operators in derivative space ----------------------------------------
     def _grad(self, fh):
@@ -156,18 +159,53 @@ class Nabla:
         product and the initial data (exact for band-limited inputs), and
         central4 returns its input.
         """
-        return self._back(self._mask(self._to(f)))
+        return self.space.back(self.space.to(f))
+
+
+def _band_runs(n: int):
+    """The two runs of an axis of n points that the 2/3 rule keeps, as
+    (slice of the band, slice of the full axis): wavenumbers 0..m and -m..-1
+    with m = n // 3, i.e. every |k| <= n/3."""
+    m = n // 3
+    return (slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m + 1), slice(n - m, n))
 
 
 class DerivativeSpace:
-    """A Nabla's operators on data kept in its derivative space: ``to``/``back``
-    move data in and out (FFT on spectral, identity on central4), and
-    ``dealias`` takes a physical product in, with the 2/3 rule as a mask.
+    """A Nabla's operators on data kept in its derivative space.
+
+    On spectral the space holds the 2/3 band, the Fourier coefficients with
+    every |k_i| <= n_i/3: ``to`` is fftn then a gather of the band (8 block
+    copies), ``back`` scatters into zeros then runs ifftn.  The gather is the
+    2/3 rule, so ``dealias`` is ``to``.  On central4 the space is physical and
+    all three return their input.  Derivatives go through the Nabla's ``_d``
+    with band-sized ik.  Each Nabla builds one, as ``Nabla.space``.
     """
 
     def __init__(self, nabla: Nabla):
         self.nabla = nabla
-        self.to, self.back = nabla._to, nabla._back
+        if nabla.scheme == "spectral":
+            self.shape = tuple(2 * (n // 3) + 1 for n in nabla.grid.n)
+            self._blocks = [tuple((..., *s) for s in zip(*runs))
+                            for runs in product(*map(_band_runs, nabla.grid.n))]
+
+    def to(self, f):
+        if self.nabla.scheme != "spectral":
+            return f
+        fh = self.nabla.fftn(f)
+        X = np.empty(fh.shape[:-3] + self.shape, dtype=fh.dtype)
+        for band, full in self._blocks:
+            X[band] = fh[full]
+        return X
+
+    dealias = to
+
+    def back(self, X):
+        if self.nabla.scheme != "spectral":
+            return X
+        fh = np.zeros(X.shape[:-3] + self.nabla.grid.n, dtype=X.dtype)
+        for band, full in self._blocks:
+            fh[full] = X[band]
+        return self.nabla.ifftn(fh)
 
     def div(self, Fh):
         return self.nabla._div(Fh)
@@ -177,10 +215,6 @@ class DerivativeSpace:
 
     def quaternion_gradient(self, Fh: Biquaternion) -> Biquaternion:
         return Biquaternion(*self.nabla._quaternion_gradient(Fh.scalar, Fh.vector))
-
-    def dealias(self, f):
-        """Nabla.dealias with the result left in this space."""
-        return self.nabla._mask(self.to(f))
 
 
 def apply_dplus(nabla: Nabla, F: Biquaternion, dF_dtau: Biquaternion) -> Biquaternion:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import MODES, StepperConfig
+from .evolution import HOLDS_A, MODES, StepperConfig
 from .fields import Grid, Medium
 from .diagnostics import check_specs
 from .operators import Nabla
@@ -299,6 +299,10 @@ def parse_scenario(doc: dict) -> Scenario:
     _done(sd, "stepper")
     if not isinstance(projection, bool):
         raise ScenarioError("stepper.constraint_projection must be a boolean")
+    if projection and mode in HOLDS_A:
+        raise ScenarioError(
+            f"stepper.constraint_projection: mode {mode!r} holds A, so it has no rho = div A to project"
+        )
     stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl, constraint_projection=projection)
 
     nabla_scheme = _take(d, "nabla", "", default="spectral")

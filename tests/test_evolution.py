@@ -22,6 +22,8 @@ from bqfield import (
     step_rk4,
     united_field,
 )
+from bqfield.runner import build_state
+from bqfield.scenario import parse_scenario
 
 
 def cube(n, dtau):
@@ -204,10 +206,13 @@ def test_state_rhs_transforms_per_field(scheme, mode, per_field):
     assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
 
 
-def random_state(g, mode, seed=14, m=2):
+def random_state(g, mode, seed=14, m=2, scheme="spectral"):
+    """White noise under the scheme's 2/3 rule, as build_state filters the
+    initial data: the spectral stepper holds only the band."""
     rng = np.random.default_rng(seed)
-    U = rng.standard_normal((m, 7) + g.shape) + 1j * rng.standard_normal((m, 7) + g.shape)
-    bg = rng.standard_normal((3,) + g.shape) + 0j if mode == "strong_field" else None
+    dealias = Nabla(g, scheme=scheme).dealias
+    U = dealias(rng.standard_normal((m, 7) + g.shape) + 1j * rng.standard_normal((m, 7) + g.shape))
+    bg = dealias(rng.standard_normal((3,) + g.shape) + 0j) if mode == "strong_field" else None
     return SimState(0.0, U, g, Medium(kappa=1.5), mode, bg)
 
 
@@ -282,7 +287,7 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
     g = cube(12, 0.05)
     nab = Nabla(g, scheme=scheme)
     cfg = StepperConfig()
-    got = ref = random_state(g, mode, seed=23)
+    got = ref = random_state(g, mode, seed=23, scheme=scheme)
     for i in range(3):
         got, _ = step_rk4(got, nab, cfg, i)
         ref = reference_rk4(ref, nab)
@@ -301,7 +306,7 @@ def test_resident_steps_match_steps_read_every_step(scheme, mode):
     held channels bit-equal, advanced ones to round-off on spectral."""
     g = cube(12, 0.05)
     nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
-    kept = read = random_state(g, mode, seed=31)
+    kept = read = random_state(g, mode, seed=31, scheme=scheme)
     for i in range(3):
         kept, _ = step_rk4(kept, nab, cfg, i)
         read, _ = step_rk4(read, nab, cfg, i)
@@ -312,6 +317,59 @@ def test_resident_steps_match_steps_read_every_step(scheme, mode):
     assert kept.tau == read.tau
     tol = 0.0 if scheme == "central4" else 1e-13
     assert np.abs(kept.U - read.U).max() <= tol * np.abs(read.U).max()
+
+
+def out_of_band(nab, U):
+    """max |coefficient| outside the 2/3 band over max |coefficient| inside it."""
+    Uh = np.fft.fftn(U, axes=(-3, -2, -1))
+    keep = np.ones(nab.grid.n, bool)
+    for a, n in enumerate(nab.grid.n):
+        shape = [1, 1, 1]
+        shape[a] = -1
+        keep = keep & (np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n / 3).reshape(shape)
+    return np.abs(Uh[..., ~keep]).max() / np.abs(Uh[..., keep]).max()
+
+
+ADVANCED = {"maxwell": slice(0, 3), "free_theta": slice(3, 7), "strong_field": slice(3, 7),
+            "interaction": slice(0, 7), "united": slice(0, 7)}
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
+def test_spectral_step_projects_onto_the_band(mode):
+    """On spectral a step holds only the 2/3 band: the advanced channels come
+    out band-limited from white noise, and in the modes without a force
+    (whose stages read no physical state) stepping the noise equals stepping
+    its Nabla.dealias.  A force mode's first stage reads the input as given."""
+    g = cube(12, 0.05)
+    nab, cfg, adv = Nabla(g), StepperConfig(), ADVANCED[mode]
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((2, 7) + g.shape) + 1j * rng.standard_normal((2, 7) + g.shape)
+    bg = nab.dealias(rng.standard_normal((3,) + g.shape) + 0j) if mode == "strong_field" else None
+    got, _ = step_rk4(SimState(0.0, U, g, Medium(kappa=1.5), mode, bg), nab, cfg)
+    assert out_of_band(nab, got.U[:, adv]) <= 1e-14
+    if mode in ("maxwell", "free_theta"):
+        ref, _ = step_rk4(SimState(0.0, nab.dealias(U), g, Medium(kappa=1.5), mode), nab, cfg)
+        assert np.abs(got.U[:, adv] - ref.U[:, adv]).max() <= 1e-13 * np.abs(ref.U[:, adv]).max()
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
+def test_steps_from_build_state_stay_in_the_band(mode):
+    """Three spectral steps from build_state data leave the coefficients
+    outside the 2/3 band at round-off of the ones inside, in every mode."""
+    pulse = {"type": "gaussian_pulse", "width": 0.7, "polarization": {"re": [1, 0, 0.5], "im": [0, 1, 0]}}
+    fields = [{"afield": dict(pulse, center=[c] * 3), "theta": dict(pulse, center=[c] * 3, scalar=0.6)}
+              for c in (2.8, 3.6)]
+    doc = {"mode": mode, "grid": {"n": [12, 12, 12]}, "duration": 3 * 0.25 * 2 * np.pi / 12,
+           "medium": {"kappa": 0.5}, "initial_conditions": fields}
+    if mode in ("maxwell", "free_theta", "strong_field"):
+        doc["initial_conditions"] = fields[:1]
+    if mode == "strong_field":
+        doc["background"] = dict(pulse, center=[3.6] * 3)
+    sc = parse_scenario(doc)
+    st, nab = build_state(sc)
+    for i in range(sc.steps):
+        st, _ = step_rk4(st, nab, sc.stepper, i)
+    assert out_of_band(nab, st.U) <= 1e-13
 
 
 class PlantingNabla(Nabla):

@@ -6,6 +6,7 @@ the wave-operator factorization D- D+ = dtau^2 - Laplacian.
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +197,32 @@ def test_dealias_idempotent_and_bandpass():
     # the Nyquist-adjacent mode is removed
     hi = np.cos(5 * X)
     assert np.abs(nab.dealias(hi)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (9, 9, 9), (12, 12, 12),
+                               (8, 9, 12), (2, 5, 3)])
+def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
+    """The spectral space holds the wavenumbers |k_i| <= n_i/3 in fftn order:
+    back(to(f)) is the 2/3 filter, and band derivatives agree with the full
+    grid's.  Grid asks for n >= 4, so the tiny axes use a stand-in; Nabla
+    reads only n and h."""
+    grid = SimpleNamespace(n=n, h=tuple(2 * np.pi / m for m in n))
+    nab = Nabla(grid)
+    rng = np.random.default_rng(sum(n))
+    F = rng.standard_normal((3,) + n) + 1j * rng.standard_normal((3,) + n)
+    Fh = np.fft.fftn(F, axes=(-3, -2, -1))
+    freq = [np.fft.fftfreq(m, 1.0 / m) for m in n]
+    kept = [np.flatnonzero(np.abs(k) <= m / 3) for k, m in zip(freq, n)]
+    band = nab.space.to(F)
+    assert band.shape == (3,) + tuple(2 * (m // 3) + 1 for m in n)
+    assert np.allclose(band, Fh[(...,) + np.ix_(*kept)], rtol=0, atol=1e-12)
+    mask = np.ones(n, bool)
+    for a, k in enumerate(freq):
+        mask &= np.expand_dims(np.abs(k) <= n[a] / 3, [b for b in range(3) if b != a])
+    want = np.fft.ifftn(Fh * mask, axes=(-3, -2, -1))
+    assert np.abs(nab.space.back(band) - want).max() <= 1e-14 * np.abs(F).max()
+    assert np.abs(nab.dealias(F) - want).max() <= 1e-14 * np.abs(F).max()
+    assert np.abs(nab.space.back(nab.space.curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
 
 
 def test_central4_scheme_skips_dealias():

@@ -450,6 +450,24 @@ def test_cli_non_string_diagnostic_name_exits_two(tmp_path, capsys):
     assert "diagnostics[2].name must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,code", [
+    ("maxwell", 0), ("interaction", 0), ("united", 0), ("free_theta", 2), ("strong_field", 2)])
+def test_cli_constraint_projection_only_where_a_advances(tmp_path, capsys, mode, code):
+    """Projection resets rho to div A after a step, so a mode that holds A
+    (free_theta, strong_field) rejects it at parse time rather than run
+    without it."""
+    pulse = {"type": "gaussian_pulse", "width": 1.0, "polarization": [1, 0, 0], "scalar": 0.5}
+    field = {"afield": dict(pulse, scalar=0.0), "theta": pulse}
+    doc = {"mode": mode, "grid": {"n": [8, 8, 8]}, "duration": 0.25 * 2 * np.pi / 8,
+           "stepper": {"constraint_projection": True},
+           "initial_conditions": [field] * (2 if mode in ("interaction", "united") else 1)}
+    if mode == "strong_field":
+        doc["background"] = {"type": "uniform", "value": [0.0, 0.0, 0.3]}
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == code
+    err = capsys.readouterr().err
+    assert ("stepper.constraint_projection: mode" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("name", ["charge", "reciprocity"])
 @pytest.mark.parametrize("key,value", [
     ("region", {"lo": [0, 0, 0], "hi": [9, 8, 8]}),
