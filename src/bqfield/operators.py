@@ -25,7 +25,6 @@ has, on central4 the physical array itself.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -80,28 +79,25 @@ class Nabla:
         return sfft.fftn(f, axes=_AXES, workers=self.workers)
 
     def ifftn(self, fh):
-        return sfft.ifftn(fh, axes=_AXES, workers=self.workers)
+        """Inverse transform that consumes ``fh``: scipy may overwrite it, so
+        callers pass only an array they made for this call."""
+        return sfft.ifftn(fh, axes=_AXES, workers=self.workers, overwrite_x=True)
 
     # -- scheme primitives: into derivative space, d/dx_a, Laplacian, back ----
     # Spectral works on Fourier coefficients; central4 stays in physical space
-    # on its roll stencils and does no transforms.
+    # on one periodic 5-point stencil and does no transforms.
     def _to(self, f):
         return self.fftn(f) if self.scheme == "spectral" else f
 
     def _d(self, fh, a: int):
         if self.scheme == "spectral":
             return self._ik[a][fh.shape[a - 3]] * fh
-        r = partial(np.roll, fh, axis=a - 3)
-        return (-r(-2) + 8 * r(-1) - 8 * r(1) + r(2)) / (12 * self.grid.h[a])
+        return _five_point(fh, a - 3, 1 / (12 * self.grid.h[a]), 8)
 
     def _lap(self, fh):
         if self.scheme == "spectral":
             return -self._k2 * fh
-        out = 0
-        for a, h in enumerate(self.grid.h):
-            r = partial(np.roll, fh, axis=a - 3)
-            out = out + (-r(-2) + 16 * r(-1) - 30 * fh + 16 * r(1) - r(2)) / (12 * h * h)
-        return out
+        return sum(_five_point(fh, a - 3, 1 / (12 * h * h), 16, -30) for a, h in enumerate(self.grid.h))
 
     def _back(self, fh):
         return self.ifftn(fh) if self.scheme == "spectral" else fh
@@ -160,6 +156,33 @@ class Nabla:
         central4 returns its input.
         """
         return self.space.back(self.space.to(f))
+
+
+def _five_point(f, axis: int, scale: float, w1: int, w0: int | None = None):
+    """Fourth-order periodic stencil along ``axis`` (negative), f[k] = f(x + k h):
+
+        scale (w1 (f[1] - f[-1]) - (f[2] - f[-2]))             if w0 is None,
+        scale (w1 (f[1] + f[-1]) - (f[2] + f[-2]) + w0 f[0])   otherwise.
+
+    One copy of f wrap-padded by 2 along the axis; the shifts are slices of
+    it, combined in place into one output array.
+    """
+    n = f.shape[axis]
+    rest = (slice(None),) * (-1 - axis)
+    p = np.concatenate((f[(..., slice(n - 2, n), *rest)], f, f[(..., slice(0, 2), *rest)]),
+                       axis=axis, dtype=np.result_type(f, 1.0))
+    at = [p[(..., slice(k, k + n), *rest)] for k in range(5)]  # at[2 + k] is f[k]
+    odd = w0 is None
+    out = (np.subtract if odd else np.add)(at[3], at[1])
+    out *= w1
+    out -= at[4]
+    (np.add if odd else np.subtract)(out, at[0], out=out)
+    if not odd:
+        centre = at[2]
+        centre *= w0  # the padded copy is private
+        out += centre
+    out *= scale
+    return out
 
 
 def _band_runs(n: int):

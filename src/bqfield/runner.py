@@ -10,7 +10,8 @@ convention is
     3   numerical abort (non-finite state), partial series are still written
 
 (2, usage and parse errors, and 4, an unexpected error, are produced by the
-CLI layer.)
+CLI layer.  An unexpected error mid-run still writes the partial series and a
+summary with exit code 4 and an ``error`` block, then propagates.)
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class RunReport:
     delta_w: list = field(default_factory=list)
     classification: str | None = None
     abort: dict | None = None
+    error: dict | None = None
     out_dir: Path | None = None
 
     def summary(self) -> dict:
@@ -66,6 +68,7 @@ class RunReport:
             "classification": self.classification,
             "constraint_drift_max": self.constraint_drift_max,
             "abort": self.abort,
+            "error": self.error,
             "exit_code": self.exit_code,
         }
 
@@ -100,36 +103,45 @@ def run_scenario(
     drift_max: float | None = None
     abort: dict | None = None
     steps_done = 0
-    for step in range(1, sc.steps + 1):
-        try:
-            state, drift = step_rk4(state, nabla, sc.stepper, steps_done=steps_done)
-        except NumericalAbort as exc:
-            abort = {"tau": exc.tau, "steps": exc.steps, "reason": str(exc)}
-            break
-        steps_done = step
-        if drift is not None:
-            drift_max = drift if drift_max is None else max(drift_max, drift)
-        engine.sample(state, step)
-    series = engine.finalize()
-    breached = any(s.breached for s in series.values())
-    exit_code = 3 if abort is not None else (1 if breached else 0)
-    report = RunReport(
-        scenario=sc,
-        series=series,
-        exit_code=exit_code,
-        steps_done=steps_done,
-        tau_final=state.tau,
-        wall_seconds=time.perf_counter() - t0,
-        constraint_drift_max=drift_max,
-        delta_w=engine.delta_w,
-        classification=engine.classification,
-        abort=abort,
-    )
-    if out is not None:
-        for name, s in series.items():
-            s.to_csv(out / f"{name}.csv")
-        with open(out / "summary.json", "w") as fh:
-            json.dump(report.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        report.out_dir = out
-    return report
+
+    def finish(error: dict | None = None) -> RunReport:
+        series = engine.finalize()
+        breached = any(s.breached for s in series.values())
+        exit_code = 4 if error else 3 if abort else 1 if breached else 0
+        report = RunReport(
+            scenario=sc,
+            series=series,
+            exit_code=exit_code,
+            steps_done=steps_done,
+            tau_final=state.tau,
+            wall_seconds=time.perf_counter() - t0,
+            constraint_drift_max=drift_max,
+            delta_w=engine.delta_w,
+            classification=engine.classification,
+            abort=abort,
+            error=error,
+        )
+        if out is not None:
+            for name, s in series.items():
+                s.to_csv(out / f"{name}.csv")
+            with open(out / "summary.json", "w") as fh:
+                json.dump(report.summary(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            report.out_dir = out
+        return report
+
+    try:
+        for step in range(1, sc.steps + 1):
+            try:
+                state, drift = step_rk4(state, nabla, sc.stepper, steps_done=steps_done)
+            except NumericalAbort as exc:
+                abort = {"tau": exc.tau, "steps": exc.steps, "reason": str(exc)}
+                break
+            steps_done = step
+            if drift is not None:
+                drift_max = drift if drift_max is None else max(drift_max, drift)
+            engine.sample(state, step)
+    except Exception as exc:  # a program fault: write what ran, then re-raise
+        finish({"type": type(exc).__name__, "message": str(exc), "tau": state.tau, "steps": steps_done})
+        raise
+    return finish()

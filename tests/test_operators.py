@@ -86,16 +86,73 @@ def test_div_curl_and_curl_grad_vanish():
     np.testing.assert_allclose(nab.div(nab.grad(f)), nab.laplacian(f), atol=1e-12)
 
 
-def test_central4_convergence_rate():
-    """Halving h should shrink the central4 gradient error about 16-fold."""
+# complex plane waves (k, p) of vector_waves: every component varies along
+# every axis, so each derivative in div and curl is exercised
+WAVES = [((2, 1, 0), (1.0, -0.5, 0.3)), ((0, 1, 3), (0.2, 0.7, -1.0)), ((1, -2, 1), (-0.4, 0.1, 0.6))]
+
+
+def vector_waves(grid):
+    """Sum of plane waves p exp(i k.x), with its exact divergence and curl."""
+    X = np.stack(grid.meshgrid())
+    F = div = curl = 0
+    for k, p in WAVES:
+        k, p = np.array(k, float), np.array(p, complex)
+        e = np.exp(1j * np.tensordot(k, X, axes=1))
+        F = F + p[:, None, None, None] * e
+        div = div + 1j * (k @ p) * e
+        curl = curl + 1j * np.cross(k, p)[:, None, None, None] * e
+    return F, div, curl
+
+
+@pytest.mark.parametrize("op", ["grad", "div", "curl", "laplacian"])
+def test_central4_convergence_rate(op):
+    """Halving h should shrink the central4 error about 16-fold."""
     errs = []
     for n in (16, 32):
         g = cube(n)
         nab = Nabla(g, scheme="central4")
-        f, gf, _ = trig_scalar(g)
-        errs.append(np.abs(nab.grad(f) - gf).max())
+        f, gf, lap = trig_scalar(g)
+        F, div, curl = vector_waves(g)
+        arg, want = {"grad": (f, gf), "div": (F, div), "curl": (F, curl), "laplacian": (f, lap)}[op]
+        errs.append(np.abs(getattr(nab, op)(arg) - want).max())
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
+
+
+def roll_d(f, axis, h):
+    """The fourth-order first derivative along a periodic axis, from np.roll."""
+    r = lambda k: np.roll(f, k, axis=axis)  # noqa: E731
+    return (-r(-2) + 8 * r(-1) - 8 * r(1) + r(2)) / (12 * h)
+
+
+def roll_laplacian(f, hs):
+    out = 0
+    for a, h in enumerate(hs):
+        r = lambda k: np.roll(f, k, axis=a - 3)  # noqa: E731
+        out = out + (-r(-2) + 16 * r(-1) - 30 * f + 16 * r(1) - r(2)) / (12 * h * h)
+    return out
+
+
+@pytest.mark.parametrize("n", [(4, 4, 4), (5, 7, 9), (8, 9, 12), (12, 12, 12)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)], ids=["scalar", "vector", "stacked"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_central4_stencil_matches_roll_reference(n, lead, dtype):
+    """Nabla's central4 derivative and Laplacian equal the np.roll formulas on
+    every axis, odd and even axes, unequal spacings and leading axes.  A
+    5-term float64 sum, so 1e-14 of max |reference|."""
+    g = Grid(n=n, L=(2 * np.pi, 3.0, 5.5), dtau=0.01)
+    nab = Nabla(g, scheme="central4")
+    rng = np.random.default_rng(sum(n) + len(lead))
+    f = rng.standard_normal(lead + n)
+    if dtype is complex:
+        f = f + 1j * rng.standard_normal(lead + n)
+    for a in range(3):
+        want = roll_d(f, a - 3, g.h[a])
+        got = nab._d(f, a)
+        assert got.shape == f.shape and got.dtype == f.dtype
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    want = roll_laplacian(f, g.h)
+    assert np.abs(nab.laplacian(f) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dplus_dminus_plane_wave_eigenvalues():

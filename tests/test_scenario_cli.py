@@ -407,6 +407,35 @@ def test_cli_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
 
 
+def test_cli_unexpected_error_mid_run_writes_partial_summary(tmp_path, capsys, monkeypatch):
+    """A fault on the third step still leaves the two steps' rows and a
+    summary.json with exit 4 and the error; the CLI prints the traceback and
+    exits 4."""
+    from bqfield import runner
+
+    real, calls = runner.step_rk4, []
+
+    def fail_on_third_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "step_rk4", fail_on_third_call)
+    out = tmp_path / "res"
+    assert main(["run", str(write_doc(tmp_path, eigenmode_doc())), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.splitlines()[-1] == "error: RuntimeError: boom"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 4 and summary["steps"] == 2 and summary["abort"] is None
+    dtau = summary["dtau"]
+    assert summary["error"] == {"type": "RuntimeError", "message": "boom",
+                                "tau": pytest.approx(2 * dtau), "steps": 2}
+    # three samples (tau = 0 and the two steps) make one centred window
+    assert summary["series"]["charge"]["rows"] == 1
+    assert len((out / "charge.csv").read_text().splitlines()) == 1 + 1
+
+
 def test_cli_unexpected_error_while_loading_exits_four(tmp_path, capsys, monkeypatch):
     from bqfield import cli
 
