@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -54,12 +55,13 @@ __all__ = ["main"]
 def _cmd_run(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-        workers = 1 if args.reference else args.threads
-        out = args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out"
-        report = run_scenario(sc, out_dir=out, workers=workers)
+        out = Path(args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out")
+        out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # past this point any error, an OSError too, is a fault of the run: main's exit 4
+    report = run_scenario(sc, out_dir=out, workers=1 if args.reference else args.threads)
     summ = report.summary()
     print(f"mode={summ['mode']} steps={summ['steps']} tau_final={summ['tau_final']:.6g} "
           f"wall={summ['wall_seconds']:.2f}s")

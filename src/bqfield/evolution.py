@@ -62,7 +62,7 @@ _A = slice(0, 3)
 _RHO = 3
 _J = slice(4, 7)
 _FORCED = ("strong_field", "interaction", "united")
-HOLDS_A = ("free_theta", "strong_field")  # the modes whose step does not advance A
+_HOLDS_A = ("free_theta", "strong_field")  # the modes whose step does not advance A
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +71,6 @@ class StepperConfig:
 
     scheme: str = "rk4"
     cfl: float = 0.25
-    constraint_projection: bool = False
 
     def __post_init__(self):
         if self.scheme != "rk4":
@@ -220,7 +219,7 @@ def partner_field(state: SimState, k: int) -> np.ndarray | None:
 
 def _advanced(mode: str) -> slice:
     """The block of channels a mode advances: A and/or Theta."""
-    return slice(3 if mode in HOLDS_A else 0, 3 if mode == "maxwell" else 7)
+    return slice(3 if mode in _HOLDS_A else 0, 3 if mode == "maxwell" else 7)
 
 
 def _blocks(X: np.ndarray, adv: slice, J=None):
@@ -278,15 +277,12 @@ def _resident(mode: str, nabla: Nabla) -> bool:
 
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
-) -> tuple[SimState, float | None]:
+) -> tuple[SimState, None]:
     """One classical RK4 step of length grid.dtau, in nabla's derivative space
     (the 2/3 band on spectral).
 
-    Returns (new_state, constraint_drift).  With constraint_projection on, in
-    the modes that advance A, the evolved rho of every field is replaced by
-    div A after the step (in a fresh array; the new state shares its input's
-    held channels) and the pre-projection max |rho - div A| is reported;
-    otherwise drift is None.
+    Returns (new_state, None): the pair is kept only because benchmark
+    harnesses that wrap this function read the state as ``[0]``.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
     config.check_step(state.grid)
@@ -321,20 +317,10 @@ def step_rk4(
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    drift = None
-    if config.constraint_projection and adv.start == 0:  # the modes that advance A
-        div_hat = np.stack([space.div(X[k, _A]) for k in range(len(X))])
-        div_a = space.back(div_hat)
-        rho = space.back(X[:, _RHO]) if adv.stop == 7 else hi[:, 0]
-        drift = float(np.abs(rho - div_a).max())
-        if adv.stop == 7:
-            X[:, _RHO] = div_hat
-        else:  # maxwell holds rho, in channels the input state shares
-            hi = np.concatenate([div_a[:, None], hi[:, 1:]], axis=1)
     new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), held_J if resident else None)
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
-    return new, drift
+    return new, None
 
 
 # -- field totals ---------------------------------------------------------------

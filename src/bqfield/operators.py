@@ -110,17 +110,21 @@ class Nabla:
         return sum(self._d(Fh[a], a) for a in range(3))
 
     def _curl(self, Fh):
-        d = self._d
-        return np.stack(
-            [
-                d(Fh[2], 1) - d(Fh[1], 2),
-                d(Fh[0], 2) - d(Fh[2], 0),
-                d(Fh[1], 0) - d(Fh[0], 1),
-            ]
-        )
+        out = None
+        for a in range(3):  # component a is d_b F_c - d_c F_b, (a, b, c) cyclic
+            b, c = (a + 1) % 3, (a + 2) % 3
+            p, q = self._d(Fh[c], b), self._d(Fh[b], c)
+            if out is None:
+                out = np.empty((3,) + p.shape, p.dtype)
+            np.subtract(p, q, out=out[a])
+        return out
 
     def _quaternion_gradient(self, fh, Vh):
-        return -self._div(Vh), self._grad(fh) + self._curl(Vh)
+        # grad f added into the curl's array: no stacked gradient, no temporary sum
+        v = self._curl(Vh)  # complex, as a Biquaternion's parts always are
+        for a in range(3):
+            v[a] += self._d(fh, a)
+        return -self._div(Vh), v
 
     # -- differential operators -------------------------------------------------
     def grad(self, f):
@@ -229,9 +233,6 @@ class DerivativeSpace:
         for band, full in self._blocks:
             fh[full] = X[band]
         return self.nabla.ifftn(fh)
-
-    def div(self, Fh):
-        return self.nabla._div(Fh)
 
     def curl(self, Fh):
         return self.nabla._curl(Fh)

@@ -39,7 +39,6 @@ class RunReport:
     steps_done: int
     tau_final: float
     wall_seconds: float
-    constraint_drift_max: float | None
     delta_w: list = field(default_factory=list)
     classification: str | None = None
     abort: dict | None = None
@@ -66,7 +65,6 @@ class RunReport:
             "series": ser,
             "delta_w": [[t, v] for t, v in self.delta_w],
             "classification": self.classification,
-            "constraint_drift_max": self.constraint_drift_max,
             "abort": self.abort,
             "error": self.error,
             "exit_code": self.exit_code,
@@ -100,7 +98,6 @@ def run_scenario(
     state, nabla = build_state(sc, workers=workers)
     engine = DiagnosticsEngine(sc.grid, sc.medium, sc.mode, nabla, sc.diagnostics)
     engine.sample(state, 0)
-    drift_max: float | None = None
     abort: dict | None = None
     steps_done = 0
 
@@ -115,7 +112,6 @@ def run_scenario(
             steps_done=steps_done,
             tau_final=state.tau,
             wall_seconds=time.perf_counter() - t0,
-            constraint_drift_max=drift_max,
             delta_w=engine.delta_w,
             classification=engine.classification,
             abort=abort,
@@ -133,13 +129,11 @@ def run_scenario(
     try:
         for step in range(1, sc.steps + 1):
             try:
-                state, drift = step_rk4(state, nabla, sc.stepper, steps_done=steps_done)
+                state, _ = step_rk4(state, nabla, sc.stepper, steps_done=steps_done)
             except NumericalAbort as exc:
                 abort = {"tau": exc.tau, "steps": exc.steps, "reason": str(exc)}
                 break
             steps_done = step
-            if drift is not None:
-                drift_max = drift if drift_max is None else max(drift_max, drift)
             engine.sample(state, step)
     except Exception as exc:  # a program fault: write what ran, then re-raise
         finish({"type": type(exc).__name__, "message": str(exc), "tau": state.tau, "steps": steps_done})

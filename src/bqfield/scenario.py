@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import HOLDS_A, MODES, StepperConfig
+from .evolution import MODES, StepperConfig
 from .fields import Grid, Medium
 from .diagnostics import check_specs
 from .operators import Nabla
@@ -295,15 +295,8 @@ def parse_scenario(doc: dict) -> Scenario:
     sd = _object(_take(d, "stepper", "", default={}), "stepper")
     scheme = _take(sd, "scheme", "stepper", default="rk4")
     cfl = _number(_take(sd, "cfl", "stepper", default=0.25), "stepper.cfl")
-    projection = _take(sd, "constraint_projection", "stepper", default=False)
     _done(sd, "stepper")
-    if not isinstance(projection, bool):
-        raise ScenarioError("stepper.constraint_projection must be a boolean")
-    if projection and mode in HOLDS_A:
-        raise ScenarioError(
-            f"stepper.constraint_projection: mode {mode!r} holds A, so it has no rho = div A to project"
-        )
-    stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl, constraint_projection=projection)
+    stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl)
 
     nabla_scheme = _take(d, "nabla", "", default="spectral")
     if nabla_scheme not in Nabla.schemes:

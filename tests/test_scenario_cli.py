@@ -85,7 +85,8 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d.update(stepper={"force_term_reading": "standard"}), "force_term_reading"),
         # the 2/3 rule belongs to the nabla scheme: the stepper has no switch for it
         (lambda d: d.update(stepper={"dealias": True}), "unknown key(s) at stepper: 'dealias'"),
-        (lambda d: d.update(stepper={"constraint_projection": 1}), "stepper.constraint_projection must be a boolean"),
+        (lambda d: d.update(stepper={"constraint_projection": True}),
+         "unknown key(s) at stepper: 'constraint_projection'"),
         # the integral laws share one accumulator: one cadence, region and surface
         (lambda d: d["diagnostics"].extend(
             [{"name": "integral_charge"}, {"name": "integral_energy", "cadence": 2}]),
@@ -436,6 +437,27 @@ def test_cli_unexpected_error_mid_run_writes_partial_summary(tmp_path, capsys, m
     assert len((out / "charge.csv").read_text().splitlines()) == 1 + 1
 
 
+def test_cli_os_error_mid_run_exits_four(tmp_path, capsys, monkeypatch):
+    """An OSError once stepping has begun is a fault of the run, not of the
+    input: the CLI exits 4, as the partial summary.json says."""
+    from bqfield import runner
+
+    real, calls = runner.step_rk4, []
+
+    def fail_on_third_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("disk gone")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "step_rk4", fail_on_third_call)
+    out = tmp_path / "res"
+    assert main(["run", str(write_doc(tmp_path, eigenmode_doc())), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: OSError: disk gone"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 4 and summary["error"]["type"] == "OSError"
+
+
 def test_cli_unexpected_error_while_loading_exits_four(tmp_path, capsys, monkeypatch):
     from bqfield import cli
 
@@ -479,22 +501,19 @@ def test_cli_non_string_diagnostic_name_exits_two(tmp_path, capsys):
     assert "diagnostics[2].name must be a string" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode,code", [
-    ("maxwell", 0), ("interaction", 0), ("united", 0), ("free_theta", 2), ("strong_field", 2)])
-def test_cli_constraint_projection_only_where_a_advances(tmp_path, capsys, mode, code):
-    """Projection resets rho to div A after a step, so a mode that holds A
-    (free_theta, strong_field) rejects it at parse time rather than run
-    without it."""
-    pulse = {"type": "gaussian_pulse", "width": 1.0, "polarization": [1, 0, 0], "scalar": 0.5}
-    field = {"afield": dict(pulse, scalar=0.0), "theta": pulse}
-    doc = {"mode": mode, "grid": {"n": [8, 8, 8]}, "duration": 0.25 * 2 * np.pi / 8,
-           "stepper": {"constraint_projection": True},
-           "initial_conditions": [field] * (2 if mode in ("interaction", "united") else 1)}
-    if mode == "strong_field":
-        doc["background"] = {"type": "uniform", "value": [0.0, 0.0, 0.3]}
-    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == code
-    err = capsys.readouterr().err
-    assert ("stepper.constraint_projection: mode" in err) == (code == 2)
+def test_cli_constraint_projection_exits_two(tmp_path, capsys, monkeypatch):
+    """The stepper has no projection of rho onto div A (the constraint_drift
+    series measures that gap): maxwell, which once took the key, rejects it
+    as unknown before any step."""
+    from bqfield import runner
+
+    steps = []
+    monkeypatch.setattr(runner, "step_rk4", lambda *a, **k: steps.append(a))
+    doc = eigenmode_doc()
+    doc["stepper"] = {"constraint_projection": True}
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
+    assert "unknown key(s) at stepper: 'constraint_projection'" in capsys.readouterr().err
+    assert steps == []
 
 
 @pytest.mark.parametrize("name", ["charge", "reciprocity"])
