@@ -21,13 +21,23 @@ channels, and maxwell's held J, onto the band, as ``build_state`` does the
 initial data; a force mode's first stage reads the input's physical values
 as they are.
 
+``maxwell`` and ``free_theta`` are linear with constant coefficients,
+dX/dtau = L X + f, and on the band their L has L^3 = -|k|^2 L (maxwell:
+L = -i curl = k x; free transport: L = i nabla o with L^2 = -|k|^2).  There
+classical RK4 is one per-wavenumber polynomial, and on spectral
+``step_rk4`` applies it in closed form, X <- X + a L X + b L L X + S with
+a = h - h^3 |k|^2 / 6 and b = h^2 / 2 - h^4 |k|^2 / 24 (``_rk4_gains``):
+the same discrete map as the four stages, to round-off, for two
+applications of L in place of four.  S is maxwell's held source, made once
+per run.  Force modes and central4 evaluate the four stages.
+
 A state holds one representation of its advanced channels.  In the modes
 without a force (``maxwell``, ``free_theta``) on the spectral scheme,
 ``step_rk4`` returns a state that keeps the band coefficients it produced,
 and the next step starts from them with no transform; physical ``U`` is made
 on first read and the coefficients are dropped.  A stepped state shares its
-input's held channels and, in maxwell, the coefficients of the held J, which
-it keeps past a read; so no step writes them, and a caller must not write a
+input's held channels and, in maxwell, the source S, which it keeps past a
+read; so no step writes them, and a caller must not write a
 state's ``U`` in place once it has been stepped (assign ``state.U`` instead).
 """
 
@@ -106,7 +116,10 @@ class _Coefficients(NamedTuple):
     hi: np.ndarray
 
     def physical(self) -> np.ndarray:
-        return np.concatenate([self.lo, self.space.back(self.X), self.hi], axis=1)
+        X = self.space.back(self.X)
+        if not (self.lo.shape[1] or self.hi.shape[1]):  # the mode holds no channel
+            return X
+        return np.concatenate([self.lo, X, self.hi], axis=1)
 
 
 class SimState:
@@ -115,8 +128,8 @@ class SimState:
     ``U`` is the (M, 7, nx, ny, nz) complex state.  A state that ``step_rk4``
     returned may instead hold the coefficients it produced; then ``U`` is made
     on first read, and the state keeps it and drops the coefficients.  The
-    states of one run share their held channels and maxwell's held-J
-    coefficients, so ``U`` is read-only by contract: assigning ``state.U``
+    states of one run share their held channels and maxwell's held source,
+    so ``U`` is read-only by contract: assigning ``state.U``
     drops all of them, writing into it in place corrupts the later states.
     """
 
@@ -124,7 +137,7 @@ class SimState:
                  background: np.ndarray | None = None):
         self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
         self.background = background  # frozen A' for strong_field, (3, nx, ny, nz)
-        self._U, self._coef, self._held_J = U, None, None
+        self._U, self._coef, self._source = U, None, None
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
@@ -132,11 +145,11 @@ class SimState:
         if mode == "strong_field" and background is None:
             raise ValueError("strong_field mode needs a background A'")
 
-    def _stepped(self, tau: float, coef: _Coefficients, held_J=None) -> "SimState":
+    def _stepped(self, tau: float, coef: _Coefficients, source=None) -> "SimState":
         """The state at ``tau`` of this run, held as ``coef``."""
         new = object.__new__(SimState)
         new.tau, new.grid, new.medium, new.mode = tau, self.grid, self.medium, self.mode
-        new.background, new._U, new._coef, new._held_J = self.background, None, coef, held_J
+        new.background, new._U, new._coef, new._source = self.background, None, coef, source
         return new
 
     @property
@@ -147,7 +160,7 @@ class SimState:
 
     @U.setter
     def U(self, U: np.ndarray) -> None:
-        self._U, self._coef, self._held_J = U, None, None
+        self._U, self._coef, self._source = U, None, None
 
     @property
     def n_fields(self) -> int:
@@ -262,7 +275,8 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 
 
 def _resident(mode: str, nabla: Nabla) -> bool:
-    """Whether step_rk4 returns its coefficients rather than physical U.
+    """Whether step_rk4 returns its coefficients rather than physical U, and
+    steps by RK4's closed form.
 
     Only where that removes transforms: on spectral, in the modes whose
     stages never read the physical state.  A force mode reads physical rho, J
@@ -275,11 +289,64 @@ def _resident(mode: str, nabla: Nabla) -> bool:
     return nabla.scheme == "spectral" and mode not in _FORCED
 
 
+def _rk4_gains(space: DerivativeSpace, h: float):
+    """Classical RK4's gains on the band for step h, kept on the space.
+
+    For y' = L y + f with f constant, four stages make the polynomial
+    y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f.
+    Where L^3 = -|k|^2 L it reduces to y + a L y + b L L y + h (f + p1 L f + p2 L L f)
+    with the per-wavenumber (a, b, p1, p2) returned here.
+    """
+    if space.gains is None or space.gains[0] != h:
+        k2 = space.k2()
+        space.gains = h, (h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, h / 2 - h**3 * k2 / 24, h**2 / 6)
+    return space.gains[1]
+
+
+def _linear(space: DerivativeSpace, mode: str, Y: np.ndarray) -> np.ndarray:
+    """L Y for a field stack of the advanced channels of a mode without a
+    force: maxwell's -i curl A, free_theta's transport i nabla o Theta."""
+    LY = np.empty_like(Y)
+    for k, y in enumerate(Y):
+        if mode == "maxwell":
+            np.multiply(space.curl(y), -1j, out=LY[k])
+        else:
+            LY[k, 0], LY[k, 1:] = free_theta_rhs(space, y[0], y[1:])
+    return LY
+
+
+def _rk4_polynomial(space: DerivativeSpace, mode: str, Y: np.ndarray, c1, c2) -> np.ndarray:
+    """Y + c1 L Y + c2 L L Y, with per-wavenumber c1 and c2."""
+    LY = _linear(space, mode, Y)
+    out = _linear(space, mode, LY)
+    out *= c2
+    LY *= c1
+    out += LY
+    out += Y
+    return out
+
+
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, None]:
     """One classical RK4 step of length grid.dtau, in nabla's derivative space
     (the 2/3 band on spectral).
+
+    Where ``_resident`` holds (maxwell and free_theta on spectral) the system
+    is linear with constant coefficients, so the four stages and their
+    combine collapse into one per-wavenumber update,
+
+        X <- X + a L X + b L L X + S,
+        a = h - h^3 |k|^2 / 6,  b = h^2 / 2 - h^4 |k|^2 / 24,
+
+    with L = -i curl (maxwell) or i nabla o (free_theta).  On the band
+    L^3 = -|k|^2 L (maxwell: L = k x; free transport: L^2 = -|k|^2), which
+    folds the cubic and quartic terms of RK4's polynomial into a and b: it is
+    classical RK4's own discrete map, to round-off, with half the derivative
+    work of the stages.  S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24,
+    p2 = h^2 / 6, is maxwell's held source, made once per run and kept on the
+    states; free_theta has none.  Force modes and central4 (where |d(k)|^2
+    is no stencil) run the four stages.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
@@ -296,28 +363,37 @@ def step_rk4(
         # held channels never change, and a rhs need not read them all
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise NumericalAbort(state.tau, steps_done + 1, state)
-    held_J = None
-    if adv.stop < 7:  # maxwell's source, the same in every state of the run
-        held_J = state._held_J if resident and state._held_J is not None else space.to(hi[:, 1:])
+    source = None
+    if resident:
+        a, b, p1, p2 = _rk4_gains(space, dt)
+        X = _rk4_polynomial(space, state.mode, X0, a, b)
+        if adv.stop < 7:  # maxwell's held J, the same in every state of the run
+            source = state._source
+            if source is None:
+                source = _rk4_polynomial(space, state.mode, space.to(hi[:, 1:]), p1, p2)
+                source *= -dt
+            X += source
+    else:
+        held_J = space.to(hi[:, 1:]) if adv.stop < 7 else None
 
-    def rhs(X, tau):
-        at = state  # force modes read stages 2-4 back in physical space
-        if state.mode in _FORCED and X is not X0:
-            at = state._stepped(tau, _Coefficients(space, X, lo, hi))
-        dX = np.empty_like(X)
-        _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv))
-        return dX
+        def rhs(X, tau):
+            at = state  # force modes read stages 2-4 back in physical space
+            if state.mode in _FORCED and X is not X0:
+                at = state._stepped(tau, _Coefficients(space, X, lo, hi))
+            dX = np.empty_like(X)
+            _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv))
+            return dX
 
-    # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes
-    acc = k = rhs(X0, state.tau)
-    for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
-        k = rhs(X0 + c * k, state.tau + c)
-        acc += w * k
-    X = X0 + (dt / 6) * acc
+        # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes
+        acc = k = rhs(X0, state.tau)
+        for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
+            k = rhs(X0 + c * k, state.tau + c)
+            acc += w * k
+        X = X0 + (dt / 6) * acc
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), held_J if resident else None)
+    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), source)
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
     return new, None

@@ -205,11 +205,13 @@ class DerivativeSpace:
     copies), ``back`` scatters into zeros then runs ifftn.  The gather is the
     2/3 rule, so ``dealias`` is ``to``.  On central4 the space is physical and
     all three return their input.  Derivatives go through the Nabla's ``_d``
-    with band-sized ik.  Each Nabla builds one, as ``Nabla.space``.
+    with band-sized ik, and ``k2`` gives their |k|^2 on the band.  Each Nabla
+    builds one, as ``Nabla.space``.
     """
 
     def __init__(self, nabla: Nabla):
         self.nabla = nabla
+        self.gains = None  # the stepper's (step length, gain arrays) on the band
         if nabla.scheme == "spectral":
             self.shape = tuple(2 * (n // 3) + 1 for n in nabla.grid.n)
             self._blocks = [tuple((..., *s) for s in zip(*runs))
@@ -233,6 +235,10 @@ class DerivativeSpace:
         for band, full in self._blocks:
             fh[full] = X[band]
         return self.nabla.ifftn(fh)
+
+    def k2(self):
+        """|k|^2 on the band, from the ik that ``Nabla._d`` multiplies by (spectral)."""
+        return sum(self.nabla._ik[a][m].imag ** 2 for a, m in enumerate(self.shape))
 
     def curl(self, Fh):
         return self.nabla._curl(Fh)

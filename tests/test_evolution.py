@@ -300,6 +300,46 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
     assert np.abs(got.U - ref.U).max() <= tol * np.abs(ref.U).max()
 
 
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_linear_steps_match_reference_rk4_over_200_steps(mode):
+    """The closed-form spectral step stays on classical RK4's map over a long
+    run (maxwell with a nonzero held J), where three steps hide a drift."""
+    g = cube(8, 0.25 * 2 * np.pi / 8)
+    nab, cfg = Nabla(g), StepperConfig()
+    got = ref = random_state(g, mode, seed=29)
+    for i in range(200):
+        got, _ = step_rk4(got, nab, cfg, i)
+        ref = reference_rk4(ref, nab)
+    assert got.tau == ref.tau
+    assert np.abs(got.U - ref.U).max() <= 1e-12 * np.abs(ref.U).max()
+
+
+class DerivativeCountingNabla(Nabla):
+    """Nabla that counts its single-axis derivatives ``_d``."""
+
+    derivatives = 0
+
+    def _d(self, fh, a):
+        self.derivatives += 1
+        return super()._d(fh, a)
+
+
+@pytest.mark.parametrize("mode,per_field,source", [("maxwell", 12, 12), ("free_theta", 24, 0)])
+def test_spectral_linear_step_applies_its_operator_twice(mode, per_field, source):
+    """A spectral maxwell or free_theta step applies L twice per field (curl
+    6 derivatives, nabla o Theta 12), not once per RK4 stage; maxwell's first
+    step applies it twice more to the held J, once per run, even past a read."""
+    g = cube(12, 0.05)
+    nab, counts = DerivativeCountingNabla(g), []
+    st = random_state(g, mode)
+    for i in range(3):
+        before = nab.derivatives
+        st, _ = step_rk4(st, nab, StepperConfig(), i)
+        counts.append(nab.derivatives - before)
+        st.U
+    assert counts == [2 * (per_field + source), 2 * per_field, 2 * per_field]
+
+
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
 def test_resident_steps_match_steps_read_every_step(scheme, mode):
