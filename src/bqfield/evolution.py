@@ -11,33 +11,35 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
                       field's own A is not advanced,
 * ``united``       -- interaction dynamics; the summed field is diagnosed as free.
 
+Every mode's right-hand side is dX/dtau = L X + f over the channels it
+advances (``_rhs``).  The one linear operator L (``_linear``) moves A by
+-i curl A, minus J where J also advances, and Theta by free transport
+i nabla o Theta; f is maxwell's held -J, or the force -Theta o A' / kappa of
+a partner field, the only nonlinear term.
+
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
 units), its stages in the Nabla's derivative space: on spectral the Fourier
 coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.  The
-quadratic coupling -Theta o A', the only nonlinear term, is formed in physical
-space and taken into that space by the scheme's ``dealias`` (the 2/3 rule on
-spectral, none on central4).  So on spectral a step projects the advanced
-channels, and maxwell's held J, onto the band, as ``build_state`` does the
-initial data; a force mode's first stage reads the input's physical values
-as they are.
+force is formed in physical space and taken into that space by the scheme's
+``dealias`` (the 2/3 rule on spectral, none on central4).  So on spectral a
+step projects the advanced channels, and maxwell's held J, onto the band, as
+``build_state`` does the initial data; a force mode's first stage reads the
+input's physical values as they are.
 
-``maxwell`` and ``free_theta`` are linear with constant coefficients,
-dX/dtau = L X + f, and on the band their L has L^3 = -|k|^2 L (maxwell:
-L = -i curl = k x; free transport: L = i nabla o with L^2 = -|k|^2).  There
-classical RK4 is one per-wavenumber polynomial, and on spectral
-``step_rk4`` applies it in closed form, X <- X + a L X + b L L X + S with
-a = h - h^3 |k|^2 / 6 and b = h^2 / 2 - h^4 |k|^2 / 24 (``_rk4_gains``):
-the same discrete map as the four stages, to round-off, for two
-applications of L in place of four.  S is maxwell's held source, made once
-per run.  Force modes and central4 evaluate the four stages.
+In ``maxwell`` and ``free_theta`` f is constant, and on spectral
+``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
+b L L X + S: the same discrete map as the four stages, to round-off, for two
+applications of L in place of four.  The per-wavenumber a, b and maxwell's
+held source S are made once per run and step length (``_closed_form``).
+Force modes and central4 evaluate the four stages.
 
 A state holds one representation of its advanced channels.  In the modes
 without a force (``maxwell``, ``free_theta``) on the spectral scheme,
 ``step_rk4`` returns a state that keeps the band coefficients it produced,
 and the next step starts from them with no transform; physical ``U`` is made
 on first read and the coefficients are dropped.  A stepped state shares its
-input's held channels and, in maxwell, the source S, which it keeps past a
-read; so no step writes them, and a caller must not write a
+input's held channels and the closed form's constants, which it keeps past
+a read; so no step writes them, and a caller must not write a
 state's ``U`` in place once it has been stepped (assign ``state.U`` instead).
 """
 
@@ -59,7 +61,6 @@ __all__ = [
     "NumericalAbort",
     "maxwell_rhs",
     "free_theta_rhs",
-    "interaction_rhs",
     "partner_field",
     "state_rhs",
     "step_rk4",
@@ -128,8 +129,8 @@ class SimState:
     ``U`` is the (M, 7, nx, ny, nz) complex state.  A state that ``step_rk4``
     returned may instead hold the coefficients it produced; then ``U`` is made
     on first read, and the state keeps it and drops the coefficients.  The
-    states of one run share their held channels and maxwell's held source,
-    so ``U`` is read-only by contract: assigning ``state.U``
+    states of one run share their held channels and the closed form's
+    constants, so ``U`` is read-only by contract: assigning ``state.U``
     drops all of them, writing into it in place corrupts the later states.
     """
 
@@ -137,7 +138,7 @@ class SimState:
                  background: np.ndarray | None = None):
         self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
         self.background = background  # frozen A' for strong_field, (3, nx, ny, nz)
-        self._U, self._coef, self._source = U, None, None
+        self._U, self._coef, self._closed = U, None, None
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
@@ -145,11 +146,12 @@ class SimState:
         if mode == "strong_field" and background is None:
             raise ValueError("strong_field mode needs a background A'")
 
-    def _stepped(self, tau: float, coef: _Coefficients, source=None) -> "SimState":
-        """The state at ``tau`` of this run, held as ``coef``."""
+    def _stepped(self, tau: float, coef: _Coefficients, closed=None) -> "SimState":
+        """The state at ``tau`` of this run, held as ``coef``, with the run's
+        closed-form constants ``closed``."""
         new = object.__new__(SimState)
         new.tau, new.grid, new.medium, new.mode = tau, self.grid, self.medium, self.mode
-        new.background, new._U, new._coef, new._source = self.background, None, coef, source
+        new.background, new._U, new._coef, new._closed = self.background, None, coef, closed
         return new
 
     @property
@@ -160,7 +162,7 @@ class SimState:
 
     @U.setter
     def U(self, U: np.ndarray) -> None:
-        self._U, self._coef, self._source = U, None, None
+        self._U, self._coef, self._closed = U, None, None
 
     @property
     def n_fields(self) -> int:
@@ -201,21 +203,6 @@ def _force_biquaternion(rho, J, Aprime) -> Biquaternion:
     return Biquaternion(cdot(J, Aprime), -1j * rho * Aprime - ccross(J, Aprime))
 
 
-def interaction_rhs(nabla: Nabla, medium: Medium, rho: np.ndarray, J: np.ndarray, Aprime: np.ndarray,
-                    physical: tuple[np.ndarray, np.ndarray] | None = None):
-    """(drho, dJ) for kappa D- Theta = -Theta o A' with A' given.
-
-    The scalar part gives drho = -div J - i S / kappa and the vector part
-    dJ = -grad rho + i curl J + V / kappa, where S + V = -Theta o A'.  The
-    force reads ``physical`` = (rho, J) where nabla is a ``DerivativeSpace``,
-    and is 2/3-filtered by the scheme's ``dealias``.
-    """
-    drho, dJ = free_theta_rhs(nabla, rho, J)
-    fbq = _force_biquaternion(*(physical or (rho, J)), Aprime)
-    SV = nabla.dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
-    return drho - 1j * SV[0] / medium.kappa, dJ + SV[1:] / medium.kappa
-
-
 def partner_field(state: SimState, k: int) -> np.ndarray | None:
     """Partner field A' acting on field k, or None where the mode has none.
 
@@ -235,39 +222,50 @@ def _advanced(mode: str) -> slice:
     return slice(3 if mode in _HOLDS_A else 0, 3 if mode == "maxwell" else 7)
 
 
-def _blocks(X: np.ndarray, adv: slice, J=None):
-    """(A, rho, J) views of a stack of the channels adv, else None (or the given J)."""
-    theta = adv.stop == 7
-    return X[:, :3] if adv.start == 0 else None, X[:, -4] if theta else None, X[:, -3:] if theta else J
+def _linear(space, adv: slice, Y: np.ndarray) -> np.ndarray:
+    """L Y for a field stack Y of the channels adv, in space's representation
+    (a Nabla's physical arrays or its ``DerivativeSpace``'s).
 
-
-def _fields_rhs(nabla, state: SimState, src, dst) -> None:
-    """Fill dst = (dA, drho, dJ) (None where held) from src = (A, rho, J),
-    field stacks in nabla's space; the force reads ``state``, in physical space.
-
-    A advances by the Maxwell law except in ``free_theta`` and
-    ``strong_field``; Theta is held in ``maxwell`` and otherwise moves by free
-    transport plus the force of its partner field, where it has one.
+    A moves by -i curl A, minus J where J also advances; Theta by free
+    transport, i nabla o Theta (``free_theta_rhs``).
     """
-    (A, rho, J), (dA, drho, dJ) = src, dst
-    for k in range(state.n_fields):
-        if dA is not None:
-            dA[k] = maxwell_rhs(nabla, A[k], J[k])
-        if drho is None:
-            continue
-        Ap = partner_field(state, k)
-        if Ap is None:
-            drho[k], dJ[k] = free_theta_rhs(nabla, rho[k], J[k])
-        else:
-            drho[k], dJ[k] = interaction_rhs(
-                nabla, state.medium, rho[k], J[k], Ap, (state.U[k, _RHO], state.U[k, _J])
-            )
+    LY = np.empty_like(Y)
+    for y, ly in zip(Y, LY):
+        if adv.start == 0:
+            np.multiply(space.curl(y[:3]), -1j, out=ly[:3])
+            if adv.stop == 7:
+                ly[:3] -= y[-3:]
+        if adv.stop == 7:
+            ly[-4], ly[-3:] = free_theta_rhs(space, y[-4], y[-3:])
+    return LY
+
+
+def _rhs(space, state: SimState, X: np.ndarray, held_J=None) -> np.ndarray:
+    """L X + f for a field stack X of the channels the mode advances, in
+    space's representation.
+
+    f is maxwell's -J for the ``held_J`` given, or in a force mode
+    -Theta o A' / kappa of each field's partner, formed from ``state`` in
+    physical space and taken into space's representation by its ``dealias``.
+    """
+    dX = _linear(space, _advanced(state.mode), X)
+    if held_J is not None:
+        dX -= held_J
+    if state.mode not in _FORCED:
+        return dX
+    for k in range(len(X)):
+        fbq = _force_biquaternion(state.U[k, _RHO], state.U[k, _J], partner_field(state, k))
+        SV = space.dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
+        dX[k, -4] -= 1j * SV[0] / state.medium.kappa
+        dX[k, -3:] += SV[1:] / state.medium.kappa
+    return dX
 
 
 def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     """Time derivative of the full state array (zero in the channels held)."""
-    dU = np.zeros_like(state.U)
-    _fields_rhs(nabla, state, _blocks(state.U, slice(0, 7)), _blocks(dU, _advanced(state.mode)))
+    U, adv = state.U, _advanced(state.mode)
+    dU = np.zeros_like(U)
+    dU[:, adv] = _rhs(nabla, state, U[:, adv], U[:, _J] if adv.stop < 7 else None)
     return dU
 
 
@@ -289,36 +287,35 @@ def _resident(mode: str, nabla: Nabla) -> bool:
     return nabla.scheme == "spectral" and mode not in _FORCED
 
 
-def _rk4_gains(space: DerivativeSpace, h: float):
-    """Classical RK4's gains on the band for step h, kept on the space.
+class _ClosedForm(NamedTuple):
+    """The closed form's constants for step length h (source: None in free_theta)."""
+
+    h: float
+    a: np.ndarray
+    b: np.ndarray
+    source: np.ndarray | None
+
+
+def _closed_form(space: DerivativeSpace, adv: slice, h: float, hi: np.ndarray) -> _ClosedForm:
+    """Classical RK4's constants on the band for step h.
 
     For y' = L y + f with f constant, four stages make the polynomial
     y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f.
-    Where L^3 = -|k|^2 L it reduces to y + a L y + b L L y + h (f + p1 L f + p2 L L f)
-    with the per-wavenumber (a, b, p1, p2) returned here.
+    Where L^3 = -|k|^2 L it reduces to y + a L y + b L L y + h (f + p1 L f + p2 L L f).
+    maxwell's f is -J of the held channels ``hi``.
     """
-    if space.gains is None or space.gains[0] != h:
-        k2 = space.k2()
-        space.gains = h, (h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, h / 2 - h**3 * k2 / 24, h**2 / 6)
-    return space.gains[1]
+    k2 = space.k2()
+    source = None
+    if adv.stop < 7:
+        source = _rk4_polynomial(space, adv, space.to(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
+        source *= -h
+    return _ClosedForm(h, h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, source)
 
 
-def _linear(space: DerivativeSpace, mode: str, Y: np.ndarray) -> np.ndarray:
-    """L Y for a field stack of the advanced channels of a mode without a
-    force: maxwell's -i curl A, free_theta's transport i nabla o Theta."""
-    LY = np.empty_like(Y)
-    for k, y in enumerate(Y):
-        if mode == "maxwell":
-            np.multiply(space.curl(y), -1j, out=LY[k])
-        else:
-            LY[k, 0], LY[k, 1:] = free_theta_rhs(space, y[0], y[1:])
-    return LY
-
-
-def _rk4_polynomial(space: DerivativeSpace, mode: str, Y: np.ndarray, c1, c2) -> np.ndarray:
+def _rk4_polynomial(space: DerivativeSpace, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
     """Y + c1 L Y + c2 L L Y, with per-wavenumber c1 and c2."""
-    LY = _linear(space, mode, Y)
-    out = _linear(space, mode, LY)
+    LY = _linear(space, adv, Y)
+    out = _linear(space, adv, LY)
     out *= c2
     LY *= c1
     out += LY
@@ -339,14 +336,16 @@ def step_rk4(
         X <- X + a L X + b L L X + S,
         a = h - h^3 |k|^2 / 6,  b = h^2 / 2 - h^4 |k|^2 / 24,
 
-    with L = -i curl (maxwell) or i nabla o (free_theta).  On the band
-    L^3 = -|k|^2 L (maxwell: L = k x; free transport: L^2 = -|k|^2), which
-    folds the cubic and quartic terms of RK4's polynomial into a and b: it is
-    classical RK4's own discrete map, to round-off, with half the derivative
-    work of the stages.  S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24,
-    p2 = h^2 / 6, is maxwell's held source, made once per run and kept on the
-    states; free_theta has none.  Force modes and central4 (where |d(k)|^2
-    is no stencil) run the four stages.
+    with L = -i curl (maxwell) or i nabla o (free_theta), the L of every
+    stage.  On the band L^3 = -|k|^2 L (maxwell: L = k x; free transport:
+    L^2 = -|k|^2), which folds the cubic and quartic terms of RK4's
+    polynomial into a and b: it is classical RK4's own discrete map, to
+    round-off, with half the derivative work of the stages.
+    S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6,
+    is maxwell's held source; free_theta has none.  a, b and S are made once
+    per run and step length and kept on the states, so a changed grid.dtau
+    makes them anew.  Force modes and central4 (where |d(k)|^2 is no
+    stencil) run the four stages on the same L X + f.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
@@ -363,16 +362,14 @@ def step_rk4(
         # held channels never change, and a rhs need not read them all
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise NumericalAbort(state.tau, steps_done + 1, state)
-    source = None
+    closed = None
     if resident:
-        a, b, p1, p2 = _rk4_gains(space, dt)
-        X = _rk4_polynomial(space, state.mode, X0, a, b)
-        if adv.stop < 7:  # maxwell's held J, the same in every state of the run
-            source = state._source
-            if source is None:
-                source = _rk4_polynomial(space, state.mode, space.to(hi[:, 1:]), p1, p2)
-                source *= -dt
-            X += source
+        closed = state._closed
+        if closed is None or closed.h != dt:
+            closed = _closed_form(space, adv, dt, hi)
+        X = _rk4_polynomial(space, adv, X0, closed.a, closed.b)
+        if closed.source is not None:
+            X += closed.source
     else:
         held_J = space.to(hi[:, 1:]) if adv.stop < 7 else None
 
@@ -380,9 +377,7 @@ def step_rk4(
             at = state  # force modes read stages 2-4 back in physical space
             if state.mode in _FORCED and X is not X0:
                 at = state._stepped(tau, _Coefficients(space, X, lo, hi))
-            dX = np.empty_like(X)
-            _fields_rhs(space, at, _blocks(X, adv, held_J), _blocks(dX, adv))
-            return dX
+            return _rhs(space, at, X, held_J)
 
         # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes
         acc = k = rhs(X0, state.tau)
@@ -393,7 +388,7 @@ def step_rk4(
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), source)
+    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), closed)
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
     return new, None

@@ -211,7 +211,6 @@ class DerivativeSpace:
 
     def __init__(self, nabla: Nabla):
         self.nabla = nabla
-        self.gains = None  # the stepper's (step length, gain arrays) on the band
         if nabla.scheme == "spectral":
             self.shape = tuple(2 * (n // 3) + 1 for n in nabla.grid.n)
             self._blocks = [tuple((..., *s) for s in zip(*runs))

@@ -310,6 +310,8 @@ def parse_scenario(doc: dict) -> Scenario:
     duration = _number(_take(d, "duration", "", required=True), "duration")
     if duration <= 0:
         raise ScenarioError("duration must be positive")
+    if not np.isfinite(duration / grid.dtau):
+        raise ScenarioError(f"duration = {duration} overflows the step count at dtau = {grid.dtau}")
     steps = int(round(duration / grid.dtau))
     if steps < 1 or abs(steps * grid.dtau - duration) > 1e-9 * max(1.0, duration):
         raise ScenarioError(

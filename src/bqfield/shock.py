@@ -39,10 +39,11 @@ def _unit(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3,):
         raise ValueError(f"normal must be a 3-vector, got shape {m.shape}")
-    nrm = np.linalg.norm(m)
-    if not nrm > 0:
-        raise ValueError("normal must be nonzero")
-    return m / nrm
+    scale = np.abs(m).max()
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError("normal must be finite and nonzero")
+    m = m / scale  # the norm of 1e308-sized components would overflow
+    return m / np.linalg.norm(m)
 
 
 @dataclass(eq=False)

@@ -207,6 +207,34 @@ def test_state_rhs_transforms_per_field(scheme, mode, per_field):
     assert nab.transforms == (2 * per_field if scheme == "spectral" else 0)
 
 
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", MODES)
+def test_state_rhs_is_the_modes_symbol(mode, scheme):
+    """state_rhs on one Fourier mode of one field with A' = 0 (so no force)
+    equals each mode's symbol, stated here on its own: dA = k x A - J where A
+    advances, drho = -i k.J and dJ = -i k rho - k x J where Theta does, zero
+    where held, with k the scheme's first-derivative symbol."""
+    g = cube(8, 0.05)
+    k, h = np.array([1, -2, 3]), g.h[0]
+    kd = k if scheme == "spectral" else (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
+    rng = np.random.default_rng(41)
+    c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    X, Y, Z = g.meshgrid()
+    wave = np.exp(1j * (k[0] * X + k[1] * Y + k[2] * Z))
+    bg = np.zeros((3,) + g.shape, complex) if mode == "strong_field" else None
+    st = SimState(0.0, (c[:, None, None, None] * wave)[None], g, Medium(kappa=1.5), mode, bg)
+    A, rho, J = c[:3], c[3], c[4:]
+    d = np.zeros(7, complex)
+    if mode not in ("free_theta", "strong_field"):
+        d[:3] = np.cross(kd, A) - J
+    if mode != "maxwell":
+        d[3] = -1j * kd @ J
+        d[4:] = -1j * kd * rho - np.cross(kd, J)
+    expect = d[:, None, None, None] * wave
+    got = state_rhs(st, Nabla(g, scheme=scheme))
+    assert np.abs(got[0] - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def random_state(g, mode, seed=14, m=2, scheme="spectral"):
     """White noise under the scheme's 2/3 rule, as build_state filters the
     initial data: the spectral stepper holds only the band."""
@@ -312,6 +340,21 @@ def test_linear_steps_match_reference_rk4_over_200_steps(mode):
         ref = reference_rk4(ref, nab)
     assert got.tau == ref.tau
     assert np.abs(got.U - ref.U).max() <= 1e-12 * np.abs(ref.U).max()
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_closed_form_follows_a_dtau_change(mode):
+    """The closed-form constants (a, b and maxwell's held source) belong to
+    one step length: after grid.dtau changes mid-run, a spectral step equals
+    one from a fresh state at the new dtau."""
+    g = cube(8, 0.15)
+    nab, cfg = Nabla(g), StepperConfig()
+    st, _ = step_rk4(random_state(g, mode, seed=37), nab, cfg)
+    g.dtau = 0.05
+    got, _ = step_rk4(st, nab, cfg)
+    ref, _ = step_rk4(SimState(st.tau, st.U.copy(), g, st.medium, mode), nab, cfg)
+    assert got.tau == ref.tau
+    assert np.abs(got.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
 
 
 class DerivativeCountingNabla(Nabla):

@@ -110,6 +110,7 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d["diagnostics"].append({"name": ["charge"]}), "diagnostics[2].name must be a string"),
         # numbers are finite: NaN or an infinity is an input error, not a crash or a NaN run
         (lambda d: d.update(duration=float("nan")), "duration must be a finite number"),
+        (lambda d: d.update(duration=1e308), "duration"),
         (lambda d: d["initial_conditions"][0]["afield"].update(amplitude=float("inf")), "amplitude must be a finite"),
     ],
 )
@@ -570,15 +571,20 @@ def test_cli_roots_output(capsys):
     assert main(["roots", "--m", "0,0,2"]) == 0
     out = capsys.readouterr().out.split()
     np.testing.assert_allclose([float(x) for x in out], [-1, -1, 1, 1], atol=1e-10)
+    # components whose norm overflows still name a direction
+    assert main(["roots", "--m", "1e308,1e308,0"]) == 0
+    out = capsys.readouterr().out.split()
+    np.testing.assert_allclose([float(x) for x in out], [-1, -1, 1, 1], atol=1e-10)
     assert main(["roots", "--m", "1,2"]) == 2
 
 
 def test_cli_zero_normal_exits_two_under_optimize(tmp_path):
-    """The normal checks are not asserts: under python -O a zero normal still
-    exits 2 from both shock-check and roots."""
+    """The normal checks are not asserts: under python -O a zero or
+    non-finite normal still exits 2 from both shock-check and roots."""
     front = tmp_path / "front.json"
     front.write_text(json.dumps({"m": [0, 0, 0]}))
-    for argv in (["shock-check", str(front)], ["roots", "--m", "0,0,0"], ["roots", "--m", "1,2"]):
+    for argv in (["shock-check", str(front)], ["roots", "--m", "0,0,0"], ["roots", "--m", "1,2"],
+                 ["roots", "--m", "inf,0,0"], ["roots", "--m", "nan,0,1"]):
         code = f"import sys; from bqfield.cli import main; sys.exit(main({argv!r}))"
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert r.returncode == 2, (argv, r.stdout, r.stderr)
