@@ -59,7 +59,6 @@ __all__ = [
     "StepperConfig",
     "SimState",
     "NumericalAbort",
-    "maxwell_rhs",
     "free_theta_rhs",
     "partner_field",
     "state_rhs",
@@ -181,11 +180,6 @@ class SimState:
 
 
 # -- right-hand sides ---------------------------------------------------------
-
-
-def maxwell_rhs(nabla: Nabla, A: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """dA/dtau from dA/dtau + i curl A + J = 0."""
-    return -1j * nabla.curl(A) - J
 
 
 def free_theta_rhs(nabla: Nabla, rho: np.ndarray, J: np.ndarray):

@@ -24,6 +24,10 @@ from .operators import Nabla
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "build_preset"]
 
+# The most steps a run may take: a finite duration past it (1e18 at the 8^3
+# default dtau is 5.1e18 steps) would parse into a run that cannot end.
+MAX_STEPS = 10**9
+
 
 class ScenarioError(ValueError):
     """Raised for malformed or inconsistent scenario input."""
@@ -310,8 +314,9 @@ def parse_scenario(doc: dict) -> Scenario:
     duration = _number(_take(d, "duration", "", required=True), "duration")
     if duration <= 0:
         raise ScenarioError("duration must be positive")
-    if not np.isfinite(duration / grid.dtau):
-        raise ScenarioError(f"duration = {duration} overflows the step count at dtau = {grid.dtau}")
+    if not duration / grid.dtau <= MAX_STEPS:
+        raise ScenarioError(f"duration = {duration} overflows the step count cap "
+                            f"MAX_STEPS = {MAX_STEPS} at dtau = {grid.dtau}")
     steps = int(round(duration / grid.dtau))
     if steps < 1 or abs(steps * grid.dtau - duration) > 1e-9 * max(1.0, duration):
         raise ScenarioError(

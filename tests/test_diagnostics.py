@@ -31,7 +31,6 @@ from bqfield import (
     first_law_residual,
     integral_laws,
     interaction_energy,
-    maxwell_rhs,
     power_force,
     poynting_residual,
     reciprocity_residual,
@@ -677,12 +676,59 @@ def test_strong_field_charge_laws_converge():
     assert i1 <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "mode,M,transforms,totals,partners",
+    [("united", 2, 46, 3, 4), ("maxwell", 1, 37, 3, 2), ("strong_field", 1, 32, 3, 2)],
+)
+def test_engine_sample_forms_each_derived_field_once(monkeypatch, mode, M, transforms, totals,
+                                                     partners):
+    """One steady-state sample with all 14 series at cadence 1 makes one
+    record of the new state.  The laws share its totals, partners and charge;
+    the window's first state kept its charge (div A_tot, or rho_tot) from when
+    it was last in a window, and the middle one its rho source.  A record
+    left in a window keeps no field larger than one grid channel."""
+    from bqfield import StepperConfig, diagnostics, step_rk4
+
+    g = cube(12)
+    nab = Nabla(g)
+    rng = np.random.default_rng(3)
+    bg = nab.dealias(rng.standard_normal((3,) + g.shape) + 0j) if mode == "strong_field" else None
+    st = SimState(0.0, nab.dealias(rng.standard_normal((M, 7) + g.shape) + 0j), g, Medium(), mode, bg)
+    eng = DiagnosticsEngine(g, Medium(), mode, nab, [{"name": n} for n in diagnostics.DIAGNOSTIC_NAMES])
+    for step in range(4):
+        eng.sample(st, step)
+        st, _ = step_rk4(st, nab, StepperConfig(), step)
+
+    calls = {"transforms": 0, "totals": 0, "partners": 0}
+
+    def counted(key, fn, units=lambda *a: 1):
+        def wrapper(*args):
+            calls[key] += units(*args)
+            return fn(*args)
+        return wrapper
+
+    def channels(self, f):
+        return int(np.prod(np.shape(f)[:-3]))
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(Nabla, name, counted("transforms", getattr(Nabla, name), channels))
+    monkeypatch.setattr(diagnostics, "field_totals", counted("totals", diagnostics.field_totals))
+    monkeypatch.setattr(diagnostics, "partner_field", counted("partners", diagnostics.partner_field))
+    eng.sample(st, 4)
+    assert calls == {"transforms": transforms, "totals": totals, "partners": partners}
+    for win in eng._windows.values():
+        for rec in win:
+            kept = [v for k, v in vars(rec).items() if k not in ("nabla", "state")]
+            assert kept and all(v is None or isinstance(v, np.ndarray) and v.size <= np.prod(g.shape)
+                                for v in kept)
+
+
 def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
     """Windows of a stepped run are uniform to round-off, even deep into a
     long run where tau carries an ulp of drift per step (5e-13 at tau = 6667,
     dtau = 1/3; 7e-12 at tau = 33333): every one is evaluated.  A window that
     is really uneven raises instead of being dropped."""
-    from bqfield import StepperConfig, step_rk4, united_field
+    from bqfield import StepperConfig, step_rk4
 
     g, med = cube(4, dtau=0.05), Medium()
     nab = Nabla(g)
@@ -707,7 +753,6 @@ def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
     for step, s in enumerate(late):
         eng.sample(s, step)
     assert len(eng.finalize()["charge"].rows) == 4
-    united_field(*late[:3], nab)
 
     eng = DiagnosticsEngine(g, med, "free_theta", nab, specs[:1])
     eng.sample(SimState(0.0, U, g, med, "free_theta"), 0)

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from bqfield import (
+    DiagnosticsEngine,
     Grid,
     Medium,
     Nabla,
@@ -17,10 +18,8 @@ from bqfield import (
     StepperConfig,
     field_totals,
     free_theta_rhs,
-    maxwell_rhs,
     state_rhs,
     step_rk4,
-    united_field,
 )
 from bqfield.evolution import MODES
 from bqfield.runner import build_state
@@ -65,7 +64,7 @@ def test_maxwell_rhs_eigenmode():
     g = cube(16, 0.05)
     nab = Nabla(g)
     A = circular_afield(g, k=1.0)
-    rhs = maxwell_rhs(nab, A, np.zeros_like(A))
+    rhs = state_rhs(pack_state(g, Medium(), "maxwell", A=A), nab)[0, 0:3]
     np.testing.assert_allclose(rhs, -1j * A, atol=1e-12)
 
 
@@ -75,7 +74,7 @@ def test_maxwell_rhs_static_source():
     nab = Nabla(g)
     rng = np.random.default_rng(1)
     J = rng.standard_normal((3,) + g.shape) + 0j
-    rhs = maxwell_rhs(nab, np.zeros_like(J), J)
+    rhs = state_rhs(pack_state(g, Medium(), "maxwell", J=J), nab)[0, 0:3]
     np.testing.assert_array_equal(rhs, -J)
 
 
@@ -573,9 +572,18 @@ def test_stepping_never_writes_its_input(mode, scheme):
 
 
 def test_united_field_freeness_residual_measures_truncation():
+    """The engine's freeness series is max |D- Theta_total| of the united
+    field, with a centred tau difference of the neighbouring snapshots."""
     g = cube(16, 0.01)
     nab = Nabla(g)
     med = Medium()
+
+    def freeness(snaps):
+        eng = DiagnosticsEngine(g, med, "united", nab, [{"name": "freeness"}])
+        for step, s in enumerate(snaps):
+            eng.sample(s, step)
+        (row,) = eng.finalize()["freeness"].rows
+        return row[1]
 
     def snap(tau):
         rho, J = charge_wave(g, tau)
@@ -586,7 +594,8 @@ def test_united_field_freeness_residual_measures_truncation():
         return SimState(tau, U, g, med, "united")
 
     d = 0.01
-    _, th_tot, resid = united_field(snap(0.1 - d), snap(0.1), snap(0.1 + d), nab)
+    resid = freeness([snap(0.1 - d), snap(0.1), snap(0.1 + d)])
+    th_tot = field_totals(snap(0.1))[1]
     # exact solution: residual is the centred-difference truncation d^2/6 * amp
     amp = 1.5
     expect = d**2 / 6 * amp
@@ -600,7 +609,8 @@ def test_united_field_freeness_residual_measures_truncation():
         U[1, 3], U[1, 4:7] = -rho, -J
         return SimState(tau, U, g, med, "united")
 
-    _, th0, r0 = united_field(snap_cancel(0.0), snap_cancel(d), snap_cancel(2 * d), nab)
+    r0 = freeness([snap_cancel(0.0), snap_cancel(d), snap_cancel(2 * d)])
+    th0 = field_totals(snap_cancel(d))[1]
     assert np.abs(th0.rho).max() == 0.0
     assert r0 == 0.0
 

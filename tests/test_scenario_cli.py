@@ -111,6 +111,9 @@ def test_parse_minimal_scenario_defaults():
         # numbers are finite: NaN or an infinity is an input error, not a crash or a NaN run
         (lambda d: d.update(duration=float("nan")), "duration must be a finite number"),
         (lambda d: d.update(duration=1e308), "overflows the step count"),
+        # a finite duration past the step cap would start a run that cannot end
+        (lambda d: d.update(duration=1e18),
+         "duration = 1e+18 overflows the step count cap MAX_STEPS = 1000000000"),
         (lambda d: d["initial_conditions"][0]["afield"].update(amplitude=float("inf")), "amplitude must be a finite"),
     ],
 )
