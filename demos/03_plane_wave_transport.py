@@ -28,7 +28,7 @@ for steps in (128, 256):
     state = SimState(0.0, U, grid, medium, "maxwell")
     start = state.U[0, 0:3].copy()
 
-    engine = DiagnosticsEngine(grid, medium, "maxwell", nabla, [
+    engine = DiagnosticsEngine(nabla, [
         {"name": "charge", "cadence": 1},
         {"name": "poynting", "cadence": 1},
     ])

@@ -26,7 +26,7 @@ U = np.zeros((1, 7) + grid.shape, dtype=np.complex128)
 U[0, 4:7] = amp * nabla.grad(gauss)  # longitudinal current, no charge yet
 state = SimState(0.0, U, grid, medium, "free_theta")
 
-engine = DiagnosticsEngine(grid, medium, "free_theta", nabla, [
+engine = DiagnosticsEngine(nabla, [
     {"name": "box_rho", "cadence": 1},
     {"name": "first_law", "cadence": 1},
 ])

@@ -25,7 +25,7 @@ a1 = AField(grid, base)
 
 for label, factor in (("identical", 1.0), ("opposite", -1.0), ("orthogonal", 1j)):
     a2 = AField(grid, factor * base)
-    ie = interaction_energy([a1, a2], medium)
+    ie = interaction_energy([a1, a2])
     print(f"{label:>10}: classification = {ie.classification:>8}, "
           f"integrated cross energy = {ie.delta_w_integral:+.3e}, "
           f"decomposition residual = {ie.decomposition_residual:.2e}")

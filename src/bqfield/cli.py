@@ -53,6 +53,9 @@ __all__ = ["main"]
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
     try:
         sc = load_scenario(args.scenario)
         out = Path(args.out or sc.output_dir or os.environ.get("BQFIELD_OUT") or "bqfield_out")
@@ -162,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except Exception as exc:  # a fault of the program, not of the input: not the breach code

@@ -160,7 +160,7 @@ class EnergyMomentum:
     Xi: Biquaternion
 
 
-def energy_momentum(a: AField, medium: Medium) -> EnergyMomentum:
+def energy_momentum(a: AField) -> EnergyMomentum:
     """W = 0.5 sum |A_k|^2 = 0.5(eps|E|^2 + mu|H|^2), P = 0.5 i [A, conj A] = E x H / c;
     A already carries the medium."""
     W, P = _density(a.A), _momentum(a.A)
@@ -183,7 +183,7 @@ class CurrentEnergy:
         )
 
 
-def current_energy(theta: ChargeCurrent, medium: Medium) -> CurrentEnergy:
+def current_energy(theta: ChargeCurrent) -> CurrentEnergy:
     """Q = 0.5 sum |J_k|^2, P_J = 0.5 i [J, conj J] = [j_H, j_E] / c; Theta
     already carries the medium."""
     J, rho = theta.J, theta.rho
@@ -321,9 +321,7 @@ class InteractionEnergy:
     classification: str
 
 
-def interaction_energy(
-    afields: list[AField], medium: Medium, tol: float = 1e-12
-) -> InteractionEnergy:
+def interaction_energy(afields: list[AField], tol: float = 1e-12) -> InteractionEnergy:
     """Xi(sum A) = sum Xi^k + delta Xi with delta Xi = sum_{k<l} Xi^{kl}.
 
     Xi^{kl} = 0.5 (A^k o A*^l + A^l o A*^k); delta W = Re scalar of delta Xi
@@ -335,19 +333,14 @@ def interaction_energy(
         raise ValueError("need at least one field")
     grid = afields[0].grid
     A = [a.A for a in afields]
-    xi_fields = [energy_momentum(a, medium).Xi for a in afields]
+    xi_fields = [energy_momentum(a).Xi for a in afields]
     xi_cross = {(k, l): _cross_xi(A[k], A[l]) for k, l in combinations(range(len(A)), 2)}
-    xi_total = energy_momentum(AField(grid, sum(A)), medium).Xi
+    xi_total = energy_momentum(AField(grid, sum(A))).Xi
     delta_xi = sum(xi_cross.values(), Biquaternion(grid.zeros_scalar(), grid.zeros_vector()))
     resid = (xi_total - sum(xi_fields, delta_xi)).linf()
     dV = float(np.prod(grid.h))
     dw = float(delta_xi.scalar.real.sum() * dV)
-    if dw > tol:
-        cls = "release"
-    elif dw < -tol:
-        cls = "absorb"
-    else:
-        cls = "conserve"
+    cls = "release" if dw > tol else "absorb" if dw < -tol else "conserve"
     return InteractionEnergy(
         xi_fields=xi_fields,
         xi_cross=xi_cross,
@@ -442,25 +435,26 @@ class BoxRegion:
 
 class FluxSurface:
     """Open rectangle S in the plane ``axis=index``: full along one tangent axis,
-    a [j0, j1) run of 1..n cells along the other; oriented by +e_axis."""
+    a [j0, j1) run of 1..n cells along the other; oriented by +e_axis.  The
+    grid is periodic: ``index`` and ``j0`` are kept modulo n, ``j1`` with j0."""
 
     def __init__(self, grid: Grid, axis: int, index: int, part_axis: int, j0: int, j1: int):
         if axis == part_axis or not {axis, part_axis} <= {0, 1, 2}:
             raise ValueError(f"axis and part_axis must be distinct in 0..2, got {axis}, {part_axis}")
         if not 0 < j1 - j0 <= grid.n[part_axis]:
             raise ValueError(f"the run j1 - j0 must be in 1..{grid.n[part_axis]}, got [{j0}, {j1})")
-        self.grid, self.axis, self.index = grid, axis, index
-        self.part_axis = part_axis
-        self.full_axis = 3 - axis - part_axis
-        self.j0, self.j1 = j0, j1
-        self.w_part = _axis_weights(grid, part_axis, j0, j1)
+        self.grid, self.axis, self.index = grid, axis, index % grid.n[axis]
+        self.part_axis, self.full_axis = part_axis, 3 - axis - part_axis
+        self.j0 = j0 % grid.n[part_axis]
+        self.j1 = self.j0 + (j1 - j0)
+        self.w_part = _axis_weights(grid, part_axis, self.j0, self.j1)
         self.w_full = _axis_weights(grid, self.full_axis, 0, grid.n[self.full_axis])
         # the contour runs along the full axis; +1 when (axis, part, full) is cyclic
         self.sign = 1.0 if (part_axis - axis) % 3 == 1 else -1.0
 
     def _plane(self, f):
         sl = [slice(None)] * 3
-        sl[self.axis] = self.index % self.grid.n[self.axis]
+        sl[self.axis] = self.index
         return f[tuple(sl)]
 
     def surface_integral(self, f):
@@ -472,7 +466,7 @@ class FluxSurface:
 
     def _line_integral(self, f, j: int):
         sl = [slice(None)] * 3
-        sl[self.axis] = self.index % self.grid.n[self.axis]
+        sl[self.axis] = self.index
         sl[self.part_axis] = j % self.grid.n[self.part_axis]
         return (f[tuple(sl)] * self.w_full).sum()
 
@@ -653,14 +647,14 @@ def _worst(norms) -> tuple[float, float]:
 
 def _charge_law(e, r, a, th, d):
     rho_m, rho_p = r[0].charge, r[2].charge
-    if _advanced(e.mode).start and (rho_src := r[1].rho_source) is not None:
+    if _advanced(r[1].state.mode).start and (rho_src := r[1].rho_source) is not None:
         # where A is held, rho's force source is taken out of the centred difference
         rho_m, rho_p = rho_m + d * rho_src, rho_p - d * rho_src
     return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
 
 
 def _energy_law(e, r):
-    ie = interaction_energy([r.state.afield(k) for k in range(r.state.n_fields)], e.medium)
+    ie = interaction_energy([r.state.afield(k) for k in range(r.state.n_fields)])
     e.delta_w.append((r.state.tau, ie.delta_w_integral))
     e.classification = ie.classification
     return ie.decomposition_residual, ie.decomposition_residual
@@ -684,9 +678,9 @@ class Law(NamedTuple):
 LAWS = {
     "charge": Law("window", _charge_law),
     "poynting": Law("window", lambda e, r, a, th, d: poynting_residual(
-        e.nabla, e.medium, *a, th[1], d)),
+        e.nabla, r[1].state.medium, *a, th[1], d)),
     "first_law": Law("window", lambda e, r, a, th, d: _worst(
-        first_law_residual(e.nabla, e.medium, *(x.state.theta(k) for x in r), d, ap)
+        first_law_residual(e.nabla, r[1].state.medium, *(x.state.theta(k) for x in r), d, ap)
         for k, ap in enumerate(r[1].partners))),
     "box_rho": Law("window", lambda e, r, a, th, d: box_rho_residual(
         e.nabla, *(t.rho for t in th), d)),
@@ -697,7 +691,7 @@ LAWS = {
     "constraint_drift": Law("pointwise", lambda e, r: _worst(constraint_drift_residual(
         e.nabla, r.state.afield(k), r.state.theta(k)) for k in range(r.state.n_fields))),
     "interaction_power_eh": Law("pointwise", lambda e, r: _worst(
-        interaction_power_eh(r.state.theta(k), ap, e.medium)
+        interaction_power_eh(r.state.theta(k), ap, r.state.medium)
         for k, ap in enumerate(r.partners) if ap is not None)),
     "interaction_power_bd": Law("pointwise", lambda e, r: _worst(
         interaction_power_bd(r.state.theta(k), ap)
@@ -723,10 +717,10 @@ def _bounds(v):
 def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSurface | None]:
     """Check diagnostics specs on ``grid``; the one home of their rules.
 
-    Every name is known and given once, cadence >= 1, tolerance > 0, and
-    every region and surface given is built; the integral series share one
-    cadence, one region and one surface.  Errors name the spec as
-    ``diagnostics[i]``.  Returns the integral laws' cadence, region (the
+    Every name is known and given once, cadence >= 1, tolerance > 0, only
+    integral series give a region or surface, and each one given is built;
+    the integral series share one cadence, one region and one surface.
+    Errors name the spec as ``diagnostics[i]``.  Returns the integral laws' cadence, region (the
     whole box by default) and surface (by default, with a region, an open
     rectangle on its lo face, else None); all None without integral series.
     """
@@ -745,6 +739,8 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
             raise ValueError(f"{p}.tolerance must be positive, got {spec['tolerance']}")
         for key, make in (("region", BoxRegion), ("surface", FluxSurface)):
             if spec.get(key) is not None:
+                if LAWS[name].kind != "integral":
+                    raise ValueError(f"{p}.{key}: only the integral series take a {key}")
                 try:
                     given[key] = make(grid, **spec[key])
                 except ValueError as exc:
@@ -770,6 +766,8 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
 class DiagnosticsEngine:
     """Evaluates a configured set of residual series along a run.
 
+    The grid is ``nabla.grid``; every law reads the medium and the mode from
+    the state it samples, so one engine measures a run in that run's terms.
     ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance,
     region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's arguments),
     all but the name optional; ``check_specs`` checks them.  Call
@@ -784,15 +782,15 @@ class DiagnosticsEngine:
     it or is not finite.
     """
 
-    def __init__(self, grid: Grid, medium: Medium, mode: str, nabla: Nabla, specs):
-        self.grid, self.medium, self.mode, self.nabla = grid, medium, mode, nabla
+    def __init__(self, nabla: Nabla, specs):
+        self.nabla = nabla
         self.series: dict[str, ResidualSeries] = {}
         self.cadence: dict[str, int] = {}
         self._windows: dict[int, deque] = {}
         self._acc: IntegralLawAccumulator | None = None
         self.delta_w: list[tuple[float, float]] = []
         self.classification: str | None = None
-        self._acc_cadence, region, surface = check_specs(grid, specs)
+        self._acc_cadence, region, surface = check_specs(nabla.grid, specs)
         for spec in specs:
             name, cad = spec["name"], spec.get("cadence", 1)
             self.series[name] = ResidualSeries(name, spec.get("tolerance"))

@@ -58,6 +58,7 @@ __all__ = [
     "MODES",
     "StepperConfig",
     "SimState",
+    "check_background",
     "NumericalAbort",
     "free_theta_rhs",
     "partner_field",
@@ -125,25 +126,25 @@ class _Coefficients(NamedTuple):
 class SimState:
     """Snapshot of all interacting fields at one tau.
 
-    ``U`` is the (M, 7, nx, ny, nz) complex state.  A state that ``step_rk4``
-    returned may instead hold the coefficients it produced; then ``U`` is made
-    on first read, and the state keeps it and drops the coefficients.  The
-    states of one run share their held channels and the closed form's
-    constants, so ``U`` is read-only by contract: assigning ``state.U``
-    drops all of them, writing into it in place corrupts the later states.
+    ``U`` is the (M, 7, nx, ny, nz) complex state, and ``background``
+    strong_field's frozen A', (3, nx, ny, nz), given in no other mode.  A
+    state that ``step_rk4`` returned may instead hold the coefficients it
+    produced; then ``U`` is made on first read, and the state keeps it and
+    drops the coefficients.  The states of one run share their held channels
+    and the closed form's constants, so ``U`` is read-only by contract:
+    assigning ``state.U`` drops all of them, writing into it in place
+    corrupts the later states.
     """
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
         self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
-        self.background = background  # frozen A' for strong_field, (3, nx, ny, nz)
-        self._U, self._coef, self._closed = U, None, None
+        self.background, self._U, self._coef, self._closed = background, U, None, None
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
             raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
-        if mode == "strong_field" and background is None:
-            raise ValueError("strong_field mode needs a background A'")
+        check_background(mode, background)
 
     def _stepped(self, tau: float, coef: _Coefficients, closed=None) -> "SimState":
         """The state at ``tau`` of this run, held as ``coef``, with the run's
@@ -179,6 +180,14 @@ class SimState:
         )
 
 
+def check_background(mode: str, background) -> None:
+    """Raise ValueError unless a background A' is given in ``strong_field``
+    and in no other mode: the one home of that rule."""
+    if (background is None) == (mode == "strong_field"):
+        raise ValueError("mode 'strong_field' needs a background A'" if background is None
+                         else f"only mode 'strong_field' takes a background A', not {mode!r}")
+
+
 # -- right-hand sides ---------------------------------------------------------
 
 
@@ -201,14 +210,13 @@ def partner_field(state: SimState, k: int) -> np.ndarray | None:
     """Partner field A' acting on field k, or None where the mode has none.
 
     The frozen background in ``strong_field``; the sum of the other fields' A
-    (plus any background) in ``interaction`` and ``united``.
+    in ``interaction`` and ``united``, which take no background.
     """
     if state.mode not in _FORCED:
         return None
     if state.mode == "strong_field":
         return state.background
-    Ap = state.U[:, _A].sum(axis=0) - state.U[k, _A]
-    return Ap if state.background is None else Ap + state.background
+    return state.U[:, _A].sum(axis=0) - state.U[k, _A]
 
 
 def _advanced(mode: str) -> slice:

@@ -96,7 +96,7 @@ def run_scenario(
     if out is not None:  # before the first step, so an unwritable directory costs no run
         out.mkdir(parents=True, exist_ok=True)
     state, nabla = build_state(sc, workers=workers)
-    engine = DiagnosticsEngine(sc.grid, sc.medium, sc.mode, nabla, sc.diagnostics)
+    engine = DiagnosticsEngine(nabla, sc.diagnostics)
     engine.sample(state, 0)
     abort: dict | None = None
     steps_done = 0

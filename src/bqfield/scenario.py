@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import MODES, StepperConfig
+from .evolution import MODES, StepperConfig, check_background
 from .fields import Grid, Medium
 from .diagnostics import check_specs
 from .operators import Nabla
@@ -340,14 +340,8 @@ def parse_scenario(doc: dict) -> Scenario:
         fields.append((A0, rho0, J0))
 
     bg_preset = _take(d, "background", "")
-    if mode == "strong_field":
-        if bg_preset is None:
-            raise ScenarioError("background: mode 'strong_field' requires a background preset")
-        background = build_preset(bg_preset, grid, "background", "vector")
-    else:
-        if bg_preset is not None:
-            raise ScenarioError(f"background is only meaningful in mode 'strong_field'")
-        background = None
+    _build("background", check_background, mode, bg_preset)
+    background = None if bg_preset is None else build_preset(bg_preset, grid, "background", "vector")
 
     diag = _take(d, "diagnostics", "", default=[])
     if not isinstance(diag, list):

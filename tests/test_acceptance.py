@@ -195,11 +195,7 @@ def eigenmode_period():
         eng = None
         if with_diag:
             eng = DiagnosticsEngine(
-                g,
-                med,
-                "maxwell",
-                nab,
-                [{"name": "charge", "cadence": 1}, {"name": "poynting", "cadence": 1}],
+                nab, [{"name": "charge", "cadence": 1}, {"name": "poynting", "cadence": 1}]
             )
             eng.sample(st, 0)
         cfg = StepperConfig(cfl=0.25 * (1 + 1e-9))
@@ -382,11 +378,7 @@ def test_criterion_06_free_pulse():
     U[0, 4:7] = amp * nab.grad(gauss)  # curl-free current burst, zero charge
     st = SimState(0.0, U, g, med, "free_theta")
     eng = DiagnosticsEngine(
-        g,
-        med,
-        "free_theta",
-        nab,
-        [{"name": "box_rho", "cadence": 1}, {"name": "first_law", "cadence": 1}],
+        nab, [{"name": "box_rho", "cadence": 1}, {"name": "first_law", "cadence": 1}]
     )
     cfg = StepperConfig(cfl=cfl * (1 + 1e-9))
     hvol = g.h[0] * g.h[1] * g.h[2]
@@ -577,7 +569,6 @@ def test_criterion_08_interaction_run(tmp_path):
     # Pointwise energy decomposition of the same pulse pair, and of a random
     # order-one pair.
     g = cube(32, 1e-3)
-    med = Medium()
     X, Y, Z = g.meshgrid()
     afields = []
     for k in range(2):
@@ -586,7 +577,7 @@ def test_criterion_08_interaction_run(tmp_path):
         A = np.zeros((3,) + g.shape, dtype=np.complex128)
         A[k] = gauss
         afields.append(AField(g, A))
-    ie = interaction_energy(afields, med)
+    ie = interaction_energy(afields)
     dec_pulse = ie.decomposition_residual
 
     rng = np.random.default_rng(3)
@@ -594,9 +585,9 @@ def test_criterion_08_interaction_run(tmp_path):
         AField(g, rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape))
         for _ in range(2)
     ]
-    dec_rand = interaction_energy(rand_pair, med).decomposition_residual
+    dec_rand = interaction_energy(rand_pair).decomposition_residual
 
-    ie_same = interaction_energy([rand_pair[0], rand_pair[0]], med)
+    ie_same = interaction_energy([rand_pair[0], rand_pair[0]])
     d = ie_same.delta_xi - 2.0 * ie_same.xi_fields[0]
     identical_gap = d.linf()
     wall = time.perf_counter() - t0

@@ -65,7 +65,7 @@ def charge_wave_theta(grid, tau=0.0, amp=1.0):
 def test_energy_momentum_circular_wave():
     """The unit circular wave carries W = 1 and P = z-hat everywhere."""
     g = cube(8)
-    em = energy_momentum(circular_afield(g), Medium())
+    em = energy_momentum(circular_afield(g))
     np.testing.assert_allclose(em.W, 1.0, atol=1e-14)
     np.testing.assert_allclose(em.P[2], 1.0, atol=1e-14)
     np.testing.assert_allclose(em.P[:2], 0.0, atol=1e-14)
@@ -87,7 +87,7 @@ def united_states():
     rng = np.random.default_rng(37)
     U = 0.2 * nab.dealias(rng.standard_normal((2, 7) + g.shape) + 1j * rng.standard_normal((2, 7) + g.shape))
     states = [SimState(0.0, U, g, med, "united")]
-    eng = DiagnosticsEngine(g, med, "united", nab, [{"name": n} for n in DIAGNOSTIC_NAMES])
+    eng = DiagnosticsEngine(nab, [{"name": n} for n in DIAGNOSTIC_NAMES])
     eng.sample(states[0], 0)
     for i in range(3):
         states.append(step_rk4(states[-1], nab, StepperConfig(), i)[0])
@@ -107,14 +107,14 @@ def test_energy_momentum_poynting_route(united_states):
     E = rng.standard_normal((3,) + g.shape)
     H = rng.standard_normal((3,) + g.shape)
     med = Medium(epsilon=2.5, mu=0.3)
-    em = energy_momentum(assemble_afield(g, E, H, med), med)
+    em = energy_momentum(assemble_afield(g, E, H, med))
     np.testing.assert_allclose(em.P, np.cross(E, H, axis=0) / med.c, atol=1e-12)
     np.testing.assert_allclose(em.W, 0.5 * (2.5 * (E**2).sum(0) + 0.3 * (H**2).sum(0)), atol=1e-12)
     # and on every field and total of a run's states
     for s in united_states:
         for a in [s.afield(k) for k in range(s.n_fields)] + [field_totals(s)[0]]:
             E, H = decompose_afield(a, s.medium)
-            assert within_route_bound(energy_momentum(a, s.medium).P, np.cross(E, H, axis=0) / s.medium.c)
+            assert within_route_bound(energy_momentum(a).P, np.cross(E, H, axis=0) / s.medium.c)
 
 
 def test_energy_xi_is_half_a_times_a_conjugate(united_states):
@@ -130,11 +130,11 @@ def test_energy_xi_is_half_a_times_a_conjugate(united_states):
     for afields in runs:
         b = [a.as_biquaternion() for a in afields]
         tot = AField(afields[0].grid, sum(a.A for a in afields)).as_biquaternion()
-        ie = interaction_energy(afields, Medium())
+        ie = interaction_energy(afields)
         xi = [0.5 * (x @ x.conj()) for x in b]
         pairs = [(ie.xi_total, 0.5 * (tot @ tot.conj()))]
         pairs += zip(ie.xi_fields, xi)
-        pairs += zip([energy_momentum(a, Medium()).Xi for a in afields], xi)
+        pairs += zip([energy_momentum(a).Xi for a in afields], xi)
         pairs += [(v, 0.5 * (b[k] @ b[l].conj() + b[l] @ b[k].conj())) for (k, l), v in ie.xi_cross.items()]
         assert len(pairs) == 1 + 2 * len(b) + len(b) * (len(b) - 1) // 2
         for got, want in pairs:
@@ -150,7 +150,7 @@ def test_current_energy_pinned_example():
     j_H = np.zeros((3,) + g.shape)
     j_E[0] = 1.0
     j_H[1] = 1.0
-    ce = current_energy(assemble_theta(g, zero, zero, j_E, j_H, med), med)
+    ce = current_energy(assemble_theta(g, zero, zero, j_E, j_H, med))
     np.testing.assert_allclose(ce.Q, 1.0, atol=1e-14)
     np.testing.assert_allclose(ce.P_J[2], -1.0, atol=1e-14)
     np.testing.assert_allclose(ce.P_J[:2], 0.0, atol=1e-14)
@@ -161,11 +161,10 @@ def test_current_energy_full_biquaternion_route():
     # 0.5 Theta o Theta* assembled from parts equals the direct product
     g = cube(6)
     rng = np.random.default_rng(23)
-    med = Medium(epsilon=1.7, mu=0.6)
     rho = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     J = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
     th = ChargeCurrent(g, rho, J)
-    ce = current_energy(th, med)
+    ce = current_energy(th)
     bq = th.as_biquaternion()
     direct = (bq @ bq.conj()) * 0.5
     full = ce.full()
@@ -180,7 +179,7 @@ def test_current_energy_cross_route_any_medium(united_states):
         j_E = rng.standard_normal((3,) + g.shape)
         j_H = rng.standard_normal((3,) + g.shape)
         zero = np.zeros(g.shape)
-        ce = current_energy(assemble_theta(g, zero, zero, j_E, j_H, med), med)
+        ce = current_energy(assemble_theta(g, zero, zero, j_E, j_H, med))
         np.testing.assert_allclose(
             ce.P_J, np.cross(j_H, j_E, axis=0) / med.c, atol=1e-12
         )
@@ -188,7 +187,7 @@ def test_current_energy_cross_route_any_medium(united_states):
     for s in united_states:
         for th in [s.theta(k) for k in range(s.n_fields)] + [field_totals(s)[1]]:
             _, _, j_E, j_H = decompose_theta(th, s.medium)
-            P_J = current_energy(th, s.medium).P_J
+            P_J = current_energy(th).P_J
             assert within_route_bound(P_J, np.cross(j_H, j_E, axis=0) / s.medium.c)
 
 
@@ -370,7 +369,7 @@ def test_first_law_forced_uniform_state():
 def test_interaction_energy_identical_fields():
     g = cube(8)
     a1 = circular_afield(g)
-    ie = interaction_energy([a1, AField(g, a1.A.copy())], Medium())
+    ie = interaction_energy([a1, AField(g, a1.A.copy())])
     # delta Xi for identical fields is exactly twice the single-field Xi
     diff = ie.delta_xi - ie.xi_fields[0] * 2.0
     assert diff.linf() <= 1e-13
@@ -381,7 +380,7 @@ def test_interaction_energy_identical_fields():
 def test_interaction_energy_opposite_fields():
     g = cube(8)
     a1 = circular_afield(g)
-    ie = interaction_energy([a1, AField(g, -a1.A)], Medium())
+    ie = interaction_energy([a1, AField(g, -a1.A)])
     assert ie.xi_total.linf() <= 1e-13
     assert ie.classification == "absorb"
     assert ie.delta_w_integral == pytest.approx(-2.0 * (2 * np.pi) ** 3, rel=1e-12)
@@ -395,7 +394,7 @@ def test_interaction_energy_orthogonal_fields_conserve():
     A2 = np.zeros((3,) + g.shape, complex)
     A1[0] = phase
     A2[1] = phase
-    ie = interaction_energy([AField(g, A1), AField(g, A2)], Medium())
+    ie = interaction_energy([AField(g, A1), AField(g, A2)])
     assert abs(ie.delta_w_integral) <= 1e-12
     assert ie.classification == "conserve"
     assert ie.decomposition_residual <= 1e-13
@@ -408,7 +407,7 @@ def test_interaction_energy_three_fields_decomposition():
         AField(g, rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape))
         for _ in range(3)
     ]
-    ie = interaction_energy(fields, Medium())
+    ie = interaction_energy(fields)
     assert len(ie.xi_fields) == 3
     assert set(ie.xi_cross) == {(0, 1), (0, 2), (1, 2)}
     scale = max(ie.xi_total.linf(), 1.0)
@@ -420,7 +419,7 @@ def test_interaction_energy_three_fields_decomposition():
 
 def test_interaction_energy_needs_a_field():
     with pytest.raises(ValueError, match="at least one field"):
-        interaction_energy([], Medium())
+        interaction_energy([])
 
 
 # -- sub-box weights ---------------------------------------------------------------
@@ -482,6 +481,22 @@ def test_flux_surface_stokes_consistency(axis, part_axis):
     sign = np.cross(np.eye(3)[part_axis], np.eye(3)[full])[axis]
     np.testing.assert_allclose(circ, flux, atol=1e-12)
     np.testing.assert_allclose(circ, sign * 2 * np.pi * (0.0 - np.sin(np.pi / 4)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 10**18, 10**400], ids=["1", "1e18", "1e400"])
+def test_flux_surface_shifted_by_whole_periods_is_the_same_surface(m):
+    """The grid is periodic, so a surface moved by m n cells in its plane
+    index and along its run integrates the same cells, bit for bit, however
+    far from the origin it lies: unreduced, its weights came out 0 at
+    j0 = 4e18 and overflowed a float at 10**400."""
+    g = cube(8)
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    s = FluxSurface(g, axis=2, index=3, part_axis=0, j0=2, j1=7)
+    shifted = FluxSurface(g, axis=2, index=3 + m * 8, part_axis=0, j0=2 + m * 8, j1=7 + m * 8)
+    assert (shifted.index, shifted.j0, shifted.j1) == (3, 2, 7)
+    assert shifted.surface_integral(A[2]) == s.surface_integral(A[2])
+    assert shifted.contour_integral(A) == s.contour_integral(A)
 
 
 @pytest.mark.parametrize(
@@ -610,7 +625,7 @@ def _strong_field_charge_laws(g, med, U, background, steps, region):
     nab = Nabla(g)
     st = SimState(0.0, U, g, med, "strong_field", background)
     specs = [{"name": "charge"}, {"name": "integral_charge", "region": region}]
-    eng = DiagnosticsEngine(g, med, "strong_field", nab, specs)
+    eng = DiagnosticsEngine(nab, specs)
     eng.sample(st, 0)
     for i in range(steps):
         st, _ = step_rk4(st, nab, StepperConfig(), i)
@@ -694,7 +709,7 @@ def test_engine_sample_forms_each_derived_field_once(monkeypatch, mode, M, trans
     rng = np.random.default_rng(3)
     bg = nab.dealias(rng.standard_normal((3,) + g.shape) + 0j) if mode == "strong_field" else None
     st = SimState(0.0, nab.dealias(rng.standard_normal((M, 7) + g.shape) + 0j), g, Medium(), mode, bg)
-    eng = DiagnosticsEngine(g, Medium(), mode, nab, [{"name": n} for n in diagnostics.DIAGNOSTIC_NAMES])
+    eng = DiagnosticsEngine(nab, [{"name": n} for n in diagnostics.DIAGNOSTIC_NAMES])
     for step in range(4):
         eng.sample(st, step)
         st, _ = step_rk4(st, nab, StepperConfig(), step)
@@ -735,7 +750,7 @@ def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
     rng = np.random.default_rng(5)
     U = nab.dealias(rng.standard_normal((1, 7) + g.shape) + 0j)
     specs = [{"name": "charge"}, {"name": "freeness", "cadence": 2}, {"name": "box_rho", "cadence": 3}]
-    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs)
+    eng = DiagnosticsEngine(nab, specs)
     st = SimState(0.0, U, g, med, "free_theta")
     eng.sample(st, 0)
     for i in range(12):
@@ -749,12 +764,12 @@ def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
         tau += 1 / 3
         taus.append(tau)
     late = [SimState(t, U, g, med, "free_theta") for t in taus[-6:]]
-    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs[:1])
+    eng = DiagnosticsEngine(nab, specs[:1])
     for step, s in enumerate(late):
         eng.sample(s, step)
     assert len(eng.finalize()["charge"].rows) == 4
 
-    eng = DiagnosticsEngine(g, med, "free_theta", nab, specs[:1])
+    eng = DiagnosticsEngine(nab, specs[:1])
     eng.sample(SimState(0.0, U, g, med, "free_theta"), 0)
     eng.sample(SimState(0.1, U, g, med, "free_theta"), 1)
     with pytest.raises(ValueError, match="uniformly spaced"):
@@ -803,7 +818,7 @@ def test_diagnostics_engine_run_level():
         {"name": "poynting", "cadence": 1, "tolerance": 1e-8},
         {"name": "constraint_drift", "cadence": 2},
     ]
-    eng = DiagnosticsEngine(g, med, "maxwell", nab, specs)
+    eng = DiagnosticsEngine(nab, specs)
     U = np.zeros((1, 7) + g.shape, dtype=complex)
     U[0, 0:3] = circular_afield(g).A
     st = SimState(0.0, U, g, med, "maxwell")
@@ -859,7 +874,7 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
     specs = [{"name": n} for n in names] + [
         {"name": n, "region": {"lo": lo, "hi": hi}, "surface": surface} for n in integral
     ]
-    eng = DiagnosticsEngine(g, med, mode, nab, specs)
+    eng = DiagnosticsEngine(nab, specs)
     eng.sample(states[0], 0)
     for i in range(4):
         st, _ = step_rk4(states[-1], nab, StepperConfig(), i)
@@ -924,7 +939,7 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
             eh_phys = _norms((Ep * j_E).sum(axis=0) + (Hp * j_H).sum(axis=0))
             bd_phys = _norms(med.mu * (Hp * j_E).sum(axis=0) - med.epsilon * (Ep * j_H).sum(axis=0))
             np.testing.assert_allclose(eh[-1] + bd[-1], eh_phys + bd_phys, rtol=1e-13, atol=0)
-        ie = interaction_energy([s.afield(k) for k in range(M)], med)
+        ie = interaction_energy([s.afield(k) for k in range(M)])
         expect["reciprocity"].append((s.tau, *worst(recip)))
         expect["constraint_drift"].append((s.tau, *worst(drift)))
         expect["interaction_power_eh"].append((s.tau, *worst(eh)))
@@ -942,18 +957,13 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
 
 
 def test_diagnostics_engine_rejects_bad_specs():
-    g = cube(8)
-    med = Medium()
-    nab = Nabla(g)
+    nab = Nabla(cube(8))
     with pytest.raises(ValueError):
-        DiagnosticsEngine(g, med, "maxwell", nab, [{"name": "entropy"}])
+        DiagnosticsEngine(nab, [{"name": "entropy"}])
     with pytest.raises(ValueError):
-        DiagnosticsEngine(
-            g, med, "maxwell", nab,
-            [{"name": "charge"}, {"name": "charge"}],
-        )
+        DiagnosticsEngine(nab, [{"name": "charge"}, {"name": "charge"}])
     with pytest.raises(ValueError):
-        DiagnosticsEngine(g, med, "maxwell", nab, [{"name": "charge", "cadence": 0}])
+        DiagnosticsEngine(nab, [{"name": "charge", "cadence": 0}])
     # the integral series share one region and one surface for every caller
     box = {"lo": (0, 0, 0), "hi": (8, 8, 4)}
     surface = {"axis": 0, "index": 0, "part_axis": 1, "j0": 0, "j1": 4}
@@ -961,4 +971,4 @@ def test_diagnostics_engine_rejects_bad_specs():
         first = {"region": box, "surface": surface}[key]
         specs = [{"name": "integral_charge", key: first}, {"name": "integral_energy", key: other}]
         with pytest.raises(ValueError, match=rf"diagnostics\[1\]\.{key}: .*share one {key}"):
-            DiagnosticsEngine(g, med, "maxwell", nab, specs)
+            DiagnosticsEngine(nab, specs)

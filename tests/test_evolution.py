@@ -176,6 +176,16 @@ def test_strong_field_state_needs_background():
         pack_state(cube(4, 0.05), Medium(), "strong_field")
 
 
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "strong_field"])
+def test_only_strong_field_takes_a_background(mode):
+    """maxwell and free_theta would ignore a frozen A', and interaction and
+    united would add it to the partner sum: every mode but strong_field
+    refuses one."""
+    g = cube(4, 0.05)
+    with pytest.raises(ValueError, match="only mode 'strong_field' takes a background"):
+        pack_state(g, Medium(), mode, background=np.ones((3,) + g.shape, dtype=complex), m=2)
+
+
 class CountingNabla(Nabla):
     """Nabla that counts single-channel 3-D transforms."""
 
@@ -519,6 +529,32 @@ def test_state_u_assignment_drops_coefficients():
     assert np.array_equal(got.U, ref.U)
 
 
+def test_state_copy_is_a_separate_snapshot():
+    """``copy`` of a resident spectral maxwell state makes U from its
+    coefficients into an array of its own: writing the copy leaves the
+    original's next step bit-equal to that step of a fresh run."""
+    g = cube(12, 0.05)
+    nab, cfg = Nabla(g), StepperConfig()
+
+    def two_steps():
+        st = random_state(g, "maxwell")
+        for i in range(2):
+            st, _ = step_rk4(st, nab, cfg, i)
+        return st
+
+    st = two_steps()
+    assert st._coef is not None  # resident: the copy is the read that makes U
+    cp = st.copy()
+    assert np.array_equal(cp.U, st.U)
+    assert not np.shares_memory(cp.U, st.U)
+    cp.U[...] = np.nan
+    fresh = two_steps()
+    fresh.U  # the same read, so both step from physical U
+    got, _ = step_rk4(st, nab, cfg, 2)
+    ref, _ = step_rk4(fresh, nab, cfg, 2)
+    assert np.array_equal(got.U, ref.U)
+
+
 def test_cfl_guard_rejects_large_dtau():
     g = cube(8, 1.0)  # dtau far above 0.25 * h
     nab = Nabla(g)
@@ -579,7 +615,7 @@ def test_united_field_freeness_residual_measures_truncation():
     med = Medium()
 
     def freeness(snaps):
-        eng = DiagnosticsEngine(g, med, "united", nab, [{"name": "freeness"}])
+        eng = DiagnosticsEngine(nab, [{"name": "freeness"}])
         for step, s in enumerate(snaps):
             eng.sample(s, step)
         (row,) = eng.finalize()["freeness"].rows

@@ -1,0 +1,73 @@
+"""Bounded property test of a scenario's ``diagnostics`` block.
+
+The 8^3 eigenmode document stays fixed and only its diagnostics list is
+drawn: known series names and junk, cadences, tolerances, regions and
+surfaces, with integers up to 10**400.  Whatever is drawn, the parser either
+refuses it with a ScenarioError or returns a scenario whose engine builds,
+and only the integral series of that scenario carry a region or surface.
+``grid.n`` is never drawn, so nothing large is allocated.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+from test_scenario_cli import eigenmode_doc
+
+from bqfield import DiagnosticsEngine, Nabla
+from bqfield.diagnostics import DIAGNOSTIC_NAMES, LAWS
+from bqfield.scenario import ScenarioError, parse_scenario
+
+
+def mostly(good, bad):
+    """Draws from ``good`` nine times in ten, else from ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+# small ints meet the 8^3 grid's bounds; the wide ones overflow a float
+ints = mostly(st.integers(-1, 9), st.integers(-10**400, 10**400))
+junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4), st.lists(st.integers(), max_size=3))
+triples = st.lists(ints, min_size=3, max_size=3)
+
+
+def surface(axes, index, j0, run):
+    return {"axis": axes[0], "part_axis": axes[1], "index": index, "j0": j0, "j1": j0 + run}
+
+
+# nine draws in ten hold on the grid; a surface that holds may still lie
+# anywhere in its plane and run, out to 10**400 cells from the origin
+regions = mostly(
+    st.builds(lambda lo, width: {"lo": lo, "hi": [a + w for a, w in zip(lo, width)]},
+              st.lists(st.integers(0, 4), min_size=3, max_size=3),
+              st.lists(st.integers(1, 4), min_size=3, max_size=3)),
+    st.one_of(st.fixed_dictionaries({"lo": triples, "hi": triples}), junk),
+)
+surfaces = mostly(
+    st.builds(surface, st.permutations(range(3)), ints, ints, st.integers(1, 8)),
+    st.one_of(st.builds(surface, triples, ints, ints, st.integers(-1, 9)), junk),
+)
+specs = st.fixed_dictionaries(
+    {"name": mostly(st.sampled_from(DIAGNOSTIC_NAMES), junk)},
+    optional={
+        "cadence": mostly(ints, junk),
+        "tolerance": mostly(st.floats(1e-300, 1e300), st.one_of(st.floats(), ints, junk)),
+        "region": regions,
+        "surface": surfaces,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(mostly(specs, junk), max_size=4))
+def test_a_diagnostics_block_parses_into_an_engine_or_is_refused(diagnostics):
+    doc = eigenmode_doc()
+    doc["diagnostics"] = diagnostics
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioError:
+        return
+    DiagnosticsEngine(Nabla(sc.grid), sc.diagnostics)
+    for spec in sc.diagnostics:
+        if LAWS[spec["name"]].kind != "integral":
+            assert spec.get("region") is None and spec.get("surface") is None, spec

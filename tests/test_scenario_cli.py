@@ -17,6 +17,7 @@ import pytest
 
 from bqfield import run_scenario
 from bqfield.cli import main
+from bqfield.diagnostics import DIAGNOSTIC_NAMES
 from bqfield.scenario import ScenarioError, build_preset, load_scenario, parse_scenario
 
 
@@ -524,10 +525,12 @@ def test_cli_constraint_projection_exits_two(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("key,value", [
     ("region", {"lo": [0, 0, 0], "hi": [9, 8, 8]}),
     ("surface", dict(SURFACE, j1=9)),
+    # valid on the grid: an input error still, not a selector parsed and dropped
+    ("region", {"lo": [0, 0, 0], "hi": [8, 8, 4]}),
 ])
 def test_cli_bad_region_or_surface_on_any_series_exits_two(tmp_path, capsys, name, key, value):
-    """A window or pointwise series does not read a region or surface, but
-    one that is given is still checked."""
+    """A window or pointwise series takes no region or surface, so one that
+    is given, valid or not, exits 2 at its JSON path."""
     doc = eigenmode_doc()
     doc["diagnostics"] = [{"name": name, key: value}]
     assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
@@ -601,6 +604,52 @@ def test_cli_usage_exit_two():
     with pytest.raises(SystemExit) as exc2:
         main(["frobnicate"])
     assert exc2.value.code == 2
+
+
+def test_cli_threads_below_one_exits_two(tmp_path, capsys):
+    p = write_doc(tmp_path, eigenmode_doc())
+    assert main(["run", str(p), "--threads", "0", "--out", str(tmp_path / "res")]) == 2
+    assert "error: --threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def united_doc(n=16, steps=4):
+    """Two overlapping field and charge-current pulses with every series on."""
+    centers = ([2.6, 3.1, 3.3], [3.4, 2.9, 3.0])
+    pols = ({"re": [1.0, 0.2, 0.0], "im": [0.0, 0.5, 0.1]}, {"re": [0.0, 1.0, 0.3], "im": [0.4, 0.0, 0.0]})
+    fields = [{
+        "afield": {"type": "gaussian_pulse", "center": c, "width": 0.7,
+                   "amplitude": {"re": 0.8, "im": 0.2}, "polarization": pol},
+        "theta": {"type": "gaussian_pulse", "center": c, "width": 0.7, "amplitude": 0.2,
+                  "polarization": pol, "scalar": {"re": 0.6, "im": -0.3}},
+    } for c, pol in zip(centers, pols)]
+    diagnostics = [{"name": name} for name in DIAGNOSTIC_NAMES]
+    for spec in diagnostics:
+        if spec["name"].startswith("integral_"):
+            spec["region"] = {"lo": [2, 3, 4], "hi": [14, 13, 12]}
+    return {
+        "mode": "united",
+        "grid": {"n": [n] * 3},
+        "duration": steps * 0.25 * 2 * np.pi / n,
+        "initial_conditions": fields,
+        "diagnostics": diagnostics,
+    }
+
+
+def test_cli_threads_match_reference(tmp_path, capsys):
+    """FFT worker threads change no series: a --threads 2 run of a united
+    scenario with all 14 series writes the CSVs of the --reference run, to
+    1e-13 of each column's largest value."""
+    p = write_doc(tmp_path, united_doc())
+    assert main(["run", str(p), "--threads", "2", "--out", str(tmp_path / "t2")]) == 0
+    assert main(["run", str(p), "--reference", "--out", str(tmp_path / "ref")]) == 0
+    names = sorted(f.name for f in (tmp_path / "ref").glob("*.csv"))
+    assert len(names) == 14
+    for name in names:
+        ref = np.loadtxt(tmp_path / "ref" / name, delimiter=",", skiprows=1)
+        got = np.loadtxt(tmp_path / "t2" / name, delimiter=",", skiprows=1)
+        assert got.shape == ref.shape, name
+        assert (np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0)).all(), name
 
 
 def test_cli_reference_runs_are_byte_identical(tmp_path):
