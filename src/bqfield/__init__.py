@@ -6,151 +6,24 @@ them with the gradient operators D+- = d/dtau +- i nabla, and measures the
 conservation laws the continuous model promises: charge balance, the Poynting
 law, the current-energy first law, interaction energy exchange, integral
 identities over sub-boxes, and jump relations on light-speed fronts.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports all of them.
 """
 
-from .biquaternion import (
-    Biquaternion,
-    basis_vector,
-    ccross,
-    cdot,
-    from_scalar,
-    from_vector,
-    one,
-)
-from .fields import (
-    AField,
-    ChargeCurrent,
-    Grid,
-    Medium,
-    PowerForce,
-    assemble_afield,
-    assemble_theta,
-    decompose_afield,
-    decompose_force,
-    decompose_theta,
-    velocity_current,
-)
-from .operators import Nabla, apply_box, apply_dminus, apply_dplus
-from .evolution import (
-    MODES,
-    NumericalAbort,
-    SimState,
-    StepperConfig,
-    field_totals,
-    free_theta_rhs,
-    state_rhs,
-    step_rk4,
-)
-from .diagnostics import (
-    BoxRegion,
-    CurrentEnergy,
-    DiagnosticsEngine,
-    EnergyMomentum,
-    FluxSurface,
-    IntegralLawAccumulator,
-    InteractionEnergy,
-    ResidualSeries,
-    box_rho_residual,
-    charge_conservation_residual,
-    constraint_drift_residual,
-    freeness_residual,
-    cumulative_integral,
-    current_energy,
-    energy_momentum,
-    first_law_residual,
-    integral_laws,
-    interaction_energy,
-    interaction_power_bd,
-    interaction_power_eh,
-    power_force,
-    poynting_residual,
-    reciprocity_residual,
-)
-from .shock import (
-    FrontData,
-    admissible_jump,
-    afield_jump_energy,
-    afield_jump_residual,
-    characteristic_determinant,
-    characteristic_matrix,
-    characteristic_roots,
-    theta_jump_residual,
-)
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .runner import RunReport, build_state, run_scenario
-from .selftest import run_selftest
+from . import biquaternion, diagnostics, evolution, fields, operators, runner, scenario, selftest, shock
+from .biquaternion import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .evolution import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .shock import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .runner import *  # noqa: F403
+from .selftest import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Biquaternion",
-    "basis_vector",
-    "cdot",
-    "ccross",
-    "from_scalar",
-    "from_vector",
-    "one",
-    "AField",
-    "ChargeCurrent",
-    "Grid",
-    "Medium",
-    "PowerForce",
-    "assemble_afield",
-    "assemble_theta",
-    "decompose_afield",
-    "decompose_force",
-    "decompose_theta",
-    "velocity_current",
-    "Nabla",
-    "apply_box",
-    "apply_dminus",
-    "apply_dplus",
-    "MODES",
-    "NumericalAbort",
-    "SimState",
-    "StepperConfig",
-    "field_totals",
-    "free_theta_rhs",
-    "state_rhs",
-    "step_rk4",
-    "BoxRegion",
-    "CurrentEnergy",
-    "DiagnosticsEngine",
-    "EnergyMomentum",
-    "FluxSurface",
-    "IntegralLawAccumulator",
-    "InteractionEnergy",
-    "ResidualSeries",
-    "box_rho_residual",
-    "charge_conservation_residual",
-    "constraint_drift_residual",
-    "freeness_residual",
-    "cumulative_integral",
-    "current_energy",
-    "energy_momentum",
-    "first_law_residual",
-    "integral_laws",
-    "interaction_energy",
-    "interaction_power_bd",
-    "interaction_power_eh",
-    "power_force",
-    "poynting_residual",
-    "reciprocity_residual",
-    "FrontData",
-    "admissible_jump",
-    "afield_jump_energy",
-    "afield_jump_residual",
-    "characteristic_determinant",
-    "characteristic_matrix",
-    "characteristic_roots",
-    "theta_jump_residual",
-    "Scenario",
-    "ScenarioError",
-    "load_scenario",
-    "parse_scenario",
-    "RunReport",
-    "build_state",
-    "run_scenario",
-    "run_selftest",
-    "__version__",
-]
+__all__ = [name for module in (biquaternion, fields, operators, evolution, diagnostics, shock,
+                               scenario, runner, selftest) for name in module.__all__]
+__all__.append("__version__")

@@ -93,9 +93,11 @@ def _cross_xi(X: np.ndarray, Y: np.ndarray) -> Biquaternion:
     return Biquaternion(cdot(X, Yc).real, -1j * ccross(X, Yc).imag)
 
 
-def _source_power(E, H, j_E, j_H, c: float) -> np.ndarray:
+def _source_power(a: AField, theta: ChargeCurrent, medium: Medium) -> np.ndarray:
     """Power the sources put into the field, (j_H . H - j_E . E)/c."""
-    return ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / c
+    E, H = decompose_afield(a, medium)
+    _, _, j_E, j_H = decompose_theta(theta, medium)
+    return ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / medium.c
 
 
 def _force(theta: ChargeCurrent, aprime: AField) -> Biquaternion:
@@ -245,11 +247,8 @@ def poynting_residual(
     delta: float,
 ) -> tuple[float, float]:
     """Norms of dW/dtau + div P - (j_H . H - j_E . E)/c."""
-    E, H = decompose_afield(a_mid, medium)
-    _, _, j_E, j_H = decompose_theta(theta_mid, medium)
-    src = _source_power(E, H, j_E, j_H, medium.c)
     dW = (_density(a_plus.A) - _density(a_minus.A)) / (2 * delta)
-    r = dW + nabla.div(_momentum(a_mid.A)) - src
+    r = dW + nabla.div(_momentum(a_mid.A)) - _source_power(a_mid, theta_mid, medium)
     return _norms(r)
 
 
@@ -391,6 +390,14 @@ class BoxRegion:
         self.full = tuple(hi[a] - lo[a] == grid.n[a] for a in range(3))
         self.w = [_axis_weights(grid, a, lo[a], hi[a]) for a in range(3)]
 
+    def default_surface(self) -> "FluxSurface":
+        """The flux law's surface where none is given: the open rectangle on the
+        lo face normal to the first axis but ``part``, the first partially
+        covered axis (z on the whole box: the full plane x = lo_x)."""
+        part = next((a for a in range(3) if not self.full[a]), 2)
+        axis = next(a for a in range(3) if a != part)
+        return FluxSurface(self.grid, axis, self.lo[axis], part, self.lo[part], self.hi[part])
+
     def volume_integral(self, f):
         """Integral over the box of a scalar (or leading-axes batched) field."""
         return np.einsum("...ijk,i,j,k->...", f, self.w[0], self.w[1], self.w[2])
@@ -523,11 +530,13 @@ class IntegralLawAccumulator:
     *rate* (boundary flux plus sources), both stored per sample; ``finalize``
     reports amount - amount_0 + int rate dtau, with the rate integrated by a
     fourth-order rule, so the rows land at that rule's O(dtau^4) floor rather
-    than at trapezoid O(dtau^2).  Without a surface the flux law reads 0.
+    than at trapezoid O(dtau^2).  The flux law's surface is by default the
+    region's ``default_surface``.
     """
 
     def __init__(self, nabla: Nabla, region: BoxRegion, surface: FluxSurface | None = None):
-        self.nabla, self.region, self.surface = nabla, region, surface
+        self.nabla, self.region = nabla, region
+        self.surface = region.default_surface() if surface is None else surface
         self._tau: list[float] = []
         self._laws: dict[str, tuple[list, list]] = {
             key: ([], []) for key in ("charge", "energy", "flux", "volume")
@@ -551,17 +560,14 @@ class IntegralLawAccumulator:
         A, J = a_tot.A, th_tot.J
         amounts = {
             "energy": reg.volume_integral(_density(A)).real,
-            "flux": 0.0j if srf is None else srf.surface_integral(A[srf.axis]),
+            "flux": srf.surface_integral(A[srf.axis]),
             "volume": reg.volume_integral(A),
         }
         if _advanced(state.mode).start == 0:
-            E, H = decompose_afield(a_tot, medium)
-            _, _, j_E, j_H = decompose_theta(th_tot, medium)
-            src = reg.volume_integral(_source_power(E, H, j_E, j_H, medium.c)).real
+            src = reg.volume_integral(_source_power(a_tot, th_tot, medium)).real
             rates = {
                 "energy": reg.boundary_flux(_momentum(A)).real - src,
-                "flux": 0.0j if srf is None else (
-                    1j * srf.contour_integral(A) + srf.surface_integral(J[srf.axis])),
+                "flux": 1j * srf.contour_integral(A) + srf.surface_integral(J[srf.axis]),
                 "volume": 1j * reg.boundary_cross(A) + reg.volume_integral(J),
             }
             charge = (reg.boundary_flux(A), reg.boundary_flux(J))
@@ -590,7 +596,8 @@ class IntegralLawAccumulator:
 
 def integral_laws(states: list[SimState], nabla: Nabla, lo=(0, 0, 0), hi=None,
                   surface: FluxSurface | None = None):
-    """Evaluate the four integral identities over a sampled trajectory.
+    """Evaluate the four integral identities over a sampled trajectory, the
+    flux law through ``surface`` or the region's ``default_surface``.
 
     Returns {"charge", "energy", "flux", "volume"} -> list of
     (tau, |residual|_inf, |residual|_rms) rows; the last row is the full-window
@@ -720,9 +727,9 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
     Every name is known and given once, cadence >= 1, tolerance > 0, only
     integral series give a region or surface, and each one given is built;
     the integral series share one cadence, one region and one surface.
-    Errors name the spec as ``diagnostics[i]``.  Returns the integral laws' cadence, region (the
-    whole box by default) and surface (by default, with a region, an open
-    rectangle on its lo face, else None); all None without integral series.
+    Errors name the spec as ``diagnostics[i]``.  Returns the integral laws'
+    cadence, region (the whole box by default) and surface (None by default,
+    for the region's ``default_surface``); all None without integral series.
     """
     seen, shared = set(), {}
     for i, spec in enumerate(specs):
@@ -753,14 +760,7 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
                                      f"got {first} and {_bounds(v)}")
     if "cadence" not in shared:
         return None, None, None
-    region, surface = shared.get("region") or BoxRegion(grid), shared.get("surface")
-    if surface is None and "region" in shared:
-        # default open rectangle: normal along x at the region's lo face,
-        # partial along the first partially covered axis
-        part = next((a for a in range(3) if region.hi[a] - region.lo[a] < grid.n[a]), 2)
-        axis = next(a for a in range(3) if a != part)
-        surface = FluxSurface(grid, axis, region.lo[axis], part, region.lo[part], region.hi[part])
-    return shared["cadence"], region, surface
+    return shared["cadence"], shared.get("region") or BoxRegion(grid), shared.get("surface")
 
 
 class DiagnosticsEngine:

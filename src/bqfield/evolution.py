@@ -30,7 +30,7 @@ In ``maxwell`` and ``free_theta`` f is constant, and on spectral
 ``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
 b L L X + S: the same discrete map as the four stages, to round-off, for two
 applications of L in place of four.  The per-wavenumber a, b and maxwell's
-held source S are made once per run and step length (``_closed_form``).
+held source S are made once per run (``_closed_form``).
 Force modes and central4 evaluate the four stages.
 
 A state holds one representation of its advanced channels.  In the modes
@@ -39,8 +39,8 @@ without a force (``maxwell``, ``free_theta``) on the spectral scheme,
 and the next step starts from them with no transform; physical ``U`` is made
 on first read and the coefficients are dropped.  A stepped state shares its
 input's held channels and the closed form's constants, which it keeps past
-a read; so no step writes them, and a caller must not write a
-state's ``U`` in place once it has been stepped (assign ``state.U`` instead).
+a read; so no step writes them, and a caller must not write a stepped
+state's ``U`` in place (build a new ``SimState`` instead).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
     "MODES",
     "StepperConfig",
     "SimState",
-    "check_background",
+    "check_mode",
     "NumericalAbort",
     "free_theta_rhs",
     "partner_field",
@@ -131,20 +131,17 @@ class SimState:
     state that ``step_rk4`` returned may instead hold the coefficients it
     produced; then ``U`` is made on first read, and the state keeps it and
     drops the coefficients.  The states of one run share their held channels
-    and the closed form's constants, so ``U`` is read-only by contract:
-    assigning ``state.U`` drops all of them, writing into it in place
-    corrupts the later states.
+    and the closed form's constants, so ``U`` has no setter, and writing
+    into it in place corrupts the later states.
     """
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
         self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
         self.background, self._U, self._coef, self._closed = background, U, None, None
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
             raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
-        check_background(mode, background)
+        check_mode(mode, U.shape[0], background)
 
     def _stepped(self, tau: float, coef: _Coefficients, closed=None) -> "SimState":
         """The state at ``tau`` of this run, held as ``coef``, with the run's
@@ -159,10 +156,6 @@ class SimState:
         if self._U is None:
             self._U, self._coef = self._coef.physical(), None
         return self._U
-
-    @U.setter
-    def U(self, U: np.ndarray) -> None:
-        self._U, self._coef, self._closed = U, None, None
 
     @property
     def n_fields(self) -> int:
@@ -180,9 +173,14 @@ class SimState:
         )
 
 
-def check_background(mode: str, background) -> None:
-    """Raise ValueError unless a background A' is given in ``strong_field``
-    and in no other mode: the one home of that rule."""
+def check_mode(mode: str, n_fields: int, background) -> None:
+    """Raise ValueError unless ``mode`` is one of MODES, has two or more fields
+    where its force needs a partner (interaction, united), and a background A'
+    in strong_field and in no other mode: the one home of the mode rules."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode in ("interaction", "united") and n_fields < 2:
+        raise ValueError(f"mode {mode!r} needs at least two fields, got {n_fields}")
     if (background is None) == (mode == "strong_field"):
         raise ValueError("mode 'strong_field' needs a background A'" if background is None
                          else f"only mode 'strong_field' takes a background A', not {mode!r}")
@@ -290,9 +288,8 @@ def _resident(mode: str, nabla: Nabla) -> bool:
 
 
 class _ClosedForm(NamedTuple):
-    """The closed form's constants for step length h (source: None in free_theta)."""
+    """The closed form's constants for a run's grid.dtau (source: None in free_theta)."""
 
-    h: float
     a: np.ndarray
     b: np.ndarray
     source: np.ndarray | None
@@ -311,7 +308,7 @@ def _closed_form(space: DerivativeSpace, adv: slice, h: float, hi: np.ndarray) -
     if adv.stop < 7:
         source = _rk4_polynomial(space, adv, space.to(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
         source *= -h
-    return _ClosedForm(h, h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, source)
+    return _ClosedForm(h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, source)
 
 
 def _rk4_polynomial(space: DerivativeSpace, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
@@ -345,9 +342,9 @@ def step_rk4(
     round-off, with half the derivative work of the stages.
     S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6,
     is maxwell's held source; free_theta has none.  a, b and S are made once
-    per run and step length and kept on the states, so a changed grid.dtau
-    makes them anew.  Force modes and central4 (where |d(k)|^2 is no
-    stencil) run the four stages on the same L X + f.
+    per run, for its frozen grid's dtau, and kept on its states.  Force modes
+    and central4 (where |d(k)|^2 is no stencil) run the four stages on the
+    same L X + f.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
@@ -367,7 +364,7 @@ def step_rk4(
     closed = None
     if resident:
         closed = state._closed
-        if closed is None or closed.h != dt:
+        if closed is None:
             closed = _closed_form(space, adv, dt, hi)
         X = _rk4_polynomial(space, adv, X0, closed.a, closed.b)
         if closed.source is not None:

@@ -51,17 +51,17 @@ class Medium:
         return 1.0 / np.sqrt(self.epsilon * self.mu)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Grid:
-    """Uniform periodic box: n cells per axis over lengths L, step dtau in tau units."""
+    """Uniform periodic box: n cells per axis over lengths L, step dtau in tau units (frozen)."""
 
     n: tuple[int, int, int]
     L: tuple[float, float, float]
     dtau: float
 
     def __post_init__(self):
-        self.n = tuple(int(v) for v in self.n)
-        self.L = tuple(float(v) for v in self.L)
+        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "L", tuple(float(v) for v in self.L))
         if not (len(self.n) == 3 and all(v >= 4 for v in self.n)):
             raise ValueError(f"n must be 3 cell counts >= 4, got {self.n}")
         if not all(v > 0 for v in self.L):

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import MODES, StepperConfig, check_background
+from .evolution import StepperConfig, check_mode
 from .fields import Grid, Medium
-from .diagnostics import check_specs
+from .diagnostics import LAWS, check_specs
 from .operators import Nabla
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "build_preset"]
@@ -279,8 +279,6 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("description must be a string")
 
     mode = _take(d, "mode", "", required=True)
-    if mode not in MODES:
-        raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
 
     output_dir = _take(d, "output_dir", "")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -308,7 +306,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     grid = _build("grid", Grid, n, L, 1.0 if dtau is None else dtau)
     if dtau is None:  # the largest step the bound allows
-        grid.dtau = stepper.cfl * min(grid.h)
+        grid = replace(grid, dtau=stepper.cfl * min(grid.h))
     _build("grid.dtau", stepper.check_step, grid)
 
     duration = _number(_take(d, "duration", "", required=True), "duration")
@@ -326,8 +324,8 @@ def parse_scenario(doc: dict) -> Scenario:
     fd = _take(d, "initial_conditions", "", required=True)
     if not isinstance(fd, list) or len(fd) < 1:
         raise ScenarioError("initial_conditions must be a non-empty list")
-    if mode in ("interaction", "united") and len(fd) < 2:
-        raise ScenarioError(f"initial_conditions: mode {mode!r} needs at least two fields")
+    bg_preset = _take(d, "background", "")
+    _build("", check_mode, mode, len(fd), bg_preset)
     fields = []
     for i, fdict in enumerate(fd):
         p = f"initial_conditions[{i}]"
@@ -339,8 +337,6 @@ def parse_scenario(doc: dict) -> Scenario:
         rho0, J0 = build_preset(t_preset, grid, f"{p}.theta", "pair")
         fields.append((A0, rho0, J0))
 
-    bg_preset = _take(d, "background", "")
-    _build("background", check_background, mode, bg_preset)
     background = None if bg_preset is None else build_preset(bg_preset, grid, "background", "vector")
 
     diag = _take(d, "diagnostics", "", default=[])
@@ -348,6 +344,12 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("diagnostics must be a list")
     specs = [_spec(spec, f"diagnostics[{i}]") for i, spec in enumerate(diag)]
     _build("", check_specs, grid, specs)
+    for i, spec in enumerate(specs):
+        # a window needs three samples, steps 0, c and 2c; an integral two
+        need = {"window": 2, "integral": 1}.get(LAWS[spec["name"]].kind, 0) * spec["cadence"]
+        if need > steps:
+            raise ScenarioError(f"diagnostics[{i}].cadence: {spec['name']!r} at cadence "
+                                f"{spec['cadence']} needs {need} steps, the run has {steps}")
 
     _done(d, "")
     return Scenario(

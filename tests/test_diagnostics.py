@@ -618,6 +618,25 @@ def test_integral_laws_follow_the_modes_equations(mode):
         assert min(worst["energy"], worst["flux"], worst["volume"]) > 0.0
 
 
+@pytest.mark.parametrize("hi", [None, (8, 8, 4)], ids=["whole-box", "half-box"])
+def test_engine_and_integral_laws_take_one_default_surface(united_states, hi):
+    """Given no surface, the engine and ``integral_laws`` both take the flux
+    law through the region's ``default_surface``: their integral_flux rows are
+    equal bit for bit.  On the whole box that is the full plane x = 0, so the
+    series is measured (here at the RK4 floor), not a structural 0 that no
+    tolerance can catch."""
+    nab = Nabla(united_states[0].grid)
+    spec = {"name": "integral_flux", "tolerance": 1e-30}
+    if hi is not None:
+        spec["region"] = {"lo": (0, 0, 0), "hi": hi}
+    eng = DiagnosticsEngine(nab, [spec])
+    for i, s in enumerate(united_states):
+        eng.sample(s, i)
+    series = eng.finalize()["integral_flux"]
+    assert series.rows == integral_laws(united_states, nab, hi=hi)["flux"]
+    assert series.breached and np.isfinite(series.max_linf)
+
+
 def _strong_field_charge_laws(g, med, U, background, steps, region):
     """Max L_inf of the charge and integral_charge series of a strong_field run."""
     from bqfield import StepperConfig, step_rk4

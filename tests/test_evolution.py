@@ -4,6 +4,8 @@ system against a matrix-exponential oracle, steps that leave their input
 unwritten, abort on non-finite values, and united-field freeness.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -171,6 +173,17 @@ def test_uniform_strong_field_matches_expm():
     assert np.abs(st.U[0, 3] - st.U[0, 3, 0, 0, 0]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("mode,m,fragment", [("interaction", 1, "needs at least two fields"),
+                                             ("united", 1, "needs at least two fields"),
+                                             ("plasma", 2, "mode must be one of")])
+def test_state_refuses_a_mode_it_cannot_run(mode, m, fragment):
+    """interaction and united force each field by the others' A: a one-field
+    state has no partner and would run as free transport, so it is refused,
+    as is an unknown mode."""
+    with pytest.raises(ValueError, match=fragment):
+        pack_state(cube(4, 0.05), Medium(), mode, m=m)
+
+
 def test_strong_field_state_needs_background():
     with pytest.raises(ValueError, match="background"):
         pack_state(cube(4, 0.05), Medium(), "strong_field")
@@ -219,10 +232,11 @@ def test_state_rhs_transforms_per_field(scheme, mode, per_field):
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize("mode", MODES)
 def test_state_rhs_is_the_modes_symbol(mode, scheme):
-    """state_rhs on one Fourier mode of one field with A' = 0 (so no force)
-    equals each mode's symbol, stated here on its own: dA = k x A - J where A
-    advances, drho = -i k.J and dJ = -i k rho - k x J where Theta does, zero
-    where held, with k the scheme's first-derivative symbol."""
+    """state_rhs on one Fourier mode of field 0 with A' = 0 (so no force;
+    interaction and united get a second, zero field as the partner they
+    need) equals each mode's symbol, stated here on its own: dA = k x A - J
+    where A advances, drho = -i k.J and dJ = -i k rho - k x J where Theta
+    does, zero where held, with k the scheme's first-derivative symbol."""
     g = cube(8, 0.05)
     k, h = np.array([1, -2, 3]), g.h[0]
     kd = k if scheme == "spectral" else (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
@@ -231,7 +245,10 @@ def test_state_rhs_is_the_modes_symbol(mode, scheme):
     X, Y, Z = g.meshgrid()
     wave = np.exp(1j * (k[0] * X + k[1] * Y + k[2] * Z))
     bg = np.zeros((3,) + g.shape, complex) if mode == "strong_field" else None
-    st = SimState(0.0, (c[:, None, None, None] * wave)[None], g, Medium(kappa=1.5), mode, bg)
+    U = (c[:, None, None, None] * wave)[None]
+    if mode in ("interaction", "united"):
+        U = np.concatenate([U, np.zeros_like(U)])
+    st = SimState(0.0, U, g, Medium(kappa=1.5), mode, bg)
     A, rho, J = c[:3], c[3], c[4:]
     d = np.zeros(7, complex)
     if mode not in ("free_theta", "strong_field"):
@@ -354,16 +371,35 @@ def test_linear_steps_match_reference_rk4_over_200_steps(mode):
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
 def test_closed_form_follows_a_dtau_change(mode):
     """The closed-form constants (a, b and maxwell's held source) belong to
-    one step length: after grid.dtau changes mid-run, a spectral step equals
-    one from a fresh state at the new dtau."""
+    one run's step length: a run continued at another dtau (a new SimState on
+    a new frozen Grid) steps on RK4's map at the new dtau, and the first run,
+    stepped again, still steps at its own."""
     g = cube(8, 0.15)
     nab, cfg = Nabla(g), StepperConfig()
     st, _ = step_rk4(random_state(g, mode, seed=37), nab, cfg)
-    g.dtau = 0.05
-    got, _ = step_rk4(st, nab, cfg)
-    ref, _ = step_rk4(SimState(st.tau, st.U.copy(), g, st.medium, mode), nab, cfg)
-    assert got.tau == ref.tau
+    got = ref = SimState(st.tau, st.U.copy(), dataclasses.replace(g, dtau=0.05), st.medium, mode)
+    for i in range(2):
+        got, _ = step_rk4(got, nab, cfg, i)
+        ref = reference_rk4(ref, nab)
+    assert got.tau == ref.tau == 0.15 + 2 * 0.05
     assert np.abs(got.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
+    old, _ = step_rk4(st, nab, cfg)
+    ref = reference_rk4(SimState(st.tau, st.U.copy(), g, st.medium, mode), nab)
+    assert old.tau == ref.tau == 2 * 0.15
+    assert np.abs(old.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
+
+
+def test_grid_is_frozen():
+    """grid.dtau is a run's one step length, the one the closed-form
+    constants (a, b and maxwell's held source) kept on its states belong to:
+    it cannot change mid-run."""
+    g = cube(8, 0.15)
+    st, _ = step_rk4(random_state(g, "maxwell", seed=37), Nabla(g), StepperConfig())
+    for name, value in (("dtau", 0.05), ("n", (4, 4, 4)), ("L", (1.0, 1.0, 1.0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    assert (g.dtau, g.n) == (0.15, (8, 8, 8))
+    assert step_rk4(st, Nabla(g), StepperConfig())[0].tau == 2 * 0.15
 
 
 class DerivativeCountingNabla(Nabla):
@@ -515,18 +551,16 @@ def test_numerical_abort_fires_on_one_bad_held_cell(scheme, mode, channel, bad):
     assert exc.value.state is st and exc.value.steps == 5
 
 
-def test_state_u_assignment_drops_coefficients():
-    """Assigning U replaces the whole state, held-J coefficients included."""
+def test_state_u_has_no_setter():
+    """A stepped state shares its held channels and the closed form's
+    constants with its run, so U cannot be assigned: another U is another
+    SimState."""
     g = cube(12, 0.05)
-    nab, cfg = Nabla(g), StepperConfig()
-    st, _ = step_rk4(random_state(g, "maxwell"), nab, cfg)
-    U = st.U.copy()
-    U[:, 4:7] *= 2
-    st.U = U
+    st, _ = step_rk4(random_state(g, "maxwell"), Nabla(g), StepperConfig())
+    U = st.U
+    with pytest.raises(AttributeError):
+        st.U = U.copy()
     assert st.U is U
-    got, _ = step_rk4(st, nab, cfg)
-    ref, _ = step_rk4(SimState(st.tau, U.copy(), g, st.medium, "maxwell"), nab, cfg)
-    assert np.array_equal(got.U, ref.U)
 
 
 def test_state_copy_is_a_separate_snapshot():

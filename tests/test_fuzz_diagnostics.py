@@ -1,11 +1,13 @@
-"""Bounded property test of a scenario's ``diagnostics`` block.
+"""Bounded property tests of a scenario on the 8^3 eigenmode document.
 
-The 8^3 eigenmode document stays fixed and only its diagnostics list is
-drawn: known series names and junk, cadences, tolerances, regions and
-surfaces, with integers up to 10**400.  Whatever is drawn, the parser either
-refuses it with a ScenarioError or returns a scenario whose engine builds,
-and only the integral series of that scenario carry a region or surface.
-``grid.n`` is never drawn, so nothing large is allocated.
+The first draws only its diagnostics list: known series names and junk,
+cadences, tolerances, regions and surfaces, with integers up to 10**400.
+Whatever is drawn, the parser either refuses it with a ScenarioError or
+returns a scenario whose engine builds, and only the integral series of that
+scenario carry a region or surface.  The second draws the mode, the field
+count, a background, the run length and one series' cadence, and requires
+that a scenario which parses also builds and measures.  ``grid.n`` is never
+drawn, so nothing large is allocated.
 """
 
 import pytest
@@ -15,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from test_scenario_cli import eigenmode_doc
 
-from bqfield import DiagnosticsEngine, Nabla
+from bqfield import MODES, DiagnosticsEngine, Nabla, run_scenario
 from bqfield.diagnostics import DIAGNOSTIC_NAMES, LAWS
 from bqfield.scenario import ScenarioError, parse_scenario
 
@@ -71,3 +73,26 @@ def test_a_diagnostics_block_parses_into_an_engine_or_is_refused(diagnostics):
     for spec in sc.diagnostics:
         if LAWS[spec["name"]].kind != "integral":
             assert spec.get("region") is None and spec.get("surface") is None, spec
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(mode=mostly(st.sampled_from(MODES), st.sampled_from(("plasma", "", "Maxwell"))),
+       n_fields=st.integers(1, 3), misplaced_background=mostly(st.just(False), st.just(True)),
+       steps=st.integers(1, 6), name=st.sampled_from(DIAGNOSTIC_NAMES), cadence=st.integers(1, 8))
+def test_a_scenario_that_parses_builds_and_measures(mode, n_fields, misplaced_background, steps,
+                                                    name, cadence):
+    """Every series of a scenario that parses gets at least one row, and the
+    run exits 0: a series its cadence leaves without a row, or a mode that
+    lacks its partner field, is refused."""
+    doc = eigenmode_doc(steps=steps)
+    doc["mode"] = mode
+    doc["initial_conditions"] *= n_fields
+    if (mode == "strong_field") != misplaced_background:
+        doc["background"] = {"type": "uniform", "value": [0.1, 0.0, 0.0]}
+    doc["diagnostics"] = [{"name": name, "cadence": cadence}]
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioError:
+        return
+    report = run_scenario(sc)  # build_state, DiagnosticsEngine, the steps
+    assert report.exit_code == 0 and report.series[name].rows, (mode, n_fields, steps, name, cadence)

@@ -537,6 +537,21 @@ def test_cli_bad_region_or_surface_on_any_series_exits_two(tmp_path, capsys, nam
     assert f"diagnostics[0].{key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,most", [("charge", 4), ("integral_charge", 8), ("reciprocity", 9)])
+def test_cli_cadence_that_leaves_a_series_too_few_samples_exits_two(tmp_path, capsys, name, most):
+    """The 8-step run samples at steps 0, c, 2c, ...: a window series needs
+    three samples, an integral series two, a pointwise series has step 0.
+    One cadence more used to write no row (or one zero row) that read "ok"
+    against any tolerance; now the document is refused at its JSON path."""
+    doc = eigenmode_doc()
+    doc["diagnostics"] = [{"name": name, "cadence": most}]
+    assert run_scenario(parse_scenario(doc)).series[name].rows
+    doc["diagnostics"][0]["cadence"] = most + 1
+    code = main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")])
+    assert code == (0 if name == "reciprocity" else 2)
+    assert ("diagnostics[0].cadence: " in capsys.readouterr().err) == (code == 2)
+
+
 def test_cli_breach_exit_code(tmp_path, capsys):
     p = write_doc(tmp_path, eigenmode_doc(tols={"poynting": 1e-30}))
     assert main(["run", str(p), "--out", str(tmp_path / "res")]) == 1
