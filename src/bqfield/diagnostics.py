@@ -8,10 +8,10 @@ its rate per sample and integrates the rate in tau with a fourth-order rule.
 The engine makes one record per sampled state, and every law reads the field
 totals, partner fields and balanced charge from it, each formed once.
 
-Volume and surface integrals over grid-aligned sub-boxes integrate the
-trigonometric interpolant exactly along partially covered axes (plain
-rectangle weights on fully covered ones, where periodicity already makes them
-exact).
+Every volume, face, surface and line integral is one separable weighted sum,
+``_integral``: per axis a weight vector (the trigonometric interpolant's exact
+integral along a partial run, rectangle weights on a full period) or one fixed
+plane index.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
+from operator import index as _index, itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -375,17 +375,30 @@ def _axis_weights(grid: Grid, a: int, i0: int, i1: int) -> np.ndarray:
     return _interp_weights(grid.n[a], grid.L[a], i0, i1)
 
 
+def _integral(f, w):
+    """Separable weighted sum of f over its last three axes, batched over any
+    leading ones: ``w[a]`` is axis a's weight vector, or an int naming the one
+    plane (modulo n) that the sum reads along axis a."""
+    planes = tuple(slice(None) if isinstance(v, np.ndarray) else v % n for v, n in zip(w, f.shape[-3:]))
+    vecs = [v for v in w if isinstance(v, np.ndarray)]
+    sub = "ijk"[:len(vecs)]
+    return np.einsum(f"...{sub},{','.join(sub)}->...", f[(...,) + planes], *vecs)
+
+
 class BoxRegion:
-    """Grid-aligned sub-box [lo, hi) in index space; hi_a == n_a covers axis a fully."""
+    """Grid-aligned sub-box [lo, hi) of 3 integers each; hi_a == n_a covers axis a fully."""
 
     def __init__(self, grid: Grid, lo=(0, 0, 0), hi=None):
-        hi = tuple(grid.n) if hi is None else tuple(int(v) for v in hi)
-        lo = tuple(int(v) for v in lo)
+        bounds = (lo, grid.n if hi is None else hi)
+        try:
+            lo, hi = (tuple(map(_index, b)) for b in bounds)
+        except TypeError:
+            lo = hi = ()  # not integers: refused below
+        if not len(lo) == len(hi) == 3:
+            raise ValueError(f"bad region bounds: lo and hi must be 3 integers each, got {bounds}")
         for a in range(3):
             if not 0 <= lo[a] < hi[a] <= grid.n[a]:
-                raise ValueError(
-                    f"bad region bounds axis {a}: [{lo[a]}, {hi[a]}) with n={grid.n[a]}"
-                )
+                raise ValueError(f"bad region bounds axis {a}: [{lo[a]}, {hi[a]}) with n={grid.n[a]}")
         self.grid, self.lo, self.hi = grid, lo, hi
         self.full = tuple(hi[a] - lo[a] == grid.n[a] for a in range(3))
         self.w = [_axis_weights(grid, a, lo[a], hi[a]) for a in range(3)]
@@ -400,52 +413,37 @@ class BoxRegion:
 
     def volume_integral(self, f):
         """Integral over the box of a scalar (or leading-axes batched) field."""
-        return np.einsum("...ijk,i,j,k->...", f, self.w[0], self.w[1], self.w[2])
+        return _integral(f, self.w)
 
-    def _face_integral(self, f, axis: int, index: int):
-        """Integral of f over the grid plane ``index`` orthogonal to ``axis``."""
-        sl = [slice(None)] * f.ndim
-        sl[f.ndim - 3 + axis] = index % self.grid.n[axis]
-        plane = f[tuple(sl)]
-        wb, wc = (self.w[a] for a in range(3) if a != axis)
-        return np.einsum("...ij,i,j->...", plane, wb, wc)
+    def _faces(self):
+        """(axis, outward sign, weights) of each face of the box off the fully
+        covered axes, whose opposite faces coincide periodically and cancel."""
+        return [(a, sign, self.w[:a] + [i] + self.w[a + 1:])
+                for a in range(3) if not self.full[a]
+                for i, sign in ((self.hi[a], 1.0), (self.lo[a], -1.0))]
 
     def boundary_flux(self, F):
-        """Outward flux of a vector field through the box boundary.
-
-        Fully covered axes contribute nothing (their opposite faces coincide
-        periodically and cancel).
-        """
-        total = 0.0 + 0.0j
-        for a in range(3):
-            if self.full[a]:
-                continue
-            total += self._face_integral(F[a], a, self.hi[a])
-            total -= self._face_integral(F[a], a, self.lo[a])
-        return total
+        """Outward flux of a vector field through the box boundary."""
+        return sum((sign * _integral(F[a], w) for a, sign, w in self._faces()), 0j)
 
     def boundary_cross(self, F):
         """Integral of n x F over the box boundary (3-vector)."""
-        out = np.zeros(3, dtype=np.complex128)
-        for a in range(3):
-            if self.full[a]:
-                continue
-            for index, sign in ((self.hi[a], 1.0), (self.lo[a], -1.0)):
-                n_hat = np.zeros(3)
-                n_hat[a] = sign
-                face = np.array(
-                    [self._face_integral(F[c], a, index) for c in range(3)]
-                )
-                out += np.cross(n_hat, face)
-        return out
+        return sum((sign * np.cross(np.eye(3)[a], _integral(F, w)) for a, sign, w in self._faces()),
+                   np.zeros(3, dtype=np.complex128))
 
 
 class FluxSurface:
     """Open rectangle S in the plane ``axis=index``: full along one tangent axis,
     a [j0, j1) run of 1..n cells along the other; oriented by +e_axis.  The
-    grid is periodic: ``index`` and ``j0`` are kept modulo n, ``j1`` with j0."""
+    grid is periodic: ``index`` and ``j0`` are kept modulo n, ``j1`` with j0.
+    ``w`` is S's weights for ``_integral``, with the plane ``index`` on ``axis``."""
 
     def __init__(self, grid: Grid, axis: int, index: int, part_axis: int, j0: int, j1: int):
+        given = (axis, index, part_axis, j0, j1)
+        try:
+            axis, index, part_axis, j0, j1 = map(_index, given)
+        except TypeError:
+            raise ValueError(f"axis, index, part_axis, j0 and j1 must be integers, got {given}") from None
         if axis == part_axis or not {axis, part_axis} <= {0, 1, 2}:
             raise ValueError(f"axis and part_axis must be distinct in 0..2, got {axis}, {part_axis}")
         if not 0 < j1 - j0 <= grid.n[part_axis]:
@@ -454,35 +452,20 @@ class FluxSurface:
         self.part_axis, self.full_axis = part_axis, 3 - axis - part_axis
         self.j0 = j0 % grid.n[part_axis]
         self.j1 = self.j0 + (j1 - j0)
-        self.w_part = _axis_weights(grid, part_axis, self.j0, self.j1)
-        self.w_full = _axis_weights(grid, self.full_axis, 0, grid.n[self.full_axis])
+        self.w = [_axis_weights(grid, a, 0, grid.n[a]) for a in range(3)]
+        self.w[axis], self.w[part_axis] = self.index, _axis_weights(grid, part_axis, self.j0, self.j1)
         # the contour runs along the full axis; +1 when (axis, part, full) is cyclic
         self.sign = 1.0 if (part_axis - axis) % 3 == 1 else -1.0
 
-    def _plane(self, f):
-        sl = [slice(None)] * 3
-        sl[self.axis] = self.index
-        return f[tuple(sl)]
-
     def surface_integral(self, f):
         """Integral over S of a scalar field (e.g. one vector component)."""
-        plane = self._plane(f)
-        if self.part_axis < self.full_axis:
-            return np.einsum("ij,i,j->", plane, self.w_part, self.w_full)
-        return np.einsum("ij,i,j->", plane, self.w_full, self.w_part)
-
-    def _line_integral(self, f, j: int):
-        sl = [slice(None)] * 3
-        sl[self.axis] = self.index
-        sl[self.part_axis] = j % self.grid.n[self.part_axis]
-        return (f[tuple(sl)] * self.w_full).sum()
+        return _integral(f, self.w)
 
     def contour_integral(self, F):
         """Circulation of F around the boundary of S (Stokes-consistent sign)."""
-        c = self.full_axis
-        return self.sign * (
-            self._line_integral(F[c], self.j1) - self._line_integral(F[c], self.j0)
-        )
+        p, c = self.part_axis, self.full_axis
+        at_j1, at_j0 = (_integral(F[c], self.w[:p] + [j] + self.w[p + 1:]) for j in (self.j1, self.j0))
+        return self.sign * (at_j1 - at_j0)
 
 
 def _slopes4(f: np.ndarray, h: float) -> np.ndarray:

@@ -132,12 +132,13 @@ class SimState:
     produced; then ``U`` is made on first read, and the state keeps it and
     drops the coefficients.  The states of one run share their held channels
     and the closed form's constants, so ``U`` has no setter, and writing
-    into it in place corrupts the later states.
+    into it in place corrupts the later states.  ``grid`` and ``mode`` are
+    fixed for the run and read-only: a new dtau or mode is a new SimState.
     """
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
-        self.tau, self.grid, self.medium, self.mode = tau, grid, medium, mode
+        self.tau, self._grid, self.medium, self._mode = tau, grid, medium, mode
         self.background, self._U, self._coef, self._closed = background, U, None, None
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
             raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
@@ -147,9 +148,12 @@ class SimState:
         """The state at ``tau`` of this run, held as ``coef``, with the run's
         closed-form constants ``closed``."""
         new = object.__new__(SimState)
-        new.tau, new.grid, new.medium, new.mode = tau, self.grid, self.medium, self.mode
+        new.tau, new._grid, new.medium, new._mode = tau, self.grid, self.medium, self.mode
         new.background, new._U, new._coef, new._closed = self.background, None, coef, closed
         return new
+
+    grid = property(lambda self: self._grid)
+    mode = property(lambda self: self._mode)
 
     @property
     def U(self) -> np.ndarray:

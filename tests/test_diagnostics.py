@@ -458,7 +458,12 @@ def test_box_region_volume_and_flux():
     )
 
 
-@pytest.mark.parametrize("lo,hi", [((0, 0, 0), (8, 8, 12)), ((4, 0, 0), (4, 8, 8)), ((-1, 0, 0), (8, 8, 8))])
+@pytest.mark.parametrize("lo,hi", [
+    ((0, 0, 0), (8, 8, 12)), ((4, 0, 0), (4, 8, 8)), ((-1, 0, 0), (8, 8, 8)),
+    # exactly 3 integers each: no fourth entry kept, none missing, none truncated
+    ((0, 0, 0, 5), None), ((0, 0), None), ((0, 0, 0), (8, 8)),
+    ((0.5, 0, 0), (4.9, 4, 4)), ((0, 0, 0), (4.0, 4, 4)), (None, None), ("abc", None),
+])
 def test_box_region_rejects_bad_bounds(lo, hi):
     with pytest.raises(ValueError, match="bad region bounds"):
         BoxRegion(cube(8), lo=lo, hi=hi)
@@ -507,11 +512,17 @@ def test_flux_surface_shifted_by_whole_periods_is_the_same_surface(m):
         (dict(axis=2, part_axis=0, j0=5, j1=3), "run"),
         (dict(axis=2, part_axis=0, j0=3, j1=3), "run"),
         (dict(axis=2, part_axis=0, j0=0, j1=9), "run"),
+        (dict(axis=2, part_axis=0, j0=0.5, j1=4), "integers"),
+        (dict(axis=2, part_axis=0, j0=0, j1=4.0), "integers"),
+        (dict(axis=2.0, part_axis=0, j0=0, j1=4), "integers"),
+        (dict(axis=2, part_axis="0", j0=0, j1=4), "integers"),
+        (dict(axis=2, part_axis=0, j0=None, j1=4), "integers"),
+        (dict(axis=2, part_axis=0, j0=0, j1=4, index=1.5), "integers"),
     ],
 )
 def test_flux_surface_rejects_bad_orientation_and_runs(kw, match):
     with pytest.raises(ValueError, match=match):
-        FluxSurface(cube(8), index=0, **kw)
+        FluxSurface(cube(8), **{"index": 0, **kw})
 
 
 def test_cumulative_integral_fourth_order_convergence():

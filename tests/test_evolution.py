@@ -402,6 +402,24 @@ def test_grid_is_frozen():
     assert step_rk4(st, Nabla(g), StepperConfig())[0].tau == 2 * 0.15
 
 
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_state_grid_and_mode_are_read_only(mode):
+    """A stepped state keeps its run's closed-form constants, which belong to
+    one grid and one mode: neither can be rebound (a rebound dtau stepped on
+    the old map, a rebound mode read Theta's coefficients as A's).  Another
+    dtau or mode is another SimState."""
+    g = cube(8, 0.15)
+    st, _ = step_rk4(random_state(g, mode, seed=37), Nabla(g), StepperConfig())
+    with pytest.raises(AttributeError):
+        st.grid = dataclasses.replace(g, dtau=0.05)
+    with pytest.raises(AttributeError):
+        st.mode = "maxwell" if mode == "free_theta" else "free_theta"
+    assert (st.grid, st.mode) == (g, mode)
+    ref = reference_rk4(SimState(st.tau, st.U.copy(), g, st.medium, mode), Nabla(g))
+    nxt, _ = step_rk4(st, Nabla(g), StepperConfig())
+    assert np.abs(nxt.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
+
+
 class DerivativeCountingNabla(Nabla):
     """Nabla that counts its single-axis derivatives ``_d``."""
 

@@ -11,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -601,15 +602,29 @@ def test_cli_roots_output(capsys):
 
 def test_cli_zero_normal_exits_two_under_optimize(tmp_path):
     """The normal checks are not asserts: under python -O a zero or
-    non-finite normal still exits 2 from both shock-check and roots."""
+    non-finite normal still exits 2 from both shock-check and roots.  One -O
+    child runs every argv (an interpreter start costs more than all of them)
+    and prints each one's exit code and stderr."""
     front = tmp_path / "front.json"
     front.write_text(json.dumps({"m": [0, 0, 0]}))
-    for argv in (["shock-check", str(front)], ["roots", "--m", "0,0,0"], ["roots", "--m", "1,2"],
-                 ["roots", "--m", "inf,0,0"], ["roots", "--m", "nan,0,1"]):
-        code = f"import sys; from bqfield.cli import main; sys.exit(main({argv!r}))"
-        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-        assert r.returncode == 2, (argv, r.stdout, r.stderr)
-        assert "normal must be" in r.stderr
+    argvs = [["shock-check", str(front)], ["roots", "--m", "0,0,0"], ["roots", "--m", "1,2"],
+             ["roots", "--m", "inf,0,0"], ["roots", "--m", "nan,0,1"]]
+    code = textwrap.dedent(f"""
+        import contextlib, io, json
+        from bqfield.cli import main
+        out = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                out.append((argv, main(argv), err.getvalue()))
+        print(json.dumps(out))
+    """)
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, (r.stdout, r.stderr)
+    results = json.loads(r.stdout.splitlines()[-1])
+    assert [argv for argv, _, _ in results] == argvs
+    for argv, exit_code, stderr in results:
+        assert exit_code == 2, (argv, stderr)
+        assert "normal must be" in stderr, (argv, stderr)
 
 
 def test_cli_usage_exit_two():
