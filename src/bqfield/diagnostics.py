@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from numbers import Real
 from operator import index as _index, itemgetter
 from typing import Callable, NamedTuple
 
@@ -707,9 +708,10 @@ def _bounds(v):
 def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSurface | None]:
     """Check diagnostics specs on ``grid``; the one home of their rules.
 
-    Every name is known and given once, cadence >= 1, tolerance > 0, only
-    integral series give a region or surface, and each one given is built;
-    the integral series share one cadence, one region and one surface.
+    Every name is known and given once, cadence is an integer >= 1,
+    tolerance a positive number, only integral series give a region or
+    surface, and each one given is built; the integral series share one
+    cadence, one region and one surface.
     Errors name the spec as ``diagnostics[i]``.  Returns the integral laws'
     cadence, region (the whole box by default) and surface (None by default,
     for the region's ``default_surface``); all None without integral series.
@@ -722,18 +724,22 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
         if name in seen:
             raise ValueError(f"{p}.name: duplicate diagnostic {name!r}")
         seen.add(name)
-        given = {"cadence": spec.get("cadence", 1)}
-        if not given["cadence"] >= 1:
-            raise ValueError(f"{p}.cadence must be >= 1, got {given['cadence']}")
-        if spec.get("tolerance") is not None and not spec["tolerance"] > 0:
-            raise ValueError(f"{p}.tolerance must be positive, got {spec['tolerance']}")
+        cadence, tol = spec.get("cadence", 1), spec.get("tolerance")
+        try:
+            given = {"cadence": _index(cadence)}
+        except TypeError:
+            given = {"cadence": 0}  # not an integer: refused as below 1
+        if given["cadence"] < 1:
+            raise ValueError(f"{p}.cadence must be an integer >= 1, got {cadence!r}")
+        if tol is not None and not (isinstance(tol, Real) and tol > 0):
+            raise ValueError(f"{p}.tolerance must be a positive number, got {tol!r}")
         for key, make in (("region", BoxRegion), ("surface", FluxSurface)):
             if spec.get(key) is not None:
                 if LAWS[name].kind != "integral":
                     raise ValueError(f"{p}.{key}: only the integral series take a {key}")
                 try:
                     given[key] = make(grid, **spec[key])
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:  # a missing, unknown or ill-typed key
                     raise ValueError(f"{p}.{key}: {exc}") from exc
         if LAWS[name].kind == "integral":
             for key, v in given.items():

@@ -33,14 +33,17 @@ applications of L in place of four.  The per-wavenumber a, b and maxwell's
 held source S are made once per run (``_closed_form``).
 Force modes and central4 evaluate the four stages.
 
-A state holds one representation of its advanced channels.  In the modes
-without a force (``maxwell``, ``free_theta``) on the spectral scheme,
-``step_rk4`` returns a state that keeps the band coefficients it produced,
-and the next step starts from them with no transform; physical ``U`` is made
-on first read and the coefficients are dropped.  A stepped state shares its
-input's held channels and the closed form's constants, which it keeps past
-a read; so no step writes them, and a caller must not write a stepped
-state's ``U`` in place (build a new ``SimState`` instead).
+On spectral a state keeps the band coefficients of its advanced channels,
+next to ``U``, until the next step takes them: ``build_state`` and every
+step return them, and a step starts from them with no transform.  Without a
+force (``maxwell``, ``free_theta``) a stepped state holds them alone and
+makes ``U`` on first read; a force mode makes ``U`` in the step.  A step
+drops the coefficients it took from its input if that input holds ``U``
+too, so only the newest state holds both.  On central4 the coefficients are
+``U``'s own channels, and a state holds ``U`` alone.  A stepped state shares
+its input's held channels and the closed form's constants; so no step
+writes them, and a caller must not write a stepped state's ``U`` in place
+(build a new ``SimState`` instead).
 """
 
 from __future__ import annotations
@@ -107,9 +110,9 @@ class NumericalAbort(RuntimeError):
 
 
 class _Coefficients(NamedTuple):
-    """A stepped state before its first read: the advanced channels in
-    derivative space and views of the held channels before (``lo``) and after
-    (``hi``) them."""
+    """A state's advanced channels in derivative space, kept until the next
+    step takes them, and its physical held channels before (``lo``) and
+    after (``hi``) them."""
 
     space: DerivativeSpace
     X: np.ndarray
@@ -123,14 +126,21 @@ class _Coefficients(NamedTuple):
         return np.concatenate([self.lo, X, self.hi], axis=1)
 
 
+def _take_in(space: DerivativeSpace, adv: slice, U: np.ndarray, held=lambda h: h) -> _Coefficients:
+    """U's advanced channels ``adv`` taken into ``space``, and its held
+    channels, physical, through ``held``."""
+    return _Coefficients(space, space.to(U[:, adv]), held(U[:, : adv.start]), held(U[:, adv.stop :]))
+
+
 class SimState:
     """Snapshot of all interacting fields at one tau.
 
     ``U`` is the (M, 7, nx, ny, nz) complex state, and ``background``
     strong_field's frozen A', (3, nx, ny, nz), given in no other mode.  A
-    state that ``step_rk4`` returned may instead hold the coefficients it
-    produced; then ``U`` is made on first read, and the state keeps it and
-    drops the coefficients.  The states of one run share their held channels
+    state that ``build_state`` or ``step_rk4`` returned on spectral also
+    holds the band coefficients the next step starts from; where it holds
+    only those, ``U`` is made on first read, next to them, and the step that
+    takes them drops them.  The states of one run share their held channels
     and the closed form's constants, so ``U`` has no setter, and writing
     into it in place corrupts the later states.  ``grid`` and ``mode`` are
     fixed for the run and read-only: a new dtau or mode is a new SimState.
@@ -158,7 +168,7 @@ class SimState:
     @property
     def U(self) -> np.ndarray:
         if self._U is None:
-            self._U, self._coef = self._coef.physical(), None
+            self._U = self._coef.physical()
         return self._U
 
     @property
@@ -277,16 +287,17 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 
 
 def _resident(mode: str, nabla: Nabla) -> bool:
-    """Whether step_rk4 returns its coefficients rather than physical U, and
-    steps by RK4's closed form.
+    """Whether step_rk4 returns its coefficients alone, with U made on first
+    read, and steps by RK4's closed form.
 
     Only where that removes transforms: on spectral, in the modes whose
     stages never read the physical state.  A force mode reads physical rho, J
-    and A' in stage 1 anyway, and central4's derivative space is physical.
-    Returning coefficients everywhere was measured (perfbench, 4 alternating
-    pairs, 2-core host) to cost free-64-central4 a 10-17 % slower step and
-    peak RSS 213.7 -> 225.6 MiB, and united-32-diag 133.4 -> 136.3 MiB with
-    the step level.
+    and A' in stage 1 anyway, so it makes U in the step and keeps the
+    coefficients next to it; central4's derivative space is physical.
+    Returning coefficients alone everywhere was measured (perfbench, 4
+    alternating pairs, 2-core host) to cost free-64-central4 a 10-17 % slower
+    step and peak RSS 213.7 -> 225.6 MiB, and united-32-diag 133.4 -> 136.3
+    MiB with the step level.
     """
     return nabla.scheme == "spectral" and mode not in _FORCED
 
@@ -350,6 +361,10 @@ def step_rk4(
     and central4 (where |d(k)|^2 is no stencil) run the four stages on the
     same L X + f.
 
+    A step starts from its input's band coefficients where it holds them,
+    else from ``U``, and checks the held channels for finiteness once per
+    run where the closed form is kept, else on every step.
+
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
@@ -357,17 +372,13 @@ def step_rk4(
     config.check_step(state.grid)
     dt = state.grid.dtau
     space, adv, resident = nabla.space, _advanced(state.mode), _resident(state.mode, nabla)
-    if resident and state._coef is not None:
-        _, X0, lo, hi = state._coef
-    else:
-        U = state.U
-        X0, lo, hi = space.to(U[:, adv]), U[:, : adv.start], U[:, adv.stop :]
-        # held channels never change, and a rhs need not read them all
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise NumericalAbort(state.tau, steps_done + 1, state)
-    closed = None
+    _, X0, lo, hi = state._coef or _take_in(space, adv, state.U)
+    closed = state._closed if resident else None
+    # held channels never change, and a rhs need not read them all: checked
+    # once per run where the closed form is kept, else on every step
+    if closed is None and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NumericalAbort(state.tau, steps_done + 1, state)
     if resident:
-        closed = state._closed
         if closed is None:
             closed = _closed_form(space, adv, dt, hi)
         X = _rk4_polynomial(space, adv, X0, closed.a, closed.b)
@@ -394,6 +405,10 @@ def step_rk4(
     new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), closed)
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
+        if nabla.scheme != "spectral":
+            new._coef = None  # central4's coefficients are U's channels: hold one copy
+    if state._U is not None:
+        state._coef = None  # taken: only the newest state holds both forms
     return new, None
 
 

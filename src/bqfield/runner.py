@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DiagnosticsEngine, ResidualSeries
-from .evolution import NumericalAbort, SimState, step_rk4
+from .evolution import NumericalAbort, SimState, _advanced, _take_in, step_rk4
 from .operators import Nabla
 from .scenario import Scenario
 
@@ -82,10 +82,13 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
         U[k, 3] = rho0
         U[k, 4:7] = J0
     # the scheme's 2/3 rule, as the stepper applies it to the force
-    U = nabla.dealias(U)
     background = None if sc.background is None else nabla.dealias(sc.background)
     state = SimState(tau=0.0, U=U, grid=grid, medium=sc.medium, mode=sc.mode, background=background)
-    return state, nabla
+    if nabla.scheme != "spectral":  # central4: no rule, and its derivative space is U itself
+        return state, nabla
+    # held as a stepped state is: the advanced channels on the band, which step
+    # 1 takes as they are, the held ones filtered in physical space; U on first read
+    return state._stepped(0.0, _take_in(nabla.space, _advanced(sc.mode), U, nabla.dealias)), nabla
 
 
 def run_scenario(

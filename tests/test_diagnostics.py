@@ -1002,3 +1002,11 @@ def test_diagnostics_engine_rejects_bad_specs():
         specs = [{"name": "integral_charge", key: first}, {"name": "integral_energy", key: other}]
         with pytest.raises(ValueError, match=rf"diagnostics\[1\]\.{key}: .*share one {key}"):
             DiagnosticsEngine(nab, specs)
+    # malformed specs from Python are ValueErrors that name the spec
+    for spec, where in (({"name": "charge", "cadence": "2"}, "cadence"),
+                        ({"name": "charge", "cadence": 1.5}, "cadence"),
+                        ({"name": "charge", "tolerance": "1e-3"}, "tolerance"),
+                        ({"name": "integral_charge", "region": {"lo": (0, 0, 0), "high": (8, 8, 4)}}, "region"),
+                        ({"name": "integral_charge", "surface": {"axis": 0}}, "surface")):
+        with pytest.raises(ValueError, match=rf"diagnostics\[0\]\.{where}"):
+            DiagnosticsEngine(nab, [spec])

@@ -23,6 +23,7 @@ from bqfield import (
     state_rhs,
     step_rk4,
 )
+from bqfield import runner
 from bqfield.evolution import MODES
 from bqfield.runner import build_state
 from bqfield.scenario import parse_scenario
@@ -274,11 +275,11 @@ def random_state(g, mode, seed=14, m=2, scheme="spectral"):
 # Per field on spectral: (a step from physical U, a step from the state it
 # returned, the first read of that state's U, a step from the state read).
 STEP_TRANSFORMS = {
-    "maxwell": (6, 0, 3, 3),
-    "free_theta": (4, 0, 4, 4),
-    "strong_field": (36, 36, 0, 36),
-    "interaction": (51, 51, 0, 51),
-    "united": (51, 51, 0, 51),
+    "maxwell": (6, 0, 3, 0),
+    "free_theta": (4, 0, 4, 0),
+    "strong_field": (36, 32, 0, 32),
+    "interaction": (51, 44, 0, 44),
+    "united": (51, 44, 0, 44),
 }
 
 
@@ -291,11 +292,12 @@ def test_step_rk4_transforms_per_field(scheme, mode, per_field):
     """Transforms per field to step once from physical U and read the result.
 
     The step takes the advanced channels in once (and maxwell's J, once per
-    run: the states keep its coefficients past a read).  maxwell and
-    free_theta return their coefficients, so a step from the returned state
-    does none and the first read of U takes the advanced channels back.  A
+    run).  Every step returns its coefficients, and a state keeps them past a
+    read of U until the next step takes them, so no later step takes the
+    advanced channels in again.  maxwell and free_theta do no other transform
+    in a step, and the first read of U takes the advanced channels back.  A
     force mode takes 4 in per stage plus (stages 2-4) rho, J and the
-    partner's A back, and returns physical U.
+    partner's A back, and makes U in the step.
     """
     g = cube(12, 0.05)
     nab = CountingNabla(g, scheme=scheme)
@@ -499,20 +501,67 @@ def test_spectral_step_projects_onto_the_band(mode):
         assert np.abs(got.U[:, adv] - ref.U[:, adv]).max() <= 1e-13 * np.abs(ref.U[:, adv]).max()
 
 
-@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
-def test_steps_from_build_state_stay_in_the_band(mode):
-    """Three spectral steps from build_state data leave the coefficients
-    outside the 2/3 band at round-off of the ones inside, in every mode."""
+def pulse_scenario(mode, scheme="spectral", n_fields=None):
+    """Three steps on 12^3 from off-centre Gaussian pulses (not band-limited):
+    two fields where the mode needs a partner, else one."""
     pulse = {"type": "gaussian_pulse", "width": 0.7, "polarization": {"re": [1, 0, 0.5], "im": [0, 1, 0]}}
     fields = [{"afield": dict(pulse, center=[c] * 3), "theta": dict(pulse, center=[c] * 3, scalar=0.6)}
               for c in (2.8, 3.6)]
     doc = {"mode": mode, "grid": {"n": [12, 12, 12]}, "duration": 3 * 0.25 * 2 * np.pi / 12,
-           "medium": {"kappa": 0.5}, "initial_conditions": fields}
-    if mode in ("maxwell", "free_theta", "strong_field"):
-        doc["initial_conditions"] = fields[:1]
+           "medium": {"kappa": 0.5}, "nabla": scheme,
+           "initial_conditions": fields[: n_fields or (2 if mode in ("interaction", "united") else 1)]}
     if mode == "strong_field":
         doc["background"] = dict(pulse, center=[3.6] * 3)
-    sc = parse_scenario(doc)
+    return parse_scenario(doc)
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", MODES)
+def test_build_state_u_is_the_dealiased_initial_data(mode, scheme):
+    """build_state holds spectral data as a stepped state does, the advanced
+    channels as band coefficients; the U made from them on first read is
+    bit-equal to Nabla.dealias of the assembled initial data."""
+    sc = pulse_scenario(mode, scheme)
+    st, nab = build_state(sc)
+    assert (st._U is None) == (scheme == "spectral")
+    raw = np.array([np.concatenate([A0, rho0[None], J0]) for A0, rho0, J0 in sc.fields])
+    assert np.array_equal(st.U, nab.dealias(raw))
+
+
+@pytest.mark.parametrize("mode,n_fields,made,step1", [("maxwell", 1, 11, 3), ("united", 2, 14, 102)])
+def test_build_state_takes_the_advanced_channels_in_once(monkeypatch, mode, n_fields, made, step1):
+    """On spectral build_state takes the advanced channels into the band
+    once and filters the held ones in physical space (maxwell: 7 forward, 4
+    back; united holds none: 14 forward), and step 1 starts from those
+    coefficients: maxwell takes in only its held J, once per run, and united
+    makes U in its first stage as a step from physical U would read it."""
+    monkeypatch.setattr(runner, "Nabla", CountingNabla)
+    st, nab = build_state(pulse_scenario(mode, n_fields=n_fields))
+    assert nab.transforms == made
+    step_rk4(st, nab, StepperConfig())
+    assert nab.transforms - made == step1
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["strong_field", "interaction", "united"])
+def test_only_the_newest_state_holds_both_forms(mode, scheme):
+    """A force-mode step makes U and keeps its coefficients for the next
+    step, which takes them and drops them from the state it stepped: after
+    two steps the first returned state holds U alone and the newest both (on
+    spectral; central4's coefficients are U's channels, so it holds U alone)."""
+    g = cube(12, 0.05)
+    nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
+    s1, _ = step_rk4(random_state(g, mode, scheme=scheme), nab, cfg)
+    s2, _ = step_rk4(s1, nab, cfg, 1)
+    assert s1._coef is None and s1._U is not None
+    assert s2._U is not None and (s2._coef is not None) == (scheme == "spectral")
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
+def test_steps_from_build_state_stay_in_the_band(mode):
+    """Three spectral steps from build_state data leave the coefficients
+    outside the 2/3 band at round-off of the ones inside, in every mode."""
+    sc = pulse_scenario(mode)
     st, nab = build_state(sc)
     for i in range(sc.steps):
         st, _ = step_rk4(st, nab, sc.stepper, i)
@@ -601,7 +650,7 @@ def test_state_copy_is_a_separate_snapshot():
     assert not np.shares_memory(cp.U, st.U)
     cp.U[...] = np.nan
     fresh = two_steps()
-    fresh.U  # the same read, so both step from physical U
+    fresh.U  # the same read; both step from the coefficients they keep
     got, _ = step_rk4(st, nab, cfg, 2)
     ref, _ = step_rk4(fresh, nab, cfg, 2)
     assert np.array_equal(got.U, ref.U)

@@ -314,6 +314,20 @@ def test_run_abort_exit(tmp_path):
     assert summary["abort"]["steps"] >= 1
 
 
+@pytest.mark.parametrize("theta", [{"value": [1e308, 0.0, 0.0]}, {"value": [0.0] * 3, "scalar": 1e308}])
+def test_cli_held_channel_overflow_aborts_at_step_one(tmp_path, theta):
+    """maxwell's held J, or its held rho that no rhs reads, overflows in
+    build_state's 2/3 rule; no step reads the held channels in physical
+    space, yet the run still aborts at step 1 with exit 3."""
+    doc = eigenmode_doc()
+    doc["initial_conditions"][0]["theta"] = dict(theta, type="uniform")
+    doc["diagnostics"] = []
+    code = main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")])
+    assert code == 3
+    summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+    assert summary["abort"]["steps"] == 1 and summary["steps"] == 0
+
+
 def test_run_integral_series_through_engine(tmp_path):
     dtau = 0.25 * 2 * np.pi / 8
     doc = {
