@@ -5,8 +5,8 @@ quantities (energy-momentum, power-force, reciprocity defect) are evaluated per
 snapshot; law residuals that need d/dtau use three uniformly spaced history
 samples and centred differences; each integral identity stores an amount and
 its rate per sample and integrates the rate in tau with a fourth-order rule.
-The engine makes one record per sampled state, and every law reads the field
-totals, partner fields and balanced charge from it, each formed once.
+The engine makes one record per state it evaluates, and every law reads the
+field totals and partner fields from it, each formed once.
 
 Every volume, face, surface and line integral is one separable weighted sum,
 ``_integral``: per axis a weight vector (the trigonometric interpolant's exact
@@ -38,7 +38,8 @@ from .fields import (
     decompose_theta,
 )
 from .evolution import SimState, _advanced, _force_biquaternion, field_totals, partner_field
-from .operators import Nabla, apply_dminus
+from . import operators
+from .operators import Nabla
 
 __all__ = [
     "EnergyMomentum",
@@ -108,9 +109,7 @@ def _force(theta: ChargeCurrent, aprime: AField) -> Biquaternion:
 
 class _Sample:
     """A sampled state and the derived fields the laws read, each formed once,
-    on first use.  ``drop`` keeps only the one-channel ``charge`` and
-    ``rho_source``: windows keep records between samples, and keeping the
-    totals and partners too raised united-32-diag's peak RSS by 14.7 %."""
+    on first use.  A record lives for one sample: windows keep the states."""
 
     def __init__(self, nabla: Nabla, state: SimState):
         self.nabla, self.state = nabla, state
@@ -126,22 +125,12 @@ class _Sample:
         return [None if ap is None else AField(self.state.grid, ap) for ap in aps]
 
     @cached_property
-    def charge(self) -> np.ndarray:
-        """div A_tot where the mode advances A (the charge that sources A), else rho_tot."""
-        advanced = _advanced(self.state.mode).start == 0
-        return self.nabla.div(self.totals[0].A) if advanced else self.totals[1].rho
-
-    @cached_property
     def rho_source(self) -> np.ndarray | None:
         """The force's source -i (J, A')/kappa in d(rho)/dtau, summed over the
         fields and 2/3-filtered as the stepper adds it; None without partners."""
         S = [self.nabla.dealias(cdot(self.state.theta(k).J, ap.A))
              for k, ap in enumerate(self.partners) if ap is not None]
         return -1j * sum(S) / self.state.medium.kappa if S else None
-
-    def drop(self):
-        self.__dict__.pop("totals", None)
-        self.__dict__.pop("partners", None)
 
 
 def _uniform(steps) -> bool:
@@ -301,7 +290,8 @@ def freeness_residual(
         1j * (th_plus.rho - th_minus.rho) / (2 * delta),
         (th_plus.J - th_minus.J) / (2 * delta),
     )
-    r = apply_dminus(nabla, th_mid.as_biquaternion(), dtheta)
+    # looked up at call time, so a wrapper on operators.apply_dminus sees the call
+    r = operators.apply_dminus(nabla, th_mid.as_biquaternion(), dtheta)
     return r.linf(), r.l2()
 
 
@@ -637,8 +627,11 @@ def _worst(norms) -> tuple[float, float]:
 
 
 def _charge_law(e, r, a, th, d):
-    rho_m, rho_p = r[0].charge, r[2].charge
-    if _advanced(r[1].state.mode).start and (rho_src := r[1].rho_source) is not None:
+    if _advanced(r[1].state.mode).start == 0:
+        # the charge that sources A is div A, so the total current J + dA/dtau is divergence-free
+        return charge_conservation_residual(e.nabla, 0.0, 0.0, th[1].J + (a[2].A - a[0].A) / (2 * d), d)
+    rho_m, rho_p = th[0].rho, th[2].rho
+    if (rho_src := r[1].rho_source) is not None:
         # where A is held, rho's force source is taken out of the centred difference
         rho_m, rho_p = rho_m + d * rho_src, rho_p - d * rho_src
     return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
@@ -760,15 +753,15 @@ class DiagnosticsEngine:
     ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance,
     region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's arguments),
     all but the name optional; ``check_specs`` checks them.  Call
-    ``sample(state, step)`` every step; the engine keeps a three-deep window at
-    each window cadence and a tau-integral accumulator for the integral laws,
-    and evaluates each series by its entry in ``LAWS``.
+    ``sample(state, step)`` every step; at each window cadence the engine
+    keeps the last two sampled states, evaluates the window they make with the
+    newest, and keeps a tau-integral accumulator for the integral laws; it
+    evaluates each series by its entry in ``LAWS``.
 
-    Windows hold records of the sampled states, not copies: between steps the
-    engine keeps the last two of each window, so a caller must not mutate a
+    Windows hold the sampled states, not copies, so a caller must not mutate a
     state in place after passing it to ``sample`` (rebind instead, as
-    ``step_rk4`` does).  A series breaches its tolerance if any row is above
-    it or is not finite.
+    ``step_rk4`` does).  A record of a state lives for one sample.  A series
+    breaches its tolerance if any row is above it or is not finite.
     """
 
     def __init__(self, nabla: Nabla, specs):
@@ -785,7 +778,7 @@ class DiagnosticsEngine:
             self.series[name] = ResidualSeries(name, spec.get("tolerance"))
             self.cadence[name] = cad
             if LAWS[name].kind == "window":
-                self._windows.setdefault(cad, deque(maxlen=3))
+                self._windows.setdefault(cad, deque(maxlen=2))
         if region is not None:
             self._acc = IntegralLawAccumulator(nabla, region, surface=surface)
 
@@ -796,21 +789,16 @@ class DiagnosticsEngine:
         rec = _Sample(self.nabla, state)
         for cad, win in self._windows.items():
             if step % cad == 0:
-                win.append(rec)
-                if len(win) == 3:
-                    self._eval_window(cad, win)
-                    win.popleft()
-        for r in {r for win in self._windows.values() for r in win} - {rec}:
-            r.drop()
+                if len(win) == 2:
+                    self._eval_window(cad, (*(_Sample(self.nabla, s) for s in win), rec))
+                win.append(state)
         for name in self._named("pointwise"):
             if step % self.cadence[name] == 0:
                 self.series[name].append(state.tau, *LAWS[name].evaluate(self, rec))
         if self._acc is not None and step % self._acc_cadence == 0:
             self._acc.sample(rec)
-        rec.drop()
 
-    def _eval_window(self, cad: int, win):
-        recs = tuple(win)
+    def _eval_window(self, cad: int, recs):
         t_m, t, t_p = (r.state.tau for r in recs)
         delta = t_p - t
         if not _uniform([t - t_m, delta]):  # run_scenario samples at a fixed cadence

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
-from .fields import AField, ChargeCurrent, Grid, Medium
+from .fields import AField, ChargeCurrent, Grid, Medium, _positive
 from .operators import DerivativeSpace, Nabla
 
 __all__ = [
@@ -89,7 +89,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme != "rk4":
             raise ValueError(f"scheme must be 'rk4' (classical RK4), got {self.scheme!r}")
-        if not self.cfl > 0:
+        if _positive(self.cfl) is None:
             raise ValueError(f"cfl must be positive, got {self.cfl}")
 
     def check_step(self, grid: Grid) -> None:
@@ -135,7 +135,7 @@ def _take_in(space: DerivativeSpace, adv: slice, U: np.ndarray, held=lambda h: h
 class SimState:
     """Snapshot of all interacting fields at one tau.
 
-    ``U`` is the (M, 7, nx, ny, nz) complex state, and ``background``
+    ``U`` is the (M, 7, nx, ny, nz) complex128 state, and ``background``
     strong_field's frozen A', (3, nx, ny, nz), given in no other mode.  A
     state that ``build_state`` or ``step_rk4`` returned on spectral also
     holds the band coefficients the next step starts from; where it holds
@@ -148,6 +148,7 @@ class SimState:
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
+        U = np.asarray(U, dtype=np.complex128)
         self.tau, self._grid, self.medium, self._mode = tau, grid, medium, mode
         self.background, self._U, self._coef, self._closed = background, U, None, None
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:

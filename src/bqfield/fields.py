@@ -12,7 +12,10 @@ only enters through the assembly weights above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
+from operator import index as _index
 
 import numpy as np
 
@@ -33,6 +36,15 @@ __all__ = [
 ]
 
 
+def _positive(v) -> float | None:
+    """``v`` as a float if it is a real number > 0, finite as a float, and not a bool."""
+    try:
+        x = float(v) if isinstance(v, Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    return x if 0 < x < math.inf else None
+
+
 @dataclass(frozen=True, slots=True)
 class Medium:
     """Homogeneous isotropic medium: permittivity, permeability, interaction constant."""
@@ -43,8 +55,9 @@ class Medium:
 
     def __post_init__(self):
         for name in ("epsilon", "mu", "kappa"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if (x := _positive(v := getattr(self, name))) is None:
+                raise ValueError(f"{name} must be positive, got {v}")
+            object.__setattr__(self, name, x)
 
     @property
     def c(self) -> float:
@@ -60,14 +73,19 @@ class Grid:
     dtau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "L", tuple(float(v) for v in self.L))
-        if not (len(self.n) == 3 and all(v >= 4 for v in self.n)):
+        try:
+            n = tuple(map(_index, self.n))
+        except TypeError:
+            n = ()  # not integers: refused below
+        if not (len(n) == 3 and all(v >= 4 for v in n)):
             raise ValueError(f"n must be 3 cell counts >= 4, got {self.n}")
-        if not all(v > 0 for v in self.L):
+        L = tuple(map(_positive, self.L)) if np.iterable(self.L) else ()
+        if not (len(L) == 3 and None not in L):
             raise ValueError(f"L must be positive, got {self.L}")
-        if not self.dtau > 0:
+        if (dtau := _positive(self.dtau)) is None:
             raise ValueError(f"dtau must be positive, got {self.dtau}")
+        for name, v in (("n", n), ("L", L), ("dtau", dtau)):
+            object.__setattr__(self, name, v)
 
     @property
     def h(self) -> tuple[float, float, float]:

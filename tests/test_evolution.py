@@ -630,6 +630,21 @@ def test_state_u_has_no_setter():
     assert st.U is U
 
 
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_real_u_steps_as_the_same_u_given_complex(mode, scheme):
+    """SimState holds U as complex128, so a real U steps bit-equal to the
+    same values given as complex (on central4 the force modes raised on it,
+    and free_theta dropped the imaginary part of its step)."""
+    g = cube(8, 0.05)
+    nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((2, 7) + g.shape)
+    bg = rng.standard_normal((3,) + g.shape) + 0j if mode == "strong_field" else None
+    real, given = (step_rk4(SimState(0.0, V, g, Medium(), mode, bg), nab, cfg)[0] for V in (U, U + 0j))
+    assert real.U.dtype == np.complex128 and np.array_equal(real.U, given.U)
+
+
 def test_state_copy_is_a_separate_snapshot():
     """``copy`` of a resident spectral maxwell state makes U from its
     coefficients into an array of its own: writing the copy leaves the
@@ -662,6 +677,14 @@ def test_cfl_guard_rejects_large_dtau():
     st = pack_state(g, Medium(), "maxwell", A=circular_afield(g))
     with pytest.raises(ValueError):
         step_rk4(st, nab, StepperConfig(cfl=0.25))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan, True, "0.25", None])
+def test_stepper_config_rejects_a_cfl_it_cannot_use(bad):
+    """cfl must be a finite real number > 0 and not a bool: an infinite one
+    would let any dtau pass the step bound."""
+    with pytest.raises(ValueError, match="cfl must be positive"):
+        StepperConfig(cfl=bad)
 
 
 def test_numerical_abort_carries_last_good_state():

@@ -35,11 +35,35 @@ def test_medium_defaults_and_speed():
     assert m3.c == pytest.approx(0.25)
 
 
+# each constant must be a real number > 0, finite as a float, and not a bool
+NOT_POSITIVE = [0.0, -1.0, np.inf, 10**400, np.nan, True, "1", None, 1j]
+
+
 def test_medium_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Medium(epsilon=0.0)
-    with pytest.raises(ValueError):
-        Medium(mu=-1.0)
+    for name in ("epsilon", "mu", "kappa"):
+        for bad in NOT_POSITIVE:
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                Medium(**{name: bad})
+
+
+@pytest.mark.parametrize("kwargs,fragment", [
+    *[({"dtau": bad}, "dtau must be positive") for bad in NOT_POSITIVE],
+    *[({"L": L}, "L must be positive") for L in [(np.inf, 1.0, 1.0), (1.0, "1", 1.0), (1.0, 1.0), 2.0]],
+    *[({"n": n}, "n must be 3 cell counts") for n in [(8.9, 8, 8), ("8", 8, 8), (8, 8), 8, (3, 8, 8)]],
+])
+def test_grid_rejects_what_it_cannot_use(kwargs, fragment):
+    """n must be 3 integers >= 4 (a float count is not truncated), L 3 and
+    dtau one finite real number > 0; anything else raises ValueError."""
+    given = {"n": (8, 8, 8), "L": (1.0, 1.0, 1.0), "dtau": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=fragment):
+        Grid(**given)
+
+
+def test_grid_and_medium_hold_python_numbers():
+    g = Grid(n=(np.int64(8), 8, 8), L=(1, 2, np.float32(3)), dtau=np.float32(0.5))
+    m = Medium(epsilon=2, mu=np.float64(0.5))
+    assert g.n == (8, 8, 8) and type(g.n[0]) is int
+    assert [type(v) for v in (*g.L, g.dtau, m.epsilon, m.mu, m.kappa)] == [float] * 7
 
 
 def test_grid_spacing_and_axes():
