@@ -30,12 +30,13 @@ In ``maxwell`` and ``free_theta`` f is constant, and on spectral
 ``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
 b L L X + S: the same discrete map as the four stages, to round-off, for two
 applications of L in place of four.  The per-wavenumber a, b and maxwell's
-held source S are made once per run (``_closed_form``).
-Force modes and central4 evaluate the four stages.
+held source S are made once per run (``_closed_form``) and kept on the
+band record below.  Force modes and central4 evaluate the four stages.
 
 On spectral a state keeps the band coefficients of its advanced channels,
 next to ``U``, until the next step takes them: ``build_state`` and every
-step return them, and a step starts from them with no transform.  Without a
+step return them, and a step on their scheme starts from them with no
+transform (a step on another scheme takes ``U`` in).  Without a
 force (``maxwell``, ``free_theta``) a stepped state holds them alone and
 makes ``U`` on first read; a force mode makes ``U`` in the step.  A step
 drops the coefficients it took from its input if that input holds ``U``
@@ -54,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
-from .fields import AField, ChargeCurrent, Grid, Medium, _positive
+from .fields import AField, ChargeCurrent, Grid, Medium, _finite, _positive
 from .operators import DerivativeSpace, Nabla
 
 __all__ = [
@@ -111,13 +112,14 @@ class NumericalAbort(RuntimeError):
 
 class _Coefficients(NamedTuple):
     """A state's advanced channels in derivative space, kept until the next
-    step takes them, and its physical held channels before (``lo``) and
-    after (``hi``) them."""
+    step takes them, its physical held channels before (``lo``) and after
+    (``hi``) them, and the run's closed-form constants once a step made them."""
 
     space: DerivativeSpace
     X: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    closed: _ClosedForm | None = None
 
     def physical(self) -> np.ndarray:
         X = self.space.back(self.X)
@@ -136,31 +138,37 @@ class SimState:
     """Snapshot of all interacting fields at one tau.
 
     ``U`` is the (M, 7, nx, ny, nz) complex128 state, and ``background``
-    strong_field's frozen A', (3, nx, ny, nz), given in no other mode.  A
-    state that ``build_state`` or ``step_rk4`` returned on spectral also
-    holds the band coefficients the next step starts from; where it holds
-    only those, ``U`` is made on first read, next to them, and the step that
-    takes them drops them.  The states of one run share their held channels
-    and the closed form's constants, so ``U`` has no setter, and writing
-    into it in place corrupts the later states.  ``grid`` and ``mode`` are
-    fixed for the run and read-only: a new dtau or mode is a new SimState.
+    strong_field's frozen A', complex128 of shape (3, nx, ny, nz), given in
+    no other mode; ``tau`` a finite real number, held as a float.  A state
+    that ``build_state`` or ``step_rk4`` returned on spectral also holds the
+    band coefficients the next step starts from; where it holds only those,
+    ``U`` is made on first read, next to them, and the step that takes them
+    drops them.  The states of one run share their held channels and the
+    closed form's constants, so ``U`` has no setter, and writing into it in
+    place corrupts the later states.  ``grid`` and ``mode`` are fixed for
+    the run and read-only: a new dtau or mode is a new SimState.
     """
 
     def __init__(self, tau: float, U: np.ndarray, grid: Grid, medium: Medium, mode: str,
                  background: np.ndarray | None = None):
         U = np.asarray(U, dtype=np.complex128)
-        self.tau, self._grid, self.medium, self._mode = tau, grid, medium, mode
-        self.background, self._U, self._coef, self._closed = background, U, None, None
+        if background is not None:
+            background = np.asarray(background, dtype=np.complex128)
+            if background.shape != (3,) + grid.n:
+                raise ValueError(f"background shape {background.shape} is not (3,) + grid n {grid.n}")
+        if (t := _finite(tau)) is None:
+            raise ValueError(f"tau must be a finite real number, got {tau!r}")
+        self.tau, self._grid, self.medium, self._mode = t, grid, medium, mode
+        self.background, self._U, self._coef = background, U, None
         if U.ndim != 5 or U.shape[1] != 7 or U.shape[2:] != grid.n:
             raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
         check_mode(mode, U.shape[0], background)
 
-    def _stepped(self, tau: float, coef: _Coefficients, closed=None) -> "SimState":
-        """The state at ``tau`` of this run, held as ``coef``, with the run's
-        closed-form constants ``closed``."""
+    def _stepped(self, tau: float, coef: _Coefficients) -> "SimState":
+        """The state at ``tau`` of this run, held as ``coef``."""
         new = object.__new__(SimState)
         new.tau, new._grid, new.medium, new._mode = tau, self.grid, self.medium, self.mode
-        new.background, new._U, new._coef, new._closed = self.background, None, coef, closed
+        new.background, new._U, new._coef = self.background, None, coef
         return new
 
     grid = property(lambda self: self._grid)
@@ -199,6 +207,13 @@ def check_mode(mode: str, n_fields: int, background) -> None:
     if (background is None) == (mode == "strong_field"):
         raise ValueError("mode 'strong_field' needs a background A'" if background is None
                          else f"only mode 'strong_field' takes a background A', not {mode!r}")
+
+
+def _check_box(state: SimState, nabla: Nabla) -> None:
+    """Raise ValueError unless ``nabla``'s grid is the state's box: one n and L."""
+    if (nabla.grid.n, nabla.grid.L) != (state.grid.n, state.grid.L):
+        raise ValueError(f"the Nabla's box (n {nabla.grid.n}, L {nabla.grid.L}) is not "
+                         f"the state's (n {state.grid.n}, L {state.grid.L})")
 
 
 # -- right-hand sides ---------------------------------------------------------
@@ -278,6 +293,7 @@ def _rhs(space, state: SimState, X: np.ndarray, held_J=None) -> np.ndarray:
 
 def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     """Time derivative of the full state array (zero in the channels held)."""
+    _check_box(state, nabla)
     U, adv = state.U, _advanced(state.mode)
     dU = np.zeros_like(U)
     dU[:, adv] = _rhs(nabla, state, U[:, adv], U[:, _J] if adv.stop < 7 else None)
@@ -362,19 +378,23 @@ def step_rk4(
     and central4 (where |d(k)|^2 is no stencil) run the four stages on the
     same L X + f.
 
-    A step starts from its input's band coefficients where it holds them,
-    else from ``U``, and checks the held channels for finiteness once per
-    run where the closed form is kept, else on every step.
+    A step starts from its input's kept coefficients where they were made on
+    ``nabla``'s scheme, else from ``U``, and checks the held channels for
+    finiteness once per run where the closed form is kept, else on every
+    step.  It raises ValueError unless ``nabla`` is on the state's box.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
     Raises NumericalAbort (carrying the last good state) on non-finite values.
     """
+    _check_box(state, nabla)
     config.check_step(state.grid)
     dt = state.grid.dtau
     space, adv, resident = nabla.space, _advanced(state.mode), _resident(state.mode, nabla)
-    _, X0, lo, hi = state._coef or _take_in(space, adv, state.U)
-    closed = state._closed if resident else None
+    coef = state._coef
+    if coef is None or coef.space.nabla.scheme != nabla.scheme:  # made in another space
+        coef = _take_in(space, adv, state.U)
+    _, X0, lo, hi, closed = coef
     # held channels never change, and a rhs need not read them all: checked
     # once per run where the closed form is kept, else on every step
     if closed is None and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -403,7 +423,7 @@ def step_rk4(
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi), closed)
+    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi, closed))
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
         if nabla.scheme != "spectral":

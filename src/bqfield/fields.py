@@ -36,13 +36,19 @@ __all__ = [
 ]
 
 
-def _positive(v) -> float | None:
-    """``v`` as a float if it is a real number > 0, finite as a float, and not a bool."""
+def _finite(v) -> float | None:
+    """``v`` as a float if it is a real number, finite as a float, and not a bool."""
     try:
         x = float(v) if isinstance(v, Real) and not isinstance(v, bool) else math.nan
     except OverflowError:  # an integer too large for a float
         x = math.inf
-    return x if 0 < x < math.inf else None
+    return x if math.isfinite(x) else None
+
+
+def _positive(v) -> float | None:
+    """``v`` as a float if it is a real number > 0, finite as a float, and not a bool."""
+    x = _finite(v)
+    return x if x is not None and x > 0 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +64,8 @@ class Medium:
             if (x := _positive(v := getattr(self, name))) is None:
                 raise ValueError(f"{name} must be positive, got {v}")
             object.__setattr__(self, name, x)
+        if not 0 < self.epsilon * self.mu < math.inf:  # c = 1/sqrt(epsilon mu) is finite and > 0
+            raise ValueError(f"epsilon * mu must be a positive finite float, got {self.epsilon * self.mu}")
 
     @property
     def c(self) -> float:

@@ -155,27 +155,46 @@ def _periodic_gaussian(grid: Grid, center, width: float, gradient: bool = False)
 
 
 def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
-    """Build initial data from a preset dict.
+    """Build initial data from a preset dict: amplitude x one constant
+    biquaternion, i scalar + polarization, x one scalar profile.
 
-    want = "vector" returns a complex (3, nx, ny, nz) array; want = "pair"
-    returns (scalar, vector) for a charge-current field.
+    The profile is the plane wave's phase, the periodic gaussian g, or 1 for
+    ``uniform``, whose polarization is its ``value`` and amplitude 1; a
+    gradient pulse's vector part is amplitude x grad g.  ``null`` is the zero
+    preset.  want = "vector" returns a complex (3, nx, ny, nz) array; want =
+    "pair" returns (scalar, vector) for a charge-current field.
     """
-    if preset is None:
+    if preset is None:  # fresh zeros: unwritten, their pages cost no resident memory
         vec = np.zeros((3,) + grid.n, dtype=np.complex128)
-        if want == "vector":
-            return vec
-        return np.zeros(grid.n, dtype=np.complex128), vec
+        return vec if want == "vector" else (np.zeros(grid.n, dtype=np.complex128), vec)
     if not isinstance(preset, dict):
         raise ScenarioError(f"{path} must be an object or null")
     d = dict(preset)
     kind = _take(d, "type", path, required=True)
-    scalar = np.zeros(grid.n, dtype=np.complex128)
     if kind == "plane_wave":
         k = _real_vector(_take(d, "k", path, required=True), _ctx(path, "k"))
-        pol = _complex_vector(_take(d, "polarization", path), _ctx(path, "polarization"))
-        amp = _complex_scalar(_take(d, "amplitude", path, default=1.0), _ctx(path, "amplitude"))
-        sc = _complex_scalar(_take(d, "scalar", path), _ctx(path, "scalar"))
-        _done(d, path)
+    elif kind == "gaussian_pulse":
+        center = _real_vector(
+            _take(d, "center", path, default=[L / 2 for L in grid.L]), _ctx(path, "center")
+        )
+        width = _number(_take(d, "width", path, default=min(grid.L) / 8), _ctx(path, "width"))
+        if width <= 0:
+            raise ScenarioError(f"{_ctx(path, 'width')} must be positive")
+    elif kind != "uniform":
+        raise ScenarioError(f"{path}: unknown preset type {kind!r}")
+    pkey = "value" if kind == "uniform" else "polarization"
+    pol = _take(d, pkey, path)
+    amp = 1.0 if kind == "uniform" else _complex_scalar(
+        _take(d, "amplitude", path, default=1.0), _ctx(path, "amplitude"))
+    gradient = _take(d, "gradient", path, default=False) if kind == "gaussian_pulse" else False
+    sc = _complex_scalar(_take(d, "scalar", path), _ctx(path, "scalar"))
+    _done(d, path)
+    if not isinstance(gradient, bool):
+        raise ScenarioError(f"{_ctx(path, 'gradient')} must be a boolean")
+    if gradient and pol is not None:
+        raise ScenarioError(f"{path}: gradient pulses take no polarization (they point along grad g)")
+    pol = _complex_vector(pol, _ctx(path, pkey))
+    if kind == "plane_wave":
         for a in range(3):
             kL = k[a] * grid.L[a] / (2 * np.pi)
             if abs(kL - round(kL)) > 1e-9:
@@ -184,42 +203,14 @@ def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
                     f"(k*L/2pi = {kL})"
                 )
         X = grid.meshgrid()
-        phase = np.exp(1j * sum(k[a] * X[a] for a in range(3)))
-        vec = amp * pol[:, None, None, None] * phase
-        scalar = amp * sc * phase
-    elif kind == "gaussian_pulse":
-        center = _real_vector(
-            _take(d, "center", path, default=[L / 2 for L in grid.L]), _ctx(path, "center")
-        )
-        width = _number(_take(d, "width", path, default=min(grid.L) / 8), _ctx(path, "width"))
-        if width <= 0:
-            raise ScenarioError(f"{_ctx(path, 'width')} must be positive")
-        amp = _complex_scalar(_take(d, "amplitude", path, default=1.0), _ctx(path, "amplitude"))
-        pol = _take(d, "polarization", path)
-        gradient = _take(d, "gradient", path, default=False)
-        sc = _complex_scalar(_take(d, "scalar", path), _ctx(path, "scalar"))
-        _done(d, path)
-        if not isinstance(gradient, bool):
-            raise ScenarioError(f"{_ctx(path, 'gradient')} must be a boolean")
-        g = _periodic_gaussian(grid, center, width)
-        if gradient:
-            if pol is not None:
-                raise ScenarioError(
-                    f"{path}: gradient pulses take no polarization (they point along grad g)"
-                )
-            vec = amp * _periodic_gaussian(grid, center, width, gradient=True)
-        else:
-            p = _complex_vector(pol, _ctx(path, "polarization"))
-            vec = amp * p[:, None, None, None] * g
-        scalar = amp * sc * g
-    elif kind == "uniform":
-        val = _complex_vector(_take(d, "value", path), _ctx(path, "value"))
-        sc = _complex_scalar(_take(d, "scalar", path), _ctx(path, "scalar"))
-        _done(d, path)
-        vec = np.broadcast_to(val[:, None, None, None], (3,) + grid.n).astype(np.complex128).copy()
-        scalar = np.full(grid.n, sc, dtype=np.complex128)
+        profile = np.exp(1j * sum(k[a] * X[a] for a in range(3)))
     else:
-        raise ScenarioError(f"{path}: unknown preset type {kind!r}")
+        profile = _periodic_gaussian(grid, center, width) if kind == "gaussian_pulse" else np.ones(grid.n)
+    if gradient:
+        vec = amp * _periodic_gaussian(grid, center, width, gradient=True)
+    else:
+        vec = amp * pol[:, None, None, None] * profile
+    scalar = amp * sc * profile
     if want == "vector":
         if np.abs(scalar).max() > 0:
             raise ScenarioError(f"{path}: a field strength preset cannot carry a scalar part")

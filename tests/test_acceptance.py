@@ -297,7 +297,7 @@ def test_criterion_04_conservation_residuals(eigenmode_period):
     a_m = AField(g, amp * np.exp(1j * delta))
     a_p = AField(g, 1.1 * amp * np.exp(-1j * delta))
     th0 = field_totals(SimState(0.0, np.zeros((1, 7) + g.shape, np.complex128), g, med, "maxwell"))[1]
-    ctrl_poynting, _ = poynting_residual(nab, med, a_m, a_mid, a_p, th0, delta)
+    ctrl_poynting, _ = poynting_residual(nab, a_m, a_mid, a_p, th0, delta)
 
     ok = (
         r["charge"] <= 1e-8

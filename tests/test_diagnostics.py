@@ -35,7 +35,8 @@ from bqfield import (
     poynting_residual,
     reciprocity_residual,
 )
-from bqfield.diagnostics import _interp_weights
+from bqfield.diagnostics import _interp_weights, _source_power
+from bqfield.evolution import _force_biquaternion
 
 
 def cube(n, dtau=0.05):
@@ -295,15 +296,34 @@ def test_box_rho_residual_truncation_level():
 def test_poynting_residual_eigenmode_and_control():
     g = cube(16)
     nab = Nabla(g)
-    med = Medium()
     d = 0.05
     a = [circular_afield(g, tau=t) for t in (-d, 0.0, d)]
     th0 = ChargeCurrent(g, np.zeros(g.shape, complex), np.zeros((3,) + g.shape, complex))
-    linf, _ = poynting_residual(nab, med, a[0], a[1], a[2], th0, d)
+    linf, _ = poynting_residual(nab, a[0], a[1], a[2], th0, d)
     assert linf <= 1e-12
     bad = AField(g, 1.1 * a[2].A)
-    linf2, _ = poynting_residual(nab, med, a[0], a[1], bad, th0, d)
+    linf2, _ = poynting_residual(nab, a[0], a[1], bad, th0, d)
     assert linf2 > 1.0
+
+
+@pytest.mark.parametrize("eps,mu", [(2.5, 0.3), (1e-3, 7.0), (4.0, 0.5)])
+def test_source_power_is_the_physical_power_in_any_medium(eps, mu):
+    """The sources' power -Re(J, A*) needs no medium: it is (j_H . H - j_E . E)/c
+    of the physical fields in every medium, and the real scalar of Theta o A*,
+    minus the power-force -Theta o A* formed by the stepper's force body."""
+    g, med = cube(6), Medium(epsilon=eps, mu=mu)
+    rng = np.random.default_rng(31)
+    E, H, j_E, j_H = rng.standard_normal((4, 3) + g.shape)
+    rho_E, rho_H = rng.standard_normal((2,) + g.shape)
+    a = assemble_afield(g, E, H, med)
+    th = assemble_theta(g, rho_E, rho_H, j_E, j_H, med)
+    got = _source_power(a, th)
+    E, H = decompose_afield(a, med)
+    _, _, j_E, j_H = decompose_theta(th, med)
+    physical = ((j_H * H).sum(axis=0) - (j_E * E).sum(axis=0)) / med.c
+    assert np.abs(got - physical).max() <= 1e-14 * np.abs(physical).max()
+    force = _force_biquaternion(th.rho, th.J, a.A.conj())
+    assert np.abs(got + force.scalar.real).max() <= 1e-14 * np.abs(got).max()
 
 
 def test_first_law_free_wave_truncation():
@@ -941,7 +961,7 @@ def test_diagnostics_engine_rows_match_residual_functions(mode):
         ]
         for name, r in (
             ("charge", charge),
-            ("poynting", poynting_residual(nab, med, a_m, a_0, a_p, t_0, d)),
+            ("poynting", poynting_residual(nab, a_m, a_0, a_p, t_0, d)),
             ("first_law", worst(first)),
             ("box_rho", box_rho_residual(nab, t_m.rho, t_0.rho, t_p.rho, d)),
             ("freeness", freeness_residual(nab, t_m, t_0, t_p, d)),

@@ -645,6 +645,59 @@ def test_a_real_u_steps_as_the_same_u_given_complex(mode, scheme):
     assert real.U.dtype == np.complex128 and np.array_equal(real.U, given.U)
 
 
+@pytest.mark.parametrize("use", ["step_rk4", "state_rhs", "diagnostics"])
+def test_a_nabla_of_another_box_is_refused(use):
+    """A Nabla differentiates on its own grid's n and L: one on a box twice
+    as long stepped the state percents off the right step, and the
+    diagnostics measured its derivatives at half their size.  A step, a
+    right-hand side and a diagnostics record refuse it."""
+    g = cube(8, 0.05)
+    st = random_state(g, "maxwell", seed=5)
+    nab = Nabla(dataclasses.replace(g, L=(4 * np.pi,) * 3))
+    with pytest.raises(ValueError, match="is not the state's"):
+        if use == "step_rk4":
+            step_rk4(st, nab, StepperConfig())
+        elif use == "state_rhs":
+            state_rhs(st, nab)
+        else:
+            DiagnosticsEngine(nab, [{"name": "constraint_drift"}]).sample(st, 0)
+
+
+@pytest.mark.parametrize("mode", ["maxwell", "united"])
+def test_a_step_on_another_scheme_takes_u_in(mode):
+    """A state stepped on spectral keeps band coefficients; a step on
+    central4 reads U, bit-equal to a step of a fresh state (the band was
+    read as physical arrays and the shapes did not broadcast)."""
+    g = cube(12, 0.05)
+    st, _ = step_rk4(random_state(g, mode, seed=41), Nabla(g), StepperConfig())
+    c4 = Nabla(g, scheme="central4")
+    got, _ = step_rk4(st, c4, StepperConfig())
+    ref, _ = step_rk4(SimState(st.tau, st.U.copy(), g, st.medium, mode, st.background), c4, StepperConfig())
+    assert got.tau == ref.tau and np.array_equal(got.U, ref.U)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (3, 8, 8, 1), (3, 1, 1, 1)])
+def test_state_refuses_a_background_of_another_shape(shape):
+    """A background is (3,) + grid.n: an (8, 8, 8) one was read as three
+    equal components, and the others stepped by broadcasting."""
+    g = cube(8, 0.05)
+    with pytest.raises(ValueError, match="background shape"):
+        pack_state(g, Medium(), "strong_field", background=np.ones(shape))
+    st = pack_state(g, Medium(), "strong_field", background=np.ones((3,) + g.n))
+    assert st.background.dtype == np.complex128
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, "0", True, None, 1j,
+                                 pytest.param(10**400, id="10**400")])
+def test_state_refuses_a_tau_it_cannot_use(tau):
+    """tau is a finite real number: NaN made the first window fail on its
+    spacing, and "0" raised TypeError in the step."""
+    g = cube(8, 0.05)
+    with pytest.raises(ValueError, match="tau must be a finite real number"):
+        SimState(tau, np.zeros((1, 7) + g.n), g, Medium(), "maxwell")
+    assert SimState(np.float32(0.5), np.zeros((1, 7) + g.n), g, Medium(), "maxwell").tau == 0.5
+
+
 def test_state_copy_is_a_separate_snapshot():
     """``copy`` of a resident spectral maxwell state makes U from its
     coefficients into an array of its own: writing the copy leaves the

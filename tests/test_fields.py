@@ -46,6 +46,14 @@ def test_medium_rejects_nonpositive():
                 Medium(**{name: bad})
 
 
+@pytest.mark.parametrize("eps,mu", [(1e200, 1e200), (1e-200, 1e-200), (1e300, 1e10), (1e-300, 1e-30)])
+def test_medium_rejects_a_product_it_cannot_use(eps, mu):
+    """Each constant alone is fine, but epsilon * mu overflows or underflows a
+    float, so c = 1/sqrt(epsilon mu) would be 0 or inf."""
+    with pytest.raises(ValueError, match="epsilon \\* mu must be a positive finite float"):
+        Medium(epsilon=eps, mu=mu)
+
+
 @pytest.mark.parametrize("kwargs,fragment", [
     *[({"dtau": bad}, "dtau must be positive") for bad in NOT_POSITIVE],
     *[({"L": L}, "L must be positive") for L in [(np.inf, 1.0, 1.0), (1.0, "1", 1.0), (1.0, 1.0), 2.0]],

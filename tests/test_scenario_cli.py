@@ -208,6 +208,68 @@ def test_preset_uniform_and_null():
     np.testing.assert_allclose(J, 0.0)
     vec0 = build_preset(None, g, "t", "vector")
     assert np.abs(vec0).max() == 0.0
+    rho0, J0 = build_preset(None, g, "t", "pair")
+    assert rho0.shape == g.n and J0.shape == (3,) + g.n and not rho0.any() and not J0.any()
+    # null is the zero preset, but {} is an object without its type
+    with pytest.raises(ScenarioError, match="missing required key 't.type'"):
+        build_preset({}, g, "t", "pair")
+
+
+def _images(grid, center, width):
+    """Per axis, the three periodic images of a 1-D gaussian and its slope."""
+    g, dg = [], []
+    for a, x in enumerate(grid.axes()):
+        xs = [x - center[a] + s * grid.L[a] for s in (-1, 0, 1)]
+        e = [np.exp(-xa**2 / (2 * width**2)) for xa in xs]
+        shape = [1, 1, 1]
+        shape[a] = -1
+        g.append(sum(e).reshape(shape))
+        dg.append(sum(-xa / width**2 * ea for xa, ea in zip(xs, e)).reshape(shape))
+    return g, dg
+
+
+@pytest.mark.parametrize("case", ["plane_wave", "polarised_gaussian", "gradient_gaussian", "uniform"])
+def test_preset_is_amplitude_times_constant_times_profile(case):
+    """Every preset is amplitude x (i scalar + polarization) x profile: the
+    plane wave's phase, the periodic gaussian, or 1 for uniform (amplitude 1,
+    polarization its value); a gradient pulse's vector is amplitude x grad g."""
+    from bqfield import Grid
+
+    g = Grid(n=(8, 10, 12), L=(2 * np.pi, 4 * np.pi, 3.0), dtau=0.1)
+    X, Y, Z = g.meshgrid()
+    amp, sc, pol = 0.7 - 0.4j, 0.3 + 1.1j, np.array([1.0 + 0.5j, -0.25j, 2.0])
+    cpol = {"re": list(pol.real), "im": list(pol.imag)}
+
+    def cnum(z):
+        return {"re": z.real, "im": z.imag}
+
+    center, width = [1.0, 2.0, 2.5], 0.6
+    gs, dgs = _images(g, center, width)
+    gauss = gs[0] * gs[1] * gs[2]
+    if case == "plane_wave":
+        preset = {"type": "plane_wave", "k": [1.0, -0.5, 2 * np.pi / 3], "polarization": cpol,
+                  "amplitude": cnum(amp), "scalar": cnum(sc)}
+        profile = np.exp(1j * (X - 0.5 * Y + 2 * np.pi / 3 * Z))
+        vec = amp * pol[:, None, None, None] * profile
+    elif case == "uniform":
+        preset = {"type": "uniform", "value": cpol, "scalar": cnum(sc)}
+        amp, profile = 1.0, np.ones(g.n)
+        vec = np.broadcast_to(pol[:, None, None, None], (3,) + g.n)
+    else:
+        preset = {"type": "gaussian_pulse", "center": center, "width": width,
+                  "amplitude": cnum(amp), "scalar": cnum(sc)}
+        profile = gauss
+        if case == "gradient_gaussian":
+            preset["gradient"] = True
+            vec = amp * np.stack([dgs[0] * gs[1] * gs[2], gs[0] * dgs[1] * gs[2], gs[0] * gs[1] * dgs[2]])
+        else:
+            preset["polarization"] = cpol
+            vec = amp * pol[:, None, None, None] * gauss
+    rho, J = build_preset(preset, g, "t", "pair")
+    np.testing.assert_allclose(rho, amp * sc * profile, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(J, vec, rtol=1e-13, atol=1e-15)
+    del preset["scalar"]
+    np.testing.assert_allclose(build_preset(preset, g, "t", "vector"), vec, rtol=1e-13, atol=1e-15)
 
 
 def test_preset_gaussian_gradient_exclusive():
@@ -519,6 +581,16 @@ def test_cli_non_string_diagnostic_name_exits_two(tmp_path, capsys):
     doc["diagnostics"].append({"name": ["charge"]})
     assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
     assert "diagnostics[2].name must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_mu", [1e200, 1e-200])
+def test_cli_medium_whose_speed_is_not_a_float_exits_two(tmp_path, capsys, eps_mu):
+    """epsilon * mu overflows (c = 0) or underflows (c = inf): Medium refuses
+    it, and the parser names ``medium``."""
+    doc = eigenmode_doc()
+    doc["medium"] = {"epsilon": eps_mu, "mu": eps_mu}
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
+    assert "medium: epsilon * mu must be a positive finite float" in capsys.readouterr().err
 
 
 def test_cli_constraint_projection_exits_two(tmp_path, capsys, monkeypatch):
