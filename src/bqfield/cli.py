@@ -20,7 +20,6 @@ output_dir, or the BQFIELD_OUT environment variable, or defaults to
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -28,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import _positive
 from .runner import run_scenario
 from .scenario import (
     ScenarioError,
@@ -35,7 +35,7 @@ from .scenario import (
     _complex_vector,
     _done,
     _medium,
-    _number,
+    _read_json,
     _real_vector,
     _take,
     load_scenario,
@@ -84,8 +84,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_shock_check(args) -> int:
     try:
-        with open(args.front) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.front)
         if not isinstance(doc, dict):
             raise ScenarioError("a front datum must be a JSON object")
         d = dict(doc)
@@ -98,7 +97,9 @@ def _cmd_shock_check(args) -> int:
             jump_J=_complex_vector(_take(d, "jump_J", ""), "jump_J"),
             medium=_medium(_take(d, "medium", "", default={}), "medium"),
         )
-        tol = _number(_take(d, "tolerance", "", default=1e-10), "tolerance")
+        given = _take(d, "tolerance", "", default=1e-10)
+        if (tol := _positive(given)) is None:  # the rule of a diagnostics tolerance
+            raise ScenarioError(f"tolerance must be a positive number, finite as a float, got {given!r}")
         _done(d, "")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

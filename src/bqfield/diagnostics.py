@@ -17,17 +17,17 @@ plane index.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from numbers import Real
-from operator import index as _index, itemgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
-from .fields import AField, ChargeCurrent, Grid, Medium, PowerForce, decompose_force
+from .fields import AField, ChargeCurrent, Grid, Medium, PowerForce, _integer, _positive, decompose_force
 from .fields import decompose_afield, decompose_theta  # unused: bindings perfbench's tracer wraps
 from .evolution import SimState, _advanced, _check_box, _force_biquaternion, field_totals, partner_field
 from . import operators
@@ -374,7 +374,7 @@ class BoxRegion:
     def __init__(self, grid: Grid, lo=(0, 0, 0), hi=None):
         bounds = (lo, grid.n if hi is None else hi)
         try:
-            lo, hi = (tuple(map(_index, b)) for b in bounds)
+            lo, hi = (tuple(map(_integer, b)) for b in bounds)
         except TypeError:
             lo = hi = ()  # not integers: refused below
         if not len(lo) == len(hi) == 3:
@@ -424,7 +424,7 @@ class FluxSurface:
     def __init__(self, grid: Grid, axis: int, index: int, part_axis: int, j0: int, j1: int):
         given = (axis, index, part_axis, j0, j1)
         try:
-            axis, index, part_axis, j0, j1 = map(_index, given)
+            axis, index, part_axis, j0, j1 = map(_integer, given)
         except TypeError:
             raise ValueError(f"axis, index, part_axis, j0 and j1 must be integers, got {given}") from None
         if axis == part_axis or not {axis, part_axis} <= {0, 1, 2}:
@@ -689,42 +689,59 @@ def _bounds(v):
     return v
 
 
-def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSurface | None]:
-    """Check diagnostics specs on ``grid``; the one home of their rules.
+# what a spec's region and surface build, and the keys each one requires
+_SELECTORS = {"region": (BoxRegion, ("lo", "hi")),
+              "surface": (FluxSurface, ("axis", "index", "part_axis", "j0", "j1"))}
 
-    Every name is known and given once, cadence is an integer >= 1,
-    tolerance a positive number, only integral series give a region or
-    surface, and each one given is built; the integral series share one
-    cadence, one region and one surface.
-    Errors name the spec as ``diagnostics[i]``.  Returns the integral laws'
-    cadence, region (the whole box by default) and surface (None by default,
-    for the region's ``default_surface``); all None without integral series.
+
+def check_specs(grid: Grid, specs):
+    """Read diagnostics specs on ``grid``: the one reader of a spec and the
+    one home of its rules.
+
+    A spec is a mapping of name (a known series, given once), cadence (an
+    integer >= 1, not a bool; default 1), tolerance (a real number > 0,
+    finite as a float, not a bool; default None) and, on integral series
+    only, region and surface with all their keys, built here; no other key.
+    The integral series share one cadence, region and surface.  Errors are
+    ValueErrors naming the spec as ``diagnostics[i]``.
+    Returns ``{name: (cadence, tolerance)}`` in spec order and the integral
+    laws' (cadence, region, surface), region the whole box and surface None
+    (the region's ``default_surface``) by default; None without them.
     """
-    seen, shared = set(), {}
+    laws, shared = {}, {}
     for i, spec in enumerate(specs):
-        p, name = f"diagnostics[{i}]", spec["name"]
+        p = f"diagnostics[{i}]"
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"{p} must be an object")
+        if extra := set(spec) - {"name", "cadence", "tolerance", *_SELECTORS}:
+            raise ValueError(f"unknown key(s) at {p}: {', '.join(sorted(map(repr, extra)))}")
+        name, cadence, tol = spec.get("name"), spec.get("cadence", 1), spec.get("tolerance")
+        if not isinstance(name, str):
+            raise ValueError(f"{p}.name must be a string, got {name!r}")
         if name not in LAWS:
             raise ValueError(f"{p}.name: unknown diagnostic {name!r}")
-        if name in seen:
+        if name in laws:
             raise ValueError(f"{p}.name: duplicate diagnostic {name!r}")
-        seen.add(name)
-        cadence, tol = spec.get("cadence", 1), spec.get("tolerance")
         try:
-            given = {"cadence": _index(cadence)}
+            given = {"cadence": _integer(cadence)}
         except TypeError:
             given = {"cadence": 0}  # not an integer: refused as below 1
         if given["cadence"] < 1:
             raise ValueError(f"{p}.cadence must be an integer >= 1, got {cadence!r}")
-        if tol is not None and not (isinstance(tol, Real) and tol > 0):
-            raise ValueError(f"{p}.tolerance must be a positive number, got {tol!r}")
-        for key, make in (("region", BoxRegion), ("surface", FluxSurface)):
-            if spec.get(key) is not None:
-                if LAWS[name].kind != "integral":
-                    raise ValueError(f"{p}.{key}: only the integral series take a {key}")
-                try:
-                    given[key] = make(grid, **spec[key])
-                except (TypeError, ValueError) as exc:  # a missing, unknown or ill-typed key
-                    raise ValueError(f"{p}.{key}: {exc}") from exc
+        if tol is not None and _positive(tol) is None:
+            raise ValueError(f"{p}.tolerance must be a positive number, finite as a float, got {tol!r}")
+        laws[name] = given["cadence"], None if tol is None else _positive(tol)
+        for key, (make, parts) in _SELECTORS.items():
+            if (v := spec.get(key)) is None:
+                continue
+            if LAWS[name].kind != "integral":
+                raise ValueError(f"{p}.{key}: only the integral series take a {key}")
+            if not (isinstance(v, Mapping) and set(v) == set(parts)):
+                raise ValueError(f"{p}.{key}: must be an object of the keys {', '.join(parts)}")
+            try:
+                given[key] = make(grid, **v)
+            except ValueError as exc:
+                raise ValueError(f"{p}.{key}: {exc}") from exc
         if LAWS[name].kind == "integral":
             for key, v in given.items():
                 first = _bounds(shared.setdefault(key, v))
@@ -732,8 +749,8 @@ def check_specs(grid: Grid, specs) -> tuple[int | None, BoxRegion | None, FluxSu
                     raise ValueError(f"{p}.{key}: integral series must share one {key}, "
                                      f"got {first} and {_bounds(v)}")
     if "cadence" not in shared:
-        return None, None, None
-    return shared["cadence"], shared.get("region") or BoxRegion(grid), shared.get("surface")
+        return laws, None
+    return laws, (shared["cadence"], shared.get("region") or BoxRegion(grid), shared.get("surface"))
 
 
 class DiagnosticsEngine:
@@ -741,9 +758,9 @@ class DiagnosticsEngine:
 
     The grid is ``nabla.grid``; every law reads the medium and the mode from
     the state it samples, so one engine measures a run in that run's terms.
-    ``specs`` is a list of dicts with keys name, cadence (in steps), tolerance,
-    region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's arguments),
-    all but the name optional; ``check_specs`` checks them.  Call
+    ``specs`` is a list of mappings with keys name, cadence (in steps),
+    tolerance, region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's
+    arguments), all but the name optional; ``check_specs`` reads them.  Call
     ``sample(state, step)`` every step; at each window cadence the engine
     keeps the last two sampled states, evaluates the window they make with the
     newest, and keeps a tau-integral accumulator for the integral laws; it
@@ -763,14 +780,14 @@ class DiagnosticsEngine:
         self._acc: IntegralLawAccumulator | None = None
         self.delta_w: list[tuple[float, float]] = []
         self.classification: str | None = None
-        self._acc_cadence, region, surface = check_specs(nabla.grid, specs)
-        for spec in specs:
-            name, cad = spec["name"], spec.get("cadence", 1)
-            self.series[name] = ResidualSeries(name, spec.get("tolerance"))
+        laws, integral = check_specs(nabla.grid, specs)
+        for name, (cad, tol) in laws.items():
+            self.series[name] = ResidualSeries(name, tol)
             self.cadence[name] = cad
             if LAWS[name].kind == "window":
                 self._windows.setdefault(cad, deque(maxlen=2))
-        if region is not None:
+        if integral is not None:
+            self._acc_cadence, region, surface = integral
             self._acc = IntegralLawAccumulator(nabla, region, surface=surface)
 
     def _named(self, kind: str) -> list[str]:

@@ -90,8 +90,9 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme != "rk4":
             raise ValueError(f"scheme must be 'rk4' (classical RK4), got {self.scheme!r}")
-        if _positive(self.cfl) is None:
+        if (cfl := _positive(self.cfl)) is None:
             raise ValueError(f"cfl must be positive, got {self.cfl}")
+        object.__setattr__(self, "cfl", cfl)
 
     def check_step(self, grid: Grid) -> None:
         """Raise ValueError unless grid.dtau keeps the step bound cfl * min(h)."""

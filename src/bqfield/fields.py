@@ -51,6 +51,13 @@ def _positive(v) -> float | None:
     return x if x is not None and x > 0 else None
 
 
+def _integer(v) -> int:
+    """``operator.index(v)``, which raises TypeError on a bool too: True is no count."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is a bool, not an integer")
+    return _index(v)
+
+
 @dataclass(frozen=True, slots=True)
 class Medium:
     """Homogeneous isotropic medium: permittivity, permeability, interaction constant."""
@@ -82,7 +89,7 @@ class Grid:
 
     def __post_init__(self):
         try:
-            n = tuple(map(_index, self.n))
+            n = tuple(map(_integer, self.n))
         except TypeError:
             n = ()  # not integers: refused below
         if not (len(n) == 3 and all(v >= 4 for v in n)):

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import DiagnosticsEngine, ResidualSeries
 from .evolution import NumericalAbort, SimState, _advanced, _take_in, step_rk4
 from .operators import Nabla
@@ -73,22 +71,15 @@ class RunReport:
 
 def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     """Assemble the initial simulation state and its derivative operator."""
-    grid = sc.grid
-    nabla = Nabla(grid, scheme=sc.nabla_scheme, workers=workers)
-    M = len(sc.fields)
-    U = np.zeros((M, 7) + grid.n, dtype=np.complex128)
-    for k, (A0, rho0, J0) in enumerate(sc.fields):
-        U[k, 0:3] = A0
-        U[k, 3] = rho0
-        U[k, 4:7] = J0
+    nabla = Nabla(sc.grid, scheme=sc.nabla_scheme, workers=workers)
     # the scheme's 2/3 rule, as the stepper applies it to the force
     background = None if sc.background is None else nabla.dealias(sc.background)
-    state = SimState(tau=0.0, U=U, grid=grid, medium=sc.medium, mode=sc.mode, background=background)
-    if nabla.scheme != "spectral":  # central4: no rule, and its derivative space is U itself
+    state = SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, background)
+    if nabla.scheme != "spectral":  # central4: no rule, and U itself is its derivative space
         return state, nabla
     # held as a stepped state is: the advanced channels on the band, which step
     # 1 takes as they are, the held ones filtered in physical space; U on first read
-    return state._stepped(0.0, _take_in(nabla.space, _advanced(sc.mode), U, nabla.dealias)), nabla
+    return state._stepped(0.0, _take_in(nabla.space, _advanced(sc.mode), state.U, nabla.dealias)), nabla
 
 
 def run_scenario(

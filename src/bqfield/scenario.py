@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import StepperConfig, check_mode
+from .evolution import _A, _J, _RHO, StepperConfig, check_mode
 from .fields import Grid, Medium
 from .diagnostics import LAWS, check_specs
 from .operators import Nabla
@@ -101,16 +101,13 @@ def _complex_vector(v, path: str) -> np.ndarray:
     raise ScenarioError(f"{path} must be a list or {{re, im}} of lists, got {v!r}")
 
 
-def _integer(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path} must be an integer")
-    return v
-
-
 def _int_vector(v, path: str) -> tuple[int, ...]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ScenarioError(f"{path} must be a 3-element list")
-    return tuple(_integer(x, f"{path}[{i}]") for i, x in enumerate(v))
+    for i, x in enumerate(v):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ScenarioError(f"{path}[{i}] must be an integer")
+    return tuple(v)
 
 
 def _object(v, path: str) -> dict:
@@ -122,8 +119,7 @@ def _object(v, path: str) -> dict:
 
 def _medium(md, path: str) -> Medium:
     md = _object(md, path)
-    consts = {k: _number(_take(md, k, path, default=1.0), _ctx(path, k))
-              for k in ("epsilon", "mu", "kappa")}
+    consts = {k: _take(md, k, path, default=1.0) for k in ("epsilon", "mu", "kappa")}
     _done(md, path)
     return _build(path, Medium, **consts)
 
@@ -230,35 +226,11 @@ class Scenario:
     nabla_scheme: str
     duration: float
     steps: int
-    fields: list  # list of (A0 (3,n) complex, rho0 (n), J0 (3,n))
+    initial: np.ndarray  # (M, 7) + n complex: per field A (0:3), rho (3), J (4:7)
     background: np.ndarray | None
     diagnostics: list = field(default_factory=list)
     description: str = ""
     output_dir: str | None = None
-
-
-def _spec(spec, p: str) -> dict:
-    """The diagnostics entry at ``p``, its JSON shape checked; check_specs owns
-    its rules."""
-    spec = _object(spec, p)
-    name = _take(spec, "name", p, required=True)
-    if not isinstance(name, str):
-        raise ScenarioError(f"{p}.name must be a string, got {name!r}")
-    tol = _take(spec, "tolerance", p)
-    out = {
-        "name": name,
-        "cadence": _integer(_take(spec, "cadence", p, default=1), f"{p}.cadence"),
-        "tolerance": None if tol is None else _number(tol, f"{p}.tolerance"),
-    }
-    for key, parts, read in (("region", ("lo", "hi"), _int_vector),
-                             ("surface", ("axis", "index", "part_axis", "j0", "j1"), _integer)):
-        v = _take(spec, key, p)
-        if v is not None:
-            kp, v = f"{p}.{key}", _object(v, f"{p}.{key}")
-            out[key] = {k: read(_take(v, k, kp, required=True), f"{kp}.{k}") for k in parts}
-            _done(v, kp)
-    _done(spec, p)
-    return out
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -277,17 +249,16 @@ def parse_scenario(doc: dict) -> Scenario:
 
     gd = _object(_take(d, "grid", "", required=True), "grid")
     n = _int_vector(_take(gd, "n", "grid", required=True), "grid.n")
-    L = _take(gd, "L", "grid", default=[2 * np.pi] * 3)
-    L = tuple(_real_vector(L, "grid.L")) if isinstance(L, (list, tuple)) else (_number(L, "grid.L"),) * 3
+    L = _take(gd, "L", "grid", default=2 * np.pi)
+    L = L if isinstance(L, (list, tuple)) else (L,) * 3
     dtau = _take(gd, "dtau", "grid")
-    dtau = None if dtau is None else _number(dtau, "grid.dtau")
     _done(gd, "grid")
 
     medium = _medium(_take(d, "medium", "", default={}), "medium")
 
     sd = _object(_take(d, "stepper", "", default={}), "stepper")
     scheme = _take(sd, "scheme", "stepper", default="rk4")
-    cfl = _number(_take(sd, "cfl", "stepper", default=0.25), "stepper.cfl")
+    cfl = _take(sd, "cfl", "stepper", default=0.25)
     _done(sd, "stepper")
     stepper = _build("stepper", StepperConfig, scheme=scheme, cfl=cfl)
 
@@ -297,7 +268,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     grid = _build("grid", Grid, n, L, 1.0 if dtau is None else dtau)
     if dtau is None:  # the largest step the bound allows
-        grid = replace(grid, dtau=stepper.cfl * min(grid.h))
+        grid = _build("grid", replace, grid, dtau=stepper.cfl * min(grid.h))
     _build("grid.dtau", stepper.check_step, grid)
 
     duration = _number(_take(d, "duration", "", required=True), "duration")
@@ -317,30 +288,32 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("initial_conditions must be a non-empty list")
     bg_preset = _take(d, "background", "")
     _build("", check_mode, mode, len(fd), bg_preset)
-    fields = []
+    # written only where a preset is given: a null preset's channels stay unwritten pages
+    initial = np.zeros((len(fd), 7) + grid.n, dtype=np.complex128)
     for i, fdict in enumerate(fd):
         p = f"initial_conditions[{i}]"
         fdict = _object(fdict, p)
         a_preset = _take(fdict, "afield", p)
         t_preset = _take(fdict, "theta", p)
         _done(fdict, p)
-        A0 = build_preset(a_preset, grid, f"{p}.afield", "vector")
-        rho0, J0 = build_preset(t_preset, grid, f"{p}.theta", "pair")
-        fields.append((A0, rho0, J0))
+        if a_preset is not None:
+            initial[i, _A] = build_preset(a_preset, grid, f"{p}.afield", "vector")
+        if t_preset is not None:
+            initial[i, _RHO], initial[i, _J] = build_preset(t_preset, grid, f"{p}.theta", "pair")
 
     background = None if bg_preset is None else build_preset(bg_preset, grid, "background", "vector")
 
     diag = _take(d, "diagnostics", "", default=[])
     if not isinstance(diag, list):
         raise ScenarioError("diagnostics must be a list")
-    specs = [_spec(spec, f"diagnostics[{i}]") for i, spec in enumerate(diag)]
-    _build("", check_specs, grid, specs)
-    for i, spec in enumerate(specs):
+    specs = [dict(spec) if isinstance(spec, dict) else spec for spec in diag]
+    laws, _ = _build("", check_specs, grid, specs)
+    for i, (name, (cadence, _)) in enumerate(laws.items()):
         # a window needs three samples, steps 0, c and 2c; an integral two
-        need = {"window": 2, "integral": 1}.get(LAWS[spec["name"]].kind, 0) * spec["cadence"]
+        need = {"window": 2, "integral": 1}.get(LAWS[name].kind, 0) * cadence
         if need > steps:
-            raise ScenarioError(f"diagnostics[{i}].cadence: {spec['name']!r} at cadence "
-                                f"{spec['cadence']} needs {need} steps, the run has {steps}")
+            raise ScenarioError(f"diagnostics[{i}].cadence: {name!r} at cadence "
+                                f"{cadence} needs {need} steps, the run has {steps}")
 
     _done(d, "")
     return Scenario(
@@ -351,7 +324,7 @@ def parse_scenario(doc: dict) -> Scenario:
         nabla_scheme=nabla_scheme,
         duration=duration,
         steps=steps,
-        fields=fields,
+        initial=initial,
         background=background,
         diagnostics=specs,
         description=description,
@@ -359,10 +332,15 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path):
+    """The JSON document in the file at ``path``; a ScenarioError if the file
+    holds none, or one nested too deeply to decode."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_scenario(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read_json(path))

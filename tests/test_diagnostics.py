@@ -1028,3 +1028,18 @@ def test_diagnostics_engine_rejects_bad_specs():
                         ({"name": "integral_charge", "surface": {"axis": 0}}, "surface")):
         with pytest.raises(ValueError, match=rf"diagnostics\[0\]\.{where}"):
             DiagnosticsEngine(nab, [spec])
+    # check_specs reads the whole entry, as the scenario parser does: a
+    # misspelt key, a bool or infinite number, a missing or list name
+    for spec, fragment in (({"name": "poynting", "tolerence": 1e-8},
+                            "unknown key(s) at diagnostics[0]: 'tolerence'"),
+                           ({"name": "charge", "tolerance": True}, "diagnostics[0].tolerance"),
+                           ({"name": "charge", "tolerance": float("inf")}, "diagnostics[0].tolerance"),
+                           ({"name": "charge", "cadence": True}, "diagnostics[0].cadence"),
+                           ({"cadence": 1}, "diagnostics[0].name must be a string"),
+                           (["charge"], "diagnostics[0] must be an object"),
+                           ({"name": ["charge"]}, "diagnostics[0].name must be a string")):
+        with pytest.raises(ValueError) as exc:
+            DiagnosticsEngine(nab, [spec])
+        assert fragment in str(exc.value)
+    with pytest.raises(ValueError, match="bad region bounds"):
+        BoxRegion(cube(8), lo=(False, 0, 0))

@@ -6,8 +6,10 @@ Whatever is drawn, the parser either refuses it with a ScenarioError or
 returns a scenario whose engine builds, and only the integral series of that
 scenario carry a region or surface.  The second draws the mode, the field
 count, a background, the run length and one series' cadence, and requires
-that a scenario which parses also builds and measures.  ``grid.n`` is never
-drawn, so nothing large is allocated.
+that a scenario which parses also builds and measures.  The third gives the
+first one's draws to ``DiagnosticsEngine`` from Python, which must read them
+as the parser does.  ``grid.n`` is never drawn, so nothing large is
+allocated.
 """
 
 import pytest
@@ -73,6 +75,29 @@ def test_a_diagnostics_block_parses_into_an_engine_or_is_refused(diagnostics):
     for spec in sc.diagnostics:
         if LAWS[spec["name"]].kind != "integral":
             assert spec.get("region") is None and spec.get("surface") is None, spec
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(mostly(specs, junk), max_size=4))
+def test_the_engine_reads_a_block_as_the_parser_does(diagnostics):
+    """``DiagnosticsEngine`` given a drawn block from Python raises nothing
+    but ValueError, and where the parser takes the block, the engine built
+    from it has the scenario's engine's series, cadences and tolerances."""
+    doc = eigenmode_doc()
+    nabla = Nabla(parse_scenario(doc).grid)
+    try:
+        engine = DiagnosticsEngine(nabla, diagnostics)
+    except ValueError:
+        engine = None
+    doc["diagnostics"] = diagnostics
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioError:
+        return
+    parsed = DiagnosticsEngine(nabla, sc.diagnostics)
+    assert engine is not None, diagnostics
+    assert engine.cadence == parsed.cadence and list(engine.cadence) == list(parsed.cadence)
+    assert {n: s.tolerance for n, s in engine.series.items()} == {n: s.tolerance for n, s in parsed.series.items()}
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -60,7 +60,7 @@ def test_parse_minimal_scenario_defaults():
     assert sc.stepper.cfl == 0.25
     assert sc.nabla_scheme == "spectral"
     assert sc.output_dir is None
-    assert len(sc.fields) == 1
+    assert sc.initial.shape == (1, 7, 8, 8, 8)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +83,8 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d.update(stepper={"cfl": 0.25, "warp": True}), "unknown"),
         (lambda d: d["grid"].update(dtau=1.0), "step bound"),
         (lambda d: d["grid"].update(n=[8, 8]), "grid.n"),
+        # a box so small that the bound's default step underflows to 0
+        (lambda d: d["grid"].update(L=5e-324), "grid: dtau must be positive"),
         (lambda d: d.update(nabla="stencil9"), "nabla"),
         (lambda d: d.update(stepper={"force_term_reading": "standard"}), "force_term_reading"),
         # the 2/3 rule belongs to the nabla scheme: the stepper has no switch for it
@@ -466,6 +468,18 @@ def test_cli_invalid_json_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "shock-check"])
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 10**5], ids=["not-utf8", "deep"])
+def test_cli_file_that_is_not_json_exits_two(tmp_path, capsys, command, data):
+    """Bytes that do not decode, or nesting too deep to decode, are input
+    errors of either subcommand (2), not program faults (4)."""
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON" in err and "Traceback" not in err
+
+
 def test_cli_unwritable_out_exits_two_before_any_step(tmp_path, capsys, monkeypatch):
     from bqfield import runner
 
@@ -673,6 +687,18 @@ def test_cli_shock_check_codes(tmp_path, capsys):
         p3.write_text(json.dumps(doc))
         assert main(["shock-check", str(p3)]) == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [-1, 0, 0.0, True, float("inf"), "1e-3"])
+def test_cli_shock_check_tolerance_is_positive(tmp_path, capsys, tol):
+    """The tolerance follows a diagnostics tolerance's rule: a value that is
+    not a positive finite number exits 2 naming it, where -1 used to flag
+    every zero residual as a breach."""
+    p = tmp_path / "front.json"
+    p.write_text(json.dumps({"m": [0, 0, 1], "tolerance": tol}))
+    assert main(["shock-check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and "BREACH" not in captured.out
 
 
 def test_cli_roots_output(capsys):
