@@ -12,10 +12,10 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
 * ``united``       -- interaction dynamics; the summed field is diagnosed as free.
 
 Every mode's right-hand side is dX/dtau = L X + f over the channels it
-advances (``_rhs``).  The one linear operator L (``_linear``) moves A by
--i curl A, minus J where J also advances, and Theta by free transport
-i nabla o Theta; f is maxwell's held -J, or the force -Theta o A' / kappa of
-a partner field, the only nonlinear term.
+advances.  The one linear operator L (``_linear``) moves A by -i curl A,
+minus J where J also advances, and Theta by free transport i nabla o Theta;
+f (``_add_f``) is maxwell's held -J, or the force -Theta o A' / kappa of a
+partner field, the only nonlinear term.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
 units), its stages in the Nabla's derivative space: on spectral the Fourier
@@ -29,9 +29,13 @@ input's physical values as they are.
 In ``maxwell`` and ``free_theta`` f is constant, and on spectral
 ``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
 b L L X + S: the same discrete map as the four stages, to round-off, for two
-applications of L in place of four.  The per-wavenumber a, b and maxwell's
-held source S are made once per run (``_closed_form``) and kept on the
-band record below.  Force modes and central4 evaluate the four stages.
+applications of L in place of four, and one in free_theta, whose L L is
+-|k|^2.  The per-wavenumber a, b and maxwell's held source S are made once
+per run (``_closed_form``) and kept on the band record below.  Force modes
+and central4 evaluate the four stages.  Besides its input state, a stage
+step holds three stacks of the advanced channels (the sum of the k, one
+stage input that is also the scratch for w k, and the current k) and one
+right-hand side's temporaries.
 
 On spectral a state keeps the band coefficients of its advanced channels,
 next to ``U``, until the next step takes them: ``build_state`` and every
@@ -253,40 +257,42 @@ def _advanced(mode: str) -> slice:
     return slice(3 if mode in _HOLDS_A else 0, 3 if mode == "maxwell" else 7)
 
 
-def _linear(space, adv: slice, Y: np.ndarray) -> np.ndarray:
-    """L Y for a field stack Y of the channels adv, in space's representation
-    (a Nabla's physical arrays or its ``DerivativeSpace``'s).
+def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:
+    """L Y for a field stack Y of the channels adv in nabla's derivative
+    representation (its physical arrays on central4, Fourier coefficients on
+    spectral, of the full grid or of its 2/3 band).
 
     A moves by -i curl A, minus J where J also advances; Theta by free
-    transport, i nabla o Theta (``free_theta_rhs``).
+    transport, i nabla o Theta (``free_theta_rhs``).  Each operator writes
+    into LY's rows, which are then multiplied by -i or i in place.
     """
     LY = np.empty_like(Y)
     for y, ly in zip(Y, LY):
         if adv.start == 0:
-            np.multiply(space.curl(y[:3]), -1j, out=ly[:3])
+            nabla._curl(y[:3], out=ly[:3])
+            ly[:3] *= -1j
             if adv.stop == 7:
                 ly[:3] -= y[-3:]
-        if adv.stop == 7:
-            ly[-4], ly[-3:] = free_theta_rhs(space, y[-4], y[-3:])
+        if adv.stop == 7:  # (drho, dJ) = (g.scalar, i g.vector), g = nabla o (i rho + J)
+            nabla._quaternion_gradient(1j * y[-4], y[-3:], out=ly[-4:])
+            ly[-3:] *= 1j
     return LY
 
 
-def _rhs(space, state: SimState, X: np.ndarray, held_J=None) -> np.ndarray:
-    """L X + f for a field stack X of the channels the mode advances, in
-    space's representation.
+def _add_f(dX: np.ndarray, state: SimState, dealias, held_J=None) -> np.ndarray:
+    """dX + f in place, for a field stack dX of the channels the mode advances.
 
     f is maxwell's -J for the ``held_J`` given, or in a force mode
     -Theta o A' / kappa of each field's partner, formed from ``state`` in
-    physical space and taken into space's representation by its ``dealias``.
+    physical space and taken into dX's representation by ``dealias``.
     """
-    dX = _linear(space, _advanced(state.mode), X)
     if held_J is not None:
         dX -= held_J
     if state.mode not in _FORCED:
         return dX
-    for k in range(len(X)):
+    for k in range(len(dX)):
         fbq = _force_biquaternion(state.U[k, _RHO], state.U[k, _J], partner_field(state, k))
-        SV = space.dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
+        SV = dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
         dX[k, -4] -= 1j * SV[0] / state.medium.kappa
         dX[k, -3:] += SV[1:] / state.medium.kappa
     return dX
@@ -297,7 +303,8 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     _check_box(state, nabla)
     U, adv = state.U, _advanced(state.mode)
     dU = np.zeros_like(U)
-    dU[:, adv] = _rhs(nabla, state, U[:, adv], U[:, _J] if adv.stop < 7 else None)
+    dX = nabla._back(_linear(nabla, adv, nabla._to(U[:, adv])))
+    dU[:, adv] = _add_f(dX, state, nabla.dealias, U[:, _J] if adv.stop < 7 else None)
     return dU
 
 
@@ -321,7 +328,8 @@ def _resident(mode: str, nabla: Nabla) -> bool:
 
 
 class _ClosedForm(NamedTuple):
-    """The closed form's constants for a run's grid.dtau (source: None in free_theta)."""
+    """The closed form's constants for a run's grid.dtau: a, b and maxwell's
+    held source; in free_theta b multiplies X itself and source is None."""
 
     a: np.ndarray
     b: np.ndarray
@@ -334,25 +342,46 @@ def _closed_form(space: DerivativeSpace, adv: slice, h: float, hi: np.ndarray) -
     For y' = L y + f with f constant, four stages make the polynomial
     y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f.
     Where L^3 = -|k|^2 L it reduces to y + a L y + b L L y + h (f + p1 L f + p2 L L f).
-    maxwell's f is -J of the held channels ``hi``.
+    maxwell's f is -J of the held channels ``hi``.  free_theta has no f, and
+    its L L = -|k|^2 folds b L L y into y: (1 - b |k|^2) y + a L y.
     """
     k2 = space.k2()
-    source = None
-    if adv.stop < 7:
-        source = _rk4_polynomial(space, adv, space.to(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
-        source *= -h
-    return _ClosedForm(h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24, source)
+    a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
+    if adv.stop == 7:
+        return _ClosedForm(a, 1 - b * k2, None)
+    source = _rk4_polynomial(space.nabla, adv, space.to(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
+    source *= -h
+    return _ClosedForm(a, b, source)
 
 
-def _rk4_polynomial(space: DerivativeSpace, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
+def _rk4_polynomial(nabla: Nabla, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
     """Y + c1 L Y + c2 L L Y, with per-wavenumber c1 and c2."""
-    LY = _linear(space, adv, Y)
-    out = _linear(space, adv, LY)
+    LY = _linear(nabla, adv, Y)
+    out = _linear(nabla, adv, LY)
     out *= c2
     LY *= c1
     out += LY
     out += Y
     return out
+
+
+def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
+    """Classical RK4's X0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4) for dX/dtau = rhs(X, tau),
+    in three stacks of X0's shape: ``acc`` gathers the k in that order, one
+    stage input Y, X0 + c k, is reused as the scratch for w k, and the
+    current k is dropped once Y is formed from it."""
+    acc = k = rhs(X0, tau)
+    Y = np.empty_like(X0)
+    for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
+        np.multiply(k, c, out=Y)
+        Y += X0
+        del k  # k1 lives on as acc
+        k = rhs(Y, tau + c)
+        np.multiply(k, w, out=Y)
+        acc += Y
+    acc *= dt / 6
+    acc += X0
+    return acc
 
 
 def step_rk4(
@@ -372,12 +401,18 @@ def step_rk4(
     stage.  On the band L^3 = -|k|^2 L (maxwell: L = k x; free transport:
     L^2 = -|k|^2), which folds the cubic and quartic terms of RK4's
     polynomial into a and b: it is classical RK4's own discrete map, to
-    round-off, with half the derivative work of the stages.
-    S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6,
-    is maxwell's held source; free_theta has none.  a, b and S are made once
-    per run, for its frozen grid's dtau, and kept on its states.  Force modes
-    and central4 (where |d(k)|^2 is no stencil) run the four stages on the
-    same L X + f.
+    round-off, with half the derivative work of the stages.  free_theta
+    folds b L L X into X too, X <- (1 - b |k|^2) X + a L X, and applies L
+    once.  S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24,
+    p2 = h^2 / 6, is maxwell's held source; free_theta has none.  a, b and S
+    are made once per run, for its frozen grid's dtau, and kept on its
+    states.  Force modes and central4 (where |d(k)|^2 is no stencil) run the
+    four stages on the same L X + f.
+
+    Besides its input state, a stage step holds three stacks of the
+    advanced channels (the sum of the k, one stage input reused as scratch,
+    and the current k) and the temporaries of one rhs; the closed form holds
+    L X and one product.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the held channels for
@@ -403,8 +438,12 @@ def step_rk4(
     if resident:
         if closed is None:
             closed = _closed_form(space, adv, dt, hi)
-        X = _rk4_polynomial(space, adv, X0, closed.a, closed.b)
-        if closed.source is not None:
+        if closed.source is None:  # free_theta: b X0 + a L X0, one application of L
+            X = _linear(nabla, adv, X0)
+            X *= closed.a
+            X += closed.b * X0
+        else:
+            X = _rk4_polynomial(nabla, adv, X0, closed.a, closed.b)
             X += closed.source
     else:
         held_J = space.to(hi[:, 1:]) if adv.stop < 7 else None
@@ -413,14 +452,9 @@ def step_rk4(
             at = state  # force modes read stages 2-4 back in physical space
             if state.mode in _FORCED and X is not X0:
                 at = state._stepped(tau, _Coefficients(space, X, lo, hi))
-            return _rhs(space, at, X, held_J)
+            return _add_f(_linear(nabla, adv, X), at, space.dealias, held_J)
 
-        # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; k is rebound before acc changes
-        acc = k = rhs(X0, state.tau)
-        for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
-            k = rhs(X0 + c * k, state.tau + c)
-            acc += w * k
-        X = X0 + (dt / 6) * acc
+        X = _stages(rhs, X0, state.tau, dt)
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)

@@ -107,24 +107,33 @@ class Nabla:
         return np.stack([self._d(fh, a) for a in range(3)])
 
     def _div(self, Fh):
-        return sum(self._d(Fh[a], a) for a in range(3))
+        out = self._d(Fh[0], 0)
+        for a in (1, 2):
+            out += self._d(Fh[a], a)
+        return out
 
-    def _curl(self, Fh):
-        out = None
+    def _curl(self, Fh, out=None):
+        """curl F into ``out`` (made here if not given)."""
         for a in range(3):  # component a is d_b F_c - d_c F_b, (a, b, c) cyclic
             b, c = (a + 1) % 3, (a + 2) % 3
             p, q = self._d(Fh[c], b), self._d(Fh[b], c)
             if out is None:
                 out = np.empty((3,) + p.shape, p.dtype)
             np.subtract(p, q, out=out[a])
+            del p, q  # before the next pair is made
         return out
 
-    def _quaternion_gradient(self, fh, Vh):
-        # grad f added into the curl's array: no stacked gradient, no temporary sum
-        v = self._curl(Vh)  # complex, as a Biquaternion's parts always are
+    def _quaternion_gradient(self, fh, Vh, out=None):
+        """nabla o (f + V) as (scalar, vector), views of ``out``, one
+        complex (4,) + shape array (made here if not given)."""
+        if out is None:  # complex, as a Biquaternion's parts always are
+            out = np.empty((4,) + Vh.shape[1:], np.result_type(fh, Vh))
+        # grad f added into the curl's rows: no stacked gradient, no temporary sum
+        self._curl(Vh, out=out[1:])
         for a in range(3):
-            v[a] += self._d(fh, a)
-        return -self._div(Vh), v
+            out[1 + a] += self._d(fh, a)
+        np.negative(self._div(Vh), out=out[0])
+        return out[0], out[1:]
 
     # -- differential operators -------------------------------------------------
     def grad(self, f):

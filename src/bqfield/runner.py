@@ -12,11 +12,18 @@ convention is
 (2, usage and parse errors, and 4, an unexpected error, are produced by the
 CLI layer.  An unexpected error mid-run still writes the partial series and a
 summary with exit code 4 and an ``error`` block, then propagates.)
+
+``run_scenario`` sets ``sc.initial`` to None once ``build_state`` has taken
+it, so a run holds its initial data only in its states; ``build_state``
+alone leaves the scenario as it is.  The summary's ``counters`` block holds
+the process's peak RSS in MiB at the end of the run (``peak_rss_mb``, None
+where the platform has no ``resource`` module).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +33,21 @@ from .evolution import NumericalAbort, SimState, _advanced, _take_in, step_rk4
 from .operators import Nabla
 from .scenario import Scenario
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 __all__ = ["RunReport", "build_state", "run_scenario"]
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far in MiB, or None where
+    the platform has no ``resource`` module (ru_maxrss is in bytes on macOS,
+    KiB elsewhere)."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 1024)
 
 
 @dataclass(eq=False)
@@ -42,6 +63,7 @@ class RunReport:
     abort: dict | None = None
     error: dict | None = None
     out_dir: Path | None = None
+    counters: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         ser = {}
@@ -60,6 +82,7 @@ class RunReport:
             "steps": self.steps_done,
             "tau_final": self.tau_final,
             "wall_seconds": self.wall_seconds,
+            "counters": self.counters,
             "series": ser,
             "delta_w": [[t, v] for t, v in self.delta_w],
             "classification": self.classification,
@@ -90,6 +113,7 @@ def run_scenario(
     if out is not None:  # before the first step, so an unwritable directory costs no run
         out.mkdir(parents=True, exist_ok=True)
     state, nabla = build_state(sc, workers=workers)
+    sc.initial = None  # taken: the run holds its initial data only in its states
     engine = DiagnosticsEngine(nabla, sc.diagnostics)
     engine.sample(state, 0)
     abort: dict | None = None
@@ -110,6 +134,7 @@ def run_scenario(
             classification=engine.classification,
             abort=abort,
             error=error,
+            counters={"peak_rss_mb": _peak_rss_mb()},
         )
         if out is not None:
             for name, s in series.items():

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -317,6 +318,33 @@ def test_run_eigenmode_clean_exit(tmp_path):
     assert summary["exit_code"] == 0
     assert summary["mode"] == "maxwell"
     assert set(summary["series"]) == {"charge", "poynting"}
+
+
+def test_run_summary_counts_peak_rss(tmp_path):
+    """summary.json's counters block holds the process's peak RSS in MiB."""
+    run_scenario(parse_scenario(eigenmode_doc()), out_dir=tmp_path / "out")
+    peak = json.loads((tmp_path / "out" / "summary.json").read_text())["counters"]["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+def test_run_releases_the_initial_data(monkeypatch, scheme):
+    """run_scenario lets go of Scenario.initial once build_state has taken
+    it: by step 2 no scenario and no state holds the initial array."""
+    from bqfield import runner
+
+    doc = dict(eigenmode_doc(), nabla=scheme)
+    del doc["diagnostics"]
+    sc = parse_scenario(doc)
+    initial, real, alive = weakref.ref(sc.initial), runner.step_rk4, []
+
+    def step(*args, **kwargs):
+        alive.append(initial() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "step_rk4", step)
+    assert run_scenario(sc).exit_code == 0
+    assert len(alive) == 8 and not any(alive[1:]) and sc.initial is None
 
 
 def test_run_breach_exit(tmp_path):
