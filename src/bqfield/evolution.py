@@ -18,13 +18,13 @@ f (``_add_f``) is maxwell's held -J, or the force -Theta o A' / kappa of a
 partner field, the only nonlinear term.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units), its stages in the Nabla's derivative space: on spectral the Fourier
-coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.  The
-force is formed in physical space and taken into that space by the scheme's
-``dealias`` (the 2/3 rule on spectral, none on central4).  So on spectral a
-step projects the advanced channels, and maxwell's held J, onto the band, as
-``build_state`` does the initial data; a force mode's first stage reads the
-input's physical values as they are.
+units), its stages in the Nabla's band representation: on spectral the
+Fourier coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical
+space.  The force is formed in physical space and taken onto the band by
+``Nabla.to_band`` (the 2/3 rule on spectral, none on central4).  So on
+spectral a step projects the advanced channels, and maxwell's held J, onto
+the band, as ``build_state`` does the initial data; a force mode's first
+stage reads the input's physical values as they are.
 
 In ``maxwell`` and ``free_theta`` f is constant, and on spectral
 ``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
@@ -60,7 +60,7 @@ import numpy as np
 
 from .biquaternion import Biquaternion, ccross, cdot
 from .fields import AField, ChargeCurrent, Grid, Medium, _finite, _positive
-from .operators import DerivativeSpace, Nabla
+from .operators import Nabla
 
 __all__ = [
     "MODES",
@@ -116,27 +116,27 @@ class NumericalAbort(RuntimeError):
 
 
 class _Coefficients(NamedTuple):
-    """A state's advanced channels in derivative space, kept until the next
+    """A state's advanced channels on its Nabla's band, kept until the next
     step takes them, its physical held channels before (``lo``) and after
     (``hi``) them, and the run's closed-form constants once a step made them."""
 
-    space: DerivativeSpace
+    nabla: Nabla
     X: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     closed: _ClosedForm | None = None
 
     def physical(self) -> np.ndarray:
-        X = self.space.back(self.X)
+        X = self.nabla.from_band(self.X)
         if not (self.lo.shape[1] or self.hi.shape[1]):  # the mode holds no channel
             return X
         return np.concatenate([self.lo, X, self.hi], axis=1)
 
 
-def _take_in(space: DerivativeSpace, adv: slice, U: np.ndarray, held=lambda h: h) -> _Coefficients:
-    """U's advanced channels ``adv`` taken into ``space``, and its held
+def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, held=lambda h: h) -> _Coefficients:
+    """U's advanced channels ``adv`` taken onto ``nabla``'s band, and its held
     channels, physical, through ``held``."""
-    return _Coefficients(space, space.to(U[:, adv]), held(U[:, : adv.start]), held(U[:, adv.stop :]))
+    return _Coefficients(nabla, nabla.to_band(U[:, adv]), held(U[:, : adv.start]), held(U[:, adv.stop :]))
 
 
 class SimState:
@@ -279,12 +279,12 @@ def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:
     return LY
 
 
-def _add_f(dX: np.ndarray, state: SimState, dealias, held_J=None) -> np.ndarray:
+def _add_f(dX: np.ndarray, state: SimState, take, held_J=None) -> np.ndarray:
     """dX + f in place, for a field stack dX of the channels the mode advances.
 
     f is maxwell's -J for the ``held_J`` given, or in a force mode
     -Theta o A' / kappa of each field's partner, formed from ``state`` in
-    physical space and taken into dX's representation by ``dealias``.
+    physical space and taken into dX's representation by ``take``.
     """
     if held_J is not None:
         dX -= held_J
@@ -292,7 +292,7 @@ def _add_f(dX: np.ndarray, state: SimState, dealias, held_J=None) -> np.ndarray:
         return dX
     for k in range(len(dX)):
         fbq = _force_biquaternion(state.U[k, _RHO], state.U[k, _J], partner_field(state, k))
-        SV = dealias(np.concatenate([fbq.scalar[None], fbq.vector]))
+        SV = take(np.concatenate([fbq.scalar[None], fbq.vector]))
         dX[k, -4] -= 1j * SV[0] / state.medium.kappa
         dX[k, -3:] += SV[1:] / state.medium.kappa
     return dX
@@ -318,7 +318,7 @@ def _resident(mode: str, nabla: Nabla) -> bool:
     Only where that removes transforms: on spectral, in the modes whose
     stages never read the physical state.  A force mode reads physical rho, J
     and A' in stage 1 anyway, so it makes U in the step and keeps the
-    coefficients next to it; central4's derivative space is physical.
+    coefficients next to it; central4's band is physical space.
     Returning coefficients alone everywhere was measured (perfbench, 4
     alternating pairs, 2-core host) to cost free-64-central4 a 10-17 % slower
     step and peak RSS 213.7 -> 225.6 MiB, and united-32-diag 133.4 -> 136.3
@@ -336,7 +336,7 @@ class _ClosedForm(NamedTuple):
     source: np.ndarray | None
 
 
-def _closed_form(space: DerivativeSpace, adv: slice, h: float, hi: np.ndarray) -> _ClosedForm:
+def _closed_form(nabla: Nabla, adv: slice, h: float, hi: np.ndarray) -> _ClosedForm:
     """Classical RK4's constants on the band for step h.
 
     For y' = L y + f with f constant, four stages make the polynomial
@@ -345,11 +345,11 @@ def _closed_form(space: DerivativeSpace, adv: slice, h: float, hi: np.ndarray) -
     maxwell's f is -J of the held channels ``hi``.  free_theta has no f, and
     its L L = -|k|^2 folds b L L y into y: (1 - b |k|^2) y + a L y.
     """
-    k2 = space.k2()
+    k2 = nabla.band_k2()
     a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
     if adv.stop == 7:
         return _ClosedForm(a, 1 - b * k2, None)
-    source = _rk4_polynomial(space.nabla, adv, space.to(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
+    source = _rk4_polynomial(nabla, adv, nabla.to_band(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
     source *= -h
     return _ClosedForm(a, b, source)
 
@@ -387,8 +387,8 @@ def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, None]:
-    """One classical RK4 step of length grid.dtau, in nabla's derivative space
-    (the 2/3 band on spectral).
+    """One classical RK4 step of length grid.dtau, on nabla's band (the 2/3
+    band of Fourier coefficients on spectral, physical space on central4).
 
     Where ``_resident`` holds (maxwell and free_theta on spectral) the system
     is linear with constant coefficients, so the four stages and their
@@ -426,10 +426,10 @@ def step_rk4(
     _check_box(state, nabla)
     config.check_step(state.grid)
     dt = state.grid.dtau
-    space, adv, resident = nabla.space, _advanced(state.mode), _resident(state.mode, nabla)
+    adv, resident = _advanced(state.mode), _resident(state.mode, nabla)
     coef = state._coef
-    if coef is None or coef.space.nabla.scheme != nabla.scheme:  # made in another space
-        coef = _take_in(space, adv, state.U)
+    if coef is None or coef.nabla.scheme != nabla.scheme:  # made on another scheme
+        coef = _take_in(nabla, adv, state.U)
     _, X0, lo, hi, closed = coef
     # held channels never change, and a rhs need not read them all: checked
     # once per run where the closed form is kept, else on every step
@@ -437,7 +437,7 @@ def step_rk4(
         raise NumericalAbort(state.tau, steps_done + 1, state)
     if resident:
         if closed is None:
-            closed = _closed_form(space, adv, dt, hi)
+            closed = _closed_form(nabla, adv, dt, hi)
         if closed.source is None:  # free_theta: b X0 + a L X0, one application of L
             X = _linear(nabla, adv, X0)
             X *= closed.a
@@ -446,19 +446,19 @@ def step_rk4(
             X = _rk4_polynomial(nabla, adv, X0, closed.a, closed.b)
             X += closed.source
     else:
-        held_J = space.to(hi[:, 1:]) if adv.stop < 7 else None
+        held_J = nabla.to_band(hi[:, 1:]) if adv.stop < 7 else None
 
         def rhs(X, tau):
             at = state  # force modes read stages 2-4 back in physical space
             if state.mode in _FORCED and X is not X0:
-                at = state._stepped(tau, _Coefficients(space, X, lo, hi))
-            return _add_f(_linear(nabla, adv, X), at, space.dealias, held_J)
+                at = state._stepped(tau, _Coefficients(nabla, X, lo, hi))
+            return _add_f(_linear(nabla, adv, X), at, nabla.to_band, held_J)
 
         X = _stages(rhs, X0, state.tau, dt)
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(space, X, lo, hi, closed))
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, lo, hi, closed))
     if not resident:
         new.U  # made here, as _resident says there is nothing to save
         if nabla.scheme != "spectral":

@@ -17,10 +17,10 @@ derivatives are not discretised here; callers supply them (analytically in
 tests, from stored history in diagnostics).
 
 ``Nabla``'s operators take and return physical arrays on the full grid, so
-they differentiate products that are not band-limited exactly.  Its
-``DerivativeSpace`` (``Nabla.space``) holds data between calls: on spectral
-only the 2/3 band of Fourier coefficients, which is all a dealiased state
-has, on central4 the physical array itself.
+they differentiate products that are not band-limited exactly.  Between
+calls data is held in its band representation (``to_band``/``from_band``):
+on spectral only the 2/3 band of Fourier coefficients, which is all a
+dealiased state has, on central4 the physical array itself.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from .biquaternion import Biquaternion
+from .fields import _integer
 
-__all__ = ["Nabla", "DerivativeSpace", "apply_dplus", "apply_dminus", "apply_box"]
+__all__ = ["Nabla", "apply_dplus", "apply_dminus", "apply_box"]
 
 _AXES = (-3, -2, -1)
 
@@ -47,7 +48,15 @@ class Nabla:
     scheme : str
         "spectral" or "central4".
     workers : int
-        Thread count handed to scipy.fft (spectral scheme only).
+        Thread count handed to scipy.fft (spectral scheme only); negative
+        counts back from the CPU count, as scipy reads them.
+
+    On spectral the band representation holds the Fourier coefficients with
+    every |k_i| <= n_i/3: ``to_band`` is fftn then a gather of the band (8
+    block copies), and ``from_band`` scatters into zeros then runs ifftn.
+    The gather is the 2/3 rule.  On central4 the band representation is
+    physical and both return their input.  ``_d`` takes band-sized arrays
+    too, and ``band_k2`` gives their |k|^2.
     """
 
     schemes = ("spectral", "central4")
@@ -57,7 +66,12 @@ class Nabla:
             raise ValueError(f"unknown scheme {scheme!r}, pick from {self.schemes}")
         self.grid = grid
         self.scheme = scheme
-        self.workers = int(workers)
+        try:
+            self.workers = _integer(workers)
+        except TypeError:
+            self.workers = 0  # not an integer: refused below
+        if self.workers == 0:
+            raise ValueError(f"workers must be a nonzero integer, got {workers!r}")
         if scheme == "spectral":
             # ik for first derivatives (odd Nyquist zeroed), keyed by the length
             # of the axis it multiplies: n on the full grid, 2 (n // 3) + 1 on
@@ -72,7 +86,9 @@ class Nabla:
                 band = np.concatenate([kd[full] for _, full in _band_runs(n)])
                 self._ik.append({len(v): 1j * v.reshape(shape) for v in (kd, band)})
                 self._k2 = self._k2 + (k**2).reshape(shape)
-        self.space = DerivativeSpace(self)
+            self._band_shape = tuple(2 * (n // 3) + 1 for n in grid.n)
+            self._band_blocks = [tuple((..., *s) for s in zip(*runs))
+                                 for runs in product(*map(_band_runs, grid.n))]
 
     # -- transforms ----------------------------------------------------------
     def fftn(self, f):
@@ -101,6 +117,28 @@ class Nabla:
 
     def _back(self, fh):
         return self.ifftn(fh) if self.scheme == "spectral" else fh
+
+    # -- the band representation: the 2/3 band on spectral, physical on central4 --
+    def to_band(self, f):
+        if self.scheme != "spectral":
+            return f
+        fh = self.fftn(f)
+        X = np.empty(fh.shape[:-3] + self._band_shape, dtype=fh.dtype)
+        for band, full in self._band_blocks:
+            X[band] = fh[full]
+        return X
+
+    def from_band(self, X):
+        if self.scheme != "spectral":
+            return X
+        fh = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
+        for band, full in self._band_blocks:
+            fh[full] = X[band]
+        return self.ifftn(fh)
+
+    def band_k2(self):
+        """|k|^2 on the band, from the ik that ``_d`` multiplies by (spectral)."""
+        return sum(self._ik[a][m].imag ** 2 for a, m in enumerate(self._band_shape))
 
     # -- operators in derivative space ----------------------------------------
     def _grad(self, fh):
@@ -168,7 +206,7 @@ class Nabla:
         product and the initial data (exact for band-limited inputs), and
         central4 returns its input.
         """
-        return self.space.back(self.space.to(f))
+        return self.from_band(self.to_band(f))
 
 
 def _five_point(f, axis: int, scale: float, w1: int, w0: int | None = None):
@@ -204,55 +242,6 @@ def _band_runs(n: int):
     with m = n // 3, i.e. every |k| <= n/3."""
     m = n // 3
     return (slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m + 1), slice(n - m, n))
-
-
-class DerivativeSpace:
-    """A Nabla's operators on data kept in its derivative space.
-
-    On spectral the space holds the 2/3 band, the Fourier coefficients with
-    every |k_i| <= n_i/3: ``to`` is fftn then a gather of the band (8 block
-    copies), ``back`` scatters into zeros then runs ifftn.  The gather is the
-    2/3 rule, so ``dealias`` is ``to``.  On central4 the space is physical and
-    all three return their input.  Derivatives go through the Nabla's ``_d``
-    with band-sized ik, and ``k2`` gives their |k|^2 on the band.  Each Nabla
-    builds one, as ``Nabla.space``.
-    """
-
-    def __init__(self, nabla: Nabla):
-        self.nabla = nabla
-        if nabla.scheme == "spectral":
-            self.shape = tuple(2 * (n // 3) + 1 for n in nabla.grid.n)
-            self._blocks = [tuple((..., *s) for s in zip(*runs))
-                            for runs in product(*map(_band_runs, nabla.grid.n))]
-
-    def to(self, f):
-        if self.nabla.scheme != "spectral":
-            return f
-        fh = self.nabla.fftn(f)
-        X = np.empty(fh.shape[:-3] + self.shape, dtype=fh.dtype)
-        for band, full in self._blocks:
-            X[band] = fh[full]
-        return X
-
-    dealias = to
-
-    def back(self, X):
-        if self.nabla.scheme != "spectral":
-            return X
-        fh = np.zeros(X.shape[:-3] + self.nabla.grid.n, dtype=X.dtype)
-        for band, full in self._blocks:
-            fh[full] = X[band]
-        return self.nabla.ifftn(fh)
-
-    def k2(self):
-        """|k|^2 on the band, from the ik that ``Nabla._d`` multiplies by (spectral)."""
-        return sum(self.nabla._ik[a][m].imag ** 2 for a, m in enumerate(self.shape))
-
-    def curl(self, Fh):
-        return self.nabla._curl(Fh)
-
-    def quaternion_gradient(self, Fh: Biquaternion) -> Biquaternion:
-        return Biquaternion(*self.nabla._quaternion_gradient(Fh.scalar, Fh.vector))
 
 
 def apply_dplus(nabla: Nabla, F: Biquaternion, dF_dtau: Biquaternion) -> Biquaternion:

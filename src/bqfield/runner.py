@@ -98,11 +98,11 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     # the scheme's 2/3 rule, as the stepper applies it to the force
     background = None if sc.background is None else nabla.dealias(sc.background)
     state = SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, background)
-    if nabla.scheme != "spectral":  # central4: no rule, and U itself is its derivative space
+    if nabla.scheme != "spectral":  # central4: no rule, and U itself is its band
         return state, nabla
     # held as a stepped state is: the advanced channels on the band, which step
     # 1 takes as they are, the held ones filtered in physical space; U on first read
-    return state._stepped(0.0, _take_in(nabla.space, _advanced(sc.mode), state.U, nabla.dealias)), nabla
+    return state._stepped(0.0, _take_in(nabla, _advanced(sc.mode), state.U, nabla.dealias)), nabla
 
 
 def run_scenario(

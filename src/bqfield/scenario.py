@@ -12,13 +12,12 @@ Complex numbers are spelled {"re": x, "im": y} (``im`` optional); complex
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .evolution import _A, _J, _RHO, StepperConfig, check_mode
-from .fields import Grid, Medium
+from .fields import Grid, Medium, _finite, _positive
 from .diagnostics import LAWS, check_specs
 from .operators import Nabla
 
@@ -61,10 +60,10 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _number(v, path: str) -> float:
-    # the bound rejects NaN, the infinities and integers too large for a float
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+    """``v`` under the package's number rule (``_finite``), named at ``path``."""
+    if (x := _finite(v)) is None:
         raise ScenarioError(f"{path} must be a finite number, got {v!r}")
-    return float(v)
+    return x
 
 
 def _complex_scalar(v, path: str) -> complex:
@@ -174,7 +173,7 @@ def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
             _take(d, "center", path, default=[L / 2 for L in grid.L]), _ctx(path, "center")
         )
         width = _number(_take(d, "width", path, default=min(grid.L) / 8), _ctx(path, "width"))
-        if width <= 0:
+        if _positive(width) is None:
             raise ScenarioError(f"{_ctx(path, 'width')} must be positive")
     elif kind != "uniform":
         raise ScenarioError(f"{path}: unknown preset type {kind!r}")
@@ -272,7 +271,7 @@ def parse_scenario(doc: dict) -> Scenario:
     _build("grid.dtau", stepper.check_step, grid)
 
     duration = _number(_take(d, "duration", "", required=True), "duration")
-    if duration <= 0:
+    if _positive(duration) is None:
         raise ScenarioError("duration must be positive")
     if not duration / grid.dtau <= MAX_STEPS:
         raise ScenarioError(f"duration = {duration} overflows the step count cap "

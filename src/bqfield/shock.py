@@ -99,8 +99,8 @@ def afield_jump_energy(front: FrontData) -> dict[str, float]:
       ``pair_h``      sqrt(mu)[H] + sqrt(eps)[E] x m
       ``energy_flux`` W - (m, P) for the jump energy W and momentum P
       ``energy_speed`` W - ||P||
-      ``charge_flux`` |[rho] - ([J], m)|
-    All of the first four vanish exactly on admissible jumps.
+    All four vanish exactly on admissible jumps.  The source jumps' scalar
+    shadow |[rho] - ([J], m)| is ``theta_jump_residual``'s ``scalar``.
     """
     med = front.medium
     se, sm = np.sqrt(med.epsilon), np.sqrt(med.mu)
@@ -114,7 +114,6 @@ def afield_jump_energy(front: FrontData) -> dict[str, float]:
         "pair_h": float(np.abs(pair_h).max()),
         "energy_flux": float(abs(W - m @ P)),
         "energy_speed": float(abs(W - np.linalg.norm(P))),
-        "charge_flux": float(abs(front.jump_rho - front.jump_J @ m)),
     }
 
 

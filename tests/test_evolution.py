@@ -725,6 +725,16 @@ def test_state_refuses_a_tau_it_cannot_use(tau):
     assert SimState(np.float32(0.5), np.zeros((1, 7) + g.n), g, Medium(), "maxwell").tau == 0.5
 
 
+
+@pytest.mark.parametrize("shape", [(7, 8, 8, 8), (1, 6, 8, 8, 8), (1, 7, 8, 8, 4), (1, 1, 7, 8, 8, 8)])
+def test_state_refuses_a_u_of_another_shape(shape):
+    """U is (M, 7) + grid.n: a missing field axis, a channel short, another
+    box or an extra axis is a ValueError at construction."""
+    g = cube(8, 0.05)
+    with pytest.raises(ValueError, match=r"is not \(M, 7\) \+ grid n"):
+        SimState(0.0, np.zeros(shape), g, Medium(), "maxwell")
+
+
 def test_state_copy_is_a_separate_snapshot():
     """``copy`` of a resident spectral maxwell state makes U from its
     coefficients into an array of its own: writing the copy leaves the

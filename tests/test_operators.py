@@ -259,8 +259,8 @@ def test_dealias_idempotent_and_bandpass():
 @pytest.mark.parametrize("n", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (9, 9, 9), (12, 12, 12),
                                (8, 9, 12), (2, 5, 3)])
 def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
-    """The spectral space holds the wavenumbers |k_i| <= n_i/3 in fftn order:
-    back(to(f)) is the 2/3 filter, and band derivatives agree with the full
+    """The spectral band holds the wavenumbers |k_i| <= n_i/3 in fftn order:
+    from_band(to_band(f)) is the 2/3 filter, and band derivatives agree with the full
     grid's.  Grid asks for n >= 4, so the tiny axes use a stand-in; Nabla
     reads only n and h."""
     grid = SimpleNamespace(n=n, h=tuple(2 * np.pi / m for m in n))
@@ -270,16 +270,16 @@ def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
     Fh = np.fft.fftn(F, axes=(-3, -2, -1))
     freq = [np.fft.fftfreq(m, 1.0 / m) for m in n]
     kept = [np.flatnonzero(np.abs(k) <= m / 3) for k, m in zip(freq, n)]
-    band = nab.space.to(F)
+    band = nab.to_band(F)
     assert band.shape == (3,) + tuple(2 * (m // 3) + 1 for m in n)
     assert np.allclose(band, Fh[(...,) + np.ix_(*kept)], rtol=0, atol=1e-12)
     mask = np.ones(n, bool)
     for a, k in enumerate(freq):
         mask &= np.expand_dims(np.abs(k) <= n[a] / 3, [b for b in range(3) if b != a])
     want = np.fft.ifftn(Fh * mask, axes=(-3, -2, -1))
-    assert np.abs(nab.space.back(band) - want).max() <= 1e-14 * np.abs(F).max()
+    assert np.abs(nab.from_band(band) - want).max() <= 1e-14 * np.abs(F).max()
     assert np.abs(nab.dealias(F) - want).max() <= 1e-14 * np.abs(F).max()
-    assert np.abs(nab.space.back(nab.space.curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
+    assert np.abs(nab.from_band(nab._curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
 
 
 def test_central4_scheme_skips_dealias():
@@ -300,3 +300,22 @@ def test_unknown_scheme_rejected():
         "except ValueError: raise SystemExit(7)"
     )
     assert subprocess.run([sys.executable, "-O", "-c", code]).returncode == 7
+
+
+
+@pytest.mark.parametrize("workers, want", [(1.5, None), ("2", None), (True, None), (None, None), (0, None),
+                                           (1, 1), (np.int64(2), 2), (-1, -1)])
+def test_workers_is_a_nonzero_integer(workers, want):
+    """workers follows the package's integer rule (no float, string or bool),
+    and 0 is refused when the Nabla is built, not at its first transform.
+    Positive counts and scipy's negative ones (-1: every CPU) are kept as
+    ints and give the single-threaded transform's numbers."""
+    g = cube(8)
+    if want is None:
+        with pytest.raises(ValueError, match="workers must be a nonzero integer"):
+            Nabla(g, workers=workers)
+        return
+    nab = Nabla(g, workers=workers)
+    assert type(nab.workers) is int and nab.workers == want
+    f = np.random.default_rng(3).standard_normal(g.shape)
+    np.testing.assert_array_equal(nab.grad(f), Nabla(g).grad(f))

@@ -1,8 +1,20 @@
-"""The package's public names: each module's ``__all__`` is the one list."""
+"""The package's public names: each module's ``__all__`` is the one list,
+and the README names no class the package does not have."""
 
+import builtins
 import importlib
+import pathlib
+import re
+
+import pytest
 
 import bqfield
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+# an inline code span that opens with a capitalised name with a lowercase
+# letter in it (`Nabla`, `SimState.U`, `bqfield.Grid`, `Medium(epsilon, mu,
+# kappa)`); spans that open with anything else (`-Theta o A'`, `A'`) are formulas
+_CLASS = re.compile(r"(?:bqfield\.(?:[a-z_]+\.)?)?([A-Z]\w*[a-z]\w*)\b")
 
 MODULES = ("biquaternion", "fields", "operators", "evolution", "diagnostics", "shock",
            "scenario", "runner", "selftest")
@@ -20,3 +32,29 @@ def test_bqfield_exports_each_modules_names_once():
         names += module.__all__
     assert len(set(bqfield.__all__)) == len(bqfield.__all__)
     assert sorted(bqfield.__all__) == sorted(names + ["__version__"])
+
+
+def readme_class_names(text: str) -> set[str]:
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)  # fenced blocks hold JSON and shell
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    return {m[1] for m in map(_CLASS.match, spans) if m}
+
+
+def test_readme_class_names_resolve():
+    """Every class-like name the README puts in backticks is ``bqfield.<Name>``
+    or a builtin, so a renamed or removed class cannot stay in the docs."""
+    stale = {name for name in readme_class_names(README.read_text(encoding="utf-8"))
+             if not hasattr(bqfield, name) and not hasattr(builtins, name)}
+    assert not stale, f"README.md names classes bqfield does not have: {sorted(stale)}"
+
+
+@pytest.mark.parametrize("text, names", [
+    ("`Nabla.dealias` and `SimState` on `bqfield.Grid`", {"Nabla", "SimState", "Grid"}),
+    ("`DerivativeSpace` (`bqfield.operators.DerivativeSpace`)", {"DerivativeSpace"}),
+    ("`-Theta o A'`, `A'`, `U`, `None`", {"None"}),
+    ("```\nbqfield run Scenario.json\n```\n`x` Foo `y`", set()),
+])
+def test_readme_class_names_are_found(text, names):
+    """The scan finds a stale name such as ``DerivativeSpace``, and not the
+    capitalised symbols of a formula."""
+    assert readme_class_names(text) == names

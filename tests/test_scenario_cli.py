@@ -50,6 +50,7 @@ def eigenmode_doc(n=8, steps=8, tols=None):
 # -- schema -------------------------------------------------------------------------
 
 SURFACE = {"axis": 0, "index": 0, "part_axis": 1, "j0": 0, "j1": 4}
+PULSE = {"type": "gaussian_pulse", "polarization": [1.0, 0.0, 0.0]}
 
 
 def test_parse_minimal_scenario_defaults():
@@ -120,11 +121,36 @@ def test_parse_minimal_scenario_defaults():
         (lambda d: d.update(duration=1e18),
          "duration = 1e+18 overflows the step count cap MAX_STEPS = 1000000000"),
         (lambda d: d["initial_conditions"][0]["afield"].update(amplitude=float("inf")), "amplitude must be a finite"),
+        # a pulse width is a positive finite number, not a bool
+        *[(lambda d, w=w: d["initial_conditions"][0].update(afield=dict(PULSE, width=w)), msg)
+          for w, msg in [(0, "afield.width must be positive"), (-1, "afield.width must be positive"),
+                         (float("nan"), "afield.width must be a finite number"),
+                         (True, "afield.width must be a finite number, got True")]],
+        # one row per shape rule of the document
+        (lambda d: d["initial_conditions"][0]["afield"].update(amplitude="big"),
+         "afield.amplitude must be a number or {re, im}"),
+        (lambda d: d["initial_conditions"][0]["afield"].update(k=[0.0, 1.0]),
+         "afield.k must be a 3-element list"),
+        (lambda d: d["initial_conditions"][0]["afield"].update(polarization="x"),
+         "afield.polarization must be a list or {re, im} of lists"),
+        (lambda d: d["grid"].update(n=[8, 8.0, 8]), "grid.n[1] must be an integer"),
+        (lambda d: d.update(grid=[8, 8, 8]), "grid must be an object"),
+        (lambda d: d["initial_conditions"][0].update(afield="plane_wave"),
+         "initial_conditions[0].afield must be an object or null"),
+        (lambda d: d["initial_conditions"][0]["afield"].update(type="spiral"),
+         "unknown preset type 'spiral'"),
+        (lambda d: d["initial_conditions"][0].update(afield=dict(PULSE, gradient=1)),
+         "afield.gradient must be a boolean"),
+        (lambda d: [d], "scenario must be a JSON object"),
+        (lambda d: d.update(description=3), "description must be a string"),
+        (lambda d: d.update(output_dir=3), "output_dir must be a string path"),
+        (lambda d: d.update(diagnostics={"name": "charge"}), "diagnostics must be a list"),
     ],
 )
 def test_parse_rejects_bad_documents(mangle, fragment):
+    """``mangle`` edits the document in place, or returns one to parse instead."""
     doc = eigenmode_doc()
-    mangle(doc)
+    doc = mangle(doc) or doc
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(doc)
     assert fragment.lower() in str(exc.value).lower()
@@ -738,6 +764,8 @@ def test_cli_roots_output(capsys):
     out = capsys.readouterr().out.split()
     np.testing.assert_allclose([float(x) for x in out], [-1, -1, 1, 1], atol=1e-10)
     assert main(["roots", "--m", "1,2"]) == 2
+    assert main(["roots", "--m", "0,0,0"]) == 2
+    assert "normal must be finite and nonzero" in capsys.readouterr().err
 
 
 def test_cli_zero_normal_exits_two_under_optimize(tmp_path):

@@ -121,9 +121,17 @@ def test_theta_jump_relation_solutions():
 def test_charge_flux_shadow():
     m = np.array([0.0, 1.0, 0.0])
     f = FrontData(m=m, jump_rho=0.7, jump_J=0.7 * m.astype(complex))
-    assert afield_jump_energy(f)["charge_flux"] <= 1e-15
+    assert theta_jump_residual(f)["scalar"] <= 1e-15
     f2 = FrontData(m=m, jump_rho=1.0, jump_J=0.2 * m.astype(complex))
-    assert afield_jump_energy(f2)["charge_flux"] == pytest.approx(0.8)
+    assert theta_jump_residual(f2)["scalar"] == pytest.approx(0.8)
+    # the one home of |[rho] - ([J], m)|: the field's energy laws do not restate it
+    assert set(afield_jump_energy(f2)) == {"pair_e", "pair_h", "energy_flux", "energy_speed"}
+
+
+@pytest.mark.parametrize("m", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]])
+def test_front_normal_must_be_finite_and_nonzero(m):
+    with pytest.raises(ValueError, match="normal must be finite and nonzero"):
+        FrontData(m=m)
 
 
 def test_front_normal_is_normalised():
