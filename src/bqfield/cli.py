@@ -105,17 +105,19 @@ def _cmd_shock_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = {}
-    results.update(afield_jump_residual(front))
-    results.update(afield_jump_energy(front))
-    results.update(theta_jump_residual(front))
-    worst = 0.0
+    # jumps near the float range overflow to inf and NaN, which breach below
+    with np.errstate(over="ignore", invalid="ignore"):
+        results.update(afield_jump_residual(front))
+        results.update(afield_jump_energy(front))
+        results.update(theta_jump_residual(front))
+    breached = False
     for name, value in results.items():
-        flag = "ok" if value <= tol else "BREACH"
-        worst = max(worst, value)
-        print(f"  {name:16s} {value:.6e}  {flag}")
+        ok = value <= tol  # a NaN residual fails it: a breach, as in ResidualSeries
+        breached |= not ok
+        print(f"  {name:16s} {value:.6e}  {'ok' if ok else 'BREACH'}")
     roots = characteristic_roots(front.m)
     print(f"  characteristic speeds: {', '.join(f'{r:+.1f}' for r in roots)}")
-    return 0 if worst <= tol else 1
+    return 1 if breached else 0
 
 
 def _cmd_roots(args) -> int:

@@ -14,47 +14,55 @@ interacting field, channels [0:3] = A, [3] = rho, [4:7] = J.  Modes:
 Every mode's right-hand side is dX/dtau = L X + f over the channels it
 advances.  The one linear operator L (``_linear``) moves A by -i curl A,
 minus J where J also advances, and Theta by free transport i nabla o Theta;
-f (``_add_f``) is maxwell's held -J, or the force -Theta o A' / kappa of a
-partner field, the only nonlinear term.
+f is maxwell's held -J, or the force -Theta o A' / kappa of a partner field
+(``_add_f``), the only nonlinear term.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units), its stages in the Nabla's band representation: on spectral the
-Fourier coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical
-space.  The force is formed in physical space and taken onto the band by
+units), in the Nabla's band representation: on spectral the Fourier
+coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.
+The force is formed in physical space and taken onto the band by
 ``Nabla.to_band`` (the 2/3 rule on spectral, none on central4).  So on
-spectral a step projects the advanced channels, and maxwell's held J, onto
-the band, as ``build_state`` does the initial data; a force mode's first
-stage reads the input's physical values as they are.
+spectral a step projects the advanced channels onto the band, as
+``build_state`` does the initial data; a force mode's first stage reads the
+input's physical values as they are.
 
-In ``maxwell`` and ``free_theta`` f is constant, and on spectral
-``step_rk4`` applies classical RK4's map in closed form, X <- X + a L X +
-b L L X + S: the same discrete map as the four stages, to round-off, for two
-applications of L in place of four, and one in free_theta, whose L L is
--|k|^2.  The per-wavenumber a, b and maxwell's held source S are made once
-per run (``_closed_form``) and kept on the band record below.  Force modes
-and central4 evaluate the four stages.  Besides its input state, a stage
-step holds three stacks of the advanced channels (the sum of the k, one
-stage input that is also the scratch for w k, and the current k) and one
-right-hand side's temporaries.
+In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
+polynomial in L, applied with no stage loop (``_closed_form``, made once per
+run and kept on its states).  On spectral the band's L^3 = -|k|^2 L folds it
+to X + a L X + b L L X + S, two applications of L, and one in free_theta,
+whose L L is -|k|^2.  On central4 it runs by Horner's rule, X + hL(X +
+(h/2)L(X + (h/3)L(X + (h/4)L X))) + S: four applications of L, as the
+stages make, in two stacks and with no stage combine.  maxwell's held
+source S is made once per run.  Force modes evaluate the four stages;
+besides its input state, a stage step holds three stacks of the advanced
+channels (the sum of the k, one stage input that is also the scratch for w
+k, and the current k) and one right-hand side's temporaries.
 
-On spectral a state keeps the band coefficients of its advanced channels,
-next to ``U``, until the next step takes them: ``build_state`` and every
-step return them, and a step on their scheme starts from them with no
-transform (a step on another scheme takes ``U`` in).  Without a
-force (``maxwell``, ``free_theta``) a stepped state holds them alone and
-makes ``U`` on first read; a force mode makes ``U`` in the step.  A step
+A state keeps the band coefficients of its advanced channels, next to
+``U``, until the next step takes them: on spectral ``build_state`` and every
+step return them, and on both schemes maxwell and free_theta steps do.  A
+step on their scheme starts from them with no transform (a step on another
+scheme takes ``U`` in).  maxwell and free_theta hold them alone and make
+``U`` on first read; a force mode makes ``U`` in the step, and on central4,
+where the coefficients are ``U``'s own channels, holds ``U`` alone.  A step
 drops the coefficients it took from its input if that input holds ``U``
-too, so only the newest state holds both.  On central4 the coefficients are
-``U``'s own channels, and a state holds ``U`` alone.  A stepped state shares
-its input's held channels and the closed form's constants; so no step
-writes them, and a caller must not write a stepped state's ``U`` in place
-(build a new ``SimState`` instead).
+too, so only the newest state holds both.
+
+The held channels (maxwell's Theta, A where Theta alone advances) never
+change, so a run keeps them once, as one block (``_Held``) its states share
+with the closed form's constants; no step writes them, and a caller must not
+write a stepped state's ``U`` in place (build a new ``SimState`` instead).
+A block of ``build_state``'s initial data goes onto the band in step 1, where
+maxwell's source reads J, and its physical form is made from the band on
+first need; a block taken from a state's ``U`` is those arrays (on central4,
+in a run that keeps its coefficients, a copy of its own).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,28 +123,71 @@ class NumericalAbort(RuntimeError):
         self.state = state
 
 
+class _Held:
+    """A run's held channels ``rows``, one block shared by its states.
+
+    ``band`` and ``physical`` are made once each, on first need.  A block of
+    initial data (``filtered``, from ``build_state``) goes onto the band
+    whole and then lets go of the array it was given; its physical form is
+    made from the band, so it is the data's ``Nabla.dealias``.  Any other
+    block is physical as given.
+    """
+
+    def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
+        self.nabla, self.rows, self.filtered = nabla, rows, filtered
+        self._given, self._band, self._finite = given, None, None
+        self._physical = None if filtered else given
+
+    def band(self) -> np.ndarray:
+        if self._band is None:
+            self._band, self._given = self.nabla.to_band(self._given), None
+        return self._band
+
+    def physical(self) -> np.ndarray:
+        if self._physical is None:
+            self._physical = self.nabla.from_band(self.band())
+        return self._physical
+
+    def finite(self) -> bool:
+        """Whether the block is finite, checked once: on the band where
+        filtered (a non-finite value spreads to all its coefficients)."""
+        if self._finite is None:
+            self._finite = bool(np.isfinite(self.band() if self.filtered else self._physical).all())
+        return self._finite
+
+    def band_J(self) -> np.ndarray:
+        """maxwell's held J on the band: from the whole block's band where
+        filtered, else J alone taken in."""
+        return self.band()[:, 1:] if self.filtered else self.nabla.to_band(self._physical[:, 1:])
+
+
 class _Coefficients(NamedTuple):
     """A state's advanced channels on its Nabla's band, kept until the next
-    step takes them, its physical held channels before (``lo``) and after
-    (``hi``) them, and the run's closed-form constants once a step made them."""
+    step takes them, its run's held block (None where the mode holds no
+    channel), and the run's closed form once a step made it."""
 
     nabla: Nabla
     X: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    held: _Held | None
     closed: _ClosedForm | None = None
 
     def physical(self) -> np.ndarray:
         X = self.nabla.from_band(self.X)
-        if not (self.lo.shape[1] or self.hi.shape[1]):  # the mode holds no channel
+        if self.held is None:
             return X
-        return np.concatenate([self.lo, X, self.hi], axis=1)
+        H = self.held.physical()
+        return np.concatenate([H, X] if self.held.rows.start == 0 else [X, H], axis=1)
 
 
-def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, held=lambda h: h) -> _Coefficients:
+def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, filtered: bool = False,
+             copy: bool = False) -> _Coefficients:
     """U's advanced channels ``adv`` taken onto ``nabla``'s band, and its held
-    channels, physical, through ``held``."""
-    return _Coefficients(nabla, nabla.to_band(U[:, adv]), held(U[:, : adv.start]), held(U[:, adv.stop :]))
+    block: initial data to filter, or physical as given (a copy where ``copy``)."""
+    rows = slice(adv.stop, 7) if adv.start == 0 else slice(0, adv.start)
+    held = None
+    if rows.start < rows.stop:
+        held = _Held(nabla, rows, U[:, rows].copy() if copy else U[:, rows], filtered)
+    return _Coefficients(nabla, nabla.to_band(U[:, adv]), held)
 
 
 class SimState:
@@ -145,8 +196,9 @@ class SimState:
     ``U`` is the (M, 7, nx, ny, nz) complex128 state, and ``background``
     strong_field's frozen A', complex128 of shape (3, nx, ny, nz), given in
     no other mode; ``tau`` a finite real number, held as a float.  A state
-    that ``build_state`` or ``step_rk4`` returned on spectral also holds the
-    band coefficients the next step starts from; where it holds only those,
+    that ``build_state`` returned on spectral, or ``step_rk4`` on spectral
+    or in maxwell and free_theta, also holds the band coefficients the next
+    step starts from; where it holds only those,
     ``U`` is made on first read, next to them, and the step that takes them
     drops them.  The states of one run share their held channels and the
     closed form's constants, so ``U`` has no setter, and writing into it in
@@ -279,15 +331,14 @@ def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:
     return LY
 
 
-def _add_f(dX: np.ndarray, state: SimState, take, held_J=None) -> np.ndarray:
+def _add_f(dX: np.ndarray, state: SimState, take) -> np.ndarray:
     """dX + f in place, for a field stack dX of the channels the mode advances.
 
-    f is maxwell's -J for the ``held_J`` given, or in a force mode
-    -Theta o A' / kappa of each field's partner, formed from ``state`` in
-    physical space and taken into dX's representation by ``take``.
+    In a force mode f is -Theta o A' / kappa of each field's partner, formed
+    from ``state`` in physical space and taken into dX's representation by
+    ``take``; in the other modes this adds nothing (maxwell's held -J is
+    ``state_rhs``'s, and the closed form's source in a step).
     """
-    if held_J is not None:
-        dX -= held_J
     if state.mode not in _FORCED:
         return dX
     for k in range(len(dX)):
@@ -304,54 +355,62 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     U, adv = state.U, _advanced(state.mode)
     dU = np.zeros_like(U)
     dX = nabla._back(_linear(nabla, adv, nabla._to(U[:, adv])))
-    dU[:, adv] = _add_f(dX, state, nabla.dealias, U[:, _J] if adv.stop < 7 else None)
+    if adv.stop < 7:  # maxwell's f, the held -J
+        dX -= U[:, _J]
+    dU[:, adv] = _add_f(dX, state, nabla.dealias)
     return dU
 
 
 # -- stepping ------------------------------------------------------------------
 
 
-def _resident(mode: str, nabla: Nabla) -> bool:
+def _resident(mode: str) -> bool:
     """Whether step_rk4 returns its coefficients alone, with U made on first
-    read, and steps by RK4's closed form.
+    read, and steps by RK4's closed form: on both schemes, in the modes whose
+    right-hand side never reads the physical state (maxwell, free_theta).
 
-    Only where that removes transforms: on spectral, in the modes whose
-    stages never read the physical state.  A force mode reads physical rho, J
-    and A' in stage 1 anyway, so it makes U in the step and keeps the
-    coefficients next to it; central4's band is physical space.
-    Returning coefficients alone everywhere was measured (perfbench, 4
-    alternating pairs, 2-core host) to cost free-64-central4 a 10-17 % slower
-    step and peak RSS 213.7 -> 225.6 MiB, and united-32-diag 133.4 -> 136.3
-    MiB with the step level.
+    A force mode reads physical rho, J and A' in stage 1 anyway, so it makes
+    U in the step, and keeps the coefficients next to it on spectral.
     """
-    return nabla.scheme == "spectral" and mode not in _FORCED
+    return mode not in _FORCED
 
 
 class _ClosedForm(NamedTuple):
-    """The closed form's constants for a run's grid.dtau: a, b and maxwell's
-    held source; in free_theta b multiplies X itself and source is None."""
+    """RK4's map for a run's grid.dtau, X <- advance(X) + source: its
+    polynomial in L with the run's constants bound, and maxwell's held
+    source (None in free_theta)."""
 
-    a: np.ndarray
-    b: np.ndarray
+    advance: Callable[[np.ndarray], np.ndarray]
     source: np.ndarray | None
 
 
-def _closed_form(nabla: Nabla, adv: slice, h: float, hi: np.ndarray) -> _ClosedForm:
-    """Classical RK4's constants on the band for step h.
+def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held | None) -> _ClosedForm:
+    """Classical RK4's map for step h, made once per run.
 
     For y' = L y + f with f constant, four stages make the polynomial
     y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f.
-    Where L^3 = -|k|^2 L it reduces to y + a L y + b L L y + h (f + p1 L f + p2 L L f).
-    maxwell's f is -J of the held channels ``hi``.  free_theta has no f, and
-    its L L = -|k|^2 folds b L L y into y: (1 - b |k|^2) y + a L y.
+    maxwell's f is -J of the held block; free_theta has none.  On spectral's
+    band L^3 = -|k|^2 L reduces it to y + a L y + b L L y + h (f + p1 L f +
+    p2 L L f), and free_theta's L L = -|k|^2 folds b L L y into y:
+    (1 - b |k|^2) y + a L y.  central4's stencils have no such symbol in
+    hand, so there it is Horner's rule, four applications of L to y and
+    three to f.
     """
-    k2 = nabla.band_k2()
-    a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
-    if adv.stop == 7:
-        return _ClosedForm(a, 1 - b * k2, None)
-    source = _rk4_polynomial(nabla, adv, nabla.to_band(hi[:, 1:]), h / 2 - h**3 * k2 / 24, h**2 / 6)
-    source *= -h
-    return _ClosedForm(a, b, source)
+    J = None if adv.stop == 7 else held.band_J()
+    if nabla.scheme != "spectral":
+        advance = partial(_horner, nabla, adv, cs=(h / 4, h / 3, h / 2, h))
+        source = None if J is None else _horner(nabla, adv, J, (h / 4, h / 3, h / 2))
+    else:
+        k2 = nabla.band_k2()
+        a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
+        if J is None:
+            advance, source = partial(_transport_map, nabla, adv, a=a, b=1 - b * k2), None
+        else:
+            advance = partial(_rk4_polynomial, nabla, adv, c1=a, c2=b)
+            source = _rk4_polynomial(nabla, adv, J, h / 2 - h**3 * k2 / 24, h**2 / 6)
+    if source is not None:
+        source *= -h
+    return _ClosedForm(advance, source)
 
 
 def _rk4_polynomial(nabla: Nabla, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
@@ -363,6 +422,25 @@ def _rk4_polynomial(nabla: Nabla, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarr
     out += LY
     out += Y
     return out
+
+
+def _transport_map(nabla: Nabla, adv: slice, Y: np.ndarray, a, b) -> np.ndarray:
+    """b Y + a L Y, with per-wavenumber a and b: one application of L."""
+    out = _linear(nabla, adv, Y)
+    out *= a
+    out += b * Y
+    return out
+
+
+def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, cs) -> np.ndarray:
+    """Y + c_n L (... (Y + c_2 L (Y + c_1 L Y))) for cs = (c_1, ..., c_n), in
+    two stacks: the running term and the L of it being made."""
+    Z = Y
+    for c in cs:
+        Z = _linear(nabla, adv, Z)
+        Z *= c
+        Z += Y
+    return Z
 
 
 def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
@@ -390,34 +468,38 @@ def step_rk4(
     """One classical RK4 step of length grid.dtau, on nabla's band (the 2/3
     band of Fourier coefficients on spectral, physical space on central4).
 
-    Where ``_resident`` holds (maxwell and free_theta on spectral) the system
-    is linear with constant coefficients, so the four stages and their
-    combine collapse into one per-wavenumber update,
+    Where ``_resident`` holds (maxwell and free_theta, on both schemes) the
+    system is linear with constant coefficients, so the four stages and
+    their combine are one polynomial in L, RK4's own discrete map, applied
+    with no stage loop (``_closed_form``).  L = -i curl (maxwell) or
+    i nabla o (free_theta), the L of every stage.  On spectral it is one
+    per-wavenumber update,
 
         X <- X + a L X + b L L X + S,
         a = h - h^3 |k|^2 / 6,  b = h^2 / 2 - h^4 |k|^2 / 24,
 
-    with L = -i curl (maxwell) or i nabla o (free_theta), the L of every
-    stage.  On the band L^3 = -|k|^2 L (maxwell: L = k x; free transport:
-    L^2 = -|k|^2), which folds the cubic and quartic terms of RK4's
-    polynomial into a and b: it is classical RK4's own discrete map, to
-    round-off, with half the derivative work of the stages.  free_theta
-    folds b L L X into X too, X <- (1 - b |k|^2) X + a L X, and applies L
-    once.  S = -h (J + p1 L J + p2 L L J), p1 = h/2 - h^3 |k|^2 / 24,
-    p2 = h^2 / 6, is maxwell's held source; free_theta has none.  a, b and S
-    are made once per run, for its frozen grid's dtau, and kept on its
-    states.  Force modes and central4 (where |d(k)|^2 is no stencil) run the
-    four stages on the same L X + f.
+    as on the band L^3 = -|k|^2 L (maxwell: L = k x; free transport: L^2 =
+    -|k|^2) folds the cubic and quartic terms into a and b: half the
+    derivative work of the stages.  free_theta folds b L L X into X too,
+    X <- (1 - b |k|^2) X + a L X, and applies L once.  S = -h (J + p1 L J +
+    p2 L L J), p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6, is maxwell's held
+    source; free_theta has none.  On central4 the step is Horner's rule,
 
-    Besides its input state, a stage step holds three stacks of the
+        X <- X + hL(X + (h/2)L(X + (h/3)L(X + (h/4)L X))) + S,
+        S = -h (J + (h/2)L(J + (h/3)L(J + (h/4)L J))),
+
+    four applications of L, as the stages make, held in two stacks and with
+    no stage combine.  The map and S are made once per run, for its frozen
+    grid's dtau, and kept on its states.  Force modes run the four stages on
+    L X + f; besides its input state a stage step holds three stacks of the
     advanced channels (the sum of the k, one stage input reused as scratch,
-    and the current k) and the temporaries of one rhs; the closed form holds
-    L X and one product.
+    and the current k) and the temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
-    ``nabla``'s scheme, else from ``U``, and checks the held channels for
-    finiteness once per run where the closed form is kept, else on every
-    step.  It raises ValueError unless ``nabla`` is on the state's box.
+    ``nabla``'s scheme, else from ``U``, and checks the run's held block for
+    finiteness once (once per step in a central4 force mode, which takes
+    ``U`` in every step).  It raises ValueError unless ``nabla`` is on the
+    state's box.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
@@ -426,41 +508,33 @@ def step_rk4(
     _check_box(state, nabla)
     config.check_step(state.grid)
     dt = state.grid.dtau
-    adv, resident = _advanced(state.mode), _resident(state.mode, nabla)
+    adv, resident = _advanced(state.mode), _resident(state.mode)
     coef = state._coef
     if coef is None or coef.nabla.scheme != nabla.scheme:  # made on another scheme
-        coef = _take_in(nabla, adv, state.U)
-    _, X0, lo, hi, closed = coef
-    # held channels never change, and a rhs need not read them all: checked
-    # once per run where the closed form is kept, else on every step
-    if closed is None and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        # a run that keeps its coefficients on central4 owns its held block,
+        # so no view of a U it was given outlives step 1
+        coef = _take_in(nabla, adv, state.U, copy=resident and nabla.scheme != "spectral")
+    _, X0, held, closed = coef
+    if held is not None and not held.finite():  # no rhs need read all of it
         raise NumericalAbort(state.tau, steps_done + 1, state)
     if resident:
         if closed is None:
-            closed = _closed_form(nabla, adv, dt, hi)
-        if closed.source is None:  # free_theta: b X0 + a L X0, one application of L
-            X = _linear(nabla, adv, X0)
-            X *= closed.a
-            X += closed.b * X0
-        else:
-            X = _rk4_polynomial(nabla, adv, X0, closed.a, closed.b)
+            closed = _closed_form(nabla, adv, dt, held)
+        X = closed.advance(X0)
+        if closed.source is not None:
             X += closed.source
     else:
-        held_J = nabla.to_band(hi[:, 1:]) if adv.stop < 7 else None
-
-        def rhs(X, tau):
-            at = state  # force modes read stages 2-4 back in physical space
-            if state.mode in _FORCED and X is not X0:
-                at = state._stepped(tau, _Coefficients(nabla, X, lo, hi))
-            return _add_f(_linear(nabla, adv, X), at, nabla.to_band, held_J)
+        def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
+            at = state if X is X0 else state._stepped(tau, _Coefficients(nabla, X, held))
+            return _add_f(_linear(nabla, adv, X), at, nabla.to_band)
 
         X = _stages(rhs, X0, state.tau, dt)
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, lo, hi, closed))
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, closed))
     if not resident:
-        new.U  # made here, as _resident says there is nothing to save
+        new.U  # made here: the next step's first stage reads it anyway
         if nabla.scheme != "spectral":
             new._coef = None  # central4's coefficients are U's channels: hold one copy
     if state._U is not None:

@@ -93,16 +93,22 @@ class RunReport:
 
 
 def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
-    """Assemble the initial simulation state and its derivative operator."""
+    """Assemble the initial simulation state and its derivative operator.
+
+    On spectral the state is held as a stepped state is: the advanced
+    channels taken onto the band, which step 1 takes as they are, and the
+    held ones as a block of initial data that step 1 takes onto the band
+    (where maxwell's source reads J); ``U``, the data's ``Nabla.dealias``, is
+    made on first read.  On central4 (no rule, and U itself is its band) it
+    is the initial data as given.
+    """
     nabla = Nabla(sc.grid, scheme=sc.nabla_scheme, workers=workers)
     # the scheme's 2/3 rule, as the stepper applies it to the force
     background = None if sc.background is None else nabla.dealias(sc.background)
     state = SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, background)
-    if nabla.scheme != "spectral":  # central4: no rule, and U itself is its band
+    if nabla.scheme != "spectral":
         return state, nabla
-    # held as a stepped state is: the advanced channels on the band, which step
-    # 1 takes as they are, the held ones filtered in physical space; U on first read
-    return state._stepped(0.0, _take_in(nabla, _advanced(sc.mode), state.U, nabla.dealias)), nabla
+    return state._stepped(0.0, _take_in(nabla, _advanced(sc.mode), state.U, filtered=True)), nabla
 
 
 def run_scenario(

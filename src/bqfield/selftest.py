@@ -84,6 +84,18 @@ def run_selftest(verbose: bool = True) -> int:
     err = float(np.abs(state.U[0, 0:3] - A0).max())
     failures += not _check("plane wave returns after one period", err, 1e-5, lines)
 
+    # the same period on central4 is its exact discrete map A0 R(-i d(k) dtau)^N:
+    # the stencil's symbol d(k) = (8 sin kh - sin 2kh) / (6h), R RK4's gain
+    h = grid2.h[2]
+    z = -1j * (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h) * grid2.dtau
+    gain = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    state = SimState(tau=0.0, U=U.copy(), grid=grid2, medium=Medium(), mode="maxwell")
+    central4 = Nabla(grid2, scheme="central4")
+    for _ in range(steps):
+        state, _ = step_rk4(state, central4, cfg)
+    err = float(np.abs(state.U[0, 0:3] - gain**steps * A0).max())
+    failures += not _check("central4 plane wave is RK4's discrete map", err, 1e-12, lines)
+
     # front algebra: admissible jumps and light-speed characteristics
     m = np.array([0.0, 0.0, 1.0])
     jA = admissible_jump(m, amplitude=0.7 - 0.2j)

@@ -24,7 +24,7 @@ from bqfield import (
     state_rhs,
     step_rk4,
 )
-from bqfield import runner
+from bqfield import evolution, runner
 from bqfield.evolution import MODES
 from bqfield.runner import build_state
 from bqfield.scenario import parse_scenario
@@ -341,7 +341,8 @@ def reference_rk4(state, nabla):
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
 def test_step_rk4_matches_reference_rk4(scheme, mode):
     """Three steps agree with RK4 on physical stages: held channels bit-equal,
-    advanced ones to round-off."""
+    advanced ones to round-off, and bit-equal where the step runs the same
+    stages (force modes on central4)."""
     g = cube(12, 0.05)
     nab = Nabla(g, scheme=scheme)
     cfg = StepperConfig()
@@ -353,17 +354,21 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
     if mode in held:
         assert np.array_equal(got.U[:, held[mode]], ref.U[:, held[mode]])
     assert got.tau == ref.tau
-    tol = 0.0 if scheme == "central4" else 1e-13  # central4 does the same arithmetic
+    stages = scheme == "central4" and mode not in ("maxwell", "free_theta")
+    tol = 0.0 if stages else 1e-13
     assert np.abs(got.U - ref.U).max() <= tol * np.abs(ref.U).max()
 
 
-@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
-def test_linear_steps_match_reference_rk4_over_200_steps(mode):
-    """The closed-form spectral step stays on classical RK4's map over a long
-    run (maxwell with a nonzero held J), where three steps hide a drift."""
+@pytest.mark.parametrize("mode,scheme", [("maxwell", "spectral"), ("free_theta", "spectral"),
+                                         ("maxwell", "central4"), ("free_theta", "central4")],
+                         ids=["maxwell", "free_theta", "maxwell-central4", "free_theta-central4"])
+def test_linear_steps_match_reference_rk4_over_200_steps(mode, scheme):
+    """The closed-form step (spectral's folded polynomial, central4's
+    Horner's rule) stays on classical RK4's map over a long run (maxwell
+    with a nonzero held J), where three steps hide a drift."""
     g = cube(8, 0.25 * 2 * np.pi / 8)
-    nab, cfg = Nabla(g), StepperConfig()
-    got = ref = random_state(g, mode, seed=29)
+    nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
+    got = ref = random_state(g, mode, seed=29, scheme=scheme)
     for i in range(200):
         got, _ = step_rk4(got, nab, cfg, i)
         ref = reference_rk4(ref, nab)
@@ -423,6 +428,22 @@ def test_state_grid_and_mode_are_read_only(mode):
     assert np.abs(nxt.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
 
 
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_linear_steps_run_no_stage_loop(monkeypatch, mode, scheme):
+    """maxwell and free_theta step by their closed form on both schemes: the
+    four-stage loop serves force modes alone."""
+    def stages(*args):
+        raise AssertionError("the four-stage loop ran")
+
+    monkeypatch.setattr(evolution, "_stages", stages)
+    g = cube(8, 0.05)
+    st = random_state(g, mode, scheme=scheme)
+    for i in range(2):
+        st, _ = step_rk4(st, Nabla(g, scheme=scheme), StepperConfig(), i)
+    assert st.tau == 2 * 0.05
+
+
 class DerivativeCountingNabla(Nabla):
     """Nabla that counts its single-axis derivatives ``_d``."""
 
@@ -433,15 +454,21 @@ class DerivativeCountingNabla(Nabla):
         return super()._d(fh, a)
 
 
-@pytest.mark.parametrize("mode,per_field,source", [("maxwell", 12, 12), ("free_theta", 12, 0)])
-def test_spectral_linear_step_applies_its_operator_twice(mode, per_field, source):
+@pytest.mark.parametrize(
+    "mode,scheme,per_field,source",
+    [("maxwell", "spectral", 12, 12), ("free_theta", "spectral", 12, 0),
+     ("maxwell", "central4", 24, 18), ("free_theta", "central4", 48, 0)],
+    ids=["maxwell-12-12", "free_theta-12-0", "maxwell-central4-24-18", "free_theta-central4-48-0"])
+def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field, source):
     """A spectral maxwell step applies L twice per field (curl 6 derivatives),
     not once per RK4 stage, and free_theta once (nabla o Theta 12), as its
     L L = -|k|^2 on the band; maxwell's first step applies it twice more to
-    the held J, once per run, even past a read."""
+    the held J, once per run, even past a read.  On central4 Horner's rule
+    applies L four times, as the stages do, and three times to the held J
+    once per run."""
     g = cube(12, 0.05)
-    nab, counts = DerivativeCountingNabla(g), []
-    st = random_state(g, mode)
+    nab, counts = DerivativeCountingNabla(g, scheme=scheme), []
+    st = random_state(g, mode, scheme=scheme)
     for i in range(3):
         before = nab.derivatives
         st, _ = step_rk4(st, nab, StepperConfig(), i)
@@ -450,15 +477,19 @@ def test_spectral_linear_step_applies_its_operator_twice(mode, per_field, source
     assert counts == [2 * (per_field + source), 2 * per_field, 2 * per_field]
 
 
-@pytest.mark.parametrize("mode,scheme,m,pin", [("free_theta", "central4", 1, 19),
+@pytest.mark.parametrize("mode,scheme,m,pin", [("free_theta", "central4", 1, 15),
+                                             ("maxwell", "central4", 1, 12),
                                              ("united", "central4", 2, 64),
                                              ("united", "spectral", 2, 47)])
 def test_step_allocation_peak(mode, scheme, m, pin):
-    """tracemalloc's peak over one stage step on 16^3, in channels of
-    16^3 complex values: its three stacks of the advanced channels, one
-    rhs's temporaries and the new state (measured 18.4, 63.2 and 46.0; the
-    stages' temporaries per stage made it 27.4, 77.2 and 50.5).  The pins
-    are the measured values rounded up to a whole channel."""
+    """tracemalloc's peak over one step on 16^3, in channels of 16^3 complex
+    values.  A stage step (united) holds three stacks of the advanced
+    channels, one rhs's temporaries and the new state (measured 63.2 and
+    46.0; the stages' temporaries per stage made it 77.2 and 50.5).  A
+    central4 linear step by Horner's rule holds two stacks and one L's
+    temporaries, and makes no U (measured 14.4 in free_theta and 11.3 in
+    maxwell; the stages made them 18.4 and 14.3).  The pins are the
+    measured values rounded up to a whole channel."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())
@@ -555,18 +586,39 @@ def test_build_state_u_is_the_dealiased_initial_data(mode, scheme):
     assert np.array_equal(st.U, nab.dealias(sc.initial))
 
 
-@pytest.mark.parametrize("mode,n_fields,made,step1", [("maxwell", 1, 11, 3), ("united", 2, 14, 102)])
+@pytest.mark.parametrize("mode,n_fields,made,step1", [("maxwell", 1, 3, 4), ("united", 2, 14, 102)])
 def test_build_state_takes_the_advanced_channels_in_once(monkeypatch, mode, n_fields, made, step1):
-    """On spectral build_state takes the advanced channels into the band
-    once and filters the held ones in physical space (maxwell: 7 forward, 4
-    back; united holds none: 14 forward), and step 1 starts from those
-    coefficients: maxwell takes in only its held J, once per run, and united
+    """On spectral build_state takes only the advanced channels into the
+    band, once (maxwell: 3 forward; united: 14), and step 1 starts from
+    those coefficients: maxwell takes its held block (rho and J) onto the
+    band in one call, where its source reads J, once per run, and united
     makes U in its first stage as a step from physical U would read it."""
     monkeypatch.setattr(runner, "Nabla", CountingNabla)
     st, nab = build_state(pulse_scenario(mode, n_fields=n_fields))
     assert nab.transforms == made
     step_rk4(st, nab, StepperConfig())
     assert nab.transforms - made == step1
+
+
+def test_a_maxwell_run_transforms_its_data_once(monkeypatch):
+    """A spectral maxwell run from build_state through three steps does 7
+    transforms in all (3 in, and its held block's 4 in step 1), none after
+    step 1.  The first read of U makes the held block's physical form, once
+    for the run's states: it adds 3 + 4, and a read of a later state 3."""
+    monkeypatch.setattr(runner, "Nabla", CountingNabla)
+    sc = pulse_scenario("maxwell")
+    st, nab = build_state(sc)
+    counts = []
+    for i in range(3):
+        st, _ = step_rk4(st, nab, sc.stepper, i)
+        counts.append(nab.transforms)
+    assert counts == [7, 7, 7]
+    st.U
+    assert nab.transforms == 7 + 3 + 4
+    st.U
+    st, _ = step_rk4(st, nab, sc.stepper, 3)
+    st.U
+    assert nab.transforms == 7 + 3 + 4 + 3
 
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
@@ -767,6 +819,15 @@ def test_cfl_guard_rejects_large_dtau():
     st = pack_state(g, Medium(), "maxwell", A=circular_afield(g))
     with pytest.raises(ValueError):
         step_rk4(st, nab, StepperConfig(cfl=0.25))
+
+
+def test_step_bound_allows_round_off_only():
+    """dtau <= cfl * min(h) has slack for round-off alone: a dtau 0.05 %
+    over the bound is refused, one 1e-13 relative over it passes."""
+    bound = 0.25 * 2 * np.pi / 8
+    with pytest.raises(ValueError, match="violates the step bound"):
+        StepperConfig().check_step(cube(8, bound * (1 + 5e-4)))
+    StepperConfig().check_step(cube(8, bound * (1 + 1e-13)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan, True, "0.25", None])

@@ -282,6 +282,21 @@ def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
     assert np.abs(nab.from_band(nab._curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_first_derivatives_of_real_data_stay_real(n):
+    """The spectral ik zeroes the odd Nyquist wavenumber on an even n: real
+    data with Nyquist content has real gradient, divergence and curl (ik at
+    Nyquist turns that real coefficient into an imaginary one)."""
+    g = cube(n)
+    nab = Nabla(g)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(g.shape)
+    F = rng.standard_normal((3,) + g.shape)
+    assert np.abs(np.fft.fftn(f)[n // 2, 0, 0]) > 1e-3  # it has Nyquist content
+    for d in (nab.grad(f), nab.div(F), nab.curl(F)):
+        assert np.abs(d.imag).max() <= 1e-13 * np.abs(d.real).max()
+
+
 def test_central4_scheme_skips_dealias():
     g = cube(12)
     nab = Nabla(g, scheme="central4")

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 
 import numpy as np
@@ -741,6 +742,19 @@ def test_cli_shock_check_codes(tmp_path, capsys):
         p3.write_text(json.dumps(doc))
         assert main(["shock-check", str(p3)]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_cli_shock_check_nan_residual_breaches(tmp_path, capsys):
+    """Jumps near the float range make the energy residuals NaN: that is a
+    breach, exit 1 (max(0.0, nan) is 0.0, so it exited 0), with no overflow
+    warning from numpy (under -W error that was exit 4)."""
+    p = tmp_path / "front.json"
+    p.write_text(json.dumps({"m": [1, 0, 0], "jump_E": [0, 1e308, 1e308], "jump_H": [0, -1e308, 1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["shock-check", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "energy_flux" in out and "nan  BREACH" in out
 
 
 @pytest.mark.parametrize("tol", [-1, 0, 0.0, True, float("inf"), "1e-3"])
