@@ -127,10 +127,10 @@ class _Sample:
 
 
 def _uniform(steps) -> bool:
-    """Whether the tau steps are equal to 1e-9 relative.  tau is accumulated
-    in floating point, so equal steps differ by an ulp of tau (4.5e-13 after
-    20000 steps of 1/3)."""
-    return bool(np.ptp(steps) <= 1e-9 * abs(steps[0]))
+    """Whether the tau steps are equal to 1e-9 relative and nonzero.  tau is
+    accumulated in floating point, so equal steps differ by an ulp of tau
+    (4.5e-13 after 20000 steps of 1/3)."""
+    return bool(np.ptp(steps) <= 1e-9 * abs(steps[0]) and steps[0] != 0)
 
 
 # -- pointwise quantities -------------------------------------------------------

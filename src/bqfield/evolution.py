@@ -27,13 +27,9 @@ spectral a step projects the advanced channels onto the band, as
 input's physical values as they are.
 
 In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
-polynomial in L, applied with no stage loop (``_closed_form``, made once per
-run and kept on its states).  On spectral the band's L^3 = -|k|^2 L folds it
-to X + a L X + b L L X + S, two applications of L, and one in free_theta,
-whose L L is -|k|^2.  On central4 it runs by Horner's rule, X + hL(X +
-(h/2)L(X + (h/3)L(X + (h/4)L X))) + S: four applications of L, as the
-stages make, in two stacks and with no stage combine.  maxwell's held
-source S is made once per run.  Force modes evaluate the four stages;
+polynomial in L, applied with no stage loop by one Horner evaluator
+(``_horner``) on coefficients the scheme picks (``_closed_form``, made once
+per run and kept on its held block).  Force modes evaluate the four stages;
 besides its input state, a stage step holds three stacks of the advanced
 channels (the sum of the k, one stage input that is also the scratch for w
 k, and the current k) and one right-hand side's temporaries.
@@ -49,8 +45,8 @@ drops the coefficients it took from its input if that input holds ``U``
 too, so only the newest state holds both.
 
 The held channels (maxwell's Theta, A where Theta alone advances) never
-change, so a run keeps them once, as one block (``_Held``) its states share
-with the closed form's constants; no step writes them, and a caller must not
+change, so a run keeps them once, as one block (``_Held``) its states share,
+with the run's closed form; no step writes them, and a caller must not
 write a stepped state's ``U`` in place (build a new ``SimState`` instead).
 A block of ``build_state``'s initial data goes onto the band in step 1, where
 maxwell's source reads J, and its physical form is made from the band on
@@ -61,8 +57,7 @@ in a run that keeps its coefficients, a copy of its own).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,12 +125,13 @@ class _Held:
     initial data (``filtered``, from ``build_state``) goes onto the band
     whole and then lets go of the array it was given; its physical form is
     made from the band, so it is the data's ``Nabla.dealias``.  Any other
-    block is physical as given.
+    block is physical as given.  ``closed`` is the run's RK4 map
+    (``_closed_form``) in maxwell and free_theta, set by their first step.
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
         self.nabla, self.rows, self.filtered = nabla, rows, filtered
-        self._given, self._band, self._finite = given, None, None
+        self._given, self._band, self._finite, self.closed = given, None, None, None
         self._physical = None if filtered else given
 
     def band(self) -> np.ndarray:
@@ -163,13 +159,12 @@ class _Held:
 
 class _Coefficients(NamedTuple):
     """A state's advanced channels on its Nabla's band, kept until the next
-    step takes them, its run's held block (None where the mode holds no
-    channel), and the run's closed form once a step made it."""
+    step takes them, and its run's held block (None where the mode holds no
+    channel)."""
 
     nabla: Nabla
     X: np.ndarray
     held: _Held | None
-    closed: _ClosedForm | None = None
 
     def physical(self) -> np.ndarray:
         X = self.nabla.from_band(self.X)
@@ -364,82 +359,49 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 # -- stepping ------------------------------------------------------------------
 
 
-def _resident(mode: str) -> bool:
-    """Whether step_rk4 returns its coefficients alone, with U made on first
-    read, and steps by RK4's closed form: on both schemes, in the modes whose
-    right-hand side never reads the physical state (maxwell, free_theta).
-
-    A force mode reads physical rho, J and A' in stage 1 anyway, so it makes
-    U in the step, and keeps the coefficients next to it on spectral.
-    """
-    return mode not in _FORCED
-
-
-class _ClosedForm(NamedTuple):
-    """RK4's map for a run's grid.dtau, X <- advance(X) + source: its
-    polynomial in L with the run's constants bound, and maxwell's held
-    source (None in free_theta)."""
-
-    advance: Callable[[np.ndarray], np.ndarray]
-    source: np.ndarray | None
-
-
-def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held | None) -> _ClosedForm:
-    """Classical RK4's map for step h, made once per run.
+def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
+    """Classical RK4's map for step h as data for ``_horner``: (advance,
+    source), made once per run, with X <- _horner(X, advance) + source.
 
     For y' = L y + f with f constant, four stages make the polynomial
-    y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f.
-    maxwell's f is -J of the held block; free_theta has none.  On spectral's
-    band L^3 = -|k|^2 L reduces it to y + a L y + b L L y + h (f + p1 L f +
-    p2 L L f), and free_theta's L L = -|k|^2 folds b L L y into y:
-    (1 - b |k|^2) y + a L y.  central4's stencils have no such symbol in
-    hand, so there it is Horner's rule, four applications of L to y and
-    three to f.
+    y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f,
+    with maxwell's f the held -J and none in free_theta (source None).
+    On central4 it is Horner's rule, y + hL(y + (h/2)L(y + (h/3)L(y +
+    (h/4)L y))), four applications of L as the stages make, and three to f.
+    On spectral's band L^3 = -|k|^2 L (maxwell: L = k x; free transport:
+    L^2 = -|k|^2) folds the cubic and quartic terms into
+    y + L(a y + b L y) + h (f + L(p1 f + p2 L f)), with
+    a = h - h^3 |k|^2 / 6, b = h^2 / 2 - h^4 |k|^2 / 24,
+    p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6: two applications of L, half
+    the stages' derivative work.  free_theta folds b L L y into y too,
+    (1 - b |k|^2) y + a L y, and applies L once.
     """
-    J = None if adv.stop == 7 else held.band_J()
     if nabla.scheme != "spectral":
-        advance = partial(_horner, nabla, adv, cs=(h / 4, h / 3, h / 2, h))
-        source = None if J is None else _horner(nabla, adv, J, (h / 4, h / 3, h / 2))
+        advance = tuple((c, None) for c in (h / 4, h / 3, h / 2, h))
+        source = advance[:3]
     else:
         k2 = nabla.band_k2()
         a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
-        if J is None:
-            advance, source = partial(_transport_map, nabla, adv, a=a, b=1 - b * k2), None
-        else:
-            advance = partial(_rk4_polynomial, nabla, adv, c1=a, c2=b)
-            source = _rk4_polynomial(nabla, adv, J, h / 2 - h**3 * k2 / 24, h**2 / 6)
-    if source is not None:
-        source *= -h
-    return _ClosedForm(advance, source)
+        advance = ((a, 1 - b * k2),) if adv.stop == 7 else ((b, a), (None, None))
+        source = ((h**2 / 6, h / 2 - h**3 * k2 / 24), (None, None))
+    if adv.stop == 7:
+        return advance, None
+    source = _horner(nabla, adv, held.band_J(), source)
+    source *= -h
+    return advance, source
 
 
-def _rk4_polynomial(nabla: Nabla, adv: slice, Y: np.ndarray, c1, c2) -> np.ndarray:
-    """Y + c1 L Y + c2 L L Y, with per-wavenumber c1 and c2."""
-    LY = _linear(nabla, adv, Y)
-    out = _linear(nabla, adv, LY)
-    out *= c2
-    LY *= c1
-    out += LY
-    out += Y
-    return out
-
-
-def _transport_map(nabla: Nabla, adv: slice, Y: np.ndarray, a, b) -> np.ndarray:
-    """b Y + a L Y, with per-wavenumber a and b: one application of L."""
-    out = _linear(nabla, adv, Y)
-    out *= a
-    out += b * Y
-    return out
-
-
-def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, cs) -> np.ndarray:
-    """Y + c_n L (... (Y + c_2 L (Y + c_1 L Y))) for cs = (c_1, ..., c_n), in
-    two stacks: the running term and the L of it being made."""
+def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, stages) -> np.ndarray:
+    """Z <- c L Z + w Y for each (c, w) of ``stages``, from Z = Y, in two
+    stacks: the running term and the L of it being made (and w Y where w is
+    not None).  c and w are numbers or per-wavenumber arrays, and None
+    stands for 1, with no multiply."""
     Z = Y
-    for c in cs:
+    for c, w in stages:
         Z = _linear(nabla, adv, Z)
-        Z *= c
-        Z += Y
+        if c is not None:
+            Z *= c
+        Z += Y if w is None else w * Y
     return Z
 
 
@@ -468,32 +430,19 @@ def step_rk4(
     """One classical RK4 step of length grid.dtau, on nabla's band (the 2/3
     band of Fourier coefficients on spectral, physical space on central4).
 
-    Where ``_resident`` holds (maxwell and free_theta, on both schemes) the
-    system is linear with constant coefficients, so the four stages and
-    their combine are one polynomial in L, RK4's own discrete map, applied
-    with no stage loop (``_closed_form``).  L = -i curl (maxwell) or
-    i nabla o (free_theta), the L of every stage.  On spectral it is one
-    per-wavenumber update,
-
-        X <- X + a L X + b L L X + S,
-        a = h - h^3 |k|^2 / 6,  b = h^2 / 2 - h^4 |k|^2 / 24,
-
-    as on the band L^3 = -|k|^2 L (maxwell: L = k x; free transport: L^2 =
-    -|k|^2) folds the cubic and quartic terms into a and b: half the
-    derivative work of the stages.  free_theta folds b L L X into X too,
-    X <- (1 - b |k|^2) X + a L X, and applies L once.  S = -h (J + p1 L J +
-    p2 L L J), p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6, is maxwell's held
-    source; free_theta has none.  On central4 the step is Horner's rule,
-
-        X <- X + hL(X + (h/2)L(X + (h/3)L(X + (h/4)L X))) + S,
-        S = -h (J + (h/2)L(J + (h/3)L(J + (h/4)L J))),
-
-    four applications of L, as the stages make, held in two stacks and with
-    no stage combine.  The map and S are made once per run, for its frozen
-    grid's dtau, and kept on its states.  Force modes run the four stages on
-    L X + f; besides its input state a stage step holds three stacks of the
-    advanced channels (the sum of the k, one stage input reused as scratch,
-    and the current k) and the temporaries of one rhs.
+    In maxwell and free_theta the system is linear with constant
+    coefficients, so the four stages and their combine are one polynomial in
+    L (-i curl in maxwell, i nabla o in free_theta), RK4's own discrete map:
+    the step is X <- _horner(X, advance) + S, with the stage coefficients
+    ``advance`` and maxwell's held source S (none in free_theta) that
+    ``_closed_form`` made once per run, for its frozen grid's dtau, and kept
+    on the run's held block.  Their right-hand side never reads the physical
+    state, so they return their coefficients alone and make ``U`` on first
+    read.  Force modes run the four stages on L X + f, and make ``U`` in the
+    step, as the next step's first stage reads it anyway; besides its input
+    state a stage step holds three stacks of the advanced channels (the sum
+    of the k, one stage input reused as scratch, and the current k) and the
+    temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
@@ -508,21 +457,22 @@ def step_rk4(
     _check_box(state, nabla)
     config.check_step(state.grid)
     dt = state.grid.dtau
-    adv, resident = _advanced(state.mode), _resident(state.mode)
+    adv, linear = _advanced(state.mode), state.mode not in _FORCED
     coef = state._coef
     if coef is None or coef.nabla.scheme != nabla.scheme:  # made on another scheme
         # a run that keeps its coefficients on central4 owns its held block,
         # so no view of a U it was given outlives step 1
-        coef = _take_in(nabla, adv, state.U, copy=resident and nabla.scheme != "spectral")
-    _, X0, held, closed = coef
+        coef = _take_in(nabla, adv, state.U, copy=linear and nabla.scheme != "spectral")
+    _, X0, held = coef
     if held is not None and not held.finite():  # no rhs need read all of it
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    if resident:
-        if closed is None:
-            closed = _closed_form(nabla, adv, dt, held)
-        X = closed.advance(X0)
-        if closed.source is not None:
-            X += closed.source
+    if linear:
+        if held.closed is None:
+            held.closed = _closed_form(nabla, adv, dt, held)
+        advance, source = held.closed
+        X = _horner(nabla, adv, X0, advance)
+        if source is not None:
+            X += source
     else:
         def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
             at = state if X is X0 else state._stepped(tau, _Coefficients(nabla, X, held))
@@ -532,8 +482,8 @@ def step_rk4(
     # a non-finite value in physical space spreads to every coefficient
     if not np.isfinite(X).all():
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, closed))
-    if not resident:
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held))
+    if not linear:
         new.U  # made here: the next step's first stage reads it anyway
         if nabla.scheme != "spectral":
             new._coef = None  # central4's coefficients are U's channels: hold one copy

@@ -869,6 +869,34 @@ def test_window_refuses_steps_a_millionth_apart():
         eng.sample(SimState(0.2 + 1e-7, U, g, Medium(), "free_theta"), 2)
 
 
+def zero_step_maxwell_states():
+    """Three copies of one band-limited maxwell state at one tau: steps of 0."""
+    g = cube(8)
+    nab = Nabla(g)
+    U = nab.dealias(np.random.default_rng(3).standard_normal((1, 7) + g.shape) + 0j)
+    return nab, [SimState(0.0, U, g, Medium(), "maxwell")] * 3
+
+
+def test_window_refuses_steps_of_zero():
+    """Three snapshots at one tau are not a centred window: the engine
+    raises its own ValueError, not a division by the zero step."""
+    nab, states = zero_step_maxwell_states()
+    eng = DiagnosticsEngine(nab, [{"name": "charge"}])
+    eng.sample(states[0], 0)
+    eng.sample(states[1], 1)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        eng.sample(states[2], 2)
+
+
+def test_integral_laws_over_steps_of_zero_stay_finite():
+    """A trail of one tau is not uniformly spaced, so its rates integrate by
+    the plain trapezoid: zero, with no 0/0 slope estimate."""
+    nab, states = zero_step_maxwell_states()
+    with np.errstate(all="raise"):
+        rows = integral_laws(states, nab)
+    assert all(np.isfinite(row).all() for law in rows.values() for row in law)
+
+
 def test_residual_series_bookkeeping(tmp_path):
     s = ResidualSeries("charge", tolerance=1e-6)
     s.append(0.0, 1e-9, 1e-10)

@@ -376,6 +376,75 @@ def test_linear_steps_match_reference_rk4_over_200_steps(mode, scheme):
     assert np.abs(got.U - ref.U).max() <= 1e-12 * np.abs(ref.U).max()
 
 
+def cross_matrix(s):
+    """The matrix of v -> s x v, for wavevectors s on the last axis."""
+    S = np.zeros(s.shape[:-1] + (3, 3), complex)
+    S[..., 0, 1], S[..., 0, 2] = -s[..., 2], s[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = s[..., 2], -s[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -s[..., 1], s[..., 0]
+    return S
+
+
+def derivative_symbol(g, scheme):
+    """s(k) with d/dx -> i s per axis, on the (nx, ny, nz, 3) grid of
+    wavenumbers: k itself on spectral, its odd Nyquist zeroed; the 5-point
+    stencil's d(k) = (8 sin kh - sin 2kh) / (6h) on central4."""
+    axes = []
+    for n, L in zip(g.n, g.L):
+        h = L / n
+        k = 2 * np.pi * np.fft.fftfreq(n, h)
+        if scheme == "spectral":
+            k[np.abs(np.fft.fftfreq(n, 1 / n)) == n / 2] = 0.0
+        else:
+            k = (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
+        axes.append(k)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def linear_generator(s, mode):
+    """G(k) of d/dtau on one wavenumber's advanced channels and held source,
+    from the equations as written: maxwell on (A, J), dA = -i curl A - J and
+    dJ = 0, so [[s x, -I], [0, 0]]; free_theta on (rho, J), drho = -div J and
+    dJ = -grad rho + i curl J, so [[0, -i s^T], [-i s, -s x]]."""
+    if mode == "maxwell":
+        G = np.zeros(s.shape[:-1] + (6, 6), complex)
+        G[..., :3, :3] = cross_matrix(s)
+        G[..., :3, 3:] = -np.eye(3)
+    else:
+        G = np.zeros(s.shape[:-1] + (4, 4), complex)
+        G[..., 0, 1:] = G[..., 1:, 0] = -1j * s
+        G[..., 1:, 1:] = -cross_matrix(s)
+    return G
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_linear_steps_are_rk4s_map_per_wavenumber(mode, scheme):
+    """N steps take each wavenumber's channels by R(h G(k))^N, with R
+    classical RK4's gain 1 + z + z^2/2 + z^3/6 + z^4/24 and G(k) the mode's
+    generator built here, not from the stepper's L: an oracle for the closed
+    form on both schemes, on a box with three different sides."""
+    g = Grid(n=(8, 8, 8), L=(2 * np.pi, 3.0, 5.0), dtau=0.09)
+    channels = [0, 1, 2, 4, 5, 6] if mode == "maxwell" else [3, 4, 5, 6]
+    Z = g.dtau * linear_generator(derivative_symbol(g, scheme), mode)
+    R = term = np.eye(len(channels))
+    for p in range(1, 5):
+        term = term @ Z / p
+        R = R + term
+    st = start = random_state(g, mode, seed=41, scheme=scheme)
+    nab, cfg, steps = Nabla(g, scheme=scheme), StepperConfig(), 7
+    for i in range(steps):
+        st, _ = step_rk4(st, nab, cfg, i)
+
+    def modes(U):  # (M, nx, ny, nz, channels)
+        return np.moveaxis(np.fft.fftn(U[:, channels], axes=(-3, -2, -1)), 1, -1)
+
+    want = modes(start.U)
+    for _ in range(steps):
+        want = np.einsum("...ij,...j->...i", R, want)
+    assert np.abs(modes(st.U) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
 def test_closed_form_follows_a_dtau_change(mode):
     """The closed-form constants (a, b and maxwell's held source) belong to

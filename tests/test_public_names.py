@@ -3,6 +3,7 @@ and the README names no class the package does not have."""
 
 import builtins
 import importlib
+import pkgutil
 import pathlib
 import re
 
@@ -58,3 +59,32 @@ def test_readme_class_names_are_found(text, names):
     """The scan finds a stale name such as ``DerivativeSpace``, and not the
     capitalised symbols of a formula."""
     assert readme_class_names(text) == names
+
+
+def stale_private_names(module, text: str) -> set[str]:
+    """The private names (``_name``, ``Class._name``) that ``text`` puts in
+    double backticks and that are neither an attribute of ``module`` nor of
+    one of its classes."""
+    owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+    return {name for span in re.findall(r"``([^`]+)``", text)
+            for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)
+            if not any(hasattr(owner, name) for owner in owners)}
+
+
+@pytest.mark.parametrize("name", ["__init__", *(m.name for m in pkgutil.iter_modules(bqfield.__path__))])
+def test_private_names_in_docs_resolve(name):
+    """Every private name a module's docstrings and comments put in double
+    backticks is a name the module or one of its classes has, so a helper
+    that is renamed or removed cannot stay in the text that explains it."""
+    module = bqfield if name == "__init__" else importlib.import_module(f"bqfield.{name}")
+    stale = stale_private_names(module, pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    assert not stale, f"bqfield.{name} names private names it does not have: {sorted(stale)}"
+
+
+def test_stale_private_names_are_found():
+    """The scan finds a removed helper, plain or after a class, and passes a
+    private method of an imported class and a dunder."""
+    from bqfield import evolution
+
+    text = "``_resident`` and ``Nabla._gone(x)``, not ``Nabla._curl``, ``_horner`` or ``__all__``"
+    assert stale_private_names(evolution, text) == {"_resident", "_gone"}
