@@ -308,8 +308,10 @@ def interaction_energy(afields: list[AField], tol: float = 1e-12) -> Interaction
 
     Xi^{kl} = 0.5 (A^k o A*^l + A^l o A*^k); delta W = Re scalar of delta Xi
     integrated over the box classifies the exchange: "release" (> tol),
-    "absorb" (< -tol) or "conserve".  Every term is built from the densities
-    W, P and their bilinear form, so the residual is a round-off check.
+    "absorb" (< -tol), "conserve" (|delta W| <= tol) or "non-finite" (NaN
+    or infinite, which no comparison with tol classifies).  Every term is
+    built from the densities W, P and their bilinear form, so the residual
+    is a round-off check.
     """
     if not afields:
         raise ValueError("need at least one field")
@@ -322,7 +324,8 @@ def interaction_energy(afields: list[AField], tol: float = 1e-12) -> Interaction
     resid = (xi_total - sum(xi_fields, delta_xi)).linf()
     dV = float(np.prod(grid.h))
     dw = float(delta_xi.scalar.real.sum() * dV)
-    cls = "release" if dw > tol else "absorb" if dw < -tol else "conserve"
+    cls = ("conserve" if abs(dw) <= tol else "release" if dw > tol
+           else "absorb" if dw < -tol else "non-finite")
     return InteractionEnergy(
         xi_fields=xi_fields,
         xi_cross=xi_cross,

@@ -27,12 +27,16 @@ spectral a step projects the advanced channels onto the band, as
 input's physical values as they are.
 
 In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
-polynomial in L, applied with no stage loop by one Horner evaluator
-(``_horner``) on coefficients the scheme picks (``_closed_form``, made once
-per run and kept on its held block).  Force modes evaluate the four stages;
-besides its input state, a stage step holds three stacks of the advanced
-channels (the sum of the k, one stage input that is also the scratch for w
-k, and the current k) and one right-hand side's temporaries.
+polynomial in L, applied with no stage loop and made once per run
+(``_closed_form``, kept on the run's held block).  Spectral maxwell keeps it
+as one real 3x3 matrix per band wavenumber and applies that with no
+derivative (``_propagate``).  free_theta on spectral and both modes on
+central4 apply it by one Horner evaluator (``_horner``) on coefficients the
+scheme picks: free_theta's map is a complex 4x4, too large to keep, and
+central4 holds physical arrays, not wavenumbers.  Force modes evaluate the
+four stages; besides its input state, a stage step holds three stacks of
+the advanced channels (the sum of the k, one stage input that is also the
+scratch for w k, and the current k) and one right-hand side's temporaries.
 
 A state keeps the band coefficients of its advanced channels, next to
 ``U``, until the next step takes them: on spectral ``build_state`` and every
@@ -126,7 +130,9 @@ class _Held:
     whole and then lets go of the array it was given; its physical form is
     made from the band, so it is the data's ``Nabla.dealias``.  Any other
     block is physical as given.  ``closed`` is the run's RK4 map
-    (``_closed_form``) in maxwell and free_theta, set by their first step.
+    (``_closed_form``) in maxwell and free_theta, set by their first step:
+    spectral maxwell's 3x3 matrix per wavenumber, else ``_horner``'s
+    stage coefficients, next to maxwell's held source.
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
@@ -360,8 +366,9 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 
 
 def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
-    """Classical RK4's map for step h as data for ``_horner``: (advance,
-    source), made once per run, with X <- _horner(X, advance) + source.
+    """Classical RK4's map for step h as (advance, source), made once per
+    run: X <- advance X + source, where advance is stage data for
+    ``_horner`` or, in spectral maxwell, the map itself.
 
     For y' = L y + f with f constant, four stages make the polynomial
     y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f,
@@ -375,6 +382,15 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6: two applications of L, half
     the stages' derivative work.  free_theta folds b L L y into y too,
     (1 - b |k|^2) y + a L y, and applies L once.
+
+    On spectral maxwell L = k x is real, so the folded advance is one real
+    3x3 matrix per wavenumber, M = I + a k x + b (k x)^2, kept as float64
+    of shape (3, 3) + band (``_matrix``): a step is then M X + S, with no
+    derivative.  free_theta keeps its one-L fold, as its 4x4 map is
+    complex: 16 full band arrays, 20 MiB at 64^3.  Kept, on a 2-core box, it
+    took a 64^3 step from 5.34 to 4.26 ms but raised the process's peak RSS
+    from 107 to 126 MiB.  central4 keeps Horner's rule, as it holds no
+    Fourier coefficients to index a map by.
     """
     if nabla.scheme != "spectral":
         advance = tuple((c, None) for c in (h / 4, h / 3, h / 2, h))
@@ -388,7 +404,36 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
         return advance, None
     source = _horner(nabla, adv, held.band_J(), source)
     source *= -h
+    if nabla.scheme == "spectral":
+        advance = _matrix(nabla, adv, advance, np.shape(k2))
     return advance, source
+
+
+def _matrix(nabla: Nabla, adv: slice, stages, band: tuple) -> np.ndarray:
+    """The real map M per wavenumber that ``_horner`` applies with
+    ``stages`` to three components, float64 of shape (3, 3) + band: column
+    j is its value on the j-th identity column, made one column at a time
+    (on the band L = k x is real, so the imaginary part is exactly 0)."""
+    M = np.empty((3, 3) + band)
+    E = np.zeros((1, 3) + band, complex)
+    for j in range(3):
+        E[0, j] = 1
+        M[:, j] = _horner(nabla, adv, E, stages)[0].real
+        E[0, j] = 0
+    return M
+
+
+def _propagate(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M X per field, for a field stack X of three components: 9 multiplies
+    and 6 in-place adds into one output and one channel of scratch."""
+    out, tmp = np.empty_like(X), np.empty_like(X[0, 0])
+    for x, o in zip(X, out):
+        for i in range(3):
+            np.multiply(M[i, 0], x[0], out=o[i])
+            for j in (1, 2):
+                np.multiply(M[i, j], x[j], out=tmp)
+                o[i] += tmp
+    return out
 
 
 def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, stages) -> np.ndarray:
@@ -432,17 +477,18 @@ def step_rk4(
 
     In maxwell and free_theta the system is linear with constant
     coefficients, so the four stages and their combine are one polynomial in
-    L (-i curl in maxwell, i nabla o in free_theta), RK4's own discrete map:
-    the step is X <- _horner(X, advance) + S, with the stage coefficients
-    ``advance`` and maxwell's held source S (none in free_theta) that
-    ``_closed_form`` made once per run, for its frozen grid's dtau, and kept
-    on the run's held block.  Their right-hand side never reads the physical
-    state, so they return their coefficients alone and make ``U`` on first
-    read.  Force modes run the four stages on L X + f, and make ``U`` in the
-    step, as the next step's first stage reads it anyway; besides its input
-    state a stage step holds three stacks of the advanced channels (the sum
-    of the k, one stage input reused as scratch, and the current k) and the
-    temporaries of one rhs.
+    L (-i curl in maxwell, i nabla o in free_theta), RK4's own discrete map,
+    which ``_closed_form`` made once per run, for its frozen grid's dtau, and
+    kept on the run's held block.  The step is X <- M X + S on spectral
+    maxwell, with M real 3x3 per wavenumber (``_propagate``, no derivative),
+    and X <- _horner(X, advance) + S otherwise, with stage coefficients
+    ``advance``; S is maxwell's held source (none in free_theta).  Their
+    right-hand side never reads the physical state, so they return their
+    coefficients alone and make ``U`` on first read.  Force modes run the
+    four stages on L X + f, and make ``U`` in the step, as the next step's
+    first stage reads it anyway; besides its input state a stage step holds
+    three stacks of the advanced channels (the sum of the k, one stage input
+    reused as scratch, and the current k) and the temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
@@ -470,7 +516,10 @@ def step_rk4(
         if held.closed is None:
             held.closed = _closed_form(nabla, adv, dt, held)
         advance, source = held.closed
-        X = _horner(nabla, adv, X0, advance)
+        if isinstance(advance, np.ndarray):  # spectral maxwell's M
+            X = _propagate(advance, X0)
+        else:
+            X = _horner(nabla, adv, X0, advance)
         if source is not None:
             X += source
     else:

@@ -430,6 +430,18 @@ def test_interaction_energy_classifies_a_small_exchange():
     assert ie.classification == "release"
 
 
+def test_interaction_energy_classifies_a_nan_exchange_as_non_finite():
+    """A NaN delta W fails both ``dw > tol`` and ``dw < -tol``, so it read
+    "conserve"; "conserve" is |delta W| <= tol, and a NaN is non-finite."""
+    g = cube(4)
+    rng = np.random.default_rng(3)
+    A1, A2 = (rng.standard_normal((3,) + g.shape) + 0j for _ in range(2))
+    A2[1, 1, 2, 3] = np.nan
+    ie = interaction_energy([AField(g, A1), AField(g, A2)])
+    assert np.isnan(ie.delta_w_integral)
+    assert ie.classification == "non-finite"
+
+
 def test_interaction_energy_three_fields_decomposition():
     g = cube(6)
     rng = np.random.default_rng(31)

@@ -404,8 +404,9 @@ def derivative_symbol(g, scheme):
 def linear_generator(s, mode):
     """G(k) of d/dtau on one wavenumber's advanced channels and held source,
     from the equations as written: maxwell on (A, J), dA = -i curl A - J and
-    dJ = 0, so [[s x, -I], [0, 0]]; free_theta on (rho, J), drho = -div J and
-    dJ = -grad rho + i curl J, so [[0, -i s^T], [-i s, -s x]]."""
+    dJ = 0, so [[s x, -I], [0, 0]]; free transport on (rho, J) in the other
+    modes, drho = -div J and dJ = -grad rho + i curl J, so
+    [[0, -i s^T], [-i s, -s x]]."""
     if mode == "maxwell":
         G = np.zeros(s.shape[:-1] + (6, 6), complex)
         G[..., :3, :3] = cross_matrix(s)
@@ -418,20 +419,29 @@ def linear_generator(s, mode):
 
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
-@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field"])
 def test_linear_steps_are_rk4s_map_per_wavenumber(mode, scheme):
     """N steps take each wavenumber's channels by R(h G(k))^N, with R
     classical RK4's gain 1 + z + z^2/2 + z^3/6 + z^4/24 and G(k) the mode's
-    generator built here, not from the stepper's L: an oracle for the closed
-    form on both schemes, on a box with three different sides."""
+    generator built here, not from the stepper's L or force: an oracle for
+    the closed form on both schemes, on a box with three different sides.
+    strong_field in a uniform background A' = a is linear too: free
+    transport plus the constant force ``strong_field_generator(a, kappa)``
+    (the 2/3 filter of Theta a is exact), stepped by the four stages."""
     g = Grid(n=(8, 8, 8), L=(2 * np.pi, 3.0, 5.0), dtau=0.09)
     channels = [0, 1, 2, 4, 5, 6] if mode == "maxwell" else [3, 4, 5, 6]
-    Z = g.dtau * linear_generator(derivative_symbol(g, scheme), mode)
+    st = start = random_state(g, mode, seed=41, scheme=scheme)
+    G = linear_generator(derivative_symbol(g, scheme), mode)
+    if mode == "strong_field":
+        a = np.array([0.4, -0.3 + 0.2j, 0.8])
+        G = G + strong_field_generator(a, start.medium.kappa)
+        bg = a[:, None, None, None] * np.ones(g.n)
+        st = start = SimState(0.0, start.U, g, start.medium, mode, bg)
+    Z = g.dtau * G
     R = term = np.eye(len(channels))
     for p in range(1, 5):
         term = term @ Z / p
         R = R + term
-    st = start = random_state(g, mode, seed=41, scheme=scheme)
     nab, cfg, steps = Nabla(g, scheme=scheme), StepperConfig(), 7
     for i in range(steps):
         st, _ = step_rk4(st, nab, cfg, i)
@@ -525,16 +535,15 @@ class DerivativeCountingNabla(Nabla):
 
 @pytest.mark.parametrize(
     "mode,scheme,per_field,source",
-    [("maxwell", "spectral", 12, 12), ("free_theta", "spectral", 12, 0),
-     ("maxwell", "central4", 24, 18), ("free_theta", "central4", 48, 0)],
-    ids=["maxwell-12-12", "free_theta-12-0", "maxwell-central4-24-18", "free_theta-central4-48-0"])
+    [("free_theta", "spectral", 12, 0), ("maxwell", "central4", 24, 18),
+     ("free_theta", "central4", 48, 0)],
+    ids=["free_theta-12-0", "maxwell-central4-24-18", "free_theta-central4-48-0"])
 def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field, source):
-    """A spectral maxwell step applies L twice per field (curl 6 derivatives),
-    not once per RK4 stage, and free_theta once (nabla o Theta 12), as its
-    L L = -|k|^2 on the band; maxwell's first step applies it twice more to
-    the held J, once per run, even past a read.  On central4 Horner's rule
-    applies L four times, as the stages do, and three times to the held J
-    once per run."""
+    """A spectral free_theta step applies L once per field (nabla o Theta 12
+    derivatives), not once per RK4 stage, as its L L = -|k|^2 on the band.
+    On central4 Horner's rule applies L four times, as the stages do, and
+    maxwell's first step three times more to the held J (curl 6
+    derivatives), once per run, even past a read."""
     g = cube(12, 0.05)
     nab, counts = DerivativeCountingNabla(g, scheme=scheme), []
     st = random_state(g, mode, scheme=scheme)
@@ -546,7 +555,27 @@ def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field
     assert counts == [2 * (per_field + source), 2 * per_field, 2 * per_field]
 
 
+def test_spectral_maxwell_steps_by_its_kept_map():
+    """Spectral maxwell keeps RK4's map as one real 3x3 matrix per band
+    wavenumber, float64 of shape (3, 3) + band.  Step 1 makes it from the
+    folded stages on the identity's three columns (two curls of 6
+    derivatives each) and the held source (two curls per field's J); later
+    steps take no derivative, even past a read."""
+    g = cube(12, 0.05)
+    nab, counts = DerivativeCountingNabla(g), []
+    st = random_state(g, "maxwell", m=2)
+    for i in range(3):
+        before = nab.derivatives
+        st, _ = step_rk4(st, nab, StepperConfig(), i)
+        counts.append(nab.derivatives - before)
+        st.U
+    assert counts == [3 * 12 + 2 * 12, 0, 0]
+    M = st._coef.held.closed[0]
+    assert M.dtype == np.float64 and M.shape == (3, 3, 9, 9, 9)
+
+
 @pytest.mark.parametrize("mode,scheme,m,pin", [("free_theta", "central4", 1, 15),
+                                             ("maxwell", "spectral", 1, 2),
                                              ("maxwell", "central4", 1, 12),
                                              ("united", "central4", 2, 64),
                                              ("united", "spectral", 2, 47)])
@@ -557,8 +586,10 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     46.0; the stages' temporaries per stage made it 77.2 and 50.5).  A
     central4 linear step by Horner's rule holds two stacks and one L's
     temporaries, and makes no U (measured 14.4 in free_theta and 11.3 in
-    maxwell; the stages made them 18.4 and 14.3).  The pins are the
-    measured values rounded up to a whole channel."""
+    maxwell; the stages made them 18.4 and 14.3).  A spectral maxwell step
+    by its kept map holds the new stack of three band channels and one
+    band channel of scratch, 11^3 values each (measured 1.7).  The pins are
+    the measured values rounded up to a whole channel."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())
@@ -733,8 +764,9 @@ class PlantingNabla(Nabla):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
     """One non-finite cell of an advanced channel aborts the step, whether it
-    sits in the physical input or arises inside a step from a stepped state;
-    the abort gives back the last good U."""
+    sits in the physical input or arises inside a step from a stepped state
+    (from a derivative, or from spectral maxwell's kept map, as that step
+    takes none); the abort gives back the last good U."""
     g = cube(12, 0.05)
     nab, cfg = PlantingNabla(g, scheme=scheme), StepperConfig()
     st = random_state(g, mode)
@@ -745,7 +777,10 @@ def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
 
     good, _ = step_rk4(random_state(g, mode), nab, cfg)
     expect = step_rk4(random_state(g, mode), nab, cfg)[0].U
-    nab.plant = bad
+    if (mode, scheme) == ("maxwell", "spectral"):
+        good._coef.held.closed[0][0, 0, 1, 2, 3] = bad
+    else:
+        nab.plant = bad
     with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
         step_rk4(good, nab, cfg, steps_done=1)
     assert exc.value.state is good and exc.value.steps == 2
