@@ -604,8 +604,16 @@ class ResidualSeries:
         return self.rows[-1] if self.rows else None
 
     @property
+    def first_breach_tau(self) -> float | None:
+        """tau of the first row whose L_inf fails linf <= tolerance (a NaN
+        row does), or None where no row does or there is no tolerance."""
+        if self.tolerance is None:
+            return None
+        return next((tau for tau, linf, _ in self.rows if not linf <= self.tolerance), None)
+
+    @property
     def breached(self) -> bool:
-        return self.tolerance is not None and not (self.max_linf <= self.tolerance)
+        return self.first_breach_tau is not None
 
     def to_csv(self, path):
         with open(path, "w") as fh:

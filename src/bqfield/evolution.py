@@ -28,15 +28,17 @@ input's physical values as they are.
 
 In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
 polynomial in L, applied with no stage loop and made once per run
-(``_closed_form``, kept on the run's held block).  Spectral maxwell keeps it
-as one real 3x3 matrix per band wavenumber and applies that with no
-derivative (``_propagate``).  free_theta on spectral and both modes on
+(``_closed_form``, kept on the run's held block).  Spectral maxwell steps
+A in the helicity basis of the band curl (``Nabla.to_helicity``), where the
+map is two complex gains g+- per band wavenumber and 1 on the longitudinal
+component, with no derivative; step 1 rotates the coefficients into it, and
+a read of ``U`` rotates them back.  free_theta on spectral and both modes on
 central4 apply it by one Horner evaluator (``_horner``) on coefficients the
-scheme picks: free_theta's map is a complex 4x4, too large to keep, and
-central4 holds physical arrays, not wavenumbers.  Force modes evaluate the
-four stages; besides its input state, a stage step holds three stacks of
-the advanced channels (the sum of the k, one stage input that is also the
-scratch for w k, and the current k) and one right-hand side's temporaries.
+scheme picks (central4 holds physical arrays, not wavenumbers).  Force
+modes evaluate the four stages; besides its input state, a stage step holds
+three stacks of the advanced channels (the sum of the k, one stage input
+that is also the scratch for w k, and the current k) and one right-hand
+side's temporaries.
 
 A state keeps the band coefficients of its advanced channels, next to
 ``U``, until the next step takes them: on spectral ``build_state`` and every
@@ -122,6 +124,17 @@ class NumericalAbort(RuntimeError):
         self.state = state
 
 
+def _all_finite(X: np.ndarray) -> bool:
+    """Whether every value of X is finite.  One sum decides where it is
+    finite, as an IEEE sum with a NaN or infinite term never is; only a sum
+    that is not (a NaN, or an overflow of finite values) is checked value
+    by value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(X.sum()):
+            return True
+    return bool(np.isfinite(X).all())
+
+
 class _Held:
     """A run's held channels ``rows``, one block shared by its states.
 
@@ -131,8 +144,9 @@ class _Held:
     made from the band, so it is the data's ``Nabla.dealias``.  Any other
     block is physical as given.  ``closed`` is the run's RK4 map
     (``_closed_form``) in maxwell and free_theta, set by their first step:
-    spectral maxwell's 3x3 matrix per wavenumber, else ``_horner``'s
-    stage coefficients, next to maxwell's held source.
+    spectral maxwell's two gains g+- per wavenumber, else ``_horner``'s
+    stage coefficients, next to maxwell's held source (in the helicity
+    basis on spectral).
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
@@ -154,7 +168,7 @@ class _Held:
         """Whether the block is finite, checked once: on the band where
         filtered (a non-finite value spreads to all its coefficients)."""
         if self._finite is None:
-            self._finite = bool(np.isfinite(self.band() if self.filtered else self._physical).all())
+            self._finite = _all_finite(self.band() if self.filtered else self._physical)
         return self._finite
 
     def band_J(self) -> np.ndarray:
@@ -166,14 +180,16 @@ class _Held:
 class _Coefficients(NamedTuple):
     """A state's advanced channels on its Nabla's band, kept until the next
     step takes them, and its run's held block (None where the mode holds no
-    channel)."""
+    channel).  ``helical`` where X holds A's ``Nabla.to_helicity``
+    components (a spectral maxwell step's), else the Cartesian ones."""
 
     nabla: Nabla
     X: np.ndarray
     held: _Held | None
+    helical: bool = False
 
     def physical(self) -> np.ndarray:
-        X = self.nabla.from_band(self.X)
+        X = self.nabla.from_band(self.nabla.from_helicity(self.X) if self.helical else self.X)
         if self.held is None:
             return X
         H = self.held.physical()
@@ -368,7 +384,7 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     """Classical RK4's map for step h as (advance, source), made once per
     run: X <- advance X + source, where advance is stage data for
-    ``_horner`` or, in spectral maxwell, the map itself.
+    ``_horner`` or, in spectral maxwell, the map's two helicity gains.
 
     For y' = L y + f with f constant, four stages make the polynomial
     y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f,
@@ -379,74 +395,54 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     L^2 = -|k|^2) folds the cubic and quartic terms into
     y + L(a y + b L y) + h (f + L(p1 f + p2 L f)), with
     a = h - h^3 |k|^2 / 6, b = h^2 / 2 - h^4 |k|^2 / 24,
-    p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6: two applications of L, half
-    the stages' derivative work.  free_theta folds b L L y into y too,
-    (1 - b |k|^2) y + a L y, and applies L once.
+    p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6.  free_theta folds b L L y
+    into y too, (1 - b |k|^2) y + a L y, and applies L once.
 
-    On spectral maxwell L = k x is real, so the folded advance is one real
-    3x3 matrix per wavenumber, M = I + a k x + b (k x)^2, kept as float64
-    of shape (3, 3) + band (``_matrix``): a step is then M X + S, with no
-    derivative.  free_theta keeps its one-L fold, as its 4x4 map is
-    complex: 16 full band arrays, 20 MiB at 64^3.  Kept, on a 2-core box, it
-    took a 64^3 step from 5.34 to 4.26 ms but raised the process's peak RSS
-    from 107 to 126 MiB.  central4 keeps Horner's rule, as it holds no
-    Fourier coefficients to index a map by.
+    Spectral maxwell's L = k x is diagonal in the band curl's eigenbasis
+    (``Nabla.band_frame``): i s, -i s and 0 on the helicity components of
+    ``Nabla.to_helicity``.  So its advance is the two gains
+    g+- = 1 - b |k|^2 +- i a s, complex of shape (2,) + band, with 1 on the
+    longitudinal component, and its source the held J's helicity
+    components times -h (1 +- i p1 s - p2 |k|^2) and -h: a step is two
+    multiplies and the source's add, with no derivative.  free_theta keeps
+    its one-L fold (its 4x4 symbol diagonalises likewise), and central4
+    Horner's rule, as it holds no Fourier coefficients to index a map by.
     """
     if nabla.scheme != "spectral":
         advance = tuple((c, None) for c in (h / 4, h / 3, h / 2, h))
-        source = advance[:3]
+        if adv.stop == 7:
+            return advance, None
+        source = _horner(nabla, adv, held.band_J(), advance[:3])
     else:
         k2 = nabla.band_k2()
         a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
-        advance = ((a, 1 - b * k2),) if adv.stop == 7 else ((b, a), (None, None))
-        source = ((h**2 / 6, h / 2 - h**3 * k2 / 24), (None, None))
-    if adv.stop == 7:
-        return advance, None
-    source = _horner(nabla, adv, held.band_J(), source)
+        if adv.stop == 7:
+            return ((a, 1 - b * k2),), None
+        s = nabla.band_frame()[-1]
+        advance = 1 - b * k2 + 1j * np.stack([a * s, -a * s])
+        p1s = (h / 2 - h**3 * k2 / 24) * s
+        source = nabla.to_helicity(held.band_J())
+        source[:, :2] *= 1 - h**2 / 6 * k2 + 1j * np.stack([p1s, -p1s])
     source *= -h
-    if nabla.scheme == "spectral":
-        advance = _matrix(nabla, adv, advance, np.shape(k2))
     return advance, source
-
-
-def _matrix(nabla: Nabla, adv: slice, stages, band: tuple) -> np.ndarray:
-    """The real map M per wavenumber that ``_horner`` applies with
-    ``stages`` to three components, float64 of shape (3, 3) + band: column
-    j is its value on the j-th identity column, made one column at a time
-    (on the band L = k x is real, so the imaginary part is exactly 0)."""
-    M = np.empty((3, 3) + band)
-    E = np.zeros((1, 3) + band, complex)
-    for j in range(3):
-        E[0, j] = 1
-        M[:, j] = _horner(nabla, adv, E, stages)[0].real
-        E[0, j] = 0
-    return M
-
-
-def _propagate(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M X per field, for a field stack X of three components: 9 multiplies
-    and 6 in-place adds into one output and one channel of scratch."""
-    out, tmp = np.empty_like(X), np.empty_like(X[0, 0])
-    for x, o in zip(X, out):
-        for i in range(3):
-            np.multiply(M[i, 0], x[0], out=o[i])
-            for j in (1, 2):
-                np.multiply(M[i, j], x[j], out=tmp)
-                o[i] += tmp
-    return out
 
 
 def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, stages) -> np.ndarray:
     """Z <- c L Z + w Y for each (c, w) of ``stages``, from Z = Y, in two
-    stacks: the running term and the L of it being made (and w Y where w is
-    not None).  c and w are numbers or per-wavenumber arrays, and None
-    stands for 1, with no multiply."""
+    stacks: the running term and the L of it being made, with w Y made one
+    channel at a time where w is not None.  c and w are numbers or
+    per-wavenumber arrays, and None stands for 1, with no multiply."""
     Z = Y
     for c, w in stages:
         Z = _linear(nabla, adv, Z)
         if c is not None:
             Z *= c
-        Z += Y if w is None else w * Y
+        if w is None:
+            Z += Y
+        else:
+            for z, y in zip(Z, Y):
+                for zc, yc in zip(z, y):
+                    zc += w * yc
     return Z
 
 
@@ -479,16 +475,18 @@ def step_rk4(
     coefficients, so the four stages and their combine are one polynomial in
     L (-i curl in maxwell, i nabla o in free_theta), RK4's own discrete map,
     which ``_closed_form`` made once per run, for its frozen grid's dtau, and
-    kept on the run's held block.  The step is X <- M X + S on spectral
-    maxwell, with M real 3x3 per wavenumber (``_propagate``, no derivative),
-    and X <- _horner(X, advance) + S otherwise, with stage coefficients
-    ``advance``; S is maxwell's held source (none in free_theta).  Their
-    right-hand side never reads the physical state, so they return their
-    coefficients alone and make ``U`` on first read.  Force modes run the
-    four stages on L X + f, and make ``U`` in the step, as the next step's
-    first stage reads it anyway; besides its input state a stage step holds
-    three stacks of the advanced channels (the sum of the k, one stage input
-    reused as scratch, and the current k) and the temporaries of one rhs.
+    kept on the run's held block.  On spectral maxwell the step is
+    X <- (g+ h+, g- h-, h0) + S on A's helicity components (no derivative;
+    step 1 rotates Cartesian coefficients in, and a read of ``U`` rotates
+    back), and X <- _horner(X, advance) + S otherwise, with stage
+    coefficients ``advance``; S is maxwell's held source (none in
+    free_theta).  Their right-hand side never reads the physical state, so
+    they return their coefficients alone and make ``U`` on first read.
+    Force modes run the four stages on L X + f, and make ``U`` in the step,
+    as the next step's first stage reads it anyway; besides its input state
+    a stage step holds three stacks of the advanced channels (the sum of the
+    k, one stage input reused as scratch, and the current k) and the
+    temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
@@ -509,17 +507,21 @@ def step_rk4(
         # a run that keeps its coefficients on central4 owns its held block,
         # so no view of a U it was given outlives step 1
         coef = _take_in(nabla, adv, state.U, copy=linear and nabla.scheme != "spectral")
-    _, X0, held = coef
+    X0, held = coef.X, coef.held
     if held is not None and not held.finite():  # no rhs need read all of it
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    if linear:
-        if held.closed is None:
-            held.closed = _closed_form(nabla, adv, dt, held)
-        advance, source = held.closed
-        if isinstance(advance, np.ndarray):  # spectral maxwell's M
-            X = _propagate(advance, X0)
-        else:
-            X = _horner(nabla, adv, X0, advance)
+    if linear and held.closed is None:
+        held.closed = _closed_form(nabla, adv, dt, held)
+    advance, source = held.closed if linear else (None, None)
+    helical = isinstance(advance, np.ndarray)  # spectral maxwell's g+-
+    if helical:  # (g+ h+, g- h-, h0) + S on A's helicity components
+        H = X0 if coef.helical else nabla.to_helicity(X0)
+        X = np.empty_like(H)
+        np.multiply(advance, H[:, :2], out=X[:, :2])
+        np.add(H[:, 2], source[:, 2], out=X[:, 2])
+        X[:, :2] += source[:, :2]
+    elif linear:
+        X = _horner(nabla, adv, X0, advance)
         if source is not None:
             X += source
     else:
@@ -529,9 +531,9 @@ def step_rk4(
 
         X = _stages(rhs, X0, state.tau, dt)
     # a non-finite value in physical space spreads to every coefficient
-    if not np.isfinite(X).all():
+    if not _all_finite(X):
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held))
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, helical))
     if not linear:
         new.U  # made here: the next step's first stage reads it anyway
         if nabla.scheme != "spectral":

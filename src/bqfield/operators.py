@@ -56,7 +56,9 @@ class Nabla:
     block copies), and ``from_band`` scatters into zeros then runs ifftn.
     The gather is the 2/3 rule.  On central4 the band representation is
     physical and both return their input.  ``_d`` takes band-sized arrays
-    too, and ``band_k2`` gives their |k|^2.
+    too, ``band_k2`` gives their |k|^2, and ``band_frame`` the band curl's
+    eigenbasis, in which ``to_helicity`` and ``from_helicity`` rotate a
+    stack of band vector fields.
     """
 
     schemes = ("spectral", "central4")
@@ -139,6 +141,69 @@ class Nabla:
     def band_k2(self):
         """|k|^2 on the band, from the ik that ``_d`` multiplies by (spectral)."""
         return sum(self._ik[a][m].imag ** 2 for a, m in enumerate(self._band_shape))
+
+    def band_frame(self):
+        """The eigenbasis of the band curl (spectral), as (c, sigma, cy, cz, s).
+
+        A right-handed orthonormal frame per band wavenumber k,
+        u = (0, cz, -cy), w = (-sigma, c cy, c cz) and n = u x w =
+        (c, sigma cy, sigma cz), with k = s n: u is n x e_x normalised,
+        w = n x u.  So k x maps u + i w to -i s (u + i w), u - i w to
+        i s (u - i w) and n to 0.  Broadcast from the three 1-D wavenumber
+        axes: cy and cz have shape (1, ny, nz) and c, sigma, s the band's.
+        On the k_x axis line, k = 0 included, the frame is fixed at
+        u = (0, 0, -1), w = (0, 1, 0), n = e_x, and s = k_x is signed.
+        """
+        kx, ky, kz = (self._ik[a][m].imag for a, m in enumerate(self._band_shape))
+        rho = np.hypot(ky, kz)
+        s = np.sqrt(self.band_k2())
+        s[:, 0, 0] = kx[:, 0, 0]  # the band's k_y = k_z = 0 line
+        c = np.divide(kx, s, out=np.ones_like(s), where=s != 0)
+        sigma = np.divide(rho, s, out=np.zeros_like(s), where=s != 0)
+        cy = np.divide(ky, rho, out=np.ones_like(rho), where=rho != 0)
+        cz = np.divide(kz, rho, out=np.zeros_like(rho), where=rho != 0)
+        return c, sigma, cy, cz, s
+
+    def to_helicity(self, X):
+        """A stack X of band vectors (component axis -4) in ``band_frame``'s
+        helicity components (u.X + i w.X, u.X - i w.X, n.X), on which the
+        band's k x acts as i s, -i s and 0.  One field at a time, so the
+        frame and the temporaries are band arrays, never (3, 3) + band."""
+        c, sigma, cy, cz, _ = self.band_frame()
+        H = np.empty(X.shape, np.result_type(X, 1j))
+        for x, h in zip(X.reshape((-1,) + X.shape[-4:]), H.reshape((-1,) + H.shape[-4:])):
+            t = cy * x[1]
+            t += cz * x[2]  # X along (0, cy, cz)
+            np.multiply(sigma, t, out=h[2])
+            h[2] += c * x[0]
+            q = c * t
+            q -= sigma * x[0]
+            q *= 1j
+            p = cz * x[1]
+            p -= cy * x[2]
+            np.add(p, q, out=h[0])
+            np.subtract(p, q, out=h[1])
+        return H
+
+    def from_helicity(self, H):
+        """The band vectors whose ``to_helicity`` components are H:
+        X = p u + q w + r n with p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
+        c, sigma, cy, cz, _ = self.band_frame()
+        X = np.empty(H.shape, H.dtype)
+        for h, x in zip(H.reshape((-1,) + H.shape[-4:]), X.reshape((-1,) + X.shape[-4:])):
+            p = h[0] + h[1]
+            p *= 0.5
+            q = h[0] - h[1]
+            q *= -0.5j
+            np.multiply(c, h[2], out=x[0])
+            x[0] -= sigma * q
+            t = c * q
+            t += sigma * h[2]  # X along (0, cy, cz)
+            np.multiply(cy, t, out=x[1])
+            x[1] += cz * p
+            np.multiply(cz, t, out=x[2])
+            x[2] -= cy * p
+        return X
 
     # -- operators in derivative space ----------------------------------------
     def _grad(self, fh):

@@ -74,6 +74,7 @@ class RunReport:
                 "final": list(s.final) if s.final else None,
                 "tolerance": s.tolerance,
                 "breached": s.breached,
+                "first_breach_tau": s.first_breach_tau,
             }
         return {
             "mode": self.scenario.mode,

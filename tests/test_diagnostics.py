@@ -915,8 +915,9 @@ def test_residual_series_bookkeeping(tmp_path):
     s.append(0.1, 5e-7, 1e-8)
     assert s.max_linf == 5e-7
     assert not s.breached
+    assert s.first_breach_tau is None
     s.append(0.2, 2e-6, 1e-7)
-    assert s.breached
+    assert s.breached and s.first_breach_tau == 0.2
     p = tmp_path / "charge.csv"
     s.to_csv(p)
     lines = p.read_text().strip().splitlines()
@@ -927,15 +928,16 @@ def test_residual_series_bookkeeping(tmp_path):
     free.append(0.0, 100.0, 1.0)
     assert not free.breached
     # a non-finite row is a breach wherever it sits; NaN propagates to max_linf
-    for rows in ([np.nan, 1e-9], [1e-9, np.nan], [1e-9, np.inf]):
+    for rows, first in (([np.nan, 1e-9], 0.0), ([1e-9, np.nan], 0.1), ([1e-9, np.inf], 0.1)):
         s = ResidualSeries("charge", tolerance=1e-6)
         for i, linf in enumerate(rows):
             s.append(0.1 * i, linf, linf)
         assert s.breached, rows
+        assert s.first_breach_tau == first
         assert not np.isfinite(s.max_linf)
         assert np.isnan(s.max_linf) == any(np.isnan(rows))
     free.append(0.1, np.nan, np.nan)
-    assert np.isnan(free.max_linf) and not free.breached
+    assert np.isnan(free.max_linf) and not free.breached and free.first_breach_tau is None
 
 
 def test_diagnostics_engine_run_level():

@@ -556,11 +556,10 @@ def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field
 
 
 def test_spectral_maxwell_steps_by_its_kept_map():
-    """Spectral maxwell keeps RK4's map as one real 3x3 matrix per band
-    wavenumber, float64 of shape (3, 3) + band.  Step 1 makes it from the
-    folded stages on the identity's three columns (two curls of 6
-    derivatives each) and the held source (two curls per field's J); later
-    steps take no derivative, even past a read."""
+    """Spectral maxwell keeps RK4's map as its two helicity gains g+- per
+    band wavenumber, complex of shape (2,) + band, and its held source in
+    the same basis.  Both come from the band's wavenumbers and frame, so no
+    step takes a derivative, step 1 included, even past a read."""
     g = cube(12, 0.05)
     nab, counts = DerivativeCountingNabla(g), []
     st = random_state(g, "maxwell", m=2)
@@ -569,12 +568,13 @@ def test_spectral_maxwell_steps_by_its_kept_map():
         st, _ = step_rk4(st, nab, StepperConfig(), i)
         counts.append(nab.derivatives - before)
         st.U
-    assert counts == [3 * 12 + 2 * 12, 0, 0]
-    M = st._coef.held.closed[0]
-    assert M.dtype == np.float64 and M.shape == (3, 3, 9, 9, 9)
+    assert counts == [0, 0, 0]
+    gain = st._coef.held.closed[0]
+    assert gain.dtype == np.complex128 and gain.shape == (2, 9, 9, 9)
 
 
 @pytest.mark.parametrize("mode,scheme,m,pin", [("free_theta", "central4", 1, 15),
+                                             ("free_theta", "spectral", 1, 3),
                                              ("maxwell", "spectral", 1, 2),
                                              ("maxwell", "central4", 1, 12),
                                              ("united", "central4", 2, 64),
@@ -586,10 +586,12 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     46.0; the stages' temporaries per stage made it 77.2 and 50.5).  A
     central4 linear step by Horner's rule holds two stacks and one L's
     temporaries, and makes no U (measured 14.4 in free_theta and 11.3 in
-    maxwell; the stages made them 18.4 and 14.3).  A spectral maxwell step
-    by its kept map holds the new stack of three band channels and one
-    band channel of scratch, 11^3 values each (measured 1.7).  The pins are
-    the measured values rounded up to a whole channel."""
+    maxwell; the stages made them 18.4 and 14.3).  A spectral free_theta
+    step applies L once and adds w Y one channel at a time (measured 2.6;
+    a whole w Y stack made it 3.9).  A spectral maxwell step by its kept
+    gains holds the new stack of three band channels, 11^3 values each, and
+    no scratch (measured 1.0; a 3x3 matrix per wavenumber made it 1.7).
+    The pins are the measured values rounded up to a whole channel."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())
@@ -765,8 +767,8 @@ class PlantingNabla(Nabla):
 def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
     """One non-finite cell of an advanced channel aborts the step, whether it
     sits in the physical input or arises inside a step from a stepped state
-    (from a derivative, or from spectral maxwell's kept map, as that step
-    takes none); the abort gives back the last good U."""
+    (from a derivative, or from spectral maxwell's kept gain g+, as that
+    step takes none); the abort gives back the last good U."""
     g = cube(12, 0.05)
     nab, cfg = PlantingNabla(g, scheme=scheme), StepperConfig()
     st = random_state(g, mode)
@@ -778,7 +780,7 @@ def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
     good, _ = step_rk4(random_state(g, mode), nab, cfg)
     expect = step_rk4(random_state(g, mode), nab, cfg)[0].U
     if (mode, scheme) == ("maxwell", "spectral"):
-        good._coef.held.closed[0][0, 0, 1, 2, 3] = bad
+        good._coef.held.closed[0][0, 1, 2, 3] = bad
     else:
         nab.plant = bad
     with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
@@ -799,6 +801,26 @@ def test_numerical_abort_fires_on_one_bad_held_cell(scheme, mode, channel, bad):
     with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
         step_rk4(st, Nabla(g, scheme=scheme), StepperConfig(), steps_done=4)
     assert exc.value.state is st and exc.value.steps == 5
+
+
+@pytest.mark.parametrize("bad", [1e308, -1e308, np.nan, np.inf, -np.inf])
+def test_finiteness_check_survives_an_overflowing_sum(bad):
+    """The per-step check sums the new coefficients first and checks them
+    value by value only where that sum is not finite: finite +-1e308
+    entries, whose sum overflows, step on, and NaN, +inf and -inf abort."""
+    g = cube(12, 0.05)
+    nab, cfg = Nabla(g), StepperConfig()
+    st, _ = step_rk4(random_state(g, "maxwell"), nab, cfg)
+    st._coef.X[0, 0, 1:5, 2, 3] = bad
+    if np.isfinite(bad):
+        new, _ = step_rk4(st, nab, cfg, 1)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(new._coef.X.sum())
+        assert np.isfinite(new._coef.X).all()
+    else:
+        with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
+            step_rk4(st, nab, cfg, 1)
+        assert exc.value.state is st and exc.value.steps == 2
 
 
 def test_state_u_has_no_setter():

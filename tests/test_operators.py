@@ -282,6 +282,66 @@ def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
     assert np.abs(nab.from_band(nab._curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
 
 
+def helicity_box():
+    """A box with three different sides and one odd n, its spectral Nabla,
+    and its band wavevectors k, shape (3,) + band."""
+    nab = Nabla(Grid(n=(8, 9, 12), L=(2 * np.pi, 3.0, 5.0), dtau=0.05))
+    axes = [nab._ik[a][m].imag.ravel() for a, m in enumerate(nab._band_shape)]
+    return nab, np.stack(np.meshgrid(*axes, indexing="ij"))
+
+
+def helicity_unit(nab, coefficients):
+    """The band vector field whose helicity components are ``coefficients``
+    (h+, h-, h0) at every wavenumber."""
+    H = np.zeros((3,) + nab._band_shape, complex)
+    H[:] = np.reshape(coefficients, (3, 1, 1, 1))
+    return nab.from_helicity(H)
+
+
+def test_helicity_frame_is_right_handed_and_orthonormal_everywhere():
+    """u, w and n, made back from the helicity components (1, 1, 0),
+    (i, -i, 0) and (0, 0, 1), are real, orthonormal and right-handed at
+    every band wavenumber, with k = s n: s = |k| off the k_x axis line, and
+    on it, k = 0 included, the fixed frame n = e_x with s = k_x signed."""
+    nab, k = helicity_box()
+    u, w, n = (helicity_unit(nab, c) for c in ((1, 1, 0), (1j, -1j, 0), (0, 0, 1)))
+    assert all(np.abs(v.imag).max() == 0 for v in (u, w, n))
+    u, w, n = u.real, w.real, n.real
+    for a, b, want in ((u, u, 1), (w, w, 1), (n, n, 1), (u, w, 0), (w, n, 0), (n, u, 0)):
+        assert np.abs((a * b).sum(axis=0) - want).max() <= 1e-15
+    assert np.abs(np.cross(u, w, axis=0) - n).max() <= 1e-15
+    s = nab.band_frame()[-1]
+    assert np.abs(s * n - k).max() <= 1e-15 * np.abs(k).max()
+    off_axis = np.hypot(k[1], k[2]) > 0
+    assert np.array_equal(s[off_axis], np.sqrt(nab.band_k2())[off_axis])
+    assert np.array_equal(s[:, 0, 0], k[0, :, 0, 0])
+    assert np.array_equal(n[:, :, 0, 0], np.eye(3)[:, :1] * np.ones(k.shape[1]))
+
+
+def test_band_curl_is_diagonal_in_the_helicity_frame():
+    """The band curl i k x maps e+ (components (1, 0, 0)) to -s e+ and e-
+    (components (0, 1, 0)) to s e-, so maxwell's L = -i curl acts on them as
+    i s and -i s, and n to 0; to_helicity reads each back alone."""
+    nab, _ = helicity_box()
+    s = nab.band_frame()[-1]
+    for c, eig in (((1, 0, 0), -s), ((0, 1, 0), s), ((0, 0, 1), 0 * s)):
+        e = helicity_unit(nab, c)
+        assert np.abs(nab._curl(e) - eig * e).max() <= 1e-14 * np.abs(s).max()
+        want = np.reshape(c, (3, 1, 1, 1)) * np.ones(s.shape)
+        assert np.abs(nab.to_helicity(e) - want).max() <= 1e-15
+
+
+def test_helicity_components_round_trip():
+    """Cartesian -> helicity -> Cartesian gives the stack back to 1e-15
+    relative, for a stack of fields as the stepper holds."""
+    nab, _ = helicity_box()
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((2, 3) + nab._band_shape) + 1j * rng.standard_normal((2, 3) + nab._band_shape)
+    H = nab.to_helicity(X)
+    assert H.shape == X.shape
+    assert np.abs(nab.from_helicity(H) - X).max() <= 1e-15 * np.abs(X).max()
+
+
 @pytest.mark.parametrize("n", [8, 12])
 def test_first_derivatives_of_real_data_stay_real(n):
     """The spectral ik zeroes the odd Nyquist wavenumber on an even n: real

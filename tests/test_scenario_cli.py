@@ -384,7 +384,8 @@ def test_run_breach_exit(tmp_path):
 def test_run_nan_residual_mid_run_breaches(tmp_path, monkeypatch):
     """A residual that turns NaN mid-run is a breach: exit 1, and so says
     summary.json.  That holds for a series that reports the worst over its
-    fields (first_law) as well."""
+    fields (first_law) as well.  Each series' first_breach_tau is the tau of
+    its NaN row, the third window's middle state, 3 dtau; null where none."""
     import bqfield.diagnostics as diagnostics
 
     calls = {}
@@ -410,6 +411,11 @@ def test_run_nan_residual_mid_run_breaches(tmp_path, monkeypatch):
     assert summary["series"]["poynting"]["breached"] is True
     assert summary["series"]["first_law"]["breached"] is True
     assert summary["series"]["charge"]["breached"] is False
+    dtau = 0.25 * 2 * np.pi / 8
+    for name in ("poynting", "first_law"):
+        assert summary["series"][name]["first_breach_tau"] == pytest.approx(3 * dtau, rel=1e-12)
+        assert summary["series"][name]["first_breach_tau"] == report.series[name].rows[2][0]
+    assert summary["series"]["charge"]["first_breach_tau"] is None
 
 
 def test_run_abort_exit(tmp_path):
