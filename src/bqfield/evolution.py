@@ -32,7 +32,8 @@ polynomial in L, applied with no stage loop and made once per run
 A in the helicity basis of the band curl (``Nabla.to_helicity``), where the
 map is two complex gains g+- per band wavenumber and 1 on the longitudinal
 component, with no derivative; step 1 rotates the coefficients into it, and
-a read of ``U`` rotates them back.  free_theta on spectral and both modes on
+a read of ``U`` rotates them back as it scatters them
+(``Nabla.from_band``).  free_theta on spectral and both modes on
 central4 apply it by one Horner evaluator (``_horner``) on coefficients the
 scheme picks (central4 holds physical arrays, not wavenumbers).  Force
 modes evaluate the four stages; besides its input state, a stage step holds
@@ -189,7 +190,7 @@ class _Coefficients(NamedTuple):
     helical: bool = False
 
     def physical(self) -> np.ndarray:
-        X = self.nabla.from_band(self.nabla.from_helicity(self.X) if self.helical else self.X)
+        X = self.nabla.from_band(self.X, self.helical)
         if self.held is None:
             return X
         H = self.held.physical()

@@ -91,6 +91,7 @@ class Nabla:
             self._band_shape = tuple(2 * (n // 3) + 1 for n in grid.n)
             self._band_blocks = [tuple((..., *s) for s in zip(*runs))
                                  for runs in product(*map(_band_runs, grid.n))]
+            self._frame = None
 
     # -- transforms ----------------------------------------------------------
     def fftn(self, f):
@@ -130,12 +131,28 @@ class Nabla:
             X[band] = fh[full]
         return X
 
-    def from_band(self, X):
+    def from_band(self, X, helical: bool = False):
+        """The physical arrays of band coefficients X.  Where ``helical``, X
+        holds ``to_helicity`` components, rotated back a few k_x planes at a
+        time (about 128 KiB a channel, so a slab's temporaries stay in
+        cache) and scattered slab by slab."""
         if self.scheme != "spectral":
             return X
         fh = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
-        for band, full in self._band_blocks:
-            fh[full] = X[band]
+        if not helical:
+            for band, full in self._band_blocks:
+                fh[full] = X[band]
+            return self.ifftn(fh)
+        ny, nz = self._band_shape[1:]
+        width = max(1, 2**17 // (X.itemsize * ny * nz))
+        yz = list(product(*map(_band_runs, self.grid.n[1:])))
+        for rows, full in _band_runs(self.grid.n[0]):
+            for i in range(rows.start, rows.stop, width):
+                slab = slice(i, min(i + width, rows.stop))
+                Y = self._cartesian(X[..., slab, :, :], slab)
+                at = slice(full.start + i - rows.start, full.start + slab.stop - rows.start)
+                for (by, fy), (bz, fz) in yz:
+                    fh[..., at, fy, fz] = Y[..., by, bz]
         return self.ifftn(fh)
 
     def band_k2(self):
@@ -143,26 +160,27 @@ class Nabla:
         return sum(self._ik[a][m].imag ** 2 for a, m in enumerate(self._band_shape))
 
     def band_frame(self):
-        """The eigenbasis of the band curl (spectral), as (c, sigma, cy, cz, s).
+        """The eigenbasis of the band curl (spectral), as (c, sigma, cy, cz, s),
+        made on first call and kept.
 
         A right-handed orthonormal frame per band wavenumber k,
         u = (0, cz, -cy), w = (-sigma, c cy, c cz) and n = u x w =
-        (c, sigma cy, sigma cz), with k = s n: u is n x e_x normalised,
-        w = n x u.  So k x maps u + i w to -i s (u + i w), u - i w to
-        i s (u - i w) and n to 0.  Broadcast from the three 1-D wavenumber
-        axes: cy and cz have shape (1, ny, nz) and c, sigma, s the band's.
-        On the k_x axis line, k = 0 included, the frame is fixed at
-        u = (0, 0, -1), w = (0, 1, 0), n = e_x, and s = k_x is signed.
+        (c, sigma cy, sigma cz), with k = s n and s = |k|: u is n x e_x
+        normalised, w = n x u.  So k x maps u + i w to -i s (u + i w),
+        u - i w to i s (u - i w) and n to 0.  Broadcast from the three 1-D
+        wavenumber axes: cy and cz have shape (1, ny, nz) and c, sigma, s
+        the band's.
         """
-        kx, ky, kz = (self._ik[a][m].imag for a, m in enumerate(self._band_shape))
-        rho = np.hypot(ky, kz)
-        s = np.sqrt(self.band_k2())
-        s[:, 0, 0] = kx[:, 0, 0]  # the band's k_y = k_z = 0 line
-        c = np.divide(kx, s, out=np.ones_like(s), where=s != 0)
-        sigma = np.divide(rho, s, out=np.zeros_like(s), where=s != 0)
-        cy = np.divide(ky, rho, out=np.ones_like(rho), where=rho != 0)
-        cz = np.divide(kz, rho, out=np.zeros_like(rho), where=rho != 0)
-        return c, sigma, cy, cz, s
+        if self._frame is None:
+            kx, ky, kz = (self._ik[a][m].imag for a, m in enumerate(self._band_shape))
+            rho = np.hypot(ky, kz)
+            s = np.sqrt(self.band_k2())
+            c = np.divide(kx, s, out=np.ones_like(s), where=s != 0)
+            sigma = np.divide(rho, s, out=np.zeros_like(s), where=s != 0)
+            cy = np.divide(ky, rho, out=np.ones_like(rho), where=rho != 0)
+            cz = np.divide(kz, rho, out=np.zeros_like(rho), where=rho != 0)
+            self._frame = c, sigma, cy, cz, s
+        return self._frame
 
     def to_helicity(self, X):
         """A stack X of band vectors (component axis -4) in ``band_frame``'s
@@ -171,7 +189,7 @@ class Nabla:
         frame and the temporaries are band arrays, never (3, 3) + band."""
         c, sigma, cy, cz, _ = self.band_frame()
         H = np.empty(X.shape, np.result_type(X, 1j))
-        for x, h in zip(X.reshape((-1,) + X.shape[-4:]), H.reshape((-1,) + H.shape[-4:])):
+        for x, h in zip(_vectors(X), _vectors(H)):
             t = cy * x[1]
             t += cz * x[2]  # X along (0, cy, cz)
             np.multiply(sigma, t, out=h[2])
@@ -186,23 +204,28 @@ class Nabla:
         return H
 
     def from_helicity(self, H):
-        """The band vectors whose ``to_helicity`` components are H:
-        X = p u + q w + r n with p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
+        """The band vectors whose ``to_helicity`` components are H."""
+        return self._cartesian(H, slice(None))
+
+    def _cartesian(self, H, rows: slice):
+        """The band vectors whose ``to_helicity`` components are H, on the
+        band's k_x planes ``rows``: X = p u + q w + r n with
+        p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
         c, sigma, cy, cz, _ = self.band_frame()
+        c, sigma = c[rows], sigma[rows]
         X = np.empty(H.shape, H.dtype)
-        for h, x in zip(H.reshape((-1,) + H.shape[-4:]), X.reshape((-1,) + X.shape[-4:])):
-            p = h[0] + h[1]
-            p *= 0.5
+        for h, x in zip(_vectors(H), _vectors(X)):
+            p2 = h[0] + h[1]  # 2 p
             q = h[0] - h[1]
             q *= -0.5j
             np.multiply(c, h[2], out=x[0])
             x[0] -= sigma * q
-            t = c * q
-            t += sigma * h[2]  # X along (0, cy, cz)
-            np.multiply(cy, t, out=x[1])
-            x[1] += cz * p
-            np.multiply(cz, t, out=x[2])
-            x[2] -= cy * p
+            q *= c
+            q += sigma * h[2]  # X along (0, cy, cz)
+            np.multiply(cy, q, out=x[1])
+            x[1] += (cz / 2) * p2
+            np.multiply(cz, q, out=x[2])
+            x[2] -= (cy / 2) * p2
         return X
 
     # -- operators in derivative space ----------------------------------------
@@ -299,6 +322,12 @@ def _five_point(f, axis: int, scale: float, w1: int, w0: int | None = None):
         out += centre
     out *= scale
     return out
+
+
+def _vectors(X):
+    """A stack of vectors (component axis -4) as one stack of vectors: a
+    view where X is contiguous."""
+    return X.reshape((-1,) + X.shape[-4:])
 
 
 def _band_runs(n: int):
