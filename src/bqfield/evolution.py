@@ -31,15 +31,15 @@ polynomial in L, applied with no stage loop and made once per run
 (``_closed_form``, kept on the run's held block).  Spectral maxwell steps
 A in the helicity basis of the band curl (``Nabla.to_helicity``), where the
 map is two complex gains g+- per band wavenumber and 1 on the longitudinal
-component, with no derivative; step 1 rotates the coefficients into it, and
-a read of ``U`` rotates them back as it scatters them
-(``Nabla.from_band``).  free_theta on spectral and both modes on
-central4 apply it by one Horner evaluator (``_horner``) on coefficients the
-scheme picks (central4 holds physical arrays, not wavenumbers).  Force
-modes evaluate the four stages; besides its input state, a stage step holds
-three stacks of the advanced channels (the sum of the k, one stage input
-that is also the scratch for w k, and the current k) and one right-hand
-side's temporaries.
+component, with no derivative; step 1 rotates the coefficients into it,
+and a read of ``U`` rotates the whole band back (``Nabla.from_helicity``)
+and scatters it (``Nabla.from_band``).  free_theta on spectral and both
+modes on central4 apply it by one Horner evaluator (``_horner``) on
+coefficients the scheme picks (central4 holds physical arrays, not
+wavenumbers).  Force modes evaluate the four stages; besides its input
+state, a stage step holds three stacks of the advanced channels (the sum
+of the k, one stage input that is also the scratch for w k, and the
+current k) and one right-hand side's temporaries.
 
 A state keeps the band coefficients of its advanced channels, next to
 ``U``, until the next step takes them: on spectral ``build_state`` and every
@@ -190,11 +190,16 @@ class _Coefficients(NamedTuple):
     helical: bool = False
 
     def physical(self) -> np.ndarray:
-        X = self.nabla.from_band(self.X, self.helical)
+        """``U`` as one array: the held rows copied in, and the advanced
+        ones (rotated back where helical) transformed in their own slice."""
+        X = self.nabla.from_helicity(self.X) if self.helical else self.X
         if self.held is None:
-            return X
+            return self.nabla.from_band(X)
         H = self.held.physical()
-        return np.concatenate([H, X] if self.held.rows.start == 0 else [X, H], axis=1)
+        U = np.empty((len(X), 7) + self.nabla.grid.n, np.result_type(H, X))
+        U[:, self.held.rows] = H
+        self.nabla.from_band(X, out=U[:, 3:] if self.held.rows.start == 0 else U[:, :3])
+        return U
 
 
 def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, filtered: bool = False,
@@ -548,8 +553,8 @@ def step_rk4(
 
 
 def field_totals(state: SimState) -> tuple[AField, ChargeCurrent]:
-    """Summed field and summed charge-current over all interacting fields."""
-    A = state.U[:, _A].sum(axis=0)
-    rho = state.U[:, _RHO].sum(axis=0)
-    J = state.U[:, _J].sum(axis=0)
+    """Summed field and summed charge-current over all interacting fields, as
+    ``sum(axis=0)`` adds them; for one field, views of ``U`` not to write into."""
+    U = state.U
+    A, rho, J = (sum(U[1:, c], U[0, c]) for c in (_A, _RHO, _J))
     return AField(state.grid, A), ChargeCurrent(state.grid, rho, J)

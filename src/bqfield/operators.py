@@ -53,12 +53,13 @@ class Nabla:
 
     On spectral the band representation holds the Fourier coefficients with
     every |k_i| <= n_i/3: ``to_band`` is fftn then a gather of the band (8
-    block copies), and ``from_band`` scatters into zeros then runs ifftn.
-    The gather is the 2/3 rule.  On central4 the band representation is
-    physical and both return their input.  ``_d`` takes band-sized arrays
-    too, ``band_k2`` gives their |k|^2, and ``band_frame`` the band curl's
-    eigenbasis, in which ``to_helicity`` and ``from_helicity`` rotate a
-    stack of band vector fields.
+    block copies), and ``from_band`` scatters into zeros then runs ifftn,
+    in a buffer the caller gives or in a new one.  The gather is the 2/3
+    rule.  On central4 the band representation is physical and both return
+    their input (``from_band`` copies it into a given buffer).  ``_d``
+    takes band-sized arrays too, ``band_k2`` gives their |k|^2, and
+    ``band_frame`` the band curl's eigenbasis, in which ``to_helicity`` and
+    ``from_helicity`` rotate a whole stack of band vector fields.
     """
 
     schemes = ("spectral", "central4")
@@ -131,29 +132,24 @@ class Nabla:
             X[band] = fh[full]
         return X
 
-    def from_band(self, X, helical: bool = False):
-        """The physical arrays of band coefficients X.  Where ``helical``, X
-        holds ``to_helicity`` components, rotated back a few k_x planes at a
-        time (about 128 KiB a channel, so a slab's temporaries stay in
-        cache) and scattered slab by slab."""
+    def from_band(self, X, out=None):
+        """The physical arrays of band coefficients X, written into ``out``
+        where given.  On spectral X is scattered into zeros and transformed
+        there, so ``out`` also serves as the transform's buffer."""
         if self.scheme != "spectral":
-            return X
-        fh = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
-        if not helical:
-            for band, full in self._band_blocks:
-                fh[full] = X[band]
-            return self.ifftn(fh)
-        ny, nz = self._band_shape[1:]
-        width = max(1, 2**17 // (X.itemsize * ny * nz))
-        yz = list(product(*map(_band_runs, self.grid.n[1:])))
-        for rows, full in _band_runs(self.grid.n[0]):
-            for i in range(rows.start, rows.stop, width):
-                slab = slice(i, min(i + width, rows.stop))
-                Y = self._cartesian(X[..., slab, :, :], slab)
-                at = slice(full.start + i - rows.start, full.start + slab.stop - rows.start)
-                for (by, fy), (bz, fz) in yz:
-                    fh[..., at, fy, fz] = Y[..., by, bz]
-        return self.ifftn(fh)
+            if out is not None:
+                out[...] = X
+            return X if out is None else out
+        if out is None:
+            out = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
+        else:
+            out.fill(0)
+        for band, full in self._band_blocks:
+            out[full] = X[band]
+        f = self.ifftn(out)
+        if not np.may_share_memory(f, out):  # scipy did not transform in place
+            out[...] = f
+        return out
 
     def band_k2(self):
         """|k|^2 on the band, from the ik that ``_d`` multiplies by (spectral)."""
@@ -204,15 +200,9 @@ class Nabla:
         return H
 
     def from_helicity(self, H):
-        """The band vectors whose ``to_helicity`` components are H."""
-        return self._cartesian(H, slice(None))
-
-    def _cartesian(self, H, rows: slice):
-        """The band vectors whose ``to_helicity`` components are H, on the
-        band's k_x planes ``rows``: X = p u + q w + r n with
-        p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
+        """The band vectors whose ``to_helicity`` components are H:
+        X = p u + q w + r n with p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
         c, sigma, cy, cz, _ = self.band_frame()
-        c, sigma = c[rows], sigma[rows]
         X = np.empty(H.shape, H.dtype)
         for h, x in zip(_vectors(H), _vectors(X)):
             p2 = h[0] + h[1]  # 2 p

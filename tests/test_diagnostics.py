@@ -831,6 +831,30 @@ def test_engine_sample_forms_each_derived_field_once(monkeypatch, mode, M, trans
     assert all(isinstance(s, SimState) for win in eng._windows.values() for s in win)
 
 
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field"])
+def test_engine_sample_leaves_a_one_field_state_unchanged(mode):
+    """A one-field state's totals are views of its U, and no series writes
+    into them: every sampled state's U is bit-unchanged after all 14 series
+    sampled it, windows included."""
+    from bqfield import StepperConfig, diagnostics, step_rk4
+
+    g = cube(8)
+    nab = Nabla(g)
+    rng = np.random.default_rng(11)
+    bg = nab.dealias(rng.standard_normal((3,) + g.shape) + 0j) if mode == "strong_field" else None
+    U = nab.dealias(rng.standard_normal((1, 7) + g.shape) + 1j * rng.standard_normal((1, 7) + g.shape))
+    st = SimState(0.0, U, g, Medium(epsilon=1.3, mu=0.8, kappa=1.5), mode, bg)
+    eng = DiagnosticsEngine(nab, [{"name": n} for n in diagnostics.DIAGNOSTIC_NAMES])
+    states, kept = [], []
+    for step in range(4):
+        states.append(st)
+        kept.append(st.U.copy())
+        eng.sample(st, step)
+        st, _ = step_rk4(st, nab, StepperConfig(), step)
+    eng.finalize()
+    assert all(np.array_equal(s.U, u) for s, u in zip(states, kept))
+
+
 def test_engine_evaluates_every_window_and_raises_on_an_uneven_one():
     """Windows of a stepped run are uniform to round-off, even deep into a
     long run where tau carries an ulp of drift per step (5e-13 at tau = 6667,

@@ -609,6 +609,35 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     assert peak <= pin * 16**3 * 16
 
 
+@pytest.mark.parametrize("mode,scheme,pin", [("maxwell", "spectral", 8), ("free_theta", "spectral", 8),
+                                             ("maxwell", "central4", 8), ("free_theta", "central4", 8)])
+def test_read_allocation_peak(mode, scheme, pin):
+    """tracemalloc's peak over the first read of a stepped state's U on
+    16^3, in channels of 16^3 complex values.  The read makes one U and
+    fills it: the held rows copied in, and the advanced rows scattered and
+    transformed in their own slice.  Spectral maxwell also rotates its
+    helicity components back on the whole band first (measured 7.99 for
+    maxwell and 7.02 for free_theta on spectral, 7.00 on central4; a
+    transformed stack joined to the held rows made them 10.0 and 11.0 on
+    spectral).  The pins are the measured values rounded up to a whole
+    channel."""
+    g = cube(16, 0.05)
+    nab = Nabla(g, scheme=scheme)
+    st, _ = step_rk4(random_state(g, mode, m=1, scheme=scheme), nab, StepperConfig())
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        st.U
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= pin * 16**3 * 16
+
+
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta", "strong_field", "interaction", "united"])
 def test_resident_steps_match_steps_read_every_step(scheme, mode):
@@ -1050,6 +1079,20 @@ def test_united_field_freeness_residual_measures_truncation():
     th0 = field_totals(snap_cancel(d))[1]
     assert np.abs(th0.rho).max() == 0.0
     assert r0 == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_field_totals_add_the_fields_in_order(m):
+    """The totals are U.sum(axis=0) bit for bit, and one field's totals are
+    its own rows of U, with no copy."""
+    g = cube(8, 0.05)
+    rng = np.random.default_rng(40 + m)
+    U = rng.standard_normal((m, 7) + g.shape) + 1j * rng.standard_normal((m, 7) + g.shape)
+    st = SimState(0.0, U, g, Medium(), "united" if m > 1 else "maxwell")
+    a_tot, th_tot = field_totals(st)
+    for got, c in ((a_tot.A, slice(0, 3)), (th_tot.rho, 3), (th_tot.J, slice(4, 7))):
+        assert np.array_equal(got, st.U[:, c].sum(axis=0))
+        assert np.shares_memory(got, st.U) == (m == 1)
 
 
 def test_field_totals_sums_components():

@@ -339,17 +339,20 @@ def test_helicity_components_round_trip():
     assert np.abs(nab.from_helicity(H) - X).max() <= 1e-15 * np.abs(X).max()
 
 
-def test_from_band_rotates_helicity_components_back_slab_by_slab():
-    """from_band on helicity components, rotated back a few k_x planes at a
-    time as they are scattered, gives what rotating the whole band first
-    gives, for a stack of two fields on a box whose slabs split the band's
-    runs of k_x planes."""
-    nab = Nabla(Grid(n=(12, 96, 81), L=(2 * np.pi, 3.0, 5.0), dtau=0.05))
-    rng = np.random.default_rng(5)
-    shape = (2, 3) + nab._band_shape
-    H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = nab.from_band(nab.from_helicity(H))
-    assert np.abs(nab.from_band(H, helical=True) - want).max() <= 1e-15 * np.abs(want).max()
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+def test_from_band_writes_into_a_given_buffer(scheme):
+    """from_band(X, out) writes into ``out``, a strided slice of a larger
+    array as a read of U gives it, what from_band(X) returns, bit for bit,
+    and touches nothing else; without a buffer central4 returns X itself."""
+    g = Grid(n=(8, 9, 12), L=(2 * np.pi, 3.0, 5.0), dtau=0.05)
+    nab = Nabla(g, scheme=scheme)
+    rng = np.random.default_rng(6)
+    X = nab.to_band(rng.standard_normal((2, 3) + g.n) + 1j * rng.standard_normal((2, 3) + g.n))
+    U = np.full((2, 7) + g.n, 7.0 + 0j)
+    got = nab.from_band(X, out=U[:, :3])
+    assert np.shares_memory(got, U) and np.array_equal(U[:, :3], nab.from_band(X.copy()))
+    assert np.all(U[:, 3:] == 7.0)
+    assert (nab.from_band(X) is X) == (scheme == "central4")
 
 
 @pytest.mark.parametrize("n", [8, 12])
