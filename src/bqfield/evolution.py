@@ -22,8 +22,9 @@ units), in the Nabla's band representation: on spectral the Fourier
 coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.
 The force is formed in physical space and taken onto the band by
 ``Nabla.to_band`` (the 2/3 rule on spectral, none on central4).  So on
-spectral a step projects the advanced channels onto the band, as
-``build_state`` does the initial data; a force mode's first stage reads the
+spectral a step projects the advanced channels onto the band, where
+``build_state``'s initial data already arrive (``Nabla.band_of_terms``,
+from the presets' 1-D factors); a force mode's first stage reads the
 input's physical values as they are.
 
 In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
@@ -42,8 +43,9 @@ of the k, one stage input that is also the scratch for w k, and the
 current k) and one right-hand side's temporaries.
 
 A state keeps the band coefficients of its advanced channels, next to
-``U``, until the next step takes them: on spectral ``build_state`` and every
-step return them, and on both schemes maxwell and free_theta steps do.  A
+``U``, until the next step takes them: on spectral ``build_state`` (which
+makes no dense array of them) and every step return them, and on both
+schemes maxwell and free_theta steps do.  A
 step on their scheme starts from them with no transform (a step on another
 scheme takes ``U`` in).  maxwell and free_theta hold them alone and make
 ``U`` on first read; a force mode makes ``U`` in the step, and on central4,
@@ -55,10 +57,11 @@ The held channels (maxwell's Theta, A where Theta alone advances) never
 change, so a run keeps them once, as one block (``_Held``) its states share,
 with the run's closed form; no step writes them, and a caller must not
 write a stepped state's ``U`` in place (build a new ``SimState`` instead).
-A block of ``build_state``'s initial data goes onto the band in step 1, where
-maxwell's source reads J, and its physical form is made from the band on
-first need; a block taken from a state's ``U`` is those arrays (on central4,
-in a run that keeps its coefficients, a copy of its own).
+A block of ``build_state``'s initial data arrives multiplied out, the only
+rows of it that do, and is taken onto the band in step 1, where maxwell's
+source reads J; its physical form is made from the band on first need.  A
+block taken from a state's ``U`` is those arrays (on central4, in a run
+that keeps its coefficients, a copy of its own).
 """
 
 from __future__ import annotations
@@ -140,9 +143,11 @@ class _Held:
     """A run's held channels ``rows``, one block shared by its states.
 
     ``band`` and ``physical`` are made once each, on first need.  A block of
-    initial data (``filtered``, from ``build_state``) goes onto the band
-    whole and then lets go of the array it was given; its physical form is
-    made from the band, so it is the data's ``Nabla.dealias``.  Any other
+    initial data (``filtered``, from ``build_state``, the held rows
+    multiplied out while the advanced ones arrive as band) goes onto the
+    band whole in step 1 and then lets go of the array it was given; its
+    physical form is made from the band, so it is the data's
+    ``Nabla.dealias``.  Any other
     block is physical as given.  ``closed`` is the run's RK4 map
     (``_closed_form``) in maxwell and free_theta, set by their first step:
     spectral maxwell's two gains g+- per wavenumber, else ``_horner``'s
@@ -206,7 +211,7 @@ def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, filtered: bool = False,
              copy: bool = False) -> _Coefficients:
     """U's advanced channels ``adv`` taken onto ``nabla``'s band, and its held
     block: initial data to filter, or physical as given (a copy where ``copy``)."""
-    rows = slice(adv.stop, 7) if adv.start == 0 else slice(0, adv.start)
+    rows = _held_rows(adv)
     held = None
     if rows.start < rows.stop:
         held = _Held(nabla, rows, U[:, rows].copy() if copy else U[:, rows], filtered)
@@ -244,12 +249,18 @@ class SimState:
             raise ValueError(f"state shape {U.shape} is not (M, 7) + grid n {grid.n}")
         check_mode(mode, U.shape[0], background)
 
+    @classmethod
+    def _held_as(cls, tau: float, coef: _Coefficients, grid: Grid, medium: Medium, mode: str,
+                 background: np.ndarray | None) -> "SimState":
+        """A state held as ``coef`` alone, its ``U`` made on first read."""
+        new = object.__new__(cls)
+        new.tau, new._grid, new.medium, new._mode = tau, grid, medium, mode
+        new.background, new._U, new._coef = background, None, coef
+        return new
+
     def _stepped(self, tau: float, coef: _Coefficients) -> "SimState":
         """The state at ``tau`` of this run, held as ``coef``."""
-        new = object.__new__(SimState)
-        new.tau, new._grid, new.medium, new._mode = tau, self.grid, self.medium, self.mode
-        new.background, new._U, new._coef = self.background, None, coef
-        return new
+        return SimState._held_as(tau, coef, self.grid, self.medium, self.mode, self.background)
 
     grid = property(lambda self: self._grid)
     mode = property(lambda self: self._mode)
@@ -330,6 +341,12 @@ def partner_field(state: SimState, k: int) -> np.ndarray | None:
 def _advanced(mode: str) -> slice:
     """The block of channels a mode advances: A and/or Theta."""
     return slice(3 if mode in _HOLDS_A else 0, 3 if mode == "maxwell" else 7)
+
+
+def _held_rows(adv: slice) -> slice:
+    """The channels a mode holds, next to the block ``adv`` it advances
+    (empty where it advances all seven)."""
+    return slice(adv.stop, 7) if adv.start == 0 else slice(0, adv.start)
 
 
 def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:

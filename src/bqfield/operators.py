@@ -53,7 +53,8 @@ class Nabla:
 
     On spectral the band representation holds the Fourier coefficients with
     every |k_i| <= n_i/3: ``to_band`` is fftn then a gather of the band (8
-    block copies), and ``from_band`` scatters into zeros then runs ifftn,
+    block copies), ``band_of_terms`` the same from 1-D factors with no 3-D
+    transform, and ``from_band`` scatters into zeros then runs ifftn,
     in a buffer the caller gives or in a new one.  The gather is the 2/3
     rule.  On central4 the band representation is physical and both return
     their input (``from_band`` copies it into a given buffer).  ``_d``
@@ -130,6 +131,23 @@ class Nabla:
         X = np.empty(fh.shape[:-3] + self._band_shape, dtype=fh.dtype)
         for band, full in self._band_blocks:
             X[band] = fh[full]
+        return X
+
+    def band_of_terms(self, terms):
+        """``to_band`` of rows of rank-1 terms (spectral), shape (rows,
+        channels) + band, with no 3-D transform: a term (coef, (f_x, f_y,
+        f_z)) is coef f_x(x) f_y(y) f_z(z), and the DFT of that product is
+        coef times the outer product of its factors' 1-D DFTs, each gathered
+        to the band's runs.  A None term is a zero channel."""
+        X = np.zeros((len(terms), len(terms[0])) + self._band_shape, np.complex128)
+        for row, x in zip(terms, X):
+            for t, xc in zip(row, x):
+                if t is None:
+                    continue
+                coef, factors = t
+                bx, by, bz = (np.concatenate([F[full] for _, full in _band_runs(len(F))])
+                              for F in (sfft.fft(f, workers=self.workers) for f in factors))
+                np.multiply(coef, (bx[:, None, None] * by[:, None]) * bz, out=xc)
         return X
 
     def from_band(self, X, out=None):

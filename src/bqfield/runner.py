@@ -13,9 +13,10 @@ convention is
 CLI layer.  An unexpected error mid-run still writes the partial series and a
 summary with exit code 4 and an ``error`` block, then propagates.)
 
-``run_scenario`` sets ``sc.initial`` to None once ``build_state`` has taken
-it, so a run holds its initial data only in its states; ``build_state``
-alone leaves the scenario as it is.  The summary's ``counters`` block holds
+``run_scenario`` sets ``sc.initial`` to None once ``build_state`` has run,
+so a run holds its initial data only in its states (on spectral
+``build_state`` reads the scenario's terms and never makes ``sc.initial``);
+``build_state`` alone leaves the scenario as it is.  The summary's ``counters`` block holds
 the process's peak RSS in MiB at the end of the run (``peak_rss_mb``, None
 where the platform has no ``resource`` module).
 """
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import DiagnosticsEngine, ResidualSeries
-from .evolution import NumericalAbort, SimState, _advanced, _take_in, step_rk4
+from .evolution import NumericalAbort, SimState, _Coefficients, _Held, _advanced, _held_rows, step_rk4
 from .operators import Nabla
-from .scenario import Scenario
+from .scenario import Scenario, _densify
 
 try:
     import resource
@@ -97,19 +98,27 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     """Assemble the initial simulation state and its derivative operator.
 
     On spectral the state is held as a stepped state is: the advanced
-    channels taken onto the band, which step 1 takes as they are, and the
-    held ones as a block of initial data that step 1 takes onto the band
-    (where maxwell's source reads J); ``U``, the data's ``Nabla.dealias``, is
-    made on first read.  On central4 (no rule, and U itself is its band) it
-    is the initial data as given.
+    channels as band coefficients, formed from the presets' rank-1 terms
+    (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no grid-sized
+    array), which step 1 takes as they are, and the held ones multiplied
+    out as a block of initial data that step 1 takes onto the band (where
+    maxwell's source reads J); ``U`` is made on first read, and is within
+    round-off of the data's ``Nabla.dealias``.  strong_field's background
+    is its band made physical.  On central4 (no rule, and U itself is its
+    band) the state's ``U`` is ``sc.initial`` as given.
     """
     nabla = Nabla(sc.grid, scheme=sc.nabla_scheme, workers=workers)
-    # the scheme's 2/3 rule, as the stepper applies it to the force
-    background = None if sc.background is None else nabla.dealias(sc.background)
-    state = SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, background)
     if nabla.scheme != "spectral":
-        return state, nabla
-    return state._stepped(0.0, _take_in(nabla, _advanced(sc.mode), state.U, filtered=True)), nabla
+        return SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, sc.background), nabla
+    background = None  # the scheme's 2/3 rule, as the stepper applies it to the force
+    if sc.background_terms is not None:
+        background = nabla.from_band(nabla.band_of_terms([sc.background_terms])[0])
+    adv = _advanced(sc.mode)
+    rows, held = _held_rows(adv), None
+    if rows.start < rows.stop:
+        held = _Held(nabla, rows, _densify([t[rows] for t in sc.terms], sc.grid.n), filtered=True)
+    coef = _Coefficients(nabla, nabla.band_of_terms([t[adv] for t in sc.terms]), held)
+    return SimState._held_as(0.0, coef, sc.grid, sc.medium, sc.mode, background), nabla
 
 
 def run_scenario(
@@ -120,7 +129,7 @@ def run_scenario(
     if out is not None:  # before the first step, so an unwritable directory costs no run
         out.mkdir(parents=True, exist_ok=True)
     state, nabla = build_state(sc, workers=workers)
-    sc.initial = None  # taken: the run holds its initial data only in its states
+    sc.initial = None  # the run holds its initial data only in its states
     engine = DiagnosticsEngine(nabla, sc.diagnostics)
     engine.sample(state, 0)
     abort: dict | None = None

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import _A, _J, _RHO, StepperConfig, check_mode
+from .evolution import StepperConfig, check_mode
 from .fields import Grid, Medium, _finite, _positive
 from .diagnostics import LAWS, check_specs
 from .operators import Nabla
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "build_preset"]
+__all__ = ["Scenario", "ScenarioError", "Term", "load_scenario", "parse_scenario", "build_preset"]
 
 # The most steps a run may take: a finite duration past it (1e18 at the 8^3
 # default dtau is 5.1e18 steps) would parse into a run that cannot end.
@@ -126,44 +127,84 @@ def _medium(md, path: str) -> Medium:
 # -- initial-data presets ---------------------------------------------------------
 
 
-def _periodic_gaussian(grid: Grid, center, width: float, gradient: bool = False) -> np.ndarray:
-    """Product gaussian periodised with three images per axis, or its gradient.
+class Term(NamedTuple):
+    """One channel of a preset, a rank-1 term: ``coef`` times the product
+    f_x(x) f_y(y) f_z(z) of three 1-D ``factors``, each sampled on its axis
+    of the grid.  Channels of one preset share their factor arrays."""
 
-    The gaussian is separable: each axis contributes a 1-D image sum g_a (and
-    its derivative g_a'), and the factors are combined by broadcasting.
+    coef: complex
+    factors: tuple
+
+    def dense(self, out: np.ndarray) -> np.ndarray:
+        """The term on the grid, written into ``out``, multiplied out in one
+        order: coef * ((f_x f_y) f_z)."""
+        fx, fy, fz = self.factors
+        return np.multiply(self.coef, (fx[:, None, None] * fy[:, None]) * fz, out=out)
+
+
+def _densify(terms: list, n: tuple) -> np.ndarray:
+    """The complex array of a list of rows of terms, shape (rows, channels) + n,
+    written only where a term is given: a channel with none (a null preset's)
+    stays fresh zeros, unwritten pages that cost no resident memory."""
+    out = np.zeros((len(terms), len(terms[0])) + n, dtype=np.complex128)
+    for row, o in zip(terms, out):
+        for t, oc in zip(row, o):
+            if t is not None:
+                t.dense(oc)
+    return out
+
+
+def _gaussian_factor(x: np.ndarray, L: float, center: float, width: float):
+    """The periodic gaussian's factor on one axis, (g, g'), at the points x
+    of a side L: the sum over whole shifts s of exp(-(x - c + s L)^2 / 2 w^2)
+    and its x derivative, with the centre c counted modulo L.
+
+    Up to width L/2 the sum runs over the images s = -K..K: the three
+    nearest, and more while the next pair's largest value on the axis exceeds
+    2^-53 of the peak, 1.  A wider pulse is the same sum in Fourier form
+    (Poisson summation), (w sqrt(2 pi) / L) sum_m q_m exp(i kappa_m (x - c))
+    with kappa_m = 2 pi m / L and q_m = exp(-(kappa_m w)^2 / 2), its terms
+    taken while q_m exceeds 2^-53.
     """
-    g, dg = [], []
-    for a, x in enumerate(grid.axes()):
-        acc, dacc = np.zeros_like(x), np.zeros_like(x)
-        for shift in (-1.0, 0.0, 1.0):
-            xa = x - center[a] + shift * grid.L[a]
+    c = center % L
+    if width <= L / 2:
+        far = 1
+        while any(np.exp(-np.abs(x - c + s * L).min() ** 2 / (2 * width**2)) > 2.0**-53
+                  for s in (-far - 1, far + 1)):
+            far += 1
+        g, dg = np.zeros_like(x), np.zeros_like(x)
+        for shift in range(-far, far + 1):
+            xa = x - c + shift * L
             e = np.exp(-(xa**2) / (2 * width**2))
-            acc += e
-            dacc += e * (-xa / width**2)
-        shape = [1, 1, 1]
-        shape[a] = -1
-        g.append(acc.reshape(shape))
-        dg.append(dacc.reshape(shape))
-    if not gradient:
-        return g[0] * g[1] * g[2]
-    return np.stack([dg[0] * g[1] * g[2], g[0] * dg[1] * g[2], g[0] * g[1] * dg[2]])
+            g += e
+            dg += e * (-xa / width**2)
+        return g, dg
+    g, dg, m = np.ones_like(x), np.zeros_like(x), 1
+    while (q := np.exp(-((2 * np.pi * m * width / L) ** 2) / 2)) > 2.0**-53:
+        kappa = 2 * np.pi * m / L
+        g += 2 * q * np.cos(kappa * (x - c))
+        dg -= 2 * q * kappa * np.sin(kappa * (x - c))
+        m += 1
+    scale = width * np.sqrt(2 * np.pi) / L
+    return scale * g, scale * dg
 
 
-def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
-    """Build initial data from a preset dict: amplitude x one constant
+def _preset_terms(preset: dict | None, grid: Grid, path: str, want: str) -> list:
+    """The rank-1 terms of a preset dict: amplitude x one constant
     biquaternion, i scalar + polarization, x one scalar profile.
 
     The profile is the plane wave's phase, the periodic gaussian g, or 1 for
     ``uniform``, whose polarization is its ``value`` and amplitude 1; a
-    gradient pulse's vector part is amplitude x grad g.  ``null`` is the zero
-    preset.  want = "vector" returns a complex (3, nx, ny, nz) array; want =
-    "pair" returns (scalar, vector) for a charge-current field.  The phase
-    and g are products of 1-D factors: the phase is within eps sum_a |k_a| L_a
-    of one exp of the summed k.x (3.7e-15 at 64^3 with k = (2, 1, 1)).
+    gradient pulse's vector part is amplitude x grad g.  Each is a product
+    of 1-D factors: the phase of exp(i k_a x_a), within eps sum_a |k_a| L_a
+    of one exp of the summed k.x (3.7e-15 at 64^3 with k = (2, 1, 1)), and
+    g of ``_gaussian_factor``'s g_a, with g_a' on axis a in the gradient's
+    component a.  want = "vector" gives the three terms of a field strength,
+    want = "pair" the four (rho, J) of a charge-current; ``null`` is the
+    zero preset, whose channels have no term (None).
     """
-    if preset is None:  # fresh zeros: unwritten, their pages cost no resident memory
-        vec = np.zeros((3,) + grid.n, dtype=np.complex128)
-        return vec if want == "vector" else (np.zeros(grid.n, dtype=np.complex128), vec)
+    if preset is None:
+        return [None] * (3 if want == "vector" else 4)
     if not isinstance(preset, dict):
         raise ScenarioError(f"{path} must be an object or null")
     d = dict(preset)
@@ -199,27 +240,45 @@ def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
                     f"{path}: wave vector component {a} does not fit the box "
                     f"(k*L/2pi = {kL})"
                 )
-        profile = 1  # exp(i k.x) as the product of the 1-D phases exp(i k_a x_a)
-        for a, x in enumerate(grid.axes()):
-            profile = profile * np.exp(1j * k[a] * x).reshape([-1 if b == a else 1 for b in range(3)])
+        profile = tuple(np.exp(1j * k[a] * x) for a, x in enumerate(grid.axes()))
+    elif kind == "gaussian_pulse":
+        g, dg = zip(*(_gaussian_factor(x, L, c, width) for x, L, c in zip(grid.axes(), grid.L, center)))
+        profile = g
     else:
-        profile = _periodic_gaussian(grid, center, width) if kind == "gaussian_pulse" else np.ones(grid.n)
+        profile = tuple(np.ones(n) for n in grid.n)
     if gradient:
-        vec = amp * _periodic_gaussian(grid, center, width, gradient=True)
-    else:
-        vec = amp * pol[:, None, None, None] * profile
+        vec = [Term(amp, tuple(dg[b] if b == a else g[b] for b in range(3))) for a in range(3)]
+    else:  # the coefficients as one array product, which numpy may round apart from scalar ones
+        vec = [Term(c, profile) for c in amp * pol]
+    scalar = Term(amp * sc, profile)
     if want == "pair":
-        return amp * sc * profile, vec
-    if amp * sc != 0 and np.abs(amp * sc * profile).max() > 0:
+        return [scalar] + vec
+    if scalar.coef != 0 and np.abs(scalar.dense(np.empty(grid.n, np.complex128))).max() > 0:
         raise ScenarioError(f"{path}: a field strength preset cannot carry a scalar part")
     return vec
+
+
+def build_preset(preset: dict | None, grid: Grid, path: str, want: str):
+    """``_preset_terms`` multiplied out on the grid: a complex (3, nx, ny, nz)
+    array for want = "vector", and (scalar, vector) for want = "pair"."""
+    dense = _densify([_preset_terms(preset, grid, path, want)], grid.n)[0]
+    return dense if want == "vector" else (dense[0], dense[1:])
 
 
 # -- scenario ---------------------------------------------------------------------
 
 
+_UNMADE = object()  # Scenario.initial before its first read
+
+
 @dataclass(eq=False)
 class Scenario:
+    """A parsed scenario.  Its initial data are rank-1 ``Term``s: ``terms``
+    holds, per field, the seven channels A (0:3), rho (3), J (4:7), and
+    ``background_terms`` strong_field's three of A' (None in other modes);
+    a channel with no term (None) is zero.  ``initial`` and ``background``
+    are the same data multiplied out on the grid."""
+
     mode: str
     grid: Grid
     medium: Medium
@@ -227,11 +286,29 @@ class Scenario:
     nabla_scheme: str
     duration: float
     steps: int
-    initial: np.ndarray  # (M, 7) + n complex: per field A (0:3), rho (3), J (4:7)
-    background: np.ndarray | None
+    terms: list
+    background_terms: list | None
     diagnostics: list = field(default_factory=list)
     description: str = ""
     output_dir: str | None = None
+    _initial: object = field(default=_UNMADE, init=False, repr=False)
+
+    @property
+    def initial(self) -> np.ndarray | None:
+        """(M, 7) + n complex: ``terms`` multiplied out, made on first read
+        and kept; None once a run has let go of it by setting it so."""
+        if self._initial is _UNMADE:
+            self._initial = _densify(self.terms, self.grid.n)
+        return self._initial
+
+    @initial.setter
+    def initial(self, value: np.ndarray | None):
+        self._initial = value
+
+    @property
+    def background(self) -> np.ndarray | None:
+        """strong_field's A' multiplied out, complex (3,) + n; None in other modes."""
+        return None if self.background_terms is None else _densify([self.background_terms], self.grid.n)[0]
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -289,20 +366,16 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("initial_conditions must be a non-empty list")
     bg_preset = _take(d, "background", "")
     _build("", check_mode, mode, len(fd), bg_preset)
-    # written only where a preset is given: a null preset's channels stay unwritten pages
-    initial = np.zeros((len(fd), 7) + grid.n, dtype=np.complex128)
+    terms = []
     for i, fdict in enumerate(fd):
         p = f"initial_conditions[{i}]"
         fdict = _object(fdict, p)
         a_preset = _take(fdict, "afield", p)
         t_preset = _take(fdict, "theta", p)
         _done(fdict, p)
-        if a_preset is not None:
-            initial[i, _A] = build_preset(a_preset, grid, f"{p}.afield", "vector")
-        if t_preset is not None:
-            initial[i, _RHO], initial[i, _J] = build_preset(t_preset, grid, f"{p}.theta", "pair")
-
-    background = None if bg_preset is None else build_preset(bg_preset, grid, "background", "vector")
+        terms.append(_preset_terms(a_preset, grid, f"{p}.afield", "vector")
+                     + _preset_terms(t_preset, grid, f"{p}.theta", "pair"))
+    background_terms = None if bg_preset is None else _preset_terms(bg_preset, grid, "background", "vector")
 
     diag = _take(d, "diagnostics", "", default=[])
     if not isinstance(diag, list):
@@ -325,8 +398,8 @@ def parse_scenario(doc: dict) -> Scenario:
         nabla_scheme=nabla_scheme,
         duration=duration,
         steps=steps,
-        initial=initial,
-        background=background,
+        terms=terms,
+        background_terms=background_terms,
         diagnostics=specs,
         description=description,
         output_dir=output_dir,

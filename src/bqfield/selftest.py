@@ -13,6 +13,7 @@ from .biquaternion import Biquaternion, basis_vector
 from .evolution import SimState, StepperConfig, step_rk4
 from .fields import Grid, Medium
 from .operators import Nabla, apply_dminus, apply_dplus
+from .scenario import _preset_terms, build_preset
 from .shock import FrontData, admissible_jump, afield_jump_residual, characteristic_roots
 
 __all__ = ["run_selftest"]
@@ -91,6 +92,21 @@ def run_selftest(verbose: bool = True) -> int:
             state, _ = step_rk4(state, nabla2, cfg)
         err = float(np.abs(state.U[0, 0:3] - gain**steps * A0).max())
         failures += not _check(f"{scheme} plane wave is RK4's discrete map", err, 1e-12, lines)
+
+    # initial data onto the band from the presets' 1-D factors, as build_state
+    # takes them, against the 3-D transform of the multiplied-out data, on a
+    # box with three different sides; relative to the data's l1 norm, which
+    # bounds every coefficient
+    box = Grid(n=(12, 10, 9), L=(2 * np.pi, 5.0, 3.0), dtau=0.05)
+    nabla3 = Nabla(box)
+    worst = 0.0
+    for preset in ({"type": "gaussian_pulse", "center": [1.0, 4.0, 0.5], "width": 0.7,
+                    "polarization": {"re": [1.0, 0.0, 0.5], "im": [0.0, 1.0, 0.0]}},
+                   {"type": "plane_wave", "k": [1.0, 0.8 * np.pi, -2 * np.pi / 3], "polarization": [0, 1, 1]}):
+        dense = build_preset(preset, box, "selftest", "vector")
+        band = nabla3.band_of_terms([_preset_terms(preset, box, "selftest", "vector")])[0]
+        worst = max(worst, float(np.abs(band - nabla3.to_band(dense)).max() / np.abs(dense).sum()))
+    failures += not _check("preset band from 1-D factors", worst, 1e-13, lines)
 
     # front algebra: admissible jumps and light-speed characteristics
     m = np.array([0.0, 0.0, 1.0])

@@ -246,10 +246,11 @@ def test_preset_uniform_and_null():
 
 
 def _images(grid, center, width):
-    """Per axis, the three periodic images of a 1-D gaussian and its slope."""
+    """Per axis, the periodic sum of a 1-D gaussian and its slope, over the
+    41 images at -20..20 box lengths."""
     g, dg = [], []
     for a, x in enumerate(grid.axes()):
-        xs = [x - center[a] + s * grid.L[a] for s in (-1, 0, 1)]
+        xs = [x - center[a] + s * grid.L[a] for s in range(-20, 21)]
         e = [np.exp(-xa**2 / (2 * width**2)) for xa in xs]
         shape = [1, 1, 1]
         shape[a] = -1
@@ -300,6 +301,43 @@ def test_preset_is_amplitude_times_constant_times_profile(case):
     np.testing.assert_allclose(J, vec, rtol=1e-13, atol=1e-15)
     del preset["scalar"]
     np.testing.assert_allclose(build_preset(preset, g, "t", "vector"), vec, rtol=1e-13, atol=1e-15)
+
+
+def test_gaussian_pulse_centre_counts_modulo_the_box():
+    """A pulse centred outside the box is its image inside: x = 20 in a 2 pi
+    box of 8^3 gives the data of 20 mod 2 pi, max |rho| 0.84, where images
+    summed around the centre as given left 1.1e-30."""
+    from bqfield import Grid
+
+    g = Grid(n=(8, 8, 8), L=(2 * np.pi,) * 3, dtau=0.1)
+    pulse = {"type": "gaussian_pulse", "polarization": [1, 0, 0], "scalar": 1.0}
+    rho, J = build_preset(dict(pulse, center=[20.0, np.pi, np.pi]), g, "t", "pair")
+    rho0, J0 = build_preset(dict(pulse, center=[20.0 % (2 * np.pi), np.pi, np.pi]), g, "t", "pair")
+    assert np.array_equal(rho, rho0) and np.array_equal(J, J0)
+    assert np.abs(rho).max() > 0.8
+
+
+@pytest.mark.parametrize("width", [0.25, 0.5, 2.0])
+def test_gaussian_pulse_is_periodic_at_any_width(width):
+    """A pulse of any width is its periodic image sum, here 41 images: three
+    left one of width L/4 centred at 0.1 L 2.7e-5 off it, and one of width
+    L/2 0.28 off.  Past L/2 the sum is taken in Fourier form.  The
+    gradient's scale is g / width."""
+    from bqfield import Grid
+
+    L = 2 * np.pi
+    g = Grid(n=(16, 12, 10), L=(L,) * 3, dtau=0.1)
+    center, w = [0.1 * L] * 3, width * L
+    gs, dgs = _images(g, center, w)
+    rho, _ = build_preset({"type": "gaussian_pulse", "center": center, "width": w, "scalar": 1.0},
+                          g, "t", "pair")
+    vec = build_preset({"type": "gaussian_pulse", "center": center, "width": w, "gradient": True},
+                       g, "t", "vector")
+    want = gs[0] * gs[1] * gs[2]
+    tol = 1e-14 * np.abs(want).max()
+    assert np.abs(rho - want).max() <= tol
+    grad = np.stack([dgs[0] * gs[1] * gs[2], gs[0] * dgs[1] * gs[2], gs[0] * gs[1] * dgs[2]])
+    assert np.abs(vec - grad).max() <= tol / w
 
 
 def test_preset_gaussian_gradient_exclusive():
