@@ -18,50 +18,47 @@ f is maxwell's held -J, or the force -Theta o A' / kappa of a partner field
 (``_add_f``), the only nonlinear term.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units), in the Nabla's band representation: on spectral the Fourier
-coefficients of the 2/3 band |k_i| <= n_i/3, on central4 physical space.
-The force is formed in physical space and taken onto the band by
-``Nabla.to_band`` (the 2/3 rule on spectral, none on central4).  So on
-spectral a step projects the advanced channels onto the band, where
-``build_state``'s initial data already arrive (``Nabla.band_of_terms``,
-from the presets' 1-D factors); a force mode's first stage reads the
-input's physical values as they are.
+units).  ``maxwell`` and ``free_theta`` step on Fourier coefficients of the
+band, the wavenumbers the scheme's derivative symbol acts on: spectral's
+2/3 band |k_i| <= n_i/3 with symbol k, and central4's whole grid with the
+5-point stencil's symbol d(k) = (8 sin kh - sin 2kh) / (6h) per axis.
+There f is constant and L is diagonal in the characteristic basis of the
+symbol (``Nabla.to_helicity``), so one RK4 step is two complex gains
+g+- = R(+-i h s) per band wavenumber, made once per run (``_closed_form``,
+kept on the run's held block), plus maxwell's held source: no stage loop,
+no derivative and no transform.  Step 1 rotates the coefficients into that
+basis, and a read of ``U`` rotates them back as it scatters them
+(``Nabla.from_spectrum``).  Force modes run the four stages in the stage
+representation ``Nabla.to_band``: the same band on spectral, physical
+arrays on central4's stencil.  Their force is formed in physical space and
+taken in by ``to_band`` (the 2/3 rule on spectral, none on central4); a
+force mode's first stage reads the input's physical values as they are.
+Besides its input state, a stage step holds three stacks of the advanced
+channels (the sum of the k, one stage input that is also the scratch for
+w k, and the current k) and one right-hand side's temporaries.
 
-In ``maxwell`` and ``free_theta`` f is constant, so one RK4 step is one
-polynomial in L, applied with no stage loop and made once per run
-(``_closed_form``, kept on the run's held block).  Spectral maxwell steps
-A in the helicity basis of the band curl (``Nabla.to_helicity``), where the
-map is two complex gains g+- per band wavenumber and 1 on the longitudinal
-component, with no derivative; step 1 rotates the coefficients into it,
-and a read of ``U`` rotates the whole band back (``Nabla.from_helicity``)
-and scatters it (``Nabla.from_band``).  free_theta on spectral and both
-modes on central4 apply it by one Horner evaluator (``_horner``) on
-coefficients the scheme picks (central4 holds physical arrays, not
-wavenumbers).  Force modes evaluate the four stages; besides its input
-state, a stage step holds three stacks of the advanced channels (the sum
-of the k, one stage input that is also the scratch for w k, and the
-current k) and one right-hand side's temporaries.
-
-A state keeps the band coefficients of its advanced channels, next to
-``U``, until the next step takes them: on spectral ``build_state`` (which
-makes no dense array of them) and every step return them, and on both
-schemes maxwell and free_theta steps do.  A
-step on their scheme starts from them with no transform (a step on another
-scheme takes ``U`` in).  maxwell and free_theta hold them alone and make
-``U`` on first read; a force mode makes ``U`` in the step, and on central4,
-where the coefficients are ``U``'s own channels, holds ``U`` alone.  A step
-drops the coefficients it took from its input if that input holds ``U``
-too, so only the newest state holds both.
+A state keeps the coefficients of its advanced channels, next to ``U``,
+until the next step takes them: ``build_state`` (which makes no dense
+array of them; from the presets' 1-D factors, ``Nabla.band_of_terms``)
+returns them in every mode on spectral and in maxwell and free_theta on
+central4, and so does every step on spectral and every maxwell and
+free_theta step.  A step on their scheme starts from them with no
+transform (a step on another scheme takes ``U`` in).  maxwell and
+free_theta hold them alone and make ``U`` on first read; a force mode
+makes ``U`` in the step, and on central4, where the coefficients are
+``U``'s own channels, holds ``U`` alone.  A step drops the coefficients it
+took from its input if that input holds ``U`` too, so only the newest
+state holds both.
 
 The held channels (maxwell's Theta, A where Theta alone advances) never
 change, so a run keeps them once, as one block (``_Held``) its states share,
 with the run's closed form; no step writes them, and a caller must not
 write a stepped state's ``U`` in place (build a new ``SimState`` instead).
-A block of ``build_state``'s initial data arrives multiplied out, the only
-rows of it that do, and is taken onto the band in step 1, where maxwell's
-source reads J; its physical form is made from the band on first need.  A
-block taken from a state's ``U`` is those arrays (on central4, in a run
-that keeps its coefficients, a copy of its own).
+A block of spectral ``build_state``'s initial data arrives multiplied out,
+the only rows of it that do, and is taken onto the band in step 1, where
+maxwell's source reads J; its physical form is made from the band on first
+need.  A block taken from a state's ``U``, or central4's initial data, is
+those arrays.
 """
 
 from __future__ import annotations
@@ -85,6 +82,7 @@ __all__ = [
     "partner_field",
     "state_rhs",
     "step_rk4",
+    "rk4_gain",
     "field_totals",
 ]
 
@@ -142,17 +140,15 @@ def _all_finite(X: np.ndarray) -> bool:
 class _Held:
     """A run's held channels ``rows``, one block shared by its states.
 
-    ``band`` and ``physical`` are made once each, on first need.  A block of
-    initial data (``filtered``, from ``build_state``, the held rows
-    multiplied out while the advanced ones arrive as band) goes onto the
-    band whole in step 1 and then lets go of the array it was given; its
-    physical form is made from the band, so it is the data's
-    ``Nabla.dealias``.  Any other
-    block is physical as given.  ``closed`` is the run's RK4 map
-    (``_closed_form``) in maxwell and free_theta, set by their first step:
-    spectral maxwell's two gains g+- per wavenumber, else ``_horner``'s
-    stage coefficients, next to maxwell's held source (in the helicity
-    basis on spectral).
+    ``band`` (``Nabla.to_spectrum``) and ``physical`` are made once each, on
+    first need.  A block of initial data (``filtered``, from spectral
+    ``build_state``, the held rows multiplied out while the advanced ones
+    arrive as band) goes onto the band whole in step 1 and then lets go of
+    the array it was given; its physical form is made from the band, so it
+    is the data's ``Nabla.dealias``.  Any other block is physical as given.
+    ``closed`` is the run's RK4 map (``_closed_form``) in maxwell and
+    free_theta, set by their first step: the two gains g+- per band
+    wavenumber, next to maxwell's held source in the same basis.
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
@@ -162,12 +158,12 @@ class _Held:
 
     def band(self) -> np.ndarray:
         if self._band is None:
-            self._band, self._given = self.nabla.to_band(self._given), None
+            self._band, self._given = self.nabla.to_spectrum(self._given), None
         return self._band
 
     def physical(self) -> np.ndarray:
         if self._physical is None:
-            self._physical = self.nabla.from_band(self.band())
+            self._physical = self.nabla.from_spectrum(self.band())
         return self._physical
 
     def finite(self) -> bool:
@@ -180,41 +176,49 @@ class _Held:
     def band_J(self) -> np.ndarray:
         """maxwell's held J on the band: from the whole block's band where
         filtered, else J alone taken in."""
-        return self.band()[:, 1:] if self.filtered else self.nabla.to_band(self._physical[:, 1:])
+        return self.band()[:, 1:] if self.filtered else self.nabla.to_spectrum(self._physical[:, 1:])
 
 
 class _Coefficients(NamedTuple):
-    """A state's advanced channels on its Nabla's band, kept until the next
-    step takes them, and its run's held block (None where the mode holds no
-    channel).  ``helical`` where X holds A's ``Nabla.to_helicity``
-    components (a spectral maxwell step's), else the Cartesian ones."""
+    """A state's advanced channels on its Nabla, kept until the next step
+    takes them, and its run's held block (None where the mode holds no
+    channel).  ``basis`` says what X holds: "band", ``Nabla.to_band``'s
+    stage representation (a force mode's); "spectrum", the Cartesian band
+    coefficients (``Nabla.to_spectrum``, as a linear mode's arrive); or
+    "helical", their ``Nabla.to_helicity`` components (a linear step's)."""
 
     nabla: Nabla
     X: np.ndarray
     held: _Held | None
-    helical: bool = False
+    basis: str = "band"
 
     def physical(self) -> np.ndarray:
         """``U`` as one array: the held rows copied in, and the advanced
-        ones (rotated back where helical) transformed in their own slice."""
-        X = self.nabla.from_helicity(self.X) if self.helical else self.X
+        ones (rotated back on the way where helical) transformed in their
+        own slice."""
+        nabla, X = self.nabla, self.X
+
+        def fill(out=None):
+            if self.basis == "band":
+                return nabla.from_band(X, out=out)
+            return nabla.from_spectrum(X, out=out, helical=self.basis == "helical")
+
         if self.held is None:
-            return self.nabla.from_band(X)
+            return fill()
         H = self.held.physical()
-        U = np.empty((len(X), 7) + self.nabla.grid.n, np.result_type(H, X))
+        U = np.empty((len(X), 7) + nabla.grid.n, np.result_type(H, X))
         U[:, self.held.rows] = H
-        self.nabla.from_band(X, out=U[:, 3:] if self.held.rows.start == 0 else U[:, :3])
+        fill(U[:, 3:] if self.held.rows.start == 0 else U[:, :3])
         return U
 
 
-def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, filtered: bool = False,
-             copy: bool = False) -> _Coefficients:
-    """U's advanced channels ``adv`` taken onto ``nabla``'s band, and its held
-    block: initial data to filter, or physical as given (a copy where ``copy``)."""
+def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, linear: bool) -> _Coefficients:
+    """U's advanced channels ``adv`` taken onto ``nabla``'s band (its stage
+    representation in a force mode), and its held block, physical as given."""
     rows = _held_rows(adv)
-    held = None
-    if rows.start < rows.stop:
-        held = _Held(nabla, rows, U[:, rows].copy() if copy else U[:, rows], filtered)
+    held = _Held(nabla, rows, U[:, rows], filtered=False) if rows.start < rows.stop else None
+    if linear:
+        return _Coefficients(nabla, nabla.to_spectrum(U[:, adv]), held, "spectrum")
     return _Coefficients(nabla, nabla.to_band(U[:, adv]), held)
 
 
@@ -404,69 +408,46 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
 # -- stepping ------------------------------------------------------------------
 
 
+def _rk4_phi(z):
+    """1 + z/2 + z^2/6 + z^3/24: h times it is classical RK4's response to a
+    constant source over one step of y' = (z/h) y + f."""
+    return 1 + z / 2 * (1 + z / 3 * (1 + z / 4))
+
+
+def rk4_gain(z):
+    """Classical RK4's amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of
+    one step of y' = lam y, z = lam h: of a number or of an array of them."""
+    return 1 + z * _rk4_phi(z)
+
+
 def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
-    """Classical RK4's map for step h as (advance, source), made once per
-    run: X <- advance X + source, where advance is stage data for
-    ``_horner`` or, in spectral maxwell, the map's two helicity gains.
+    """Classical RK4's map for step h as (gains, source), made once per run:
+    X <- gains X + source on the characteristic components of the band
+    coefficients (``Nabla.to_helicity``), with maxwell's f the held -J and
+    none in free_theta (source None).
 
-    For y' = L y + f with f constant, four stages make the polynomial
-    y + (hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24) y + h (1 + hL/2 + (hL)^2/6 + (hL)^3/24) f,
-    with maxwell's f the held -J and none in free_theta (source None).
-    On central4 it is Horner's rule, y + hL(y + (h/2)L(y + (h/3)L(y +
-    (h/4)L y))), four applications of L as the stages make, and three to f.
-    On spectral's band L^3 = -|k|^2 L (maxwell: L = k x; free transport:
-    L^2 = -|k|^2) folds the cubic and quartic terms into
-    y + L(a y + b L y) + h (f + L(p1 f + p2 L f)), with
-    a = h - h^3 |k|^2 / 6, b = h^2 / 2 - h^4 |k|^2 / 24,
-    p1 = h/2 - h^3 |k|^2 / 24, p2 = h^2 / 6.  free_theta folds b L L y
-    into y too, (1 - b |k|^2) y + a L y, and applies L once.
-
-    Spectral maxwell's L = k x is diagonal in the band curl's eigenbasis
-    (``Nabla.band_frame``): i s, -i s and 0 on the helicity components of
-    ``Nabla.to_helicity``.  So its advance is the two gains
-    g+- = 1 - b |k|^2 +- i a s, complex of shape (2,) + band, with 1 on the
-    longitudinal component, and its source the held J's helicity
-    components times -h (1 +- i p1 s - p2 |k|^2) and -h: a step is two
-    multiplies and the source's add, with no derivative.  free_theta keeps
-    its one-L fold (its 4x4 symbol diagonalises likewise), and central4
-    Horner's rule, as it holds no Fourier coefficients to index a map by.
+    For y' = L y + f with f constant, four stages make
+    y <- R(hL) y + h phi(hL) f, with R = ``rk4_gain`` and phi = (R - 1)/z.
+    L is built from first derivatives alone, so on the band it is the
+    scheme's symbol s_a per axis (k on spectral, the stencil's d(k) on
+    central4), and ``band_frame`` diagonalises it: maxwell's L = k x acts on
+    A's helicity components as i s, -i s and 0, and free transport on
+    Theta's (rho - J_n, J+, J-, rho + J_n) as -i s (-1, 1, -1, 1).  So the
+    map is the two gains g+- = R(+-i h s), complex of shape (2,) + band:
+    (g+, g-, 1) on maxwell's A, (g+, g-, g+, g-) on free_theta's Theta, and
+    maxwell's source the held J's components times -h phi(+-i h s) and -h.
+    A step is these multiplies and the source's add, with no derivative.
     """
-    if nabla.scheme != "spectral":
-        advance = tuple((c, None) for c in (h / 4, h / 3, h / 2, h))
-        if adv.stop == 7:
-            return advance, None
-        source = _horner(nabla, adv, held.band_J(), advance[:3])
-    else:
-        k2 = nabla.band_k2()
-        a, b = h - h**3 * k2 / 6, h**2 / 2 - h**4 * k2 / 24
-        if adv.stop == 7:
-            return ((a, 1 - b * k2),), None
-        s = nabla.band_frame()[-1]
-        advance = 1 - b * k2 + 1j * np.stack([a * s, -a * s])
-        p1s = (h / 2 - h**3 * k2 / 24) * s
-        source = nabla.to_helicity(held.band_J())
-        source[:, :2] *= 1 - h**2 / 6 * k2 + 1j * np.stack([p1s, -p1s])
+    z = 1j * h * nabla.band_frame()[-1]
+    g = rk4_gain(z)  # R(-z) is its conjugate, z being imaginary
+    gains = np.stack([g, g.conj()])
+    if adv.stop == 7:
+        return gains, None
+    source = nabla.to_helicity(held.band_J())
+    phi = _rk4_phi(z)
+    source[:, :2] *= np.stack([phi, phi.conj()])
     source *= -h
-    return advance, source
-
-
-def _horner(nabla: Nabla, adv: slice, Y: np.ndarray, stages) -> np.ndarray:
-    """Z <- c L Z + w Y for each (c, w) of ``stages``, from Z = Y, in two
-    stacks: the running term and the L of it being made, with w Y made one
-    channel at a time where w is not None.  c and w are numbers or
-    per-wavenumber arrays, and None stands for 1, with no multiply."""
-    Z = Y
-    for c, w in stages:
-        Z = _linear(nabla, adv, Z)
-        if c is not None:
-            Z *= c
-        if w is None:
-            Z += Y
-        else:
-            for z, y in zip(Z, Y):
-                for zc, yc in zip(z, y):
-                    zc += w * yc
-    return Z
+    return gains, source
 
 
 def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
@@ -491,25 +472,24 @@ def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
 def step_rk4(
     state: SimState, nabla: Nabla, config: StepperConfig, steps_done: int = 0
 ) -> tuple[SimState, None]:
-    """One classical RK4 step of length grid.dtau, on nabla's band (the 2/3
-    band of Fourier coefficients on spectral, physical space on central4).
+    """One classical RK4 step of length grid.dtau, on nabla's band.
 
     In maxwell and free_theta the system is linear with constant
-    coefficients, so the four stages and their combine are one polynomial in
-    L (-i curl in maxwell, i nabla o in free_theta), RK4's own discrete map,
-    which ``_closed_form`` made once per run, for its frozen grid's dtau, and
-    kept on the run's held block.  On spectral maxwell the step is
-    X <- (g+ h+, g- h-, h0) + S on A's helicity components (no derivative;
-    step 1 rotates Cartesian coefficients in, and a read of ``U`` rotates
-    back), and X <- _horner(X, advance) + S otherwise, with stage
-    coefficients ``advance``; S is maxwell's held source (none in
-    free_theta).  Their right-hand side never reads the physical state, so
-    they return their coefficients alone and make ``U`` on first read.
-    Force modes run the four stages on L X + f, and make ``U`` in the step,
-    as the next step's first stage reads it anyway; besides its input state
-    a stage step holds three stacks of the advanced channels (the sum of the
-    k, one stage input reused as scratch, and the current k) and the
-    temporaries of one rhs.
+    coefficients, so the four stages and their combine are RK4's own
+    discrete map, which ``_closed_form`` made once per run, for its frozen
+    grid's dtau, and kept on the run's held block: on both schemes the gains
+    g+- times the band coefficients' characteristic components
+    (``Nabla.to_helicity``), plus maxwell's held source.  Step 1 rotates
+    Cartesian coefficients in, and a read of ``U`` rotates them back as it
+    scatters (``Nabla.from_spectrum``).  No derivative and no transform:
+    their right-hand side never reads the physical state, so they return
+    their coefficients alone and make ``U`` on first read.  Force modes run
+    the four stages on L X + f in the stage representation
+    (``Nabla.to_band``: the band on spectral, physical arrays on the
+    central4 stencil), and make ``U`` in the step, as the next step's first
+    stage reads it anyway; besides its input state a stage step holds three
+    stacks of the advanced channels (the sum of the k, one stage input
+    reused as scratch, and the current k) and the temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
@@ -527,25 +507,23 @@ def step_rk4(
     adv, linear = _advanced(state.mode), state.mode not in _FORCED
     coef = state._coef
     if coef is None or coef.nabla.scheme != nabla.scheme:  # made on another scheme
-        # a run that keeps its coefficients on central4 owns its held block,
-        # so no view of a U it was given outlives step 1
-        coef = _take_in(nabla, adv, state.U, copy=linear and nabla.scheme != "spectral")
+        coef = _take_in(nabla, adv, state.U, linear)
     X0, held = coef.X, coef.held
     if held is not None and not held.finite():  # no rhs need read all of it
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    if linear and held.closed is None:
-        held.closed = _closed_form(nabla, adv, dt, held)
-    advance, source = held.closed if linear else (None, None)
-    helical = isinstance(advance, np.ndarray)  # spectral maxwell's g+-
-    if helical:  # (g+ h+, g- h-, h0) + S on A's helicity components
-        H = X0 if coef.helical else nabla.to_helicity(X0)
+    if linear:
+        if held.closed is None:
+            held.closed = _closed_form(nabla, adv, dt, held)
+        gains, source = held.closed
+        H = X0 if coef.basis == "helical" else nabla.to_helicity(X0)
         X = np.empty_like(H)
-        np.multiply(advance, H[:, :2], out=X[:, :2])
-        np.add(H[:, 2], source[:, 2], out=X[:, 2])
-        X[:, :2] += source[:, :2]
-    elif linear:
-        X = _horner(nabla, adv, X0, advance)
-        if source is not None:
+        if source is None:  # (g+, g-, g+, g-) on (rho - J_n, J+, J-, rho + J_n)
+            pairs = (-1, 2) + H.shape[2:]  # one multiply per pair: numpy buffered a whole-stack broadcast
+            for x, y in zip(X.reshape(pairs), H.reshape(pairs)):
+                np.multiply(gains, y, out=x)
+        else:  # (g+ A+, g- A-, A_n) + S
+            np.multiply(gains, H[:, :2], out=X[:, :2])
+            X[:, 2] = H[:, 2]
             X += source
     else:
         def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
@@ -556,7 +534,7 @@ def step_rk4(
     # a non-finite value in physical space spreads to every coefficient
     if not _all_finite(X):
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, helical))
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, "helical" if linear else "band"))
     if not linear:
         new.U  # made here: the next step's first stage reads it anyway
         if nabla.scheme != "spectral":

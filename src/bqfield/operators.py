@@ -18,9 +18,11 @@ tests, from stored history in diagnostics).
 
 ``Nabla``'s operators take and return physical arrays on the full grid, so
 they differentiate products that are not band-limited exactly.  Between
-calls data is held in its band representation (``to_band``/``from_band``):
-on spectral only the 2/3 band of Fourier coefficients, which is all a
-dealiased state has, on central4 the physical array itself.
+calls the stepper holds Fourier coefficients on the band, the wavenumbers
+its scheme's derivative symbol acts on (``to_spectrum``/``from_spectrum``):
+spectral's 2/3 band, which is all a dealiased state has, and central4's
+whole grid, where the 5-point stencil is the multiplier i d(k).  central4's
+force modes still hold physical arrays (``to_band``/``from_band``).
 """
 
 from __future__ import annotations
@@ -51,16 +53,20 @@ class Nabla:
         Thread count handed to scipy.fft (spectral scheme only); negative
         counts back from the CPU count, as scipy reads them.
 
-    On spectral the band representation holds the Fourier coefficients with
-    every |k_i| <= n_i/3: ``to_band`` is fftn then a gather of the band (8
-    block copies), ``band_of_terms`` the same from 1-D factors with no 3-D
-    transform, and ``from_band`` scatters into zeros then runs ifftn,
-    in a buffer the caller gives or in a new one.  The gather is the 2/3
-    rule.  On central4 the band representation is physical and both return
-    their input (``from_band`` copies it into a given buffer).  ``_d``
-    takes band-sized arrays too, ``band_k2`` gives their |k|^2, and
-    ``band_frame`` the band curl's eigenbasis, in which ``to_helicity`` and
-    ``from_helicity`` rotate a whole stack of band vector fields.
+    The band holds the Fourier coefficients the scheme's symbol acts on:
+    every |k_i| <= n_i/3 on spectral, the whole grid on central4.
+    ``to_spectrum`` is fftn then a gather of the band (8 block copies on
+    spectral, which is the 2/3 rule; none on central4), ``band_of_terms``
+    the same from 1-D factors with no 3-D transform, and ``from_spectrum``
+    scatters into zeros then runs ifftn, in a buffer the caller gives or in
+    a new one.  ``to_band`` and ``from_band`` are the stepper's stage
+    representation: the band on spectral, the physical array on central4,
+    whose force modes step on the stencil.  ``_d`` takes spectral's
+    band-sized arrays too.  ``band_k2`` gives the symbol's s^2 on the band
+    (|k|^2, or |d(k)|^2 with d(k) = (8 sin kh - sin 2kh) / (6h) per axis
+    on central4), and ``band_frame`` the eigenbasis of its curl, in which
+    ``to_helicity`` and ``from_helicity`` rotate a whole stack of band
+    fields.
     """
 
     schemes = ("spectral", "central4")
@@ -76,24 +82,37 @@ class Nabla:
             self.workers = 0  # not an integer: refused below
         if self.workers == 0:
             raise ValueError(f"workers must be a nonzero integer, got {workers!r}")
-        if scheme == "spectral":
-            # ik for first derivatives (odd Nyquist zeroed), keyed by the length
-            # of the axis it multiplies: n on the full grid, 2 (n // 3) + 1 on
-            # the 2/3 band; |k|^2 for the Laplacian (Nyquist kept: even
-            # derivative).
-            self._ik, self._k2 = [], 0
-            for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
-                shape = [1, 1, 1]
-                shape[ax] = -1
-                k = 2 * np.pi * np.fft.fftfreq(n, d=h)
-                kd = np.where((np.arange(n) == n // 2) & (n % 2 == 0), 0.0, k)
-                band = np.concatenate([kd[full] for _, full in _band_runs(n)])
+        # Per axis the runs of the band, the wavenumbers the stepper holds, and
+        # the real symbol s_a of d/dx_a = i s_a on them: spectral's k on its
+        # 2/3 band, central4's d(k) = (8 sin kh - sin 2kh) / (6h), the 5-point
+        # stencil's own, on the whole axis.  Both zero the odd Nyquist
+        # wavenumber, so first derivatives of real data stay real.
+        self._runs, self._symbol = [], []
+        self._ik, self._k2 = [], 0  # spectral: ik by axis length, |k|^2 (Nyquist kept)
+        for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
+            shape = [1, 1, 1]
+            shape[ax] = -1
+            k = 2 * np.pi * np.fft.fftfreq(n, d=h)
+            odd = (np.arange(n) == n // 2) & (n % 2 == 0)
+            if scheme == "spectral":
+                runs, kd = _band_runs(n), np.where(odd, 0.0, k)
+            else:
+                runs = ((slice(0, n), slice(0, n)),)
+                kd = np.where(odd, 0.0, (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h))
+            band = np.concatenate([kd[full] for _, full in runs])
+            self._runs.append(runs)
+            self._symbol.append(band.reshape(shape))
+            if scheme == "spectral":
                 self._ik.append({len(v): 1j * v.reshape(shape) for v in (kd, band)})
                 self._k2 = self._k2 + (k**2).reshape(shape)
-            self._band_shape = tuple(2 * (n // 3) + 1 for n in grid.n)
-            self._band_blocks = [tuple((..., *s) for s in zip(*runs))
-                                 for runs in product(*map(_band_runs, grid.n))]
-            self._frame = None
+        self._band_shape = tuple(s.size for s in self._symbol)
+        self._band_blocks = [tuple((..., *s) for s in zip(*runs)) for runs in product(*self._runs)]
+        # the band's k_x runs in chunks of at most a sixteenth of a run, and
+        # its (k_y, k_z) blocks, as (band, full) index pairs: a rotation runs
+        # one chunk at a time, so its temporaries stay small and in cache
+        self._band_rows = _chunks(self._runs[0])
+        self._band_planes = [tuple(zip(*yz)) for yz in product(*self._runs[1:])]
+        self._frame = None
 
     # -- transforms ----------------------------------------------------------
     def fftn(self, f):
@@ -123,70 +142,95 @@ class Nabla:
     def _back(self, fh):
         return self.ifftn(fh) if self.scheme == "spectral" else fh
 
-    # -- the band representation: the 2/3 band on spectral, physical on central4 --
-    def to_band(self, f):
-        if self.scheme != "spectral":
-            return f
+    # -- the band: Fourier coefficients on the wavenumbers of the symbol --------
+    def to_spectrum(self, f):
+        """The band coefficients of physical arrays f: fftn, then on spectral
+        a gather of the 2/3 band (8 block copies), which is the 2/3 rule; on
+        central4 the band is the whole grid."""
         fh = self.fftn(f)
+        if fh.shape[-3:] == self._band_shape:
+            return fh
         X = np.empty(fh.shape[:-3] + self._band_shape, dtype=fh.dtype)
         for band, full in self._band_blocks:
             X[band] = fh[full]
         return X
 
     def band_of_terms(self, terms):
-        """``to_band`` of rows of rank-1 terms (spectral), shape (rows,
-        channels) + band, with no 3-D transform: a term (coef, (f_x, f_y,
-        f_z)) is coef f_x(x) f_y(y) f_z(z), and the DFT of that product is
-        coef times the outer product of its factors' 1-D DFTs, each gathered
-        to the band's runs.  A None term is a zero channel."""
+        """``to_spectrum`` of rows of rank-1 terms, shape (rows, channels) +
+        band, with no 3-D transform: a term (coef, (f_x, f_y, f_z)) is coef
+        f_x(x) f_y(y) f_z(z), and the DFT of that product is coef times the
+        outer product of its factors' 1-D DFTs, each gathered to the band's
+        runs.  A None term is a zero channel."""
         X = np.zeros((len(terms), len(terms[0])) + self._band_shape, np.complex128)
         for row, x in zip(terms, X):
             for t, xc in zip(row, x):
                 if t is None:
                     continue
                 coef, factors = t
-                bx, by, bz = (np.concatenate([F[full] for _, full in _band_runs(len(F))])
-                              for F in (sfft.fft(f, workers=self.workers) for f in factors))
-                np.multiply(coef, (bx[:, None, None] * by[:, None]) * bz, out=xc)
+                ffts = (sfft.fft(f, workers=self.workers) for f in factors)
+                bx, by, bz = (np.concatenate([F[full] for _, full in runs]) for F, runs in zip(ffts, self._runs))
+                np.multiply(bx[:, None, None] * by[:, None], bz, out=xc)
+                np.multiply(coef, xc, out=xc)  # coef ((f_x f_y) f_z), with no band-sized temporary
         return X
 
-    def from_band(self, X, out=None):
+    def from_spectrum(self, X, out=None, helical=False):
         """The physical arrays of band coefficients X, written into ``out``
-        where given.  On spectral X is scattered into zeros and transformed
-        there, so ``out`` also serves as the transform's buffer."""
-        if self.scheme != "spectral":
-            if out is not None:
-                out[...] = X
-            return X if out is None else out
+        where given: X scattered into zeros, rotated back from
+        ``to_helicity``'s components on the way where ``helical`` (a chunk
+        of k_x planes at a time, then scattered), and transformed there, so
+        ``out`` also serves as the transform's buffer."""
         if out is None:
             out = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
-        else:
+        elif self._band_shape != self.grid.n:
             out.fill(0)
-        for band, full in self._band_blocks:
-            out[full] = X[band]
+        if helical:
+            for bx, fx, frame in self._frame_rows():
+                t = np.empty(X[..., bx, :, :].shape, X.dtype)
+                _from_helicity(frame, X[..., bx, :, :], t)
+                for band, full in self._band_planes:
+                    out[(..., fx) + full] = t[(...,) + band]
+        else:
+            for band, full in self._band_blocks:
+                out[full] = X[band]
         f = self.ifftn(out)
         if not np.may_share_memory(f, out):  # scipy did not transform in place
             out[...] = f
         return out
 
+    def to_band(self, f):
+        """The stepper's stage representation of physical arrays f:
+        ``to_spectrum`` on spectral; on central4, whose force modes run on
+        the stencil, f itself."""
+        return self.to_spectrum(f) if self.scheme == "spectral" else f
+
+    def from_band(self, X, out=None):
+        """The physical arrays of ``to_band``'s X, written into ``out`` where
+        given (on central4 X itself, or copied into ``out``)."""
+        if self.scheme == "spectral":
+            return self.from_spectrum(X, out)
+        if out is not None:
+            out[...] = X
+        return X if out is None else out
+
     def band_k2(self):
-        """|k|^2 on the band, from the ik that ``_d`` multiplies by (spectral)."""
-        return sum(self._ik[a][m].imag ** 2 for a, m in enumerate(self._band_shape))
+        """s^2 = |k|^2 on the band, of the symbol ``band_frame`` is built from
+        (spectral's k, central4's d(k))."""
+        return sum(k**2 for k in self._symbol)
 
     def band_frame(self):
-        """The eigenbasis of the band curl (spectral), as (c, sigma, cy, cz, s),
-        made on first call and kept.
+        """The eigenbasis of the band curl, as (c, sigma, cy, cz, s), made on
+        first call and kept.
 
-        A right-handed orthonormal frame per band wavenumber k,
-        u = (0, cz, -cy), w = (-sigma, c cy, c cz) and n = u x w =
-        (c, sigma cy, sigma cz), with k = s n and s = |k|: u is n x e_x
-        normalised, w = n x u.  So k x maps u + i w to -i s (u + i w),
-        u - i w to i s (u - i w) and n to 0.  Broadcast from the three 1-D
-        wavenumber axes: cy and cz have shape (1, ny, nz) and c, sigma, s
-        the band's.
+        A right-handed orthonormal frame per band wavenumber, built from the
+        scheme's symbol k (d(k) on central4), u = (0, cz, -cy),
+        w = (-sigma, c cy, c cz) and n = u x w = (c, sigma cy, sigma cz), with
+        k = s n and s = |k|: u is n x e_x normalised, w = n x u.  So k x maps
+        u + i w to -i s (u + i w), u - i w to i s (u - i w) and n to 0.
+        Broadcast from the three 1-D wavenumber axes: cy and cz have shape
+        (1, ny, nz) and c, sigma, s the band's.
         """
         if self._frame is None:
-            kx, ky, kz = (self._ik[a][m].imag for a, m in enumerate(self._band_shape))
+            kx, ky, kz = self._symbol
             rho = np.hypot(ky, kz)
             s = np.sqrt(self.band_k2())
             c = np.divide(kx, s, out=np.ones_like(s), where=s != 0)
@@ -197,44 +241,31 @@ class Nabla:
         return self._frame
 
     def to_helicity(self, X):
-        """A stack X of band vectors (component axis -4) in ``band_frame``'s
-        helicity components (u.X + i w.X, u.X - i w.X, n.X), on which the
-        band's k x acts as i s, -i s and 0.  One field at a time, so the
-        frame and the temporaries are band arrays, never (3, 3) + band."""
-        c, sigma, cy, cz, _ = self.band_frame()
+        """A stack X of band fields (component axis -4) in ``band_frame``'s
+        characteristic components.  A vector v goes to (u.v + i w.v,
+        u.v - i w.v, n.v), on which the band's k x acts as i s, -i s and 0.
+        A scalar and a vector (f, v), such as (rho, J), go to (f - n.v, h+,
+        h-, f + n.v), with h+- v's first two, on which free transport
+        (f, v)' = (-i k.v, -i k f - k x v) acts as -i s (-1, 1, -1, 1).  One
+        field at a time, so the frame and the temporaries are band arrays,
+        never (3, 3) + band."""
         H = np.empty(X.shape, np.result_type(X, 1j))
-        for x, h in zip(_vectors(X), _vectors(H)):
-            t = cy * x[1]
-            t += cz * x[2]  # X along (0, cy, cz)
-            np.multiply(sigma, t, out=h[2])
-            h[2] += c * x[0]
-            q = c * t
-            q -= sigma * x[0]
-            q *= 1j
-            p = cz * x[1]
-            p -= cy * x[2]
-            np.add(p, q, out=h[0])
-            np.subtract(p, q, out=h[1])
+        for bx, _, frame in self._frame_rows():
+            _to_helicity(frame, X[..., bx, :, :], H[..., bx, :, :])
         return H
 
     def from_helicity(self, H):
-        """The band vectors whose ``to_helicity`` components are H:
-        X = p u + q w + r n with p, q = (h+ + h-)/2, (h+ - h-)/2i and r = h0."""
-        c, sigma, cy, cz, _ = self.band_frame()
+        """The band fields whose ``to_helicity`` components are H."""
         X = np.empty(H.shape, H.dtype)
-        for h, x in zip(_vectors(H), _vectors(X)):
-            p2 = h[0] + h[1]  # 2 p
-            q = h[0] - h[1]
-            q *= -0.5j
-            np.multiply(c, h[2], out=x[0])
-            x[0] -= sigma * q
-            q *= c
-            q += sigma * h[2]  # X along (0, cy, cz)
-            np.multiply(cy, q, out=x[1])
-            x[1] += (cz / 2) * p2
-            np.multiply(cz, q, out=x[2])
-            x[2] -= (cy / 2) * p2
+        for bx, _, frame in self._frame_rows():
+            _from_helicity(frame, H[..., bx, :, :], X[..., bx, :, :])
         return X
+
+    def _frame_rows(self):
+        """(band k_x chunk, its full-grid k_x, ``band_frame``'s (c, sigma,
+        cy, cz) on the chunk) per chunk of the band's k_x axis."""
+        c, sigma, cy, cz, _ = self.band_frame()
+        return [(bx, fx, (c[bx], sigma[bx], cy, cz)) for bx, fx in self._band_rows]
 
     # -- operators in derivative space ----------------------------------------
     def _grad(self, fh):
@@ -332,10 +363,71 @@ def _five_point(f, axis: int, scale: float, w1: int, w0: int | None = None):
     return out
 
 
-def _vectors(X):
-    """A stack of vectors (component axis -4) as one stack of vectors: a
-    view where X is contiguous."""
-    return X.reshape((-1,) + X.shape[-4:])
+def _to_helicity(frame, X, H):
+    """H <- ``Nabla.to_helicity`` of X, with (c, sigma, cy, cz) of the frame
+    on X's wavenumbers: u.v +- i w.v with u.v = cz v_y - cy v_z and
+    w.v = -sigma v_x + c (cy v_y + cz v_z), and n.v = c v_x + sigma (cy v_y +
+    cz v_z)."""
+    c, sigma, cy, cz = frame
+    for i in np.ndindex(X.shape[:-4]):
+        x, h = X[i], H[i]
+        v, hv = x[-3:], h[-3:]
+        t = cy * v[1]
+        t += cz * v[2]  # v along (0, cy, cz)
+        np.multiply(sigma, t, out=hv[2])
+        hv[2] += c * v[0]
+        q = c * t
+        q -= sigma * v[0]
+        q *= 1j
+        p = cz * v[1]
+        p -= cy * v[2]
+        np.add(p, q, out=hv[0])
+        np.subtract(p, q, out=hv[1])
+        if len(x) == 4:  # (f - n.v, h+, h-, f + n.v)
+            np.subtract(x[0], hv[2], out=h[0])
+            hv[2] += x[0]
+
+
+def _from_helicity(frame, H, X):
+    """X <- the fields whose ``_to_helicity`` components are H.
+    A vector is p u + q w + r n with p, q = (h+ + h-)/2, (h+ - h-)/2i and
+    r = n.v; a scalar and a vector (a, h+, h-, b) have f, n.v = (a + b)/2,
+    (b - a)/2."""
+    c, sigma, cy, cz = frame
+    for i in np.ndindex(H.shape[:-4]):
+        h, x = H[i], X[i]
+        if len(h) == 4:
+            hn = h[3] - h[0]
+            hn *= 0.5
+            np.add(h[0], h[3], out=x[0])
+            x[0] *= 0.5
+            hp, hm = h[1], h[2]
+        else:
+            hp, hm, hn = h
+        v = x[-3:]
+        p2 = hp + hm  # 2 p
+        q = hp - hm
+        q *= -0.5j
+        np.multiply(c, hn, out=v[0])
+        v[0] -= sigma * q
+        q *= c
+        q += sigma * hn  # v along (0, cy, cz)
+        np.multiply(cy, q, out=v[1])
+        v[1] += (cz / 2) * p2
+        np.multiply(cz, q, out=v[2])
+        v[2] -= (cy / 2) * p2
+
+
+def _chunks(runs):
+    """Each (band, full) run of slices of an axis cut into chunks of at
+    most a sixteenth of it, as (band, full) pairs."""
+    chunks = []
+    for band, full in runs:
+        m = band.stop - band.start
+        step = max(1, -(-m // 16))
+        chunks += [(slice(band.start + i, band.start + min(i + step, m)),
+                    slice(full.start + i, full.start + min(i + step, m))) for i in range(0, m, step)]
+    return chunks
 
 
 def _band_runs(n: int):

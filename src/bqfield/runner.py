@@ -14,8 +14,9 @@ CLI layer.  An unexpected error mid-run still writes the partial series and a
 summary with exit code 4 and an ``error`` block, then propagates.)
 
 ``run_scenario`` sets ``sc.initial`` to None once ``build_state`` has run,
-so a run holds its initial data only in its states (on spectral
-``build_state`` reads the scenario's terms and never makes ``sc.initial``);
+so a run holds its initial data only in its states (``build_state`` reads
+the scenario's terms and makes ``sc.initial`` only in a central4 force
+mode);
 ``build_state`` alone leaves the scenario as it is.  The summary's ``counters`` block holds
 the process's peak RSS in MiB at the end of the run (``peak_rss_mb``, None
 where the platform has no ``resource`` module).
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import DiagnosticsEngine, ResidualSeries
-from .evolution import NumericalAbort, SimState, _Coefficients, _Held, _advanced, _held_rows, step_rk4
+from .evolution import _FORCED, NumericalAbort, SimState, _Coefficients, _Held, _advanced, _held_rows, step_rk4
 from .operators import Nabla
 from .scenario import Scenario, _densify
 
@@ -97,18 +98,21 @@ class RunReport:
 def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     """Assemble the initial simulation state and its derivative operator.
 
-    On spectral the state is held as a stepped state is: the advanced
-    channels as band coefficients, formed from the presets' rank-1 terms
-    (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no grid-sized
-    array), which step 1 takes as they are, and the held ones multiplied
-    out as a block of initial data that step 1 takes onto the band (where
-    maxwell's source reads J); ``U`` is made on first read, and is within
-    round-off of the data's ``Nabla.dealias``.  strong_field's background
-    is its band made physical.  On central4 (no rule, and U itself is its
-    band) the state's ``U`` is ``sc.initial`` as given.
+    Where the scheme steps on Fourier coefficients (every mode on spectral,
+    maxwell and free_theta on central4) the state is held as a stepped state
+    is: the advanced channels as band coefficients, formed from the presets'
+    rank-1 terms (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no
+    grid-sized array but the band's), which step 1 takes as they are, and
+    the held ones multiplied out, as a block that spectral's step 1 takes
+    onto the band (where maxwell's source reads J) and central4 holds as
+    given.  ``U`` is made on first read, and is within round-off of the
+    data's ``Nabla.dealias`` (central4 has no rule: of the data).
+    strong_field's background is its band made physical.  A central4 force
+    mode's state is ``sc.initial`` as given, as its stencil reads it.
     """
     nabla = Nabla(sc.grid, scheme=sc.nabla_scheme, workers=workers)
-    if nabla.scheme != "spectral":
+    spectral, linear = nabla.scheme == "spectral", sc.mode not in _FORCED
+    if not (spectral or linear):
         return SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, sc.background), nabla
     background = None  # the scheme's 2/3 rule, as the stepper applies it to the force
     if sc.background_terms is not None:
@@ -116,8 +120,9 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     adv = _advanced(sc.mode)
     rows, held = _held_rows(adv), None
     if rows.start < rows.stop:
-        held = _Held(nabla, rows, _densify([t[rows] for t in sc.terms], sc.grid.n), filtered=True)
-    coef = _Coefficients(nabla, nabla.band_of_terms([t[adv] for t in sc.terms]), held)
+        held = _Held(nabla, rows, _densify([t[rows] for t in sc.terms], sc.grid.n), filtered=spectral)
+    X = nabla.band_of_terms([t[adv] for t in sc.terms])
+    coef = _Coefficients(nabla, X, held, "spectrum" if linear else "band")
     return SimState._held_as(0.0, coef, sc.grid, sc.medium, sc.mode, background), nabla
 
 

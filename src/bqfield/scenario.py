@@ -164,7 +164,9 @@ def _gaussian_factor(x: np.ndarray, L: float, center: float, width: float):
     2^-53 of the peak, 1.  A wider pulse is the same sum in Fourier form
     (Poisson summation), (w sqrt(2 pi) / L) sum_m q_m exp(i kappa_m (x - c))
     with kappa_m = 2 pi m / L and q_m = exp(-(kappa_m w)^2 / 2), its terms
-    taken while q_m exceeds 2^-53.
+    taken while q_m exceeds 2^-53.  A pulse too narrow for the arithmetic
+    (2 w^2 underflows below w = 1e-154 or so) gives values that are not
+    finite.
     """
     c = center % L
     if width <= L / 2:
@@ -242,7 +244,11 @@ def _preset_terms(preset: dict | None, grid: Grid, path: str, want: str) -> list
                 )
         profile = tuple(np.exp(1j * k[a] * x) for a, x in enumerate(grid.axes()))
     elif kind == "gaussian_pulse":
-        g, dg = zip(*(_gaussian_factor(x, L, c, width) for x, L, c in zip(grid.axes(), grid.L, center)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked next
+            g, dg = zip(*(_gaussian_factor(x, L, c, width) for x, L, c in zip(grid.axes(), grid.L, center)))
+        if not all(np.isfinite(f).all() for f in (g + dg if gradient else g)):
+            raise ScenarioError(f"{_ctx(path, 'width')} = {width} is too narrow to sample: "
+                                f"its profile is not finite on the grid")
         profile = g
     else:
         profile = tuple(np.ones(n) for n in grid.n)

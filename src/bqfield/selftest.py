@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .biquaternion import Biquaternion, basis_vector
-from .evolution import SimState, StepperConfig, step_rk4
+from .evolution import SimState, StepperConfig, rk4_gain, state_rhs, step_rk4
 from .fields import Grid, Medium
 from .operators import Nabla, apply_dminus, apply_dplus
-from .scenario import _preset_terms, build_preset
+from .runner import build_state
+from .scenario import _preset_terms, build_preset, parse_scenario
 from .shock import FrontData, admissible_jump, afield_jump_residual, characteristic_roots
 
 __all__ = ["run_selftest"]
@@ -30,6 +31,20 @@ def _random_bq(rng, shape=()) -> Biquaternion:
         return rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
 
     return Biquaternion(c(shape), c((3,) + shape))
+
+
+def _rk4_stages(U, sc, nabla):
+    """U after one classical RK4 step of ``sc``'s mode by its four stages on
+    ``state_rhs`` (autonomous modes only: the stages share one tau)."""
+    def rhs(V):
+        return state_rhs(SimState(0.0, V, sc.grid, sc.medium, sc.mode), nabla)
+
+    h = sc.grid.dtau
+    k1 = rhs(U)
+    k2 = rhs(U + h / 2 * k1)
+    k3 = rhs(U + h / 2 * k2)
+    k4 = rhs(U + h * k3)
+    return U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def run_selftest(verbose: bool = True) -> int:
@@ -84,14 +99,32 @@ def run_selftest(verbose: bool = True) -> int:
     h = grid2.h[2]
     d = (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
     for scheme, symbol in (("spectral", k), ("central4", d)):
-        z = -1j * symbol * grid2.dtau
-        gain = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        gain = rk4_gain(-1j * symbol * grid2.dtau)
         state = SimState(tau=0.0, U=U.copy(), grid=grid2, medium=Medium(), mode="maxwell")
         nabla2 = Nabla(grid2, scheme=scheme)
         for _ in range(steps):
             state, _ = step_rk4(state, nabla2, cfg)
         err = float(np.abs(state.U[0, 0:3] - gain**steps * A0).max())
         failures += not _check(f"{scheme} plane wave is RK4's discrete map", err, 1e-12, lines)
+
+    # free transport of a charge-current pulse on a box with three different
+    # sides, from build_state's band coefficients: each scheme's step by its
+    # kept gains against classical RK4's four stages on its own right-hand
+    # side in physical space, state_rhs
+    for scheme in Nabla.schemes:
+        sc = parse_scenario({
+            "mode": "free_theta", "nabla": scheme, "duration": 0.4,
+            "grid": {"n": [12, 10, 9], "L": [2 * np.pi, 5.0, 3.0], "dtau": 0.05},
+            "initial_conditions": [{"theta": {
+                "type": "gaussian_pulse", "center": [1.0, 4.0, 0.5], "width": 0.7, "scalar": 0.6,
+                "polarization": {"re": [1.0, 0.0, 0.5], "im": [0.0, 1.0, 0.0]}}}]})
+        state, nabla4 = build_state(sc)
+        ref = state.U
+        for i in range(sc.steps):
+            state, _ = step_rk4(state, nabla4, sc.stepper, i)
+            ref = _rk4_stages(ref, sc, nabla4)
+        err = float(np.abs(state.U - ref).max() / np.abs(ref).max())
+        failures += not _check(f"{scheme} free_theta pulse is RK4's discrete map", err, 1e-12, lines)
 
     # initial data onto the band from the presets' 1-D factors, as build_state
     # takes them, against the 3-D transform of the multiplied-out data, on a

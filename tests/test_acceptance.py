@@ -10,7 +10,6 @@ the +-1 pairs that the factorization D+ D- = box forces on the symbol.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -36,6 +35,7 @@ from bqfield import (
     field_totals,
     interaction_energy,
     power_force,
+    rk4_gain,
     step_rk4,
 )
 from bqfield.biquaternion import basis_vector, one
@@ -216,11 +216,6 @@ def eigenmode_period():
     return out
 
 
-def _rk4_gain(z):
-    """Classical RK4's one-step amplification of dy/dtau = lam y, z = lam dtau."""
-    return sum(z**j / math.factorial(j) for j in range(5))
-
-
 def test_criterion_03_eigenmode_transport(eigenmode_period):
     r = eigenmode_period
     ratio = r["err"] / r["err_half"]
@@ -234,10 +229,10 @@ def test_criterion_03_eigenmode_transport(eigenmode_period):
     assert np.array_equal(1j * np.cross(k, p), p)
     lam = -1j
 
-    # RK4 multiplies the mode by R(lam dtau) each step, so after N steps the
+    # RK4 multiplies the mode by R(lam dtau) each step (``rk4_gain``), so after N steps the
     # state must be R^N A0 (the scheme's exact discrete transport), and its
     # error against the exact solution A0 is the floor |R^N - 1| max|A0|.
-    gain = {steps: _rk4_gain(lam * TWO_PI / steps) ** steps for steps in r["ends"]}
+    gain = {steps: rk4_gain(lam * TWO_PI / steps) ** steps for steps in r["ends"]}
     departure = {
         steps: float(np.abs(a_end - gain[steps] * a0).max())
         for steps, (a0, a_end) in r["ends"].items()

@@ -298,7 +298,9 @@ def test_step_rk4_transforms_per_field(scheme, mode, per_field):
     advanced channels in again.  maxwell and free_theta do no other transform
     in a step, and the first read of U takes the advanced channels back.  A
     force mode takes 4 in per stage plus (stages 2-4) rho, J and the
-    partner's A back, and makes U in the step.
+    partner's A back, and makes U in the step.  central4's maxwell and
+    free_theta step on the whole grid's Fourier coefficients and count as
+    spectral's; its force modes step on the stencil, with no transform.
     """
     g = cube(12, 0.05)
     nab = CountingNabla(g, scheme=scheme)
@@ -318,9 +320,10 @@ def test_step_rk4_transforms_per_field(scheme, mode, per_field):
     counted(step)
     counted(lambda: st.U is st.U)
     counted(step)
-    expect = STEP_TRANSFORMS[mode] if scheme == "spectral" else (0, 0, 0, 0)
+    fourier = scheme == "spectral" or mode in ("maxwell", "free_theta")
+    expect = STEP_TRANSFORMS[mode] if fourier else (0, 0, 0, 0)
     assert counts == [2 * c for c in expect]
-    assert expect[0] + expect[2] == (per_field if scheme == "spectral" else 0)
+    assert expect[0] + expect[2] == (per_field if fourier else 0)
 
 
 def reference_rk4(state, nabla):
@@ -363,8 +366,8 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
                                          ("maxwell", "central4"), ("free_theta", "central4")],
                          ids=["maxwell", "free_theta", "maxwell-central4", "free_theta-central4"])
 def test_linear_steps_match_reference_rk4_over_200_steps(mode, scheme):
-    """The closed-form step (spectral's folded polynomial, central4's
-    Horner's rule) stays on classical RK4's map over a long run (maxwell
+    """The closed-form step (the kept gains on both schemes) stays on
+    classical RK4's map over a long run (maxwell
     with a nonzero held J), where three steps hide a drift."""
     g = cube(8, 0.25 * 2 * np.pi / 8)
     nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
@@ -533,17 +536,13 @@ class DerivativeCountingNabla(Nabla):
         return super()._d(fh, a)
 
 
-@pytest.mark.parametrize(
-    "mode,scheme,per_field,source",
-    [("free_theta", "spectral", 12, 0), ("maxwell", "central4", 24, 18),
-     ("free_theta", "central4", 48, 0)],
-    ids=["free_theta-12-0", "maxwell-central4-24-18", "free_theta-central4-48-0"])
-def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field, source):
-    """A spectral free_theta step applies L once per field (nabla o Theta 12
-    derivatives), not once per RK4 stage, as its L L = -|k|^2 on the band.
-    On central4 Horner's rule applies L four times, as the stages do, and
-    maxwell's first step three times more to the held J (curl 6
-    derivatives), once per run, even past a read."""
+@pytest.mark.parametrize("mode,scheme", [("free_theta", "spectral"), ("maxwell", "central4"),
+                                         ("free_theta", "central4")])
+def test_linear_steps_take_no_derivative(mode, scheme):
+    """maxwell and free_theta step by their kept gains on both schemes: no
+    step takes a derivative, step 1 included, even past a read (spectral
+    free_theta applied L once per step, and central4's Horner's rule four
+    times, and three times more to maxwell's held J in step 1)."""
     g = cube(12, 0.05)
     nab, counts = DerivativeCountingNabla(g, scheme=scheme), []
     st = random_state(g, mode, scheme=scheme)
@@ -552,7 +551,7 @@ def test_spectral_linear_step_applies_its_operator_twice(mode, scheme, per_field
         st, _ = step_rk4(st, nab, StepperConfig(), i)
         counts.append(nab.derivatives - before)
         st.U
-    assert counts == [2 * (per_field + source), 2 * per_field, 2 * per_field]
+    assert counts == [0, 0, 0]
 
 
 def test_spectral_maxwell_steps_by_its_kept_map():
@@ -584,14 +583,13 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     values.  A stage step (united) holds three stacks of the advanced
     channels, one rhs's temporaries and the new state (measured 63.2 and
     46.0; the stages' temporaries per stage made it 77.2 and 50.5).  A
-    central4 linear step by Horner's rule holds two stacks and one L's
-    temporaries, and makes no U (measured 14.4 in free_theta and 11.3 in
-    maxwell; the stages made them 18.4 and 14.3).  A spectral free_theta
-    step applies L once and adds w Y one channel at a time (measured 2.6;
-    a whole w Y stack made it 3.9).  A spectral maxwell step by its kept
-    gains holds the new stack of three band channels, 11^3 values each, and
-    no scratch (measured 1.0; a 3x3 matrix per wavenumber made it 1.7).
-    The pins are the measured values rounded up to a whole channel."""
+    linear step by its kept gains holds the new stack of the advanced
+    channels, on the band, and no scratch: measured 4.03 in free_theta and
+    3.03 in maxwell on central4, whose band is the whole grid (Horner's
+    rule on the stencil made them 14.4 and 11.3), and 1.33 and 1.00 on
+    spectral's 11^3 band (one L per step made free_theta's 2.6, and a 3x3
+    matrix per wavenumber maxwell's 1.7).  The pins, the measured values
+    rounded up to a whole channel, are those of the older steps."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())
@@ -615,12 +613,13 @@ def test_read_allocation_peak(mode, scheme, pin):
     """tracemalloc's peak over the first read of a stepped state's U on
     16^3, in channels of 16^3 complex values.  The read makes one U and
     fills it: the held rows copied in, and the advanced rows scattered and
-    transformed in their own slice.  Spectral maxwell also rotates its
-    helicity components back on the whole band first (measured 7.99 for
-    maxwell and 7.02 for free_theta on spectral, 7.00 on central4; a
-    transformed stack joined to the held rows made them 10.0 and 11.0 on
-    spectral).  The pins are the measured values rounded up to a whole
-    channel."""
+    transformed in their own slice, rotated back from the characteristic
+    components a chunk of k_x planes at a time on the way (measured 7.33
+    for maxwell and 7.39 for free_theta on spectral, 7.60 and 7.73 on
+    central4, whose band is the whole grid; rotating spectral maxwell's
+    whole band first made it 7.99, and a transformed stack joined to the
+    held rows 10.0 and 11.0 on spectral).  The pins are the measured values
+    rounded up to a whole channel."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=1, scheme=scheme), nab, StepperConfig())
@@ -712,16 +711,19 @@ def test_build_state_u_is_the_dealiased_initial_data(mode, scheme):
     channels as band coefficients made from the presets' 1-D factors; the U
     made from them on first read is Nabla.dealias of the assembled initial
     data to 1e-15 relative (2.5e-16 measured, the 3-D and the 1-D transforms
-    rounding apart), and so is strong_field's background.  On central4 U is
-    that data, bit for bit."""
+    rounding apart), and so is strong_field's background.  central4's
+    maxwell and free_theta hold the whole grid's coefficients likewise (its
+    dealias is the identity); in its force modes U is that data, bit for
+    bit."""
     sc = pulse_scenario(mode, scheme)
     st, nab = build_state(sc)
-    assert (st._U is None) == (scheme == "spectral")
+    fourier = scheme == "spectral" or mode in ("maxwell", "free_theta")
+    assert (st._U is None) == fourier
     pairs = [(st.U, nab.dealias(sc.initial))]
     if mode == "strong_field":
         pairs.append((st.background, nab.dealias(sc.background)))
     for got, want in pairs:
-        if scheme == "central4":
+        if not fourier:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -763,6 +765,23 @@ def test_a_maxwell_run_transforms_its_data_once(monkeypatch):
     assert nab.transforms == 4 + 3 + 4 + 3
 
 
+def test_a_central4_free_theta_run_transforms_only_on_a_read(monkeypatch):
+    """A central4 free_theta run from build_state makes no 3-D transform in
+    set-up (its Theta comes onto the whole grid's coefficients from the
+    preset's 1-D factors, and its held A stays as given) nor in 3 steps, as
+    the benchmark's free-64-central4 makes none per step; the first read of
+    U adds Theta's 4 and none for the held A."""
+    monkeypatch.setattr(runner, "Nabla", CountingNabla)
+    sc = pulse_scenario("free_theta", "central4")
+    st, nab = build_state(sc)
+    assert nab.transforms == 0
+    for i in range(3):
+        st, _ = step_rk4(st, nab, sc.stepper, i)
+    assert nab.transforms == 0
+    st.U
+    assert nab.transforms == 4
+
+
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize("mode", ["strong_field", "interaction", "united"])
 def test_only_the_newest_state_holds_both_forms(mode, scheme):
@@ -789,28 +808,16 @@ def test_steps_from_build_state_stay_in_the_band(mode):
     assert out_of_band(nab, st.U) <= 1e-13
 
 
-class PlantingNabla(Nabla):
-    """Nabla whose derivatives carry ``plant`` in one cell once it is set."""
-
-    plant = None
-
-    def _d(self, fh, a):
-        out = super()._d(fh, a)
-        if self.plant is not None:
-            out[..., 1, 2, 3] = self.plant
-        return out
-
-
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 @pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
     """One non-finite cell of an advanced channel aborts the step, whether it
     sits in the physical input or arises inside a step from a stepped state
-    (from a derivative, or from spectral maxwell's kept gain g+, as that
-    step takes none); the abort gives back the last good U."""
+    (from the kept gain g+, as the step takes no derivative); the abort
+    gives back the last good U."""
     g = cube(12, 0.05)
-    nab, cfg = PlantingNabla(g, scheme=scheme), StepperConfig()
+    nab, cfg = Nabla(g, scheme=scheme), StepperConfig()
     st = random_state(g, mode)
     st.U[0, 1 if mode == "maxwell" else 5, 4, 5, 6] = bad
     with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
@@ -819,10 +826,7 @@ def test_numerical_abort_fires_on_one_bad_cell(scheme, mode, bad):
 
     good, _ = step_rk4(random_state(g, mode), nab, cfg)
     expect = step_rk4(random_state(g, mode), nab, cfg)[0].U
-    if (mode, scheme) == ("maxwell", "spectral"):
-        good._coef.held.closed[0][0, 1, 2, 3] = bad
-    else:
-        nab.plant = bad
+    good._coef.held.closed[0][0, 1, 2, 3] = bad
     with pytest.raises(NumericalAbort) as exc, np.errstate(invalid="ignore"):
         step_rk4(good, nab, cfg, steps_done=1)
     assert exc.value.state is good and exc.value.steps == 2

@@ -86,5 +86,5 @@ def test_stale_private_names_are_found():
     private method of an imported class and a dunder."""
     from bqfield import evolution
 
-    text = "``_resident`` and ``Nabla._gone(x)``, not ``Nabla._curl``, ``_horner`` or ``__all__``"
+    text = "``_resident`` and ``Nabla._gone(x)``, not ``Nabla._curl``, ``_closed_form`` or ``__all__``"
     assert stale_private_names(evolution, text) == {"_resident", "_gone"}

@@ -554,6 +554,24 @@ def test_cli_out_precedence_env_and_scenario(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("preset", [dict(PULSE, width=1e-170, center=[0.0] * 3),
+                                    {"type": "gaussian_pulse", "width": 1e-155, "gradient": True}],
+                         ids=["underflow", "gradient"])
+def test_cli_refuses_a_pulse_too_narrow_to_sample(tmp_path, capsys, preset):
+    """A pulse whose 2 w^2 underflows parsed into NaN data (0/0 where a grid
+    point sits on the centre), and the run exited 3 at tau = 0: it is an
+    input error, exit 2 at the preset's path.  A gradient pulse's g' is
+    checked too (0 * inf next to the centre at width 1e-155), while a plain
+    pulse of that width parses to its exact samples, 1 at the centre."""
+    doc = eigenmode_doc()
+    doc["initial_conditions"][0]["afield"] = preset
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 2
+    assert "initial_conditions[0].afield.width = " in capsys.readouterr().err
+    doc["initial_conditions"][0]["afield"] = dict(PULSE, width=1e-155, center=[0.0] * 3)
+    A = parse_scenario(doc).initial[0, 0]
+    assert A[0, 0, 0] == 1 and np.count_nonzero(A) == 1
+
+
 def test_cli_missing_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     err = capsys.readouterr().err
