@@ -27,7 +27,9 @@ symbol (``Nabla.to_helicity``), so one RK4 step is two complex gains
 g+- = R(+-i h s) per band wavenumber, made once per run (``_closed_form``,
 kept on the run's held block), plus maxwell's held source: no stage loop,
 no derivative and no transform.  Step 1 rotates the coefficients into that
-basis, and a read of ``U`` rotates them back as it scatters them
+basis straight into the new state's array and multiplies the gains in
+there, so it holds no more than a later step but the run's kept map; a
+read of ``U`` rotates them back as it scatters them
 (``Nabla.from_spectrum``).  Force modes run the four stages in the stage
 representation ``Nabla.to_band``: the same band on spectral, physical
 arrays on central4's stencil.  Their force is formed in physical space and
@@ -55,14 +57,16 @@ change, so a run keeps them once, as one block (``_Held``) its states share,
 with the run's closed form; no step writes them, and a caller must not
 write a stepped state's ``U`` in place (build a new ``SimState`` instead).
 A block of spectral ``build_state``'s initial data arrives multiplied out,
-the only rows of it that do, and is taken onto the band in step 1, where
-maxwell's source reads J; its physical form is made from the band on first
-need.  A block taken from a state's ``U``, or central4's initial data, is
-those arrays.
+the only rows of it that do: step 1 takes maxwell's J onto the band, where
+its source reads it, and no other row (rho, a held A), as no step reads
+them; the block's physical form, the data's 2/3 rule, is made on the first
+read of ``U``.  A block taken from a state's ``U``, or central4's initial
+data, is those arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,43 +144,67 @@ def _all_finite(X: np.ndarray) -> bool:
 class _Held:
     """A run's held channels ``rows``, one block shared by its states.
 
-    ``band`` (``Nabla.to_spectrum``) and ``physical`` are made once each, on
-    first need.  A block of initial data (``filtered``, from spectral
-    ``build_state``, the held rows multiplied out while the advanced ones
-    arrive as band) goes onto the band whole in step 1 and then lets go of
-    the array it was given; its physical form is made from the band, so it
-    is the data's ``Nabla.dealias``.  Any other block is physical as given.
-    ``closed`` is the run's RK4 map (``_closed_form``) in maxwell and
-    free_theta, set by their first step: the two gains g+- per band
-    wavenumber, next to maxwell's held source in the same basis.
+    ``given`` is the block's data, physical as given unless ``terms`` come
+    with it: spectral ``build_state``'s held rows, multiplied out from their
+    rank-1 terms, whose physical form is the data's ``Nabla.dealias``.  Of
+    such a block only maxwell's J goes onto the band (``band_J``), in step
+    1, for the source, and stays there; no step reads the other rows
+    (maxwell's rho, a held A), so they stay as data until the first read of
+    ``U`` makes the physical form (J from its band, the other rows by their
+    2/3 rule) and the block lets go of the data.  ``closed`` is the run's
+    RK4 map (``_closed_form``) in maxwell and free_theta, set by their first
+    step: the two gains g+- per band wavenumber, next to maxwell's held
+    source in the same basis.
     """
 
-    def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, filtered: bool):
-        self.nabla, self.rows, self.filtered = nabla, rows, filtered
-        self._given, self._band, self._finite, self.closed = given, None, None, None
-        self._physical = None if filtered else given
+    def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, terms: list | None = None):
+        self.nabla, self.rows, self.closed = nabla, rows, None
+        self._given, self._terms, self._finite = given, terms, None
+        self._physical = given if terms is None else None
+        self._J = self._idle_band = None
+        self._reads_J = rows.start == _RHO  # maxwell's held Theta, whose J its source reads
+        self._idle = slice(0, 1) if self._reads_J else slice(0, 3)  # the rows no step reads
 
-    def band(self) -> np.ndarray:
-        if self._band is None:
-            self._band, self._given = self.nabla.to_spectrum(self._given), None
-        return self._band
+    def band_J(self) -> np.ndarray:
+        """maxwell's held J on the band, taken in once and kept where the
+        physical form is made from it."""
+        if self._J is not None:
+            return self._J
+        J = self.nabla.to_spectrum(self._given[:, 1:])
+        if self._physical is None:
+            self._J = J
+        return J
 
     def physical(self) -> np.ndarray:
         if self._physical is None:
-            self._physical = self.nabla.from_spectrum(self.band())
+            nabla, idle, P = self.nabla, self._idle, np.empty_like(self._given)
+            band = nabla.to_spectrum(self._given[:, idle]) if self._idle_band is None else self._idle_band
+            nabla.from_spectrum(band, out=P[:, idle])
+            if self._reads_J:
+                nabla.from_spectrum(self.band_J(), out=P[:, 1:])
+            self._physical, self._given, self._idle_band = P, None, None
         return self._physical
 
     def finite(self) -> bool:
-        """Whether the block is finite, checked once: on the band where
-        filtered (a non-finite value spreads to all its coefficients)."""
+        """Whether the block is finite, checked once.  A block held as given
+        is checked whole.  Of build_state's data, maxwell's J is checked on
+        its band (a non-finite value spreads to all its coefficients), and
+        the rows no step reads on their terms, where those bound them below
+        f_max / (4 N^2), N grid points, which a forward-then-inverse
+        transform cannot overflow: zero rows, which have no term, are never
+        read.  Rows the terms do not bound go onto the band here and are
+        checked there."""
         if self._finite is None:
-            self._finite = _all_finite(self.band() if self.filtered else self._physical)
+            if self._terms is None:
+                self._finite = _all_finite(self._given)
+            else:
+                bands = [self.band_J()] if self._reads_J else []
+                limit = np.finfo(float).max / (4 * math.prod(self.nabla.grid.n) ** 2)
+                if not all(t is None or t.bound() < limit for row in self._terms for t in row[self._idle]):
+                    self._idle_band = self.nabla.to_spectrum(self._given[:, self._idle])
+                    bands.append(self._idle_band)
+                self._finite = all(map(_all_finite, bands))
         return self._finite
-
-    def band_J(self) -> np.ndarray:
-        """maxwell's held J on the band: from the whole block's band where
-        filtered, else J alone taken in."""
-        return self.band()[:, 1:] if self.filtered else self.nabla.to_spectrum(self._physical[:, 1:])
 
 
 class _Coefficients(NamedTuple):
@@ -216,7 +244,7 @@ def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, linear: bool) -> _Coeffici
     """U's advanced channels ``adv`` taken onto ``nabla``'s band (its stage
     representation in a force mode), and its held block, physical as given."""
     rows = _held_rows(adv)
-    held = _Held(nabla, rows, U[:, rows], filtered=False) if rows.start < rows.stop else None
+    held = _Held(nabla, rows, U[:, rows]) if rows.start < rows.stop else None
     if linear:
         return _Coefficients(nabla, nabla.to_spectrum(U[:, adv]), held, "spectrum")
     return _Coefficients(nabla, nabla.to_band(U[:, adv]), held)
@@ -437,16 +465,22 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     (g+, g-, 1) on maxwell's A, (g+, g-, g+, g-) on free_theta's Theta, and
     maxwell's source the held J's components times -h phi(+-i h s) and -h.
     A step is these multiplies and the source's add, with no derivative.
+    The gains are one array, filled a chunk of k_x planes at a time by
+    ``rk4_gain``, and ``_rk4_phi`` scales the source a chunk at a time, so
+    no temporary is band-sized.
     """
-    z = 1j * h * nabla.band_frame()[-1]
-    g = rk4_gain(z)  # R(-z) is its conjugate, z being imaginary
-    gains = np.stack([g, g.conj()])
-    if adv.stop == 7:
-        return gains, None
-    source = nabla.to_helicity(held.band_J())
-    phi = _rk4_phi(z)
-    source[:, :2] *= np.stack([phi, phi.conj()])
-    source *= -h
+    s = nabla.band_frame()[-1]
+    gains = np.empty((2,) + s.shape, np.complex128)
+    source = None if adv.stop == 7 else nabla.to_helicity(held.band_J())
+    for bx, _ in nabla._band_rows:  # a chunk of k_x planes at a time: no band-sized temporary
+        z = 1j * h * s[bx]
+        gains[0, bx] = rk4_gain(z)
+        np.conjugate(gains[0, bx], out=gains[1, bx])  # R(-z), z being imaginary
+        if source is not None:
+            phi = _rk4_phi(z)
+            source[:, 0, bx] *= phi
+            source[:, 1, bx] *= phi.conj()
+            source[:, :, bx] *= -h
     return gains, source
 
 
@@ -480,7 +514,9 @@ def step_rk4(
     grid's dtau, and kept on the run's held block: on both schemes the gains
     g+- times the band coefficients' characteristic components
     (``Nabla.to_helicity``), plus maxwell's held source.  Step 1 rotates
-    Cartesian coefficients in, and a read of ``U`` rotates them back as it
+    Cartesian coefficients straight into the new state's array and
+    multiplies the gains in there (never over its input's coefficients,
+    which stay that state's), and a read of ``U`` rotates them back as it
     scatters (``Nabla.from_spectrum``).  No derivative and no transform:
     their right-hand side never reads the physical state, so they return
     their coefficients alone and make ``U`` on first read.  Force modes run
@@ -493,9 +529,9 @@ def step_rk4(
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
-    finiteness once (once per step in a central4 force mode, which takes
-    ``U`` in every step).  It raises ValueError unless ``nabla`` is on the
-    state's box.
+    finiteness once (``_Held.finite``; once per step in a central4 force
+    mode, which takes ``U`` in every step).  It raises ValueError unless
+    ``nabla`` is on the state's box.
 
     Returns (new_state, None): the pair is kept only because benchmark
     harnesses that wrap this function read the state as ``[0]``.
@@ -515,15 +551,18 @@ def step_rk4(
         if held.closed is None:
             held.closed = _closed_form(nabla, adv, dt, held)
         gains, source = held.closed
-        H = X0 if coef.basis == "helical" else nabla.to_helicity(X0)
-        X = np.empty_like(H)
+        if coef.basis == "helical":
+            H, X = X0, np.empty_like(X0)
+        else:  # step 1: rotated straight into the new state's array, then multiplied there
+            H = X = nabla.to_helicity(X0)
         if source is None:  # (g+, g-, g+, g-) on (rho - J_n, J+, J-, rho + J_n)
             pairs = (-1, 2) + H.shape[2:]  # one multiply per pair: numpy buffered a whole-stack broadcast
             for x, y in zip(X.reshape(pairs), H.reshape(pairs)):
                 np.multiply(gains, y, out=x)
         else:  # (g+ A+, g- A-, A_n) + S
             np.multiply(gains, H[:, :2], out=X[:, :2])
-            X[:, 2] = H[:, 2]
+            if X is not H:
+                X[:, 2] = H[:, 2]
             X += source
     else:
         def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space

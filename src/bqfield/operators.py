@@ -247,8 +247,11 @@ class Nabla:
         A scalar and a vector (f, v), such as (rho, J), go to (f - n.v, h+,
         h-, f + n.v), with h+- v's first two, on which free transport
         (f, v)' = (-i k.v, -i k f - k x v) acts as -i s (-1, 1, -1, 1).  One
-        field at a time, so the frame and the temporaries are band arrays,
-        never (3, 3) + band."""
+        field and one chunk of k_x planes at a time, so the temporaries are
+        small, never (3, 3) + band.  The components go into a new array, the
+        caller's to keep (step 1 keeps it as the new state's coefficients and
+        multiplies the gains in there), never into X: a component is read
+        after others are written."""
         H = np.empty(X.shape, np.result_type(X, 1j))
         for bx, _, frame in self._frame_rows():
             _to_helicity(frame, X[..., bx, :, :], H[..., bx, :, :])

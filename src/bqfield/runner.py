@@ -103,9 +103,10 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     is: the advanced channels as band coefficients, formed from the presets'
     rank-1 terms (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no
     grid-sized array but the band's), which step 1 takes as they are, and
-    the held ones multiplied out, as a block that spectral's step 1 takes
-    onto the band (where maxwell's source reads J) and central4 holds as
-    given.  ``U`` is made on first read, and is within round-off of the
+    the held ones multiplied out, as a block that central4 holds as given
+    and spectral holds with its terms: there step 1 takes only maxwell's J
+    onto the band, where its source reads it, and checks the other rows on
+    their terms (``_Held``).  ``U`` is made on first read, and is within round-off of the
     data's ``Nabla.dealias`` (central4 has no rule: of the data).
     strong_field's background is its band made physical.  A central4 force
     mode's state is ``sc.initial`` as given, as its stencil reads it.
@@ -120,7 +121,8 @@ def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     adv = _advanced(sc.mode)
     rows, held = _held_rows(adv), None
     if rows.start < rows.stop:
-        held = _Held(nabla, rows, _densify([t[rows] for t in sc.terms], sc.grid.n), filtered=spectral)
+        terms = [t[rows] for t in sc.terms]
+        held = _Held(nabla, rows, _densify(terms, sc.grid.n), terms if spectral else None)
     X = nabla.band_of_terms([t[adv] for t in sc.terms])
     coef = _Coefficients(nabla, X, held, "spectrum" if linear else "band")
     return SimState._held_as(0.0, coef, sc.grid, sc.medium, sc.mode, background), nabla

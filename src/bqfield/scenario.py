@@ -12,6 +12,7 @@ Complex numbers are spelled {"re": x, "im": y} (``im`` optional); complex
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -140,6 +141,13 @@ class Term(NamedTuple):
         order: coef * ((f_x f_y) f_z)."""
         fx, fy, fz = self.factors
         return np.multiply(self.coef, (fx[:, None, None] * fy[:, None]) * fz, out=out)
+
+    def bound(self) -> float:
+        """An upper bound on the term's modulus on the grid, up to the
+        rounding of ``dense``: |coef| times each factor's largest modulus
+        (inf or NaN where one is)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.abs(self.coef) * math.prod(np.abs(f).max() for f in self.factors))
 
 
 def _densify(terms: list, n: tuple) -> np.ndarray:

@@ -21,6 +21,7 @@ from bqfield import (
     StepperConfig,
     field_totals,
     free_theta_rhs,
+    rk4_gain,
     state_rhs,
     step_rk4,
 )
@@ -572,6 +573,46 @@ def test_spectral_maxwell_steps_by_its_kept_map():
     assert gain.dtype == np.complex128 and gain.shape == (2, 9, 9, 9)
 
 
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", ["maxwell", "free_theta"])
+def test_kept_map_is_the_one_evaluator(mode, scheme):
+    """The run's kept map, made a chunk of k_x planes at a time, is
+    rk4_gain's and _rk4_phi's arithmetic bit for bit, on a box with three
+    different sides: the gain rows are R(+-i h s), s the band's |symbol|,
+    and maxwell's source is -h phi(+-i h s) J+- and -h J_n, with J+- and J_n
+    the ``Nabla.to_helicity`` components of its held J's band."""
+    g = Grid(n=(12, 10, 9), L=(2 * np.pi, 3.0, 5.0), dtau=0.05)
+    nab, h = Nabla(g, scheme=scheme), g.dtau
+    st = random_state(g, mode, seed=43, scheme=scheme)
+    gains, source = step_rk4(st, nab, StepperConfig())[0]._coef.held.closed
+    z = 1j * h * nab.band_frame()[-1]
+    assert np.array_equal(gains, np.stack([rk4_gain(z), rk4_gain(-z)]))
+    if mode == "free_theta":
+        assert source is None
+    else:
+        want = nab.to_helicity(nab.to_spectrum(st.U[:, 4:7]))
+        want[:, 0] *= evolution._rk4_phi(z)
+        want[:, 1] *= evolution._rk4_phi(-z)
+        want *= -h
+        assert np.array_equal(source, want)
+
+
+def traced_peak(run) -> int:
+    """tracemalloc's peak over run(), in bytes above what was traced when
+    it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("mode,scheme,m,pin", [("free_theta", "central4", 1, 15),
                                              ("free_theta", "spectral", 1, 3),
                                              ("maxwell", "spectral", 1, 2),
@@ -593,18 +634,31 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        step_rk4(st, nab, StepperConfig(), 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak <= pin * 16**3 * 16
+    assert traced_peak(lambda: step_rk4(st, nab, StepperConfig(), 1)) <= pin * 16**3 * 16
+
+
+@pytest.mark.parametrize("mode,scheme,pin,map_pin", [("maxwell", "spectral", 5, 2), ("free_theta", "spectral", 3, 1),
+                                                     ("maxwell", "central4", 11, 9), ("free_theta", "central4", 9, 3)])
+def test_first_step_allocation_peak(mode, scheme, pin, map_pin):
+    """tracemalloc's peak over step 1 from build_state on 16^3, in channels
+    of 16^3 complex values.  Step 1 also makes the run's kept map (the band
+    frame, the gains and maxwell's source from its held J's band), and it
+    rotates build_state's coefficients straight into the new state's array,
+    where the gains multiply them: measured 4.45 for maxwell and 2.73 for
+    free_theta on spectral's 11^3 band, 10.04 and 8.02 on central4, whose
+    band is the whole grid.  A whole rotated copy next to the new array,
+    and maxwell's held rho taken onto the band with J, made them 5.35 and
+    3.99 on spectral, 12.65 and 11.62 on central4.  The kept map alone, made
+    again on step 1's held block, holds the gains and the source and
+    temporaries of a chunk of k_x planes: measured 1.91 and 0.81 on
+    spectral, 8.44 and 2.33 on central4 (central4 maxwell takes its held J
+    in again); band-sized Horner temporaries and stacked copies of the gains
+    and of phi made them 3.61 and 1.64, 11.04 and 5.02.  The pins are the
+    measured values rounded up to a whole channel."""
+    st, nab = build_state(pulse_scenario(mode, scheme, n=16))
+    assert traced_peak(lambda: step_rk4(st, nab, StepperConfig())) <= pin * 16**3 * 16
+    adv, held = evolution._advanced(mode), st._coef.held
+    assert traced_peak(lambda: evolution._closed_form(nab, adv, st.grid.dtau, held)) <= map_pin * 16**3 * 16
 
 
 @pytest.mark.parametrize("mode,scheme,pin", [("maxwell", "spectral", 8), ("free_theta", "spectral", 8),
@@ -623,18 +677,7 @@ def test_read_allocation_peak(mode, scheme, pin):
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=1, scheme=scheme), nab, StepperConfig())
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        st.U
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak <= pin * 16**3 * 16
+    assert traced_peak(lambda: st.U) <= pin * 16**3 * 16
 
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
@@ -690,13 +733,14 @@ def test_spectral_step_projects_onto_the_band(mode):
         assert np.abs(got.U[:, adv] - ref.U[:, adv]).max() <= 1e-13 * np.abs(ref.U[:, adv]).max()
 
 
-def pulse_scenario(mode, scheme="spectral", n_fields=None):
-    """Three steps on 12^3 from off-centre Gaussian pulses (not band-limited):
-    two fields where the mode needs a partner, else one."""
+def pulse_scenario(mode, scheme="spectral", n_fields=None, n=12):
+    """Three steps on n^3 (12^3 unless given) from off-centre Gaussian
+    pulses (not band-limited): two fields where the mode needs a partner,
+    else one."""
     pulse = {"type": "gaussian_pulse", "width": 0.7, "polarization": {"re": [1, 0, 0.5], "im": [0, 1, 0]}}
     fields = [{"afield": dict(pulse, center=[c] * 3), "theta": dict(pulse, center=[c] * 3, scalar=0.6)}
               for c in (2.8, 3.6)]
-    doc = {"mode": mode, "grid": {"n": [12, 12, 12]}, "duration": 3 * 0.25 * 2 * np.pi / 12,
+    doc = {"mode": mode, "grid": {"n": [n] * 3}, "duration": 3 * 0.25 * 2 * np.pi / n,
            "medium": {"kappa": 0.5}, "nabla": scheme,
            "initial_conditions": fields[: n_fields or (2 if mode in ("interaction", "united") else 1)]}
     if mode == "strong_field":
@@ -729,13 +773,16 @@ def test_build_state_u_is_the_dealiased_initial_data(mode, scheme):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("mode,n_fields,made,step1", [("maxwell", 1, 0, 4), ("united", 2, 0, 102)])
+@pytest.mark.parametrize("mode,n_fields,made,step1", [("maxwell", 1, 0, 3), ("free_theta", 1, 0, 0),
+                                                      ("united", 2, 0, 102)])
 def test_build_state_takes_the_advanced_channels_in_once(monkeypatch, mode, n_fields, made, step1):
     """On spectral build_state makes no 3-D transform: the advanced
     channels' band comes from the presets' 1-D factors.  Step 1 starts from
-    those coefficients: maxwell takes its held block (rho and J) onto the
-    band in one call, where its source reads J, once per run, and united
-    makes U in its first stage as a step from physical U would read it."""
+    those coefficients: maxwell takes its held J onto the band, where its
+    source reads it, once per run (its held rho, which no step reads, stays
+    as data), free_theta takes nothing (no step reads its held A), and
+    united makes U in its first stage as a step from physical U would read
+    it."""
     monkeypatch.setattr(runner, "Nabla", CountingNabla)
     st, nab = build_state(pulse_scenario(mode, n_fields=n_fields))
     assert nab.transforms == made
@@ -744,11 +791,11 @@ def test_build_state_takes_the_advanced_channels_in_once(monkeypatch, mode, n_fi
 
 
 def test_a_maxwell_run_transforms_its_data_once(monkeypatch):
-    """A spectral maxwell run from build_state through three steps does 4
-    transforms in all (none in set-up, and its held block's 4 in step 1),
-    none after step 1.  The first read of U makes the held block's physical
-    form, once for the run's states: it adds 3 + 4, and a read of a later
-    state 3."""
+    """A spectral maxwell run from build_state through three steps does 3
+    transforms in all (none in set-up, and its held J's 3 in step 1), none
+    after step 1.  The first read of U makes the held block's physical
+    form, once for the run's states: it adds 3 for A, 3 for J from its band
+    and 2 for rho's 2/3 rule, and a read of a later state 3."""
     monkeypatch.setattr(runner, "Nabla", CountingNabla)
     sc = pulse_scenario("maxwell")
     st, nab = build_state(sc)
@@ -756,13 +803,13 @@ def test_a_maxwell_run_transforms_its_data_once(monkeypatch):
     for i in range(3):
         st, _ = step_rk4(st, nab, sc.stepper, i)
         counts.append(nab.transforms)
-    assert counts == [4, 4, 4]
+    assert counts == [3, 3, 3]
     st.U
-    assert nab.transforms == 4 + 3 + 4
+    assert nab.transforms == 3 + 3 + 3 + 2
     st.U
     st, _ = step_rk4(st, nab, sc.stepper, 3)
     st.U
-    assert nab.transforms == 4 + 3 + 4 + 3
+    assert nab.transforms == 3 + 3 + 3 + 2 + 3
 
 
 def test_a_central4_free_theta_run_transforms_only_on_a_read(monkeypatch):

@@ -18,9 +18,10 @@ import weakref
 import numpy as np
 import pytest
 
-from bqfield import run_scenario
+from bqfield import run_scenario, step_rk4
 from bqfield.cli import main
 from bqfield.diagnostics import DIAGNOSTIC_NAMES
+from bqfield.runner import build_state
 from bqfield.scenario import ScenarioError, build_preset, load_scenario, parse_scenario
 
 
@@ -489,6 +490,22 @@ def test_cli_held_channel_overflow_aborts_at_step_one(tmp_path, theta):
     assert code == 3
     summary = json.loads((tmp_path / "res" / "summary.json").read_text())
     assert summary["abort"]["steps"] == 1 and summary["steps"] == 0
+
+
+def test_cli_large_held_rho_with_a_finite_2_3_rule_runs(tmp_path):
+    """A uniform held rho of 1e200, below f_max / (4 N^2) with N = 8^3 grid
+    points, cannot overflow its 2/3 rule, so step 1 checks it on its terms
+    and takes it onto no band: the run exits 0, and a read of U gives the
+    data's Nabla.dealias in rho's row, bit for bit."""
+    doc = eigenmode_doc()
+    doc["initial_conditions"][0]["theta"] = {"type": "uniform", "value": [0.0] * 3, "scalar": 1e200}
+    doc["diagnostics"] = []
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == 0
+    sc = parse_scenario(doc)
+    st, nab = build_state(sc)
+    for i in range(sc.steps):
+        st, _ = step_rk4(st, nab, sc.stepper, i)
+    assert np.array_equal(st.U[0, 3], nab.dealias(sc.initial[0, 3]))
 
 
 def test_run_integral_series_through_engine(tmp_path):
