@@ -161,7 +161,7 @@ class _Held:
         self.nabla, self.rows, self.closed = nabla, rows, None
         self._given, self._terms, self._finite = given, terms, None
         self._physical = given if terms is None else None
-        self._J = self._idle_band = None
+        self._J = None
         self._reads_J = rows.start == _RHO  # maxwell's held Theta, whose J its source reads
         self._idle = slice(0, 1) if self._reads_J else slice(0, 3)  # the rows no step reads
 
@@ -178,11 +178,10 @@ class _Held:
     def physical(self) -> np.ndarray:
         if self._physical is None:
             nabla, idle, P = self.nabla, self._idle, np.empty_like(self._given)
-            band = nabla.to_spectrum(self._given[:, idle]) if self._idle_band is None else self._idle_band
-            nabla.from_spectrum(band, out=P[:, idle])
+            nabla.from_spectrum(nabla.to_spectrum(self._given[:, idle]), out=P[:, idle])
             if self._reads_J:
                 nabla.from_spectrum(self.band_J(), out=P[:, 1:])
-            self._physical, self._given, self._idle_band = P, None, None
+            self._physical, self._given = P, None
         return self._physical
 
     def finite(self) -> bool:
@@ -192,18 +191,18 @@ class _Held:
         the rows no step reads on their terms, where those bound them below
         f_max / (4 N^2), N grid points, which a forward-then-inverse
         transform cannot overflow: zero rows, which have no term, are never
-        read.  Rows the terms do not bound go onto the band here and are
-        checked there."""
+        read.  Rows the terms do not bound are checked in the physical form,
+        made here if no read of ``U`` has made it yet, where an overflow of
+        their 2/3 rule shows."""
         if self._finite is None:
             if self._terms is None:
                 self._finite = _all_finite(self._given)
             else:
-                bands = [self.band_J()] if self._reads_J else []
+                checked = [self.band_J()] if self._reads_J else []
                 limit = np.finfo(float).max / (4 * math.prod(self.nabla.grid.n) ** 2)
                 if not all(t is None or t.bound() < limit for row in self._terms for t in row[self._idle]):
-                    self._idle_band = self.nabla.to_spectrum(self._given[:, self._idle])
-                    bands.append(self._idle_band)
-                self._finite = all(map(_all_finite, bands))
+                    checked.append(self.physical()[:, self._idle])
+                self._finite = all(map(_all_finite, checked))
         return self._finite
 
 

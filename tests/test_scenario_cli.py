@@ -492,6 +492,27 @@ def test_cli_held_channel_overflow_aborts_at_step_one(tmp_path, theta):
     assert summary["abort"]["steps"] == 1 and summary["steps"] == 0
 
 
+@pytest.mark.parametrize(
+    "theta, code",
+    [({"value": [1e308, 0.0, 0.0]}, 3), ({"value": [0.0] * 3, "scalar": 1e308}, 3),
+     ({"value": [0.0] * 3, "scalar": 1e305}, 0)],
+)
+def test_cli_held_channel_check_after_a_read_of_u(tmp_path, theta, code):
+    """An integral diagnostic reads U at tau = 0, before step 1, so the held
+    block is physical when step 1 checks it.  A held rho of 1e305 on 8^3 is
+    over f_max / (4 N^2), so its terms do not bound it; the check then reads
+    its physical form, which is finite (exit 0) unless the 2/3 rule
+    overflowed (exit 3, at step 1)."""
+    doc = eigenmode_doc()
+    doc["initial_conditions"][0]["theta"] = dict(theta, type="uniform")
+    doc["diagnostics"] = [{"name": "integral_charge", "region": {"lo": [0, 0, 0], "hi": [8, 8, 4]}}]
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "res")]) == code
+    summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+    assert summary["steps"] == (8 if code == 0 else 0)
+    if code == 3:
+        assert summary["abort"]["steps"] == 1
+
+
 def test_cli_large_held_rho_with_a_finite_2_3_rule_runs(tmp_path):
     """A uniform held rho of 1e200, below f_max / (4 N^2) with N = 8^3 grid
     points, cannot overflow its 2/3 rule, so step 1 checks it on its terms
