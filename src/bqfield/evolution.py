@@ -25,8 +25,10 @@ band, the wavenumbers the scheme's derivative symbol acts on: spectral's
 There f is constant and L is diagonal in the characteristic basis of the
 symbol (``Nabla.to_helicity``), so one RK4 step is two complex gains
 g+- = R(+-i h s) per band wavenumber, made once per run (``_closed_form``,
-kept on the run's held block), plus maxwell's held source: no stage loop,
-no derivative and no transform.  Step 1 rotates the coefficients into that
+kept on the run's held block), plus maxwell's held source where its J's
+band is non-zero: no stage loop, no derivative and no transform.  A held J
+whose band is all zero has no source (``_Held.band_J`` is None), so that
+step is one gain multiply.  Step 1 rotates the coefficients into that
 basis straight into the new state's array and multiplies the gains in
 there, so it holds no more than a later step but the run's kept map; a
 read of ``U`` rotates them back as it scatters them
@@ -60,8 +62,9 @@ A block of spectral ``build_state``'s initial data arrives multiplied out,
 the only rows of it that do: step 1 takes maxwell's J onto the band, where
 its source reads it, and no other row (rho, a held A), as no step reads
 them; the block's physical form, the data's 2/3 rule, is made on the first
-read of ``U``.  A block taken from a state's ``U``, or central4's initial
-data, is those arrays.
+read of ``U``, which in maxwell adds 3 + 0 + 2 transforms (A, J, rho) where
+J's band is all zero and 3 + 3 + 2 otherwise.  A block taken from a state's
+``U``, or central4's initial data, is those arrays.
 """
 
 from __future__ import annotations
@@ -153,25 +156,34 @@ class _Held:
     ``U`` makes the physical form (J from its band, the other rows by their
     2/3 rule) and the block lets go of the data.  ``closed`` is the run's
     RK4 map (``_closed_form``) in maxwell and free_theta, set by their first
-    step: the two gains g+- per band wavenumber, next to maxwell's held
-    source in the same basis.
+    step: the two gains g+- per band wavenumber, plus maxwell's held source
+    in the same basis where its J's band is non-zero.  An all-zero band has
+    no source (``band_J`` is None): no step adds one, and the physical form
+    writes J's rows as zeros, so maxwell's first read of ``U`` adds 3 + 0 + 2
+    transforms (A, J, rho), not 3 + 3 + 2.
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, terms: list | None = None):
         self.nabla, self.rows, self.closed = nabla, rows, None
         self._given, self._terms, self._finite = given, terms, None
         self._physical = given if terms is None else None
-        self._J = None
+        self._J = ...  # not taken in yet
         self._reads_J = rows.start == _RHO  # maxwell's held Theta, whose J its source reads
         self._idle = slice(0, 1) if self._reads_J else slice(0, 3)  # the rows no step reads
 
-    def band_J(self) -> np.ndarray:
-        """maxwell's held J on the band, taken in once and kept where the
-        physical form is made from it."""
-        if self._J is not None:
+    def band_J(self) -> np.ndarray | None:
+        """maxwell's held J on the band, taken in and kept where the physical
+        form is made from it; None where that band is all zero, found once
+        for the run: there is then no source, and maxwell's first read of
+        ``U`` adds 3 + 0 + 2 transforms (A, J, rho), not 3 + 3 + 2.  Finding
+        the zero reads the band, so J's 3 forward transforms stay in step 1
+        either way."""
+        if self._J is not ...:
             return self._J
         J = self.nabla.to_spectrum(self._given[:, 1:])
-        if self._physical is None:
+        if not J.any():
+            J = self._J = None
+        elif self._physical is None:
             self._J = J
         return J
 
@@ -180,7 +192,10 @@ class _Held:
             nabla, idle, P = self.nabla, self._idle, np.empty_like(self._given)
             nabla.from_spectrum(nabla.to_spectrum(self._given[:, idle]), out=P[:, idle])
             if self._reads_J:
-                nabla.from_spectrum(self.band_J(), out=P[:, 1:])
+                if (J := self.band_J()) is None:
+                    P[:, 1:] = 0
+                else:
+                    nabla.from_spectrum(J, out=P[:, 1:])
             self._physical, self._given = P, None
         return self._physical
 
@@ -198,7 +213,7 @@ class _Held:
             if self._terms is None:
                 self._finite = _all_finite(self._given)
             else:
-                checked = [self.band_J()] if self._reads_J else []
+                checked = [J] if self._reads_J and (J := self.band_J()) is not None else []
                 limit = np.finfo(float).max / (4 * math.prod(self.nabla.grid.n) ** 2)
                 if not all(t is None or t.bound() < limit for row in self._terms for t in row[self._idle]):
                     checked.append(self.physical()[:, self._idle])
@@ -450,8 +465,11 @@ def rk4_gain(z):
 def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     """Classical RK4's map for step h as (gains, source), made once per run:
     X <- gains X + source on the characteristic components of the band
-    coefficients (``Nabla.to_helicity``), with maxwell's f the held -J and
-    none in free_theta (source None).
+    coefficients (``Nabla.to_helicity``): the gains, plus maxwell's held
+    source (from its f, the held -J) where its J's band is non-zero.  There
+    is none (source None) in free_theta, nor where ``_Held.band_J`` is None;
+    that maxwell run's first read of ``U`` then adds 3 + 0 + 2 transforms,
+    not 3 + 3 + 2.
 
     For y' = L y + f with f constant, four stages make
     y <- R(hL) y + h phi(hL) f, with R = ``rk4_gain`` and phi = (R - 1)/z.
@@ -470,7 +488,8 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     """
     s = nabla.band_frame()[-1]
     gains = np.empty((2,) + s.shape, np.complex128)
-    source = None if adv.stop == 7 else nabla.to_helicity(held.band_J())
+    J = None if adv.stop == 7 else held.band_J()
+    source = None if J is None else nabla.to_helicity(J)
     for bx, _ in nabla._band_rows:  # a chunk of k_x planes at a time: no band-sized temporary
         z = 1j * h * s[bx]
         gains[0, bx] = rk4_gain(z)
@@ -512,7 +531,9 @@ def step_rk4(
     discrete map, which ``_closed_form`` made once per run, for its frozen
     grid's dtau, and kept on the run's held block: on both schemes the gains
     g+- times the band coefficients' characteristic components
-    (``Nabla.to_helicity``), plus maxwell's held source.  Step 1 rotates
+    (``Nabla.to_helicity``), plus maxwell's held source where its J's band
+    is non-zero (none where it is all zero, whose first read of ``U`` then
+    adds 3 + 0 + 2 transforms, not 3 + 3 + 2).  Step 1 rotates
     Cartesian coefficients straight into the new state's array and
     multiplies the gains in there (never over its input's coefficients,
     which stay that state's), and a read of ``U`` rotates them back as it
@@ -554,15 +575,16 @@ def step_rk4(
             H, X = X0, np.empty_like(X0)
         else:  # step 1: rotated straight into the new state's array, then multiplied there
             H = X = nabla.to_helicity(X0)
-        if source is None:  # (g+, g-, g+, g-) on (rho - J_n, J+, J-, rho + J_n)
+        if adv.stop == 7:  # (g+, g-, g+, g-) on (rho - J_n, J+, J-, rho + J_n)
             pairs = (-1, 2) + H.shape[2:]  # one multiply per pair: numpy buffered a whole-stack broadcast
             for x, y in zip(X.reshape(pairs), H.reshape(pairs)):
                 np.multiply(gains, y, out=x)
-        else:  # (g+ A+, g- A-, A_n) + S
+        else:  # (g+ A+, g- A-, A_n) + S, where J's band is non-zero
             np.multiply(gains, H[:, :2], out=X[:, :2])
             if X is not H:
                 X[:, 2] = H[:, 2]
-            X += source
+            if source is not None:
+                X += source
     else:
         def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
             at = state if X is X0 else state._stepped(tau, _Coefficients(nabla, X, held))
