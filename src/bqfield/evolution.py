@@ -18,53 +18,51 @@ f is maxwell's held -J, or the force -Theta o A' / kappa of a partner field
 (``_add_f``), the only nonlinear term.
 
 Time stepping is classical RK4 under dtau <= cfl * min(h) (wave speed 1 in tau
-units).  ``maxwell`` and ``free_theta`` step on Fourier coefficients of the
-band, the wavenumbers the scheme's derivative symbol acts on: spectral's
-2/3 band |k_i| <= n_i/3 with symbol k, and central4's whole grid with the
-5-point stencil's symbol d(k) = (8 sin kh - sin 2kh) / (6h) per axis.
-There f is constant and L is diagonal in the characteristic basis of the
-symbol (``Nabla.to_helicity``), so one RK4 step is two complex gains
-g+- = R(+-i h s) per band wavenumber, made once per run (``_closed_form``,
-kept on the run's held block), plus maxwell's held source where its J's
-band is non-zero: no stage loop, no derivative and no transform.  A held J
-whose band is all zero has no source (``_Held.band_J`` is None), so that
-step is one gain multiply.  Step 1 rotates the coefficients into that
-basis straight into the new state's array and multiplies the gains in
-there, so it holds no more than a later step but the run's kept map; a
-read of ``U`` rotates them back as it scatters them
-(``Nabla.from_spectrum``).  Force modes run the four stages in the stage
-representation ``Nabla.to_band``: the same band on spectral, physical
-arrays on central4's stencil.  Their force is formed in physical space and
-taken in by ``to_band`` (the 2/3 rule on spectral, none on central4); a
-force mode's first stage reads the input's physical values as they are.
-Besides its input state, a stage step holds three stacks of the advanced
-channels (the sum of the k, one stage input that is also the scratch for
-w k, and the current k) and one right-hand side's temporaries.
+units).  Every mode steps on Fourier coefficients of the band, the
+wavenumbers the scheme's derivative symbol acts on: spectral's 2/3 band
+|k_i| <= n_i/3 with symbol k, and central4's whole grid with the 5-point
+stencil's symbol d(k) = (8 sin kh - sin 2kh) / (6h) per axis.  In
+``maxwell`` and ``free_theta`` f is constant and L is diagonal in the
+characteristic basis of the symbol (``Nabla.to_helicity``), so one RK4 step
+is two complex gains g+- = R(+-i h s) per band wavenumber, made once per
+run (``_closed_form``, kept on the run's held block), plus maxwell's held
+source where its J's band is non-zero: no stage loop, no derivative and no
+transform.  A held J whose band is all zero has no source
+(``_Held.band_J`` is None), so that step is one gain multiply.  Step 1
+rotates the coefficients into that basis straight into the new state's
+array and multiplies the gains in there, so it holds no more than a later
+step but the run's kept map; a read of ``U`` rotates them back as it
+scatters them (``Nabla.from_spectrum``).  Force modes run the four stages
+on the same band.  Their force is formed in physical space and taken in by
+``Nabla.to_spectrum`` (the 2/3 rule on spectral, none on central4); a force
+mode's first stage reads the input's physical values as they are.  Besides
+its input state, a stage step holds three stacks of the advanced channels
+(the sum of the k, one stage input that is also the scratch for w k, and
+the current k) and one right-hand side's temporaries.
 
 A state keeps the coefficients of its advanced channels, next to ``U``,
 until the next step takes them: ``build_state`` (which makes no dense
 array of them; from the presets' 1-D factors, ``Nabla.band_of_terms``)
-returns them in every mode on spectral and in maxwell and free_theta on
-central4, and so does every step on spectral and every maxwell and
-free_theta step.  A step on their scheme starts from them with no
-transform (a step on another scheme takes ``U`` in).  maxwell and
-free_theta hold them alone and make ``U`` on first read; a force mode
-makes ``U`` in the step, and on central4, where the coefficients are
-``U``'s own channels, holds ``U`` alone.  A step drops the coefficients it
-took from its input if that input holds ``U`` too, so only the newest
-state holds both.
+and every step return them.  A step on their scheme starts from them with
+no transform (a step on another scheme takes ``U`` in).  maxwell and
+free_theta hold them alone and make ``U`` on first read; a force mode makes
+``U`` in the step.  A step drops the coefficients it took from its input if
+that input holds ``U`` too, so only the newest state holds both.
 
 The held channels (maxwell's Theta, A where Theta alone advances) never
 change, so a run keeps them once, as one block (``_Held``) its states share,
 with the run's closed form; no step writes them, and a caller must not
 write a stepped state's ``U`` in place (build a new ``SimState`` instead).
-A block of spectral ``build_state``'s initial data arrives multiplied out,
-the only rows of it that do: step 1 takes maxwell's J onto the band, where
-its source reads it, and no other row (rho, a held A), as no step reads
-them; the block's physical form, the data's 2/3 rule, is made on the first
-read of ``U``, which in maxwell adds 3 + 0 + 2 transforms (A, J, rho) where
-J's band is all zero and 3 + 3 + 2 otherwise.  A block taken from a state's
-``U``, or central4's initial data, is those arrays.
+A block of ``build_state``'s initial data arrives multiplied out, the only
+rows of it that do: step 1 takes maxwell's J onto the band, where its
+source reads it, and no other row (rho, a held A), as no step reads them;
+the block's physical form, the data's ``Nabla.dealias``, is made on the
+first read of ``U``.  A row with no term is zero and is not transformed,
+and neither is J's where its band is all zero, so in spectral maxwell that
+read adds 3 + 0 + 0 transforms (A, J, rho) for a plane wave in A alone,
+and 3 + 3 + 2 where J and rho have terms and J's band is non-zero.  On
+central4, which has no 2/3 rule, the block is its own physical form and
+the read adds A's 3.  A block taken from a state's ``U`` is those arrays.
 """
 
 from __future__ import annotations
@@ -148,22 +146,28 @@ class _Held:
     """A run's held channels ``rows``, one block shared by its states.
 
     ``given`` is the block's data, physical as given unless ``terms`` come
-    with it: spectral ``build_state``'s held rows, multiplied out from their
-    rank-1 terms, whose physical form is the data's ``Nabla.dealias``.  Of
-    such a block only maxwell's J goes onto the band (``band_J``), in step
-    1, for the source, and stays there; no step reads the other rows
-    (maxwell's rho, a held A), so they stay as data until the first read of
-    ``U`` makes the physical form (J from its band, the other rows by their
-    2/3 rule) and the block lets go of the data.  ``closed`` is the run's
-    RK4 map (``_closed_form``) in maxwell and free_theta, set by their first
-    step: the two gains g+- per band wavenumber, plus maxwell's held source
-    in the same basis where its J's band is non-zero.  An all-zero band has
-    no source (``band_J`` is None): no step adds one, and the physical form
-    writes J's rows as zeros, so maxwell's first read of ``U`` adds 3 + 0 + 2
-    transforms (A, J, rho), not 3 + 3 + 2.
+    with it: ``build_state``'s held rows, multiplied out from their rank-1
+    terms, whose physical form is the data's ``Nabla.dealias``.  Where the
+    band is the whole grid (central4) there is no 2/3 rule, so the data is
+    its own physical form and the block is held as given.  Of a block with
+    terms only maxwell's J goes onto the band (``band_J``), in step 1, for
+    the source, and stays there; no step reads the other rows (maxwell's
+    rho, a held A), so they stay as data until the first read of ``U``
+    makes the physical form in the data's own array and the block lets go
+    of the data: J from its band, the other rows by their 2/3 rule, and a
+    row with no term, zero as given, left as it is.  ``closed`` is the
+    run's RK4 map (``_closed_form``) in maxwell and free_theta, set by
+    their first step: the two gains g+- per band wavenumber, plus
+    maxwell's held source in the same basis where its J's band is
+    non-zero.  An all-zero band has no source (``band_J`` is None): no
+    step adds one, and the physical form writes J's rows as zeros, so a
+    maxwell plane wave in A alone adds 3 + 0 + 0 transforms (A, J, rho) on
+    its first read of ``U``.
     """
 
     def __init__(self, nabla: Nabla, rows: slice, given: np.ndarray, terms: list | None = None):
+        if nabla._band_shape == nabla.grid.n:  # no 2/3 rule: the data is its physical form
+            terms = None
         self.nabla, self.rows, self.closed = nabla, rows, None
         self._given, self._terms, self._finite = given, terms, None
         self._physical = given if terms is None else None
@@ -174,10 +178,9 @@ class _Held:
     def band_J(self) -> np.ndarray | None:
         """maxwell's held J on the band, taken in and kept where the physical
         form is made from it; None where that band is all zero, found once
-        for the run: there is then no source, and maxwell's first read of
-        ``U`` adds 3 + 0 + 2 transforms (A, J, rho), not 3 + 3 + 2.  Finding
-        the zero reads the band, so J's 3 forward transforms stay in step 1
-        either way."""
+        for the run: there is then no source, and the physical form writes
+        J's rows as zeros.  Finding the zero reads the band, so J's 3
+        forward transforms stay in step 1 either way."""
         if self._J is not ...:
             return self._J
         J = self.nabla.to_spectrum(self._given[:, 1:])
@@ -187,15 +190,22 @@ class _Held:
             self._J = J
         return J
 
+    def _has_terms(self, rows: slice) -> bool:
+        """Whether some field has a term in the block's ``rows``: a row with
+        none is zero as given."""
+        return any(t is not None for row in self._terms for t in row[rows])
+
     def physical(self) -> np.ndarray:
         if self._physical is None:
-            nabla, idle, P = self.nabla, self._idle, np.empty_like(self._given)
-            nabla.from_spectrum(nabla.to_spectrum(self._given[:, idle]), out=P[:, idle])
+            nabla, P = self.nabla, self._given
+            if self._has_terms(self._idle):  # their 2/3 rule, in place
+                idle = P[:, self._idle]
+                nabla.from_spectrum(nabla.to_spectrum(idle), out=idle)
             if self._reads_J:
-                if (J := self.band_J()) is None:
-                    P[:, 1:] = 0
-                else:
+                if (J := self.band_J()) is not None:
                     nabla.from_spectrum(J, out=P[:, 1:])
+                elif self._has_terms(slice(1, 4)):
+                    P[:, 1:] = 0
             self._physical, self._given = P, None
         return self._physical
 
@@ -224,44 +234,35 @@ class _Held:
 class _Coefficients(NamedTuple):
     """A state's advanced channels on its Nabla, kept until the next step
     takes them, and its run's held block (None where the mode holds no
-    channel).  ``basis`` says what X holds: "band", ``Nabla.to_band``'s
-    stage representation (a force mode's); "spectrum", the Cartesian band
-    coefficients (``Nabla.to_spectrum``, as a linear mode's arrive); or
-    "helical", their ``Nabla.to_helicity`` components (a linear step's)."""
+    channel).  X holds the Cartesian band coefficients
+    (``Nabla.to_spectrum``: build_state's, a force mode step's), or where
+    ``helical`` their ``Nabla.to_helicity`` components (a linear step's)."""
 
     nabla: Nabla
     X: np.ndarray
     held: _Held | None
-    basis: str = "band"
+    helical: bool = False
 
     def physical(self) -> np.ndarray:
         """``U`` as one array: the held rows copied in, and the advanced
         ones (rotated back on the way where helical) transformed in their
         own slice."""
-        nabla, X = self.nabla, self.X
-
-        def fill(out=None):
-            if self.basis == "band":
-                return nabla.from_band(X, out=out)
-            return nabla.from_spectrum(X, out=out, helical=self.basis == "helical")
-
-        if self.held is None:
-            return fill()
-        H = self.held.physical()
+        nabla, X, held = self.nabla, self.X, self.held
+        if held is None:
+            return nabla.from_spectrum(X, helical=self.helical)
+        H = held.physical()
         U = np.empty((len(X), 7) + nabla.grid.n, np.result_type(H, X))
-        U[:, self.held.rows] = H
-        fill(U[:, 3:] if self.held.rows.start == 0 else U[:, :3])
+        U[:, held.rows] = H
+        nabla.from_spectrum(X, out=U[:, 3:] if held.rows.start == 0 else U[:, :3], helical=self.helical)
         return U
 
 
-def _take_in(nabla: Nabla, adv: slice, U: np.ndarray, linear: bool) -> _Coefficients:
-    """U's advanced channels ``adv`` taken onto ``nabla``'s band (its stage
-    representation in a force mode), and its held block, physical as given."""
+def _take_in(nabla: Nabla, adv: slice, U: np.ndarray) -> _Coefficients:
+    """U's advanced channels ``adv`` taken onto ``nabla``'s band, and its
+    held block, physical as given."""
     rows = _held_rows(adv)
     held = _Held(nabla, rows, U[:, rows]) if rows.start < rows.stop else None
-    if linear:
-        return _Coefficients(nabla, nabla.to_spectrum(U[:, adv]), held, "spectrum")
-    return _Coefficients(nabla, nabla.to_band(U[:, adv]), held)
+    return _Coefficients(nabla, nabla.to_spectrum(U[:, adv]), held)
 
 
 class SimState:
@@ -270,9 +271,8 @@ class SimState:
     ``U`` is the (M, 7, nx, ny, nz) complex128 state, and ``background``
     strong_field's frozen A', complex128 of shape (3, nx, ny, nz), given in
     no other mode; ``tau`` a finite real number, held as a float.  A state
-    that ``build_state`` returned on spectral, or ``step_rk4`` on spectral
-    or in maxwell and free_theta, also holds the band coefficients the next
-    step starts from; where it holds only those,
+    that ``build_state`` or ``step_rk4`` returned also holds the band
+    coefficients the next step starts from; where it holds only those,
     ``U`` is made on first read, next to them, and the step that takes them
     drops them.  The states of one run share their held channels and the
     closed form's constants, so ``U`` has no setter, and writing into it in
@@ -396,9 +396,8 @@ def _held_rows(adv: slice) -> slice:
 
 
 def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:
-    """L Y for a field stack Y of the channels adv in nabla's derivative
-    representation (its physical arrays on central4, Fourier coefficients on
-    spectral, of the full grid or of its 2/3 band).
+    """L Y for a field stack Y of the channels adv as Fourier coefficients
+    on nabla's grid or on its band.
 
     A moves by -i curl A, minus J where J also advances; Theta by free
     transport, i nabla o Theta (``free_theta_rhs``).  Each operator writes
@@ -421,7 +420,7 @@ def _add_f(dX: np.ndarray, state: SimState, take) -> np.ndarray:
     """dX + f in place, for a field stack dX of the channels the mode advances.
 
     In a force mode f is -Theta o A' / kappa of each field's partner, formed
-    from ``state`` in physical space and taken into dX's representation by
+    from ``state`` in physical space and taken onto dX's band or grid by
     ``take``; in the other modes this adds nothing (maxwell's held -J is
     ``state_rhs``'s, and the closed form's source in a step).
     """
@@ -429,7 +428,10 @@ def _add_f(dX: np.ndarray, state: SimState, take) -> np.ndarray:
         return dX
     for k in range(len(dX)):
         fbq = _force_biquaternion(state.U[k, _RHO], state.U[k, _J], partner_field(state, k))
-        SV = take(np.concatenate([fbq.scalar[None], fbq.vector]))
+        F = np.concatenate([fbq.scalar[None], fbq.vector])
+        del fbq  # before the force is taken in
+        SV = take(F)
+        del F
         dX[k, -4] -= 1j * SV[0] / state.medium.kappa
         dX[k, -3:] += SV[1:] / state.medium.kappa
     return dX
@@ -440,7 +442,7 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     _check_box(state, nabla)
     U, adv = state.U, _advanced(state.mode)
     dU = np.zeros_like(U)
-    dX = nabla._back(_linear(nabla, adv, nabla._to(U[:, adv])))
+    dX = nabla.ifftn(_linear(nabla, adv, nabla.fftn(U[:, adv])))
     if adv.stop < 7:  # maxwell's f, the held -J
         dX -= U[:, _J]
     dU[:, adv] = _add_f(dX, state, nabla.dealias)
@@ -467,9 +469,7 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     X <- gains X + source on the characteristic components of the band
     coefficients (``Nabla.to_helicity``): the gains, plus maxwell's held
     source (from its f, the held -J) where its J's band is non-zero.  There
-    is none (source None) in free_theta, nor where ``_Held.band_J`` is None;
-    that maxwell run's first read of ``U`` then adds 3 + 0 + 2 transforms,
-    not 3 + 3 + 2.
+    is none (source None) in free_theta, nor where ``_Held.band_J`` is None.
 
     For y' = L y + f with f constant, four stages make
     y <- R(hL) y + h phi(hL) f, with R = ``rk4_gain`` and phi = (R - 1)/z.
@@ -529,28 +529,24 @@ def step_rk4(
     In maxwell and free_theta the system is linear with constant
     coefficients, so the four stages and their combine are RK4's own
     discrete map, which ``_closed_form`` made once per run, for its frozen
-    grid's dtau, and kept on the run's held block: on both schemes the gains
-    g+- times the band coefficients' characteristic components
-    (``Nabla.to_helicity``), plus maxwell's held source where its J's band
-    is non-zero (none where it is all zero, whose first read of ``U`` then
-    adds 3 + 0 + 2 transforms, not 3 + 3 + 2).  Step 1 rotates
-    Cartesian coefficients straight into the new state's array and
+    grid's dtau, and kept on the run's held block: the gains g+- times the
+    band coefficients' characteristic components (``Nabla.to_helicity``),
+    plus maxwell's held source where its J's band is non-zero.  Step 1
+    rotates Cartesian coefficients straight into the new state's array and
     multiplies the gains in there (never over its input's coefficients,
     which stay that state's), and a read of ``U`` rotates them back as it
     scatters (``Nabla.from_spectrum``).  No derivative and no transform:
     their right-hand side never reads the physical state, so they return
     their coefficients alone and make ``U`` on first read.  Force modes run
-    the four stages on L X + f in the stage representation
-    (``Nabla.to_band``: the band on spectral, physical arrays on the
-    central4 stencil), and make ``U`` in the step, as the next step's first
-    stage reads it anyway; besides its input state a stage step holds three
-    stacks of the advanced channels (the sum of the k, one stage input
-    reused as scratch, and the current k) and the temporaries of one rhs.
+    the four stages on L X + f on the band, and make ``U`` in the step, as
+    the next step's first stage reads it anyway; besides its input state a
+    stage step holds three stacks of the advanced channels (the sum of the
+    k, one stage input reused as scratch, and the current k) and the
+    temporaries of one rhs.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
-    finiteness once (``_Held.finite``; once per step in a central4 force
-    mode, which takes ``U`` in every step).  It raises ValueError unless
+    finiteness once per run (``_Held.finite``).  It raises ValueError unless
     ``nabla`` is on the state's box.
 
     Returns (new_state, None): the pair is kept only because benchmark
@@ -563,7 +559,7 @@ def step_rk4(
     adv, linear = _advanced(state.mode), state.mode not in _FORCED
     coef = state._coef
     if coef is None or coef.nabla.scheme != nabla.scheme:  # made on another scheme
-        coef = _take_in(nabla, adv, state.U, linear)
+        coef = _take_in(nabla, adv, state.U)
     X0, held = coef.X, coef.held
     if held is not None and not held.finite():  # no rhs need read all of it
         raise NumericalAbort(state.tau, steps_done + 1, state)
@@ -571,7 +567,7 @@ def step_rk4(
         if held.closed is None:
             held.closed = _closed_form(nabla, adv, dt, held)
         gains, source = held.closed
-        if coef.basis == "helical":
+        if coef.helical:
             H, X = X0, np.empty_like(X0)
         else:  # step 1: rotated straight into the new state's array, then multiplied there
             H = X = nabla.to_helicity(X0)
@@ -588,17 +584,15 @@ def step_rk4(
     else:
         def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
             at = state if X is X0 else state._stepped(tau, _Coefficients(nabla, X, held))
-            return _add_f(_linear(nabla, adv, X), at, nabla.to_band)
+            return _add_f(_linear(nabla, adv, X), at, nabla.to_spectrum)
 
         X = _stages(rhs, X0, state.tau, dt)
     # a non-finite value in physical space spreads to every coefficient
     if not _all_finite(X):
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, "helical" if linear else "band"))
+    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, linear))
     if not linear:
         new.U  # made here: the next step's first stage reads it anyway
-        if nabla.scheme != "spectral":
-            new._coef = None  # central4's coefficients are U's channels: hold one copy
     if state._U is not None:
         state._coef = None  # taken: only the newest state holds both forms
     return new, None

@@ -16,13 +16,17 @@ D+- F = dF/dtau +- i nabla o F.  Time
 derivatives are not discretised here; callers supply them (analytically in
 tests, from stored history in diagnostics).
 
-``Nabla``'s operators take and return physical arrays on the full grid, so
-they differentiate products that are not band-limited exactly.  Between
-calls the stepper holds Fourier coefficients on the band, the wavenumbers
-its scheme's derivative symbol acts on (``to_spectrum``/``from_spectrum``):
-spectral's 2/3 band, which is all a dealiased state has, and central4's
-whole grid, where the 5-point stencil is the multiplier i d(k).  central4's
-force modes still hold physical arrays (``to_band``/``from_band``).
+Both schemes differentiate on Fourier coefficients, one multiplier per
+axis: spectral's k, and central4's 5-point stencil as its own Fourier
+symbol, d(k) = (8 sin kh - sin 2kh) / (6h) for d/dx and
+-(30 - 32 cos kh + 2 cos 2kh) / (12 h^2) for d^2/dx^2, which on a periodic
+grid is the stencil exactly (the modified wavenumber of Lele 1992,
+J. Comput. Phys. 103:16).  ``Nabla``'s operators take and return physical
+arrays on the full grid, so they differentiate products that are not
+band-limited exactly.  Between calls the stepper holds Fourier coefficients
+on the band, the wavenumbers its scheme's derivative symbol acts on
+(``to_spectrum``/``from_spectrum``): spectral's 2/3 band, which is all a
+dealiased state has, and central4's whole grid.
 """
 
 from __future__ import annotations
@@ -50,23 +54,23 @@ class Nabla:
     scheme : str
         "spectral" or "central4".
     workers : int
-        Thread count handed to scipy.fft (spectral scheme only); negative
-        counts back from the CPU count, as scipy reads them.
+        Thread count handed to scipy.fft; negative counts back from the CPU
+        count, as scipy reads them.
 
-    The band holds the Fourier coefficients the scheme's symbol acts on:
-    every |k_i| <= n_i/3 on spectral, the whole grid on central4.
-    ``to_spectrum`` is fftn then a gather of the band (8 block copies on
-    spectral, which is the 2/3 rule; none on central4), ``band_of_terms``
-    the same from 1-D factors with no 3-D transform, and ``from_spectrum``
-    scatters into zeros then runs ifftn, in a buffer the caller gives or in
-    a new one.  ``to_band`` and ``from_band`` are the stepper's stage
-    representation: the band on spectral, the physical array on central4,
-    whose force modes step on the stencil.  ``_d`` takes spectral's
-    band-sized arrays too.  ``band_k2`` gives the symbol's s^2 on the band
-    (|k|^2, or |d(k)|^2 with d(k) = (8 sin kh - sin 2kh) / (6h) per axis
-    on central4), and ``band_frame`` the eigenbasis of its curl, in which
-    ``to_helicity`` and ``from_helicity`` rotate a whole stack of band
-    fields.
+    Every derivative is a multiply of Fourier coefficients by the scheme's
+    symbol: i s_a for d/dx_a and -sum_a l_a for the Laplacian, with s_a = k
+    and l_a = k^2 on spectral, s_a = d(k) = (8 sin kh - sin 2kh) / (6h) and
+    l_a = (30 - 32 cos kh + 2 cos 2kh) / (12 h^2) on central4, the
+    5-point stencils' symbols.  The band holds the Fourier coefficients the
+    stepper keeps: every |k_i| <= n_i/3 on spectral, the whole grid on
+    central4.  ``to_spectrum`` is fftn then a gather of the band (8 block
+    copies on spectral, which is the 2/3 rule; none on central4),
+    ``band_of_terms`` the same from 1-D factors with no 3-D transform, and
+    ``from_spectrum`` scatters into zeros then runs ifftn, in a buffer the
+    caller gives or in a new one.  ``_d`` takes band-sized arrays too.
+    ``band_k2`` gives the symbol's s^2 on the band, and ``band_frame`` the
+    eigenbasis of its curl, in which ``to_helicity`` and ``from_helicity``
+    rotate a whole stack of band fields.
     """
 
     schemes = ("spectral", "central4")
@@ -83,28 +87,33 @@ class Nabla:
         if self.workers == 0:
             raise ValueError(f"workers must be a nonzero integer, got {workers!r}")
         # Per axis the runs of the band, the wavenumbers the stepper holds, and
-        # the real symbol s_a of d/dx_a = i s_a on them: spectral's k on its
-        # 2/3 band, central4's d(k) = (8 sin kh - sin 2kh) / (6h), the 5-point
-        # stencil's own, on the whole axis.  Both zero the odd Nyquist
-        # wavenumber, so first derivatives of real data stay real.
-        self._runs, self._symbol = [], []
-        self._ik, self._k2 = [], 0  # spectral: ik by axis length, |k|^2 (Nyquist kept)
+        # the real symbols s_a of d/dx_a = i s_a and l_a of d^2/dx_a^2 = -l_a:
+        # spectral's k and k^2 on its 2/3 band, central4's 5-point stencils'
+        # own on the whole axis.  Both zero the odd Nyquist wavenumber of s_a,
+        # so first derivatives of real data stay real.
+        self._runs, self._symbol, self._ik, self._l = [], [], [], []
         for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
             shape = [1, 1, 1]
             shape[ax] = -1
             k = 2 * np.pi * np.fft.fftfreq(n, d=h)
             odd = (np.arange(n) == n // 2) & (n % 2 == 0)
             if scheme == "spectral":
-                runs, kd = _band_runs(n), np.where(odd, 0.0, k)
+                runs, s, lap = _band_runs(n), k, k**2
             else:
                 runs = ((slice(0, n), slice(0, n)),)
-                kd = np.where(odd, 0.0, (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h))
+                s = (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
+                lap = (30 - 32 * np.cos(k * h) + 2 * np.cos(2 * k * h)) / (12 * h * h)
+            kd = np.where(odd, 0.0, s)
             band = np.concatenate([kd[full] for _, full in runs])
             self._runs.append(runs)
             self._symbol.append(band.reshape(shape))
-            if scheme == "spectral":
-                self._ik.append({len(v): 1j * v.reshape(shape) for v in (kd, band)})
-                self._k2 = self._k2 + (k**2).reshape(shape)
+            self._ik.append({len(v): 1j * v.reshape(shape) for v in (kd, band)})  # by axis length
+            self._l.append(lap.reshape(shape))
+        # the Laplacian's symbol, the sum of the l_a, is grid-sized: spectral
+        # makes it here, ahead of a run's large arrays (made mid-run, it left a
+        # 32^3 united run's peak RSS 1 MiB higher), and central4 on first use,
+        # so a central4 run that takes no Laplacian holds no grid-sized array
+        self._lap_symbol = sum(self._l) if scheme == "spectral" else None
         self._band_shape = tuple(s.size for s in self._symbol)
         self._band_blocks = [tuple((..., *s) for s in zip(*runs)) for runs in product(*self._runs)]
         # the band's k_x runs in chunks of at most a sixteenth of a run, and
@@ -123,24 +132,14 @@ class Nabla:
         callers pass only an array they made for this call."""
         return sfft.ifftn(fh, axes=_AXES, workers=self.workers, overwrite_x=True)
 
-    # -- scheme primitives: into derivative space, d/dx_a, Laplacian, back ----
-    # Spectral works on Fourier coefficients; central4 stays in physical space
-    # on one periodic 5-point stencil and does no transforms.
-    def _to(self, f):
-        return self.fftn(f) if self.scheme == "spectral" else f
-
+    # -- the symbols: d/dx_a and the Laplacian on Fourier coefficients ----------
     def _d(self, fh, a: int):
-        if self.scheme == "spectral":
-            return self._ik[a][fh.shape[a - 3]] * fh
-        return _five_point(fh, a - 3, 1 / (12 * self.grid.h[a]), 8)
+        return self._ik[a][fh.shape[a - 3]] * fh
 
     def _lap(self, fh):
-        if self.scheme == "spectral":
-            return -self._k2 * fh
-        return sum(_five_point(fh, a - 3, 1 / (12 * h * h), 16, -30) for a, h in enumerate(self.grid.h))
-
-    def _back(self, fh):
-        return self.ifftn(fh) if self.scheme == "spectral" else fh
+        if self._lap_symbol is None:
+            self._lap_symbol = sum(self._l)
+        return -self._lap_symbol * fh
 
     # -- the band: Fourier coefficients on the wavenumbers of the symbol --------
     def to_spectrum(self, f):
@@ -196,21 +195,6 @@ class Nabla:
         if not np.may_share_memory(f, out):  # scipy did not transform in place
             out[...] = f
         return out
-
-    def to_band(self, f):
-        """The stepper's stage representation of physical arrays f:
-        ``to_spectrum`` on spectral; on central4, whose force modes run on
-        the stencil, f itself."""
-        return self.to_spectrum(f) if self.scheme == "spectral" else f
-
-    def from_band(self, X, out=None):
-        """The physical arrays of ``to_band``'s X, written into ``out`` where
-        given (on central4 X itself, or copied into ``out``)."""
-        if self.scheme == "spectral":
-            return self.from_spectrum(X, out)
-        if out is not None:
-            out[...] = X
-        return X if out is None else out
 
     def band_k2(self):
         """s^2 = |k|^2 on the band, of the symbol ``band_frame`` is built from
@@ -270,7 +254,7 @@ class Nabla:
         c, sigma, cy, cz, _ = self.band_frame()
         return [(bx, fx, (c[bx], sigma[bx], cy, cz)) for bx, fx in self._band_rows]
 
-    # -- operators in derivative space ----------------------------------------
+    # -- operators on Fourier coefficients ------------------------------------
     def _grad(self, fh):
         return np.stack([self._d(fh, a) for a in range(3)])
 
@@ -306,28 +290,27 @@ class Nabla:
     # -- differential operators -------------------------------------------------
     def grad(self, f):
         """Gradient of a scalar field, shape (3, nx, ny, nz)."""
-        return self._back(self._grad(self._to(f)))
+        return self.ifftn(self._grad(self.fftn(f)))
 
     def div(self, F):
         """Divergence of a vector field (component axis first)."""
-        return self._back(self._div(self._to(F)))
+        return self.ifftn(self._div(self.fftn(F)))
 
     def curl(self, F):
         """Curl of a vector field (component axis first)."""
-        return self._back(self._curl(self._to(F)))
+        return self.ifftn(self._curl(self.fftn(F)))
 
     def laplacian(self, f):
         """Laplacian of a scalar or componentwise of a vector field."""
-        return self._back(self._lap(self._to(f)))
+        return self.ifftn(self._lap(self.fftn(f)))
 
     def quaternion_gradient(self, F: Biquaternion) -> Biquaternion:
         """Quaternion gradient nabla o F = -div F + (grad f + curl F).
 
-        One forward and one inverse transform per channel on the spectral
-        scheme, against 14 transforms for separate grad, div and curl.
+        One forward and one inverse transform per channel, against 14 transforms for separate grad, div and curl.
         """
-        s, v = self._quaternion_gradient(self._to(F.scalar), self._to(F.vector))
-        return Biquaternion(self._back(s), self._back(v))
+        s, v = self._quaternion_gradient(self.fftn(F.scalar), self.fftn(F.vector))
+        return Biquaternion(self.ifftn(s), self.ifftn(v))
 
     def dealias(self, f):
         """2/3-rule filter: zero every mode with any |k_i| > n_i/3.
@@ -336,34 +319,7 @@ class Nabla:
         product and the initial data (exact for band-limited inputs), and
         central4 returns its input.
         """
-        return self.from_band(self.to_band(f))
-
-
-def _five_point(f, axis: int, scale: float, w1: int, w0: int | None = None):
-    """Fourth-order periodic stencil along ``axis`` (negative), f[k] = f(x + k h):
-
-        scale (w1 (f[1] - f[-1]) - (f[2] - f[-2]))             if w0 is None,
-        scale (w1 (f[1] + f[-1]) - (f[2] + f[-2]) + w0 f[0])   otherwise.
-
-    One copy of f wrap-padded by 2 along the axis; the shifts are slices of
-    it, combined in place into one output array.
-    """
-    n = f.shape[axis]
-    rest = (slice(None),) * (-1 - axis)
-    p = np.concatenate((f[(..., slice(n - 2, n), *rest)], f, f[(..., slice(0, 2), *rest)]),
-                       axis=axis, dtype=np.result_type(f, 1.0))
-    at = [p[(..., slice(k, k + n), *rest)] for k in range(5)]  # at[2 + k] is f[k]
-    odd = w0 is None
-    out = (np.subtract if odd else np.add)(at[3], at[1])
-    out *= w1
-    out -= at[4]
-    (np.add if odd else np.subtract)(out, at[0], out=out)
-    if not odd:
-        centre = at[2]
-        centre *= w0  # the padded copy is private
-        out += centre
-    out *= scale
-    return out
+        return self.from_spectrum(self.to_spectrum(f)) if self.scheme == "spectral" else f
 
 
 def _to_helicity(frame, X, H):

@@ -15,8 +15,7 @@ summary with exit code 4 and an ``error`` block, then propagates.)
 
 ``run_scenario`` sets ``sc.initial`` to None once ``build_state`` has run,
 so a run holds its initial data only in its states (``build_state`` reads
-the scenario's terms and makes ``sc.initial`` only in a central4 force
-mode);
+the scenario's terms and never makes ``sc.initial``);
 ``build_state`` alone leaves the scenario as it is.  The summary's ``counters`` block holds
 the process's peak RSS in MiB at the end of the run (``peak_rss_mb``, None
 where the platform has no ``resource`` module).
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import DiagnosticsEngine, ResidualSeries
-from .evolution import _FORCED, NumericalAbort, SimState, _Coefficients, _Held, _advanced, _held_rows, step_rk4
+from .evolution import NumericalAbort, SimState, _Coefficients, _Held, _advanced, _held_rows, step_rk4
 from .operators import Nabla
 from .scenario import Scenario, _densify
 
@@ -98,33 +97,27 @@ class RunReport:
 def build_state(sc: Scenario, workers: int = 1) -> tuple[SimState, Nabla]:
     """Assemble the initial simulation state and its derivative operator.
 
-    Where the scheme steps on Fourier coefficients (every mode on spectral,
-    maxwell and free_theta on central4) the state is held as a stepped state
-    is: the advanced channels as band coefficients, formed from the presets'
-    rank-1 terms (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no
-    grid-sized array but the band's), which step 1 takes as they are, and
-    the held ones multiplied out, as a block that central4 holds as given
-    and spectral holds with its terms: there step 1 takes only maxwell's J
-    onto the band, where its source reads it, and checks the other rows on
-    their terms (``_Held``).  ``U`` is made on first read, and is within round-off of the
-    data's ``Nabla.dealias`` (central4 has no rule: of the data).
-    strong_field's background is its band made physical.  A central4 force
-    mode's state is ``sc.initial`` as given, as its stencil reads it.
+    The state is held as a stepped state is: the advanced channels as band
+    coefficients, formed from the presets' rank-1 terms
+    (``Nabla.band_of_terms``: 1-D transforms, no 3-D one and no grid-sized
+    array but the band's), which step 1 takes as they are, and the held
+    ones multiplied out, as a block held with its terms: step 1 takes only
+    maxwell's J onto the band, where its source reads it, and checks the
+    other rows on their terms (``_Held``).  ``U`` is made on first read,
+    and is within round-off of the data's ``Nabla.dealias`` (central4 has
+    no rule: of the data).  strong_field's background is its band made
+    physical.
     """
     nabla = Nabla(sc.grid, scheme=sc.nabla_scheme, workers=workers)
-    spectral, linear = nabla.scheme == "spectral", sc.mode not in _FORCED
-    if not (spectral or linear):
-        return SimState(0.0, sc.initial, sc.grid, sc.medium, sc.mode, sc.background), nabla
     background = None  # the scheme's 2/3 rule, as the stepper applies it to the force
     if sc.background_terms is not None:
-        background = nabla.from_band(nabla.band_of_terms([sc.background_terms])[0])
+        background = nabla.from_spectrum(nabla.band_of_terms([sc.background_terms])[0])
     adv = _advanced(sc.mode)
     rows, held = _held_rows(adv), None
     if rows.start < rows.stop:
         terms = [t[rows] for t in sc.terms]
-        held = _Held(nabla, rows, _densify(terms, sc.grid.n), terms if spectral else None)
-    X = nabla.band_of_terms([t[adv] for t in sc.terms])
-    coef = _Coefficients(nabla, X, held, "spectrum" if linear else "band")
+        held = _Held(nabla, rows, _densify(terms, sc.grid.n), terms)
+    coef = _Coefficients(nabla, nabla.band_of_terms([t[adv] for t in sc.terms]), held)
     return SimState._held_as(0.0, coef, sc.grid, sc.medium, sc.mode, background), nabla
 
 

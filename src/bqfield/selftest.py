@@ -138,7 +138,7 @@ def run_selftest(verbose: bool = True) -> int:
                    {"type": "plane_wave", "k": [1.0, 0.8 * np.pi, -2 * np.pi / 3], "polarization": [0, 1, 1]}):
         dense = build_preset(preset, box, "selftest", "vector")
         band = nabla3.band_of_terms([_preset_terms(preset, box, "selftest", "vector")])[0]
-        worst = max(worst, float(np.abs(band - nabla3.to_band(dense)).max() / np.abs(dense).sum()))
+        worst = max(worst, float(np.abs(band - nabla3.to_spectrum(dense)).max() / np.abs(dense).sum()))
     failures += not _check("preset band from 1-D factors", worst, 1e-13, lines)
 
     # front algebra: admissible jumps and light-speed characteristics

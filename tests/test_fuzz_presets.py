@@ -5,7 +5,7 @@ one charge-current preset on it: a plane wave with integer wave numbers, a
 gaussian pulse (any centre; a width up to twice the shortest side, so that
 41 images hold its periodic sum; with or without the gradient and the
 scalar), ``uniform`` or null.  Its rank-1 terms taken onto the band from
-their 1-D factors equal ``Nabla.to_band`` of the multiplied-out data; that
+their 1-D factors equal ``Nabla.to_spectrum`` of the multiplied-out data; that
 data equals a direct evaluation on the meshgrid; and a centre moved by whole
 box lengths gives the same data.
 """
@@ -106,7 +106,7 @@ def test_band_of_the_terms_is_the_band_of_the_data(case):
     dense = np.concatenate([rho[None], J])
     got = nab.band_of_terms([terms])[0]
     assert got.shape == (4,) + nab._band_shape
-    assert np.abs(got - nab.to_band(dense)).max() <= 1e-13 * np.abs(dense).sum()
+    assert np.abs(got - nab.to_spectrum(dense)).max() <= 1e-13 * np.abs(dense).sum()
 
 
 @bounded

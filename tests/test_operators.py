@@ -137,22 +137,24 @@ def roll_laplacian(f, hs):
 @pytest.mark.parametrize("lead", [(), (3,), (2, 4)], ids=["scalar", "vector", "stacked"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_central4_stencil_matches_roll_reference(n, lead, dtype):
-    """Nabla's central4 derivative and Laplacian equal the np.roll formulas on
-    every axis, odd and even axes, unequal spacings and leading axes.  A
-    5-term float64 sum, so 1e-14 of max |reference|."""
+    """Nabla's central4 gradient and Laplacian, multiplies by the stencils'
+    Fourier symbols, equal the np.roll formulas on every axis, odd and even
+    axes, unequal spacings and leading axes, to 1e-14 of max |reference|
+    (a 5-term float64 sum).  Real input comes back complex, as on spectral."""
     g = Grid(n=n, L=(2 * np.pi, 3.0, 5.5), dtau=0.01)
     nab = Nabla(g, scheme="central4")
     rng = np.random.default_rng(sum(n) + len(lead))
     f = rng.standard_normal(lead + n)
     if dtype is complex:
         f = f + 1j * rng.standard_normal(lead + n)
+    grad = nab.grad(f)
+    assert grad.shape == (3,) + f.shape and grad.dtype == complex
     for a in range(3):
         want = roll_d(f, a - 3, g.h[a])
-        got = nab._d(f, a)
-        assert got.shape == f.shape and got.dtype == f.dtype
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    want = roll_laplacian(f, g.h)
-    assert np.abs(nab.laplacian(f) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(grad[a] - want).max() <= 1e-14 * np.abs(want).max()
+    want, got = roll_laplacian(f, g.h), nab.laplacian(f)
+    assert got.shape == f.shape and got.dtype == complex
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dplus_dminus_plane_wave_eigenvalues():
@@ -227,17 +229,14 @@ def test_factorization_order_swap():
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
 def test_quaternion_gradient_is_minus_div_plus_grad_curl(scheme):
-    """nabla o F = -div F + (grad f + curl F): exact on central4, round-off on spectral."""
+    """nabla o F = -div F + (grad f + curl F) to round-off on both schemes,
+    whose transforms round apart."""
     g = cube(12)
     nab = Nabla(g, scheme=scheme)
     F = random_band_limited_bq(g, np.random.default_rng(13))
     got = nab.quaternion_gradient(F)
     want = Biquaternion(-nab.div(F.vector), nab.grad(F.scalar) + nab.curl(F.vector))
-    if scheme == "central4":
-        assert np.array_equal(got.scalar, want.scalar)
-        assert np.array_equal(got.vector, want.vector)
-    else:
-        assert (got - want).linf() <= 1e-13 * want.linf()
+    assert (got - want).linf() <= 1e-13 * want.linf()
 
 
 def test_dealias_idempotent_and_bandpass():
@@ -260,7 +259,7 @@ def test_dealias_idempotent_and_bandpass():
                                (8, 9, 12), (2, 5, 3)])
 def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
     """The spectral band holds the wavenumbers |k_i| <= n_i/3 in fftn order:
-    from_band(to_band(f)) is the 2/3 filter, and band derivatives agree with the full
+    from_spectrum(to_spectrum(f)) is the 2/3 filter, and band derivatives agree with the full
     grid's.  Grid asks for n >= 4, so the tiny axes use a stand-in; Nabla
     reads only n and h."""
     grid = SimpleNamespace(n=n, h=tuple(2 * np.pi / m for m in n))
@@ -270,16 +269,16 @@ def test_band_gather_and_scatter_are_the_two_thirds_rule(n):
     Fh = np.fft.fftn(F, axes=(-3, -2, -1))
     freq = [np.fft.fftfreq(m, 1.0 / m) for m in n]
     kept = [np.flatnonzero(np.abs(k) <= m / 3) for k, m in zip(freq, n)]
-    band = nab.to_band(F)
+    band = nab.to_spectrum(F)
     assert band.shape == (3,) + tuple(2 * (m // 3) + 1 for m in n)
     assert np.allclose(band, Fh[(...,) + np.ix_(*kept)], rtol=0, atol=1e-12)
     mask = np.ones(n, bool)
     for a, k in enumerate(freq):
         mask &= np.expand_dims(np.abs(k) <= n[a] / 3, [b for b in range(3) if b != a])
     want = np.fft.ifftn(Fh * mask, axes=(-3, -2, -1))
-    assert np.abs(nab.from_band(band) - want).max() <= 1e-14 * np.abs(F).max()
+    assert np.abs(nab.from_spectrum(band) - want).max() <= 1e-14 * np.abs(F).max()
     assert np.abs(nab.dealias(F) - want).max() <= 1e-14 * np.abs(F).max()
-    assert np.abs(nab.from_band(nab._curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
+    assert np.abs(nab.from_spectrum(nab._curl(band)) - nab.curl(want)).max() <= 1e-13 * np.abs(F).max()
 
 
 def helicity_box():
@@ -340,19 +339,19 @@ def test_helicity_components_round_trip():
 
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
-def test_from_band_writes_into_a_given_buffer(scheme):
-    """from_band(X, out) writes into ``out``, a strided slice of a larger
-    array as a read of U gives it, what from_band(X) returns, bit for bit,
-    and touches nothing else; without a buffer central4 returns X itself."""
+def test_from_spectrum_writes_into_a_given_buffer(scheme):
+    """from_spectrum(X, out) writes into ``out``, a strided slice of a larger
+    array as a read of U gives it, what from_spectrum(X) returns, bit for
+    bit, and touches nothing else, X included."""
     g = Grid(n=(8, 9, 12), L=(2 * np.pi, 3.0, 5.0), dtau=0.05)
     nab = Nabla(g, scheme=scheme)
     rng = np.random.default_rng(6)
-    X = nab.to_band(rng.standard_normal((2, 3) + g.n) + 1j * rng.standard_normal((2, 3) + g.n))
+    X = nab.to_spectrum(rng.standard_normal((2, 3) + g.n) + 1j * rng.standard_normal((2, 3) + g.n))
+    X0 = X.copy()
     U = np.full((2, 7) + g.n, 7.0 + 0j)
-    got = nab.from_band(X, out=U[:, :3])
-    assert np.shares_memory(got, U) and np.array_equal(U[:, :3], nab.from_band(X.copy()))
-    assert np.all(U[:, 3:] == 7.0)
-    assert (nab.from_band(X) is X) == (scheme == "central4")
+    got = nab.from_spectrum(X, out=U[:, :3])
+    assert np.shares_memory(got, U) and np.array_equal(U[:, :3], nab.from_spectrum(X))
+    assert np.all(U[:, 3:] == 7.0) and np.array_equal(X, X0)
 
 
 @pytest.mark.parametrize("n", [8, 12])

@@ -1,8 +1,10 @@
 """The package's public names: each module's ``__all__`` is the one list,
-and the README names no class the package does not have."""
+the README names no class the package does not have, and every binding the
+benchmark wraps by name exists."""
 
 import builtins
 import importlib
+import importlib.util
 import pkgutil
 import pathlib
 import re
@@ -11,7 +13,8 @@ import pytest
 
 import bqfield
 
-README = pathlib.Path(__file__).parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).parents[1]
+README = ROOT / "README.md"
 # an inline code span that opens with a capitalised name with a lowercase
 # letter in it (`Nabla`, `SimState.U`, `bqfield.Grid`, `Medium(epsilon, mu,
 # kappa)`); spans that open with anything else (`-Theta o A'`, `A'`) are formulas
@@ -88,3 +91,38 @@ def test_stale_private_names_are_found():
 
     text = "``_resident`` and ``Nabla._gone(x)``, not ``Nabla._curl``, ``_closed_form`` or ``__all__``"
     assert stale_private_names(evolution, text) == {"_resident", "_gone"}
+
+
+def unresolved_bindings(wrapped: dict) -> list[str]:
+    """The bindings of a ``{span: ["module.attr" or "module.Class.attr"]}``
+    map that the package does not define, read as the benchmark's tracer
+    reads them: ``vars(owner)[attr]``, so an inherited or missing name is
+    unresolved."""
+    missing = []
+    for binding in (b for bindings in wrapped.values() for b in bindings):
+        mod, *path, attr = binding.split(".")
+        owner = importlib.import_module(f"bqfield.{mod}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(binding)
+    return missing
+
+
+def test_benchmark_bindings_resolve():
+    """Every binding ``perfbench/spans.py`` wraps (``WRAPPED``) is defined
+    where it names it, so a refactor that renames or moves one fails here
+    and not only in the benchmark's smoke test."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED and not unresolved_bindings(spans.WRAPPED)
+
+
+def test_unresolved_bindings_are_found():
+    """A missing function, a missing class and an inherited method are each
+    unresolved; a module function and a class's own method are not."""
+    wrapped = {"a": ["operators.Nabla.fftn", "operators.apply_box", "operators.Nabla.to_band"],
+               "b": ["runner.Gone.run", "evolution.SimState.__hash__"]}
+    assert unresolved_bindings(wrapped) == ["operators.Nabla.to_band", "runner.Gone.run",
+                                            "evolution.SimState.__hash__"]
