@@ -33,12 +33,12 @@ rotates the coefficients into that basis straight into the new state's
 array and multiplies the gains in there, so it holds no more than a later
 step but the run's kept map; a read of ``U`` rotates them back as it
 scatters them (``Nabla.from_spectrum``).  Force modes run the four stages
-on the same band.  Their force is formed in physical space and taken in by
-``Nabla.to_spectrum`` (the 2/3 rule on spectral, none on central4); a force
-mode's first stage reads the input's physical values as they are.  Besides
-its input state, a stage step holds three stacks of the advanced channels
-(the sum of the k, one stage input that is also the scratch for w k, and
-the current k) and one right-hand side's temporaries.
+on the same band.  A stage reads its advanced channels made physical (the
+first, the input's ``U`` as it is) and A', forms the force there, and takes
+it in by ``Nabla.to_spectrum`` (the 2/3 rule on spectral, none on
+central4).  Besides its input state, a stage step holds three stacks of the
+advanced channels (the sum of the k, one stage input that is also the
+scratch for w k, and the current k) and one right-hand side's temporaries.
 
 A state keeps the coefficients of its advanced channels, next to ``U``,
 until the next step takes them: ``build_state`` (which makes no dense
@@ -304,10 +304,6 @@ class SimState:
         new.background, new._U, new._coef = background, None, coef
         return new
 
-    def _stepped(self, tau: float, coef: _Coefficients) -> "SimState":
-        """The state at ``tau`` of this run, held as ``coef``."""
-        return SimState._held_as(tau, coef, self.grid, self.medium, self.mode, self.background)
-
     grid = property(lambda self: self._grid)
     mode = property(lambda self: self._mode)
 
@@ -371,17 +367,20 @@ def _force_biquaternion(rho, J, Aprime) -> Biquaternion:
     return Biquaternion(cdot(J, Aprime), -1j * rho * Aprime - ccross(J, Aprime))
 
 
+def _partner(P: np.ndarray, k: int, background: np.ndarray | None) -> np.ndarray:
+    """The partner A' of field k of a force mode's physical field stack P:
+    the frozen ``background`` where there is one (strong_field), else the
+    sum of the other fields' A, P's first three rows."""
+    return background if background is not None else P[:, _A].sum(axis=0) - P[k, _A]
+
+
 def partner_field(state: SimState, k: int) -> np.ndarray | None:
     """Partner field A' acting on field k, or None where the mode has none.
 
     The frozen background in ``strong_field``; the sum of the other fields' A
-    in ``interaction`` and ``united``, which take no background.
+    in ``interaction`` and ``united``, which take no background (``_partner``).
     """
-    if state.mode not in _FORCED:
-        return None
-    if state.mode == "strong_field":
-        return state.background
-    return state.U[:, _A].sum(axis=0) - state.U[k, _A]
+    return _partner(state.U, k, state.background) if state.mode in _FORCED else None
 
 
 def _advanced(mode: str) -> slice:
@@ -416,24 +415,19 @@ def _linear(nabla: Nabla, adv: slice, Y: np.ndarray) -> np.ndarray:
     return LY
 
 
-def _add_f(dX: np.ndarray, state: SimState, take) -> np.ndarray:
-    """dX + f in place, for a field stack dX of the channels the mode advances.
-
-    In a force mode f is -Theta o A' / kappa of each field's partner, formed
-    from ``state`` in physical space and taken onto dX's band or grid by
-    ``take``; in the other modes this adds nothing (maxwell's held -J is
-    ``state_rhs``'s, and the closed form's source in a step).
-    """
-    if state.mode not in _FORCED:
-        return dX
+def _add_f(dX: np.ndarray, P: np.ndarray, background: np.ndarray | None, kappa: float, take) -> np.ndarray:
+    """dX + f in place, f = -Theta o A' / kappa, for a force mode's field
+    stack dX of the channels it advances and P, the same in physical space:
+    each field's force is formed from its rho and J, P's last four rows, and
+    its partner (``_partner``), and taken onto dX's band or grid by ``take``."""
     for k in range(len(dX)):
-        fbq = _force_biquaternion(state.U[k, _RHO], state.U[k, _J], partner_field(state, k))
+        fbq = _force_biquaternion(P[k, -4], P[k, -3:], _partner(P, k, background))
         F = np.concatenate([fbq.scalar[None], fbq.vector])
         del fbq  # before the force is taken in
         SV = take(F)
         del F
-        dX[k, -4] -= 1j * SV[0] / state.medium.kappa
-        dX[k, -3:] += SV[1:] / state.medium.kappa
+        dX[k, -4] -= 1j * SV[0] / kappa
+        dX[k, -3:] += SV[1:] / kappa
     return dX
 
 
@@ -442,10 +436,11 @@ def state_rhs(state: SimState, nabla: Nabla) -> np.ndarray:
     _check_box(state, nabla)
     U, adv = state.U, _advanced(state.mode)
     dU = np.zeros_like(U)
-    dX = nabla.ifftn(_linear(nabla, adv, nabla.fftn(U[:, adv])))
+    dU[:, adv] = nabla.ifftn(_linear(nabla, adv, nabla.fftn(U[:, adv])))
     if adv.stop < 7:  # maxwell's f, the held -J
-        dX -= U[:, _J]
-    dU[:, adv] = _add_f(dX, state, nabla.dealias)
+        dU[:, adv] -= U[:, _J]
+    elif state.mode in _FORCED:
+        _add_f(dU[:, adv], U[:, adv], state.background, state.medium.kappa, nabla.dealias)
     return dU
 
 
@@ -502,18 +497,18 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     return gains, source
 
 
-def _stages(rhs, X0: np.ndarray, tau: float, dt: float) -> np.ndarray:
-    """Classical RK4's X0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4) for dX/dtau = rhs(X, tau),
+def _stages(rhs, X0: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4's X0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4) for dX/dtau = rhs(X),
     in three stacks of X0's shape: ``acc`` gathers the k in that order, one
     stage input Y, X0 + c k, is reused as the scratch for w k, and the
     current k is dropped once Y is formed from it."""
-    acc = k = rhs(X0, tau)
+    acc = k = rhs(X0)
     Y = np.empty_like(X0)
     for c, w in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
         np.multiply(k, c, out=Y)
         Y += X0
         del k  # k1 lives on as acc
-        k = rhs(Y, tau + c)
+        k = rhs(Y)
         np.multiply(k, w, out=Y)
         acc += Y
     acc *= dt / 6
@@ -538,11 +533,12 @@ def step_rk4(
     scatters (``Nabla.from_spectrum``).  No derivative and no transform:
     their right-hand side never reads the physical state, so they return
     their coefficients alone and make ``U`` on first read.  Force modes run
-    the four stages on L X + f on the band, and make ``U`` in the step, as
-    the next step's first stage reads it anyway; besides its input state a
-    stage step holds three stacks of the advanced channels (the sum of the
-    k, one stage input reused as scratch, and the current k) and the
-    temporaries of one rhs.
+    the four stages on L X + f on the band: a stage reads its advanced
+    channels made physical (the first, the input's ``U``) and A' (``_add_f``),
+    and holds one rhs's temporaries next to three stacks of the advanced
+    channels (the sum of the k, one stage input reused as scratch, and the
+    current k).  They make ``U`` in the step, as the next step's first stage
+    reads it anyway.
 
     A step starts from its input's kept coefficients where they were made on
     ``nabla``'s scheme, else from ``U``, and checks the run's held block for
@@ -582,15 +578,16 @@ def step_rk4(
             if source is not None:
                 X += source
     else:
-        def rhs(X, tau):  # stages 2-4 read rho, J and A' back in physical space
-            at = state if X is X0 else state._stepped(tau, _Coefficients(nabla, X, held))
-            return _add_f(_linear(nabla, adv, X), at, nabla.to_spectrum)
+        def rhs(X):  # stages 2-4 take their advanced channels back to physical space
+            P = state.U[:, adv] if X is X0 else nabla.from_spectrum(X)
+            return _add_f(_linear(nabla, adv, X), P, state.background, state.medium.kappa, nabla.to_spectrum)
 
-        X = _stages(rhs, X0, state.tau, dt)
+        X = _stages(rhs, X0, dt)
     # a non-finite value in physical space spreads to every coefficient
     if not _all_finite(X):
         raise NumericalAbort(state.tau, steps_done + 1, state)
-    new = state._stepped(state.tau + dt, _Coefficients(nabla, X, held, linear))
+    new = SimState._held_as(state.tau + dt, _Coefficients(nabla, X, held, linear), state.grid,
+                            state.medium, state.mode, state.background)
     if not linear:
         new.U  # made here: the next step's first stage reads it anyway
     if state._U is not None:

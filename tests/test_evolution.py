@@ -362,6 +362,39 @@ def test_step_rk4_matches_reference_rk4(scheme, mode):
     assert np.abs(got.U - ref.U).max() <= 1e-13 * np.abs(ref.U).max()
 
 
+def relabelled(st):
+    """The state with its axes relabelled cyclically as (y, z, x), and its
+    vector components (A, J and the background) with them: a rotation, so
+    curl, cross products and the modes' laws keep their form."""
+    def turn(F, rows):  # F's vector rows in the new order, its grid axes (x, y, z) -> (y, z, x)
+        return np.moveaxis(F[..., rows, :, :, :], -3, -1)
+
+    g = st.grid
+    bg = None if st.background is None else turn(st.background, [1, 2, 0])
+    return SimState(st.tau, turn(st.U, [1, 2, 0, 3, 5, 6, 4]),
+                    Grid(n=g.n[1:] + g.n[:1], L=g.L[1:] + g.L[:1], dtau=g.dtau), st.medium, st.mode, bg)
+
+
+@pytest.mark.parametrize("scheme", Nabla.schemes)
+@pytest.mark.parametrize("mode", MODES)
+def test_cyclic_relabelling_commutes_with_steps(scheme, mode):
+    """Relabelling the axes cyclically, with the vector components, then
+    stepping equals stepping then relabelling, on a box whose n and L differ
+    per axis: each field's force and each component's derivative is taken
+    on its own axis and rows (measured <= 4.4e-16 relative over the modes
+    and schemes)."""
+    g = Grid(n=(8, 10, 12), L=(2 * np.pi, 5.0, 3.0), dtau=0.05)
+    st = random_state(g, mode, seed=31, scheme=scheme)
+    turned = relabelled(st)
+    nab, nab_turned = Nabla(g, scheme=scheme), Nabla(turned.grid, scheme=scheme)
+    for i in range(3):
+        st, _ = step_rk4(st, nab, StepperConfig(), i)
+        turned, _ = step_rk4(turned, nab_turned, StepperConfig(), i)
+    want = relabelled(st).U
+    assert turned.tau == st.tau
+    assert np.abs(turned.U - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("mode,scheme", [("maxwell", "spectral"), ("free_theta", "spectral"),
                                          ("maxwell", "central4"), ("free_theta", "central4")],
                          ids=["maxwell", "free_theta", "maxwell-central4", "free_theta-central4"])
@@ -682,7 +715,9 @@ def traced_peak(run) -> int:
                                              ("maxwell", "spectral", 1, 2),
                                              ("maxwell", "central4", 1, 12),
                                              ("united", "central4", 2, 74),
-                                             ("united", "spectral", 2, 47)])
+                                             ("united", "spectral", 2, 47),
+                                             ("strong_field", "central4", 2, 47),
+                                             ("strong_field", "spectral", 2, 28)])
 def test_step_allocation_peak(mode, scheme, m, pin):
     """tracemalloc's peak over one step on 16^3, in channels of 16^3 complex
     values.  A stage step (united) holds three stacks of the advanced
@@ -691,15 +726,21 @@ def test_step_allocation_peak(mode, scheme, m, pin):
     by inverse transforms, and 42.0 on spectral (63.2 and 46.0 when central4
     stepped on the stencil, its stage states the stage arrays themselves,
     and the force's biquaternion lived on through its transform; the
-    stages' temporaries per stage made it 77.2 and 50.5).  A
+    stages' temporaries per stage made it 77.2 and 50.5).  Filling one
+    (M, 4) + n force stack for all fields and taking it in with one call
+    made them 77.0 and 48.7.  A strong_field stage reads its advanced
+    channels, rho and J, made physical, and the background: measured 46.0
+    on central4 and 27.1 on spectral (a stage state of all 7 channels, the
+    held A copied in, made them 52.0 and 33.2).  A
     linear step by its kept gains holds the new stack of the advanced
     channels, on the band, and no scratch: measured 4.03 in free_theta and
     3.03 in maxwell on central4, whose band is the whole grid (Horner's
     rule on the stencil made them 14.4 and 11.3), and 1.33 and 1.00 on
     spectral's 11^3 band (one L per step made free_theta's 2.6, and a 3x3
-    matrix per wavenumber maxwell's 1.7).  The pins, the measured values
-    rounded up to a whole channel, are those of the older steps but
-    central4 united's, which is its measured value's."""
+    matrix per wavenumber maxwell's 1.7).  The pins are measured values
+    rounded up to a whole channel: those of the older steps, but for
+    central4 united and both strong_field rows, whose pins round up the
+    values measured now."""
     g = cube(16, 0.05)
     nab = Nabla(g, scheme=scheme)
     st, _ = step_rk4(random_state(g, mode, m=m, scheme=scheme), nab, StepperConfig())

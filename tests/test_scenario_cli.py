@@ -949,19 +949,17 @@ def united_doc(n=16, steps=4):
 
 
 def test_cli_threads_match_reference(tmp_path, capsys):
-    """FFT worker threads change no series: a --threads 2 run of a united
-    scenario with all 14 series writes the CSVs of the --reference run, to
-    1e-13 of each column's largest value."""
+    """FFT worker threads change no bit: a --threads 2 run of a united
+    scenario with all 14 series writes the CSV bytes of the --reference run
+    (one worker).  Each 1-D transform runs on one thread with one plan, so
+    the worker count decides only which thread runs it."""
     p = write_doc(tmp_path, united_doc())
     assert main(["run", str(p), "--threads", "2", "--out", str(tmp_path / "t2")]) == 0
     assert main(["run", str(p), "--reference", "--out", str(tmp_path / "ref")]) == 0
     names = sorted(f.name for f in (tmp_path / "ref").glob("*.csv"))
     assert len(names) == 14
     for name in names:
-        ref = np.loadtxt(tmp_path / "ref" / name, delimiter=",", skiprows=1)
-        got = np.loadtxt(tmp_path / "t2" / name, delimiter=",", skiprows=1)
-        assert got.shape == ref.shape, name
-        assert (np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0)).all(), name
+        assert (tmp_path / "t2" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_cli_reference_runs_are_byte_identical(tmp_path):
