@@ -2,11 +2,14 @@
 
 Everything here *measures* and never feeds back into the evolution.  Pointwise
 quantities (energy-momentum, power-force, reciprocity defect) are evaluated per
-snapshot; law residuals that need d/dtau use three uniformly spaced history
-samples and centred differences; each integral identity stores an amount and
-its rate per sample and integrates the rate in tau with a fourth-order rule.
-The engine makes one record per state it evaluates, and every law reads the
-field totals and partner fields from it, each formed once.
+snapshot.  Each window law is an amount and its rate, formed once when a state
+is the newest sample; its residual at the middle of three uniformly spaced
+samples is the amount's centred tau difference plus the rate there.  Each
+integral identity stores an amount and its rate per sample and integrates the
+rate in tau with a fourth-order rule.  The engine makes one record of the
+state it samples, and every law reads the field totals, the forces and the
+derivatives from it, each formed once; a derivative of a state channel is a
+symbol multiply on the band coefficients the step left on the state.
 
 Every volume, face, surface and line integral is one separable weighted sum,
 ``_integral``: per axis a weight vector (the trigonometric interpolant's exact
@@ -16,7 +19,6 @@ plane index.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,8 +31,8 @@ import numpy as np
 from .biquaternion import Biquaternion, ccross, cdot
 from .fields import AField, ChargeCurrent, Grid, Medium, PowerForce, _integer, _positive, decompose_force
 from .fields import decompose_afield, decompose_theta  # unused: bindings perfbench's tracer wraps
-from .evolution import SimState, _advanced, _check_box, _force_biquaternion, field_totals, partner_field
-from . import operators
+from .evolution import (SimState, _A, _J, _advanced, _check_box, _force_biquaternion, _held_rows, _linear,
+                        field_totals, partner_field)
 from .operators import Nabla
 
 __all__ = [
@@ -64,6 +66,9 @@ __all__ = [
 ]
 
 
+_RHO, _THETA = slice(3, 4), slice(3, 7)  # rho and Theta = (rho, J) as slices of the 7 channels
+
+
 def _norms(r) -> tuple[float, float]:
     """(L_inf, rms) over every component and point of a residual array."""
     a = np.abs(np.asarray(r))
@@ -77,14 +82,22 @@ def _density(X: np.ndarray) -> np.ndarray:
 
 def _momentum(X: np.ndarray) -> np.ndarray:
     """0.5 i [X, conj X]: the momentum density P of A, or P_J of J."""
-    return (0.5j * ccross(X, X.conj())).real
+    P = ccross(X, X.conj())
+    P *= 0.5j
+    return P.real.copy()  # real, not a view holding the complex array
+
+
+def _cross_parts(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re(X, conj Y) and Im[X, conj Y] of pure vectors."""
+    Yc = Y.conj()
+    return cdot(X, Yc).real, ccross(X, Yc).imag
 
 
 def _cross_xi(X: np.ndarray, Y: np.ndarray) -> Biquaternion:
     """0.5 (X o Y* + Y o X*) of pure vectors, Re(X, conj Y) - i Im[X, conj Y]:
     the bilinear form of _density and _momentum, which it doubles at X = Y."""
-    Yc = Y.conj()
-    return Biquaternion(cdot(X, Yc).real, -1j * ccross(X, Yc).imag)
+    s, v = _cross_parts(X, Y)
+    return Biquaternion(s, -1j * v)
 
 
 def _source_power(a: AField, theta: ChargeCurrent) -> np.ndarray:
@@ -100,30 +113,72 @@ def _force(theta: ChargeCurrent, aprime: AField) -> Biquaternion:
 
 
 class _Sample:
-    """A sampled state and the derived fields the laws read, each formed once,
-    on first use.  A record lives for one sample: windows keep the states."""
+    """The newest sampled state and what its laws read, each formed once, on
+    first use, for one sample: the field totals, the summed field's W and P,
+    each field's force and ``strong_field``'s rho source.  A derivative of a
+    state channel is a symbol multiply on its band coefficients (``coef``)
+    and ``Nabla.from_spectrum``; only the momenta's take a forward
+    transform."""
 
     def __init__(self, nabla: Nabla, state: SimState):
         _check_box(state, nabla)
-        self.nabla, self.state = nabla, state
+        self.nabla, self.state, self.adv = nabla, state, _advanced(state.mode)
 
     @cached_property
     def totals(self) -> tuple[AField, ChargeCurrent]:
         return field_totals(self.state)
 
     @cached_property
-    def partners(self) -> list[AField | None]:
-        """Each field's partner A' (see partner_field), None where it has none."""
+    def X(self) -> np.ndarray:
+        """The advanced channels' band coefficients: those the step that made
+        the state left on it (rotated back where a linear step kept helicity
+        components), else U's."""
+        coef = self.state._coef
+        if coef is None or coef.nabla.scheme != self.nabla.scheme:
+            return self.nabla.to_spectrum(self.state.U[:, self.adv])
+        return self.nabla.from_helicity(coef.X) if coef.helical else coef.X
+
+    @cached_property
+    def held(self) -> np.ndarray:
+        return self.nabla.to_spectrum(self.state.U[:, _held_rows(self.adv)])
+
+    def coef(self, c: slice) -> np.ndarray:
+        """Each field's band coefficients of the channels c (within A or
+        Theta, which a mode advances or holds whole): not to write into."""
+        X, rows = (self.X, self.adv) if self.adv.start <= c.start < self.adv.stop else (
+            self.held, _held_rows(self.adv))
+        return X[:, c.start - rows.start:c.stop - rows.start]
+
+    @cached_property
+    def div_A(self) -> np.ndarray:
+        """div A of each field, shape (M,) + grid."""
+        return self.nabla.from_spectrum(self.nabla._div(np.moveaxis(self.coef(_A), 1, 0)))
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        return _density(self.totals[0].A)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return _momentum(self.totals[0].A)
+
+    @cached_property
+    def source_power(self) -> np.ndarray:
+        return _source_power(*self.totals)
+
+    @cached_property
+    def forces(self) -> list[Biquaternion | None]:
+        """Each field's -Theta o A' in its partner_field A', or None."""
         aps = (partner_field(self.state, k) for k in range(self.state.n_fields))
-        return [None if ap is None else AField(self.state.grid, ap) for ap in aps]
+        return [None if ap is None else _force(self.state.theta(k), AField(self.state.grid, ap))
+                for k, ap in enumerate(aps)]
 
     @cached_property
     def rho_source(self) -> np.ndarray | None:
         """The force's source -i (J, A')/kappa in d(rho)/dtau, summed over the
         fields and 2/3-filtered as the stepper adds it; None without partners."""
-        S = [self.nabla.dealias(cdot(self.state.theta(k).J, ap.A))
-             for k, ap in enumerate(self.partners) if ap is not None]
-        return -1j * sum(S) / self.state.medium.kappa if S else None
+        S = [F.scalar for F in self.forces if F is not None]
+        return -1j * self.nabla.dealias(sum(S)) / self.state.medium.kappa if S else None
 
 
 def _uniform(steps) -> bool:
@@ -185,106 +240,151 @@ def power_force(theta: ChargeCurrent, aprime: AField) -> PowerForce:
     return decompose_force(_force(theta, aprime))
 
 
-def reciprocity_residual(
-    theta1: ChargeCurrent, a2: AField, theta2: ChargeCurrent, a1: AField
-) -> tuple[float, float]:
-    """Norms of Theta^1 o A^2 + Theta^2 o A^1 = -(F^12 + F^21) (zero when action equals reaction)."""
-    r = _force(theta1, a2) + _force(theta2, a1)
+def _reciprocity(F12: Biquaternion, F21: Biquaternion) -> tuple[float, float]:
+    r = F12 + F21
     return r.linf(), r.l2()
+
+
+def reciprocity_residual(theta1: ChargeCurrent, a2: AField, theta2: ChargeCurrent,
+                         a1: AField) -> tuple[float, float]:
+    """Norms of Theta^1 o A^2 + Theta^2 o A^1 = -(F^12 + F^21) (zero when action equals reaction)."""
+    return _reciprocity(_force(theta1, a2), _force(theta2, a1))
+
+
+def _power_eh(s, medium: Medium) -> tuple[float, float]:
+    return _norms(medium.c * s.real)
+
+
+def _power_bd(s) -> tuple[float, float]:
+    return _norms(s.imag)
 
 
 def interaction_power_eh(theta: ChargeCurrent, aprime: AField, medium: Medium) -> tuple[float, float]:
     """Norms of E'.j_E + H'.j_H = c Re(J, A'), where (J, A') is the scalar of
     the force -Theta o A', taken alone (the vector part costs ten times more)."""
-    return _norms(medium.c * cdot(theta.J, aprime.A).real)
+    return _power_eh(cdot(theta.J, aprime.A), medium)
 
 
 def interaction_power_bd(theta: ChargeCurrent, aprime: AField) -> tuple[float, float]:
     """Norms of mu H'.j_E - eps E'.j_H = Im(J, A'), the force's scalar as above."""
-    return _norms(cdot(theta.J, aprime.A).imag)
+    return _power_bd(cdot(theta.J, aprime.A))
+
+
+def _drift(rho, div_a) -> tuple[float, float]:
+    return _norms(rho - div_a)
 
 
 def constraint_drift_residual(nabla: Nabla, a: AField, theta: ChargeCurrent) -> tuple[float, float]:
     """Norms of rho - div A (zero while the field's own charge sources it)."""
-    return _norms(theta.rho - nabla.div(a.A))
+    return _drift(theta.rho, nabla.div(a.A))
 
 
-# -- history-based law residuals -------------------------------------------------
+# -- window laws: an amount and its rate -------------------------------------------
+#
+# A window law's residual at the middle of three uniformly spaced samples is
+# its amount's centred tau difference (box_rho's: second) plus its rate
+# there.  The engine forms a sample's amount and rate when it is the newest
+# (``_open``, then ``_close`` at the next sample); the public functions take
+# the three samples at once, through the same rate kernels and steps.
 
 
-def charge_conservation_residual(
-    nabla: Nabla, rho_minus, rho_plus, J_mid, delta: float
-) -> tuple[float, float]:
+def _open(order: int, rate, before, amount, delta: float, out=None):
+    """A window's residual as far as its middle sample knows it, times the
+    difference's denominator (2 delta for order 1, delta^2 for order 2),
+    into ``out``, else into ``rate``, an array made for this call.
+    ``_close`` adds the later amount, in place too, and divides the norms."""
+    out = np.multiply(rate, 2 * delta if order == 1 else delta * delta, out=rate if out is None else out)
+    out -= before if order == 1 else 2 * amount - before
+    return out
+
+
+def _close(order: int, after, partial, delta: float) -> tuple[float, float]:
+    """The window's (L_inf, rms), the worst over the stack ``partial`` (one
+    array per field, or one) once the later amount is added in place, over
+    the denominator."""
+    partial += after
+    linf, rms = _worst(map(_norms, partial))
+    scale = abs(2 * delta if order == 1 else delta * delta)
+    return linf / scale, rms / scale
+
+
+def _centred(order: int, before, after, rate, delta: float, amount=None) -> tuple[float, float]:
+    """Norms of a window of one array, from the amounts before and after and
+    the middle rate (and amount, for order 2)."""
+    return _close(order, after, _open(order, rate[None], before, amount, delta), delta)
+
+
+def _theta(th: ChargeCurrent) -> np.ndarray:
+    """Theta as one (rho, J) stack of 4 channels."""
+    return np.concatenate([th.rho[None], th.J])
+
+
+def _poynting_rate(nabla: Nabla, P, source_power):
+    """div P - s, the rate of the energy density W, s the sources' power."""
+    return nabla.div(P) - source_power
+
+
+def _first_law_rate(nabla: Nabla, kappa: float, J, grad_rho, force: Biquaternion | None):
+    """kappa(-div P_J + Re(grad rho, conj J)) - Im(F, conj J), the rate of
+    kappa Q, F = i times the force's vector part, if any.  ``grad_rho``
+    forms grad rho, called once div P_J is formed."""
+    rate = nabla.div(_momentum(J))
+    Jc = J.conj()
+    g = grad_rho()
+    g *= Jc  # (grad rho, conj J) summed below, with no product array next to g
+    rate -= g.sum(axis=0).real
+    del g
+    rate *= -kappa
+    if force is not None:  # Im(i v, conj J) is Re(v, conj J), term by term
+        rate -= cdot(force.vector, Jc).real
+    return rate
+
+
+def _transport(nabla: Nabla, Th):
+    """-L Theta = (div J, grad rho - i curl J) on the Fourier coefficients Th
+    of a (rho, J) stack, L the stepper's free transport: D- Theta is
+    dTheta/dtau - L Theta, its scalar part over i."""
+    LT = _linear(nabla, _THETA, Th[None])[0]
+    return np.negative(LT, out=LT)
+
+
+def charge_conservation_residual(nabla: Nabla, rho_minus, rho_plus, J_mid,
+                                 delta: float) -> tuple[float, float]:
     """Norms of d(rho)/dtau + div J with a centred tau derivative."""
-    r = (rho_plus - rho_minus) / (2 * delta) + nabla.div(J_mid)
-    return _norms(r)
+    return _centred(1, rho_minus, rho_plus, nabla.div(J_mid), delta)
 
 
-def poynting_residual(
-    nabla: Nabla,
-    a_minus: AField,
-    a_mid: AField,
-    a_plus: AField,
-    theta_mid: ChargeCurrent,
-    delta: float,
-) -> tuple[float, float]:
+def poynting_residual(nabla: Nabla, a_minus: AField, a_mid: AField, a_plus: AField,
+                      theta_mid: ChargeCurrent, delta: float) -> tuple[float, float]:
     """Norms of dW/dtau + div P - s, with s = -Re(J, A*) the sources' power."""
-    dW = (_density(a_plus.A) - _density(a_minus.A)) / (2 * delta)
-    r = dW + nabla.div(_momentum(a_mid.A)) - _source_power(a_mid, theta_mid)
-    return _norms(r)
+    rate = _poynting_rate(nabla, _momentum(a_mid.A), _source_power(a_mid, theta_mid))
+    return _centred(1, _density(a_minus.A), _density(a_plus.A), rate, delta)
 
 
-def first_law_residual(
-    nabla: Nabla,
-    medium: Medium,
-    th_minus: ChargeCurrent,
-    th_mid: ChargeCurrent,
-    th_plus: ChargeCurrent,
-    delta: float,
-    aprime_mid: AField | None = None,
-) -> tuple[float, float]:
+def first_law_residual(nabla: Nabla, medium: Medium, th_minus: ChargeCurrent, th_mid: ChargeCurrent,
+                       th_plus: ChargeCurrent, delta: float,
+                       aprime_mid: AField | None = None) -> tuple[float, float]:
     """Norms of kappa(dQ/dtau - div P_J + Re(grad rho, conj J)) - Im(F, conj J).
 
     With no partner field the right side is zero and this is the free-current
     energy law dQ/dtau = -U, U = -div P_J + Re(grad rho, conj J).
     """
-    grad_rho = nabla.grad(th_mid.rho)
-    lhs = medium.kappa * (
-        (_density(th_plus.J) - _density(th_minus.J)) / (2 * delta)
-        - nabla.div(_momentum(th_mid.J))
-        + cdot(grad_rho, th_mid.J.conj()).real
-    )
-    if aprime_mid is None:
-        rhs = 0.0
-    else:
-        F = 1j * _force(th_mid, aprime_mid).vector
-        rhs = cdot(F, th_mid.J.conj()).imag
-    return _norms(lhs - rhs)
+    F = None if aprime_mid is None else _force(th_mid, aprime_mid)
+    rate = _first_law_rate(nabla, medium.kappa, th_mid.J, lambda: nabla.grad(th_mid.rho), F)
+    kQ = [medium.kappa * _density(th.J) for th in (th_minus, th_plus)]
+    return _centred(1, *kQ, rate, delta)
 
 
-def box_rho_residual(
-    nabla: Nabla, rho_minus, rho_mid, rho_plus, delta: float
-) -> tuple[float, float]:
+def box_rho_residual(nabla: Nabla, rho_minus, rho_mid, rho_plus, delta: float) -> tuple[float, float]:
     """Norms of the wave-operator residual (d^2/dtau^2 - Laplacian) rho."""
-    d2 = (rho_plus - 2 * rho_mid + rho_minus) / (delta * delta)
-    return _norms(d2 - nabla.laplacian(rho_mid))
+    return _centred(2, rho_minus, rho_plus, -nabla.laplacian(rho_mid), delta, rho_mid)
 
 
-def freeness_residual(
-    nabla: Nabla,
-    th_minus: ChargeCurrent,
-    th_mid: ChargeCurrent,
-    th_plus: ChargeCurrent,
-    delta: float,
-) -> tuple[float, float]:
+def freeness_residual(nabla: Nabla, th_minus: ChargeCurrent, th_mid: ChargeCurrent, th_plus: ChargeCurrent,
+                      delta: float) -> tuple[float, float]:
     """Norms of D- Theta with a centred tau derivative (zero for a free current)."""
-    dtheta = Biquaternion(
-        1j * (th_plus.rho - th_minus.rho) / (2 * delta),
-        (th_plus.J - th_minus.J) / (2 * delta),
-    )
-    # looked up at call time, so a wrapper on operators.apply_dminus sees the call
-    r = operators.apply_dminus(nabla, th_mid.as_biquaternion(), dtheta)
-    return r.linf(), r.l2()
+    rate = nabla.ifftn(_transport(nabla, nabla.fftn(_theta(th_mid))))
+    return _centred(1, _theta(th_minus), _theta(th_plus), rate, delta)
 
 
 # -- interaction energy ----------------------------------------------------------
@@ -307,34 +407,48 @@ def interaction_energy(afields: list[AField], tol: float = 1e-12) -> Interaction
     """Xi(sum A) = sum Xi^k + delta Xi with delta Xi = sum_{k<l} Xi^{kl}.
 
     Xi^{kl} = 0.5 (A^k o A*^l + A^l o A*^k); delta W = Re scalar of delta Xi
-    integrated over the box classifies the exchange: "release" (> tol),
-    "absorb" (< -tol), "conserve" (|delta W| <= tol) or "non-finite" (NaN
-    or infinite, which no comparison with tol classifies).  Every term is
-    built from the densities W, P and their bilinear form, so the residual
-    is a round-off check.
+    integrated over the box classifies the exchange (``_decomposition``).
+    Every term is built from the densities W, P and their bilinear form, so
+    the residual is a round-off check.
     """
     if not afields:
         raise ValueError("need at least one field")
     grid = afields[0].grid
     A = [a.A for a in afields]
-    xi_fields = [energy_momentum(a).Xi for a in afields]
+    S = sum(A)
+    W, P = _density(S), _momentum(S)
     xi_cross = {(k, l): _cross_xi(A[k], A[l]) for k, l in combinations(range(len(A)), 2)}
-    xi_total = energy_momentum(AField(grid, sum(A))).Xi
-    delta_xi = sum(xi_cross.values(), Biquaternion(grid.zeros_scalar(), grid.zeros_vector()))
-    resid = (xi_total - sum(xi_fields, delta_xi)).linf()
-    dV = float(np.prod(grid.h))
-    dw = float(delta_xi.scalar.real.sum() * dV)
+    resid, dw, cls = _decomposition(A, W, P, grid, tol)
+    return InteractionEnergy(
+        xi_fields=[energy_momentum(a).Xi for a in afields], xi_cross=xi_cross,
+        delta_xi=sum(xi_cross.values(), Biquaternion(grid.zeros_scalar(), grid.zeros_vector())),
+        xi_total=Biquaternion(W, 1j * P), decomposition_residual=resid, delta_w_integral=dw,
+        classification=cls)
+
+
+def _decomposition(A: list, W, P, grid: Grid, tol: float = 1e-12) -> tuple[float, float, str]:
+    """|Xi(sum A) - sum_k Xi^k - delta Xi|_inf, delta W's box integral, and
+    its class: "release" (> tol), "absorb" (< -tol), "conserve" (|delta W| <=
+    tol) or "non-finite" (NaN or infinite).  Formed one term at a time on
+    Xi's real parts (W, P of the summed field), in the Biquaternion sums' order."""
+    dW, v = np.zeros_like(W), np.zeros_like(P)  # delta Xi's scalar, and its vector over i
+    for k, l in combinations(range(len(A)), 2):
+        cs, cv = _cross_parts(A[k], A[l])
+        dW += cs
+        v -= cv
+        del cs, cv  # before the next pair's, or the fields'
+    for X in A:
+        v += _momentum(X)
+    s = dW.copy()
+    for X in A:
+        s += _density(X)
+    for total, part in ((W, s), (P, v)):
+        np.abs(np.subtract(total, part, out=part), out=part)
+    resid = max(float(s.max()), float(v.max()))
+    dw = float(dW.sum() * float(np.prod(grid.h)))
     cls = ("conserve" if abs(dw) <= tol else "release" if dw > tol
            else "absorb" if dw < -tol else "non-finite")
-    return InteractionEnergy(
-        xi_fields=xi_fields,
-        xi_cross=xi_cross,
-        delta_xi=delta_xi,
-        xi_total=xi_total,
-        decomposition_residual=resid,
-        delta_w_integral=dw,
-        classification=cls,
-    )
+    return resid, dw, cls
 
 
 # -- sub-box weights and the four integral identities -----------------------------
@@ -528,14 +642,14 @@ class IntegralLawAccumulator:
         a_tot, th_tot = rec.totals
         A, J = a_tot.A, th_tot.J
         amounts = {
-            "energy": reg.volume_integral(_density(A)).real,
+            "energy": reg.volume_integral(rec.W).real,
             "flux": srf.surface_integral(A[srf.axis]),
             "volume": reg.volume_integral(A),
         }
-        if _advanced(state.mode).start == 0:
-            src = reg.volume_integral(_source_power(a_tot, th_tot)).real
+        if rec.adv.start == 0:
+            src = reg.volume_integral(rec.source_power).real
             rates = {
-                "energy": reg.boundary_flux(_momentum(A)).real - src,
+                "energy": reg.boundary_flux(rec.P).real - src,
                 "flux": 1j * srf.contour_integral(A) + srf.surface_integral(J[srf.axis]),
                 "volume": 1j * reg.boundary_cross(A) + reg.volume_integral(J),
             }
@@ -629,59 +743,72 @@ def _worst(norms) -> tuple[float, float]:
     return float(a[:, 0].max()), float(a[:, 1].max())
 
 
-def _charge_law(e, r, a, th, d):
-    if _advanced(r[1].state.mode).start == 0:
-        # the charge that sources A is div A, so the total current J + dA/dtau is divergence-free
-        return charge_conservation_residual(e.nabla, 0.0, 0.0, th[1].J + (a[2].A - a[0].A) / (2 * d), d)
-    rho_m, rho_p = th[0].rho, th[2].rho
-    if (rho_src := r[1].rho_source) is not None:
-        # where A is held, rho's force source is taken out of the centred difference
-        rho_m, rho_p = rho_m + d * rho_src, rho_p - d * rho_src
-    return charge_conservation_residual(e.nabla, rho_m, rho_p, th[1].J, d)
+def _charge_amount(r: _Sample) -> np.ndarray:
+    """div A of the summed fields where the mode advances A (the charge that
+    sources A, so the total current J + dA/dtau is divergence-free), else rho."""
+    return (r.div_A.sum(axis=0) if r.adv.start == 0 else r.totals[1].rho)[None]
 
 
-def _energy_law(e, r):
-    ie = interaction_energy([r.state.afield(k) for k in range(r.state.n_fields)])
-    e.delta_w.append((r.state.tau, ie.delta_w_integral))
-    e.classification = ie.classification
-    return ie.decomposition_residual, ie.decomposition_residual
+def _charge_rate(r: _Sample) -> np.ndarray:
+    """div J of the summed fields, less the force's rho source where A is held."""
+    div_J = r.nabla.from_spectrum(r.nabla._div(r.coef(_J).sum(axis=0)))
+    if r.adv.start > 0 and r.rho_source is not None:
+        div_J -= r.rho_source
+    return div_J[None]
+
+
+def _first_law_rate_of(r: _Sample) -> np.ndarray:
+    nabla, kappa, U = r.nabla, r.state.medium.kappa, r.state.U
+    return np.stack([_first_law_rate(nabla, kappa, U[k, _J], lambda: nabla.from_spectrum(nabla._grad(rho)), F)
+                     for k, (rho, F) in enumerate(zip(r.coef(_RHO)[:, 0], r.forces))])
+
+
+def _reciprocity_law(e, r: _Sample):
+    s = r.state
+    if s.n_fields == 2 and s.background is None and r.forces[0] is not None:  # each field's partner is the other
+        return _reciprocity(*r.forces)
+    return _worst(reciprocity_residual(s.theta(k), s.afield(l), s.theta(l), s.afield(k))
+                  for k, l in combinations(range(s.n_fields), 2))
+
+
+def _energy_law(e, r: _Sample):
+    A = [r.state.U[k, _A] for k in range(r.state.n_fields)]
+    resid, dw, e.classification = _decomposition(A, r.W, r.P, r.state.grid)
+    e.delta_w.append((r.state.tau, dw))
+    return resid, resid
 
 
 class Law(NamedTuple):
-    """How the engine evaluates one series.
-
-    ``kind`` "window": ``evaluate(engine, records, a, th, delta)`` on the
-    records (``_Sample``) of three uniformly spaced states, their summed
-    A-fields and charge-currents; it returns (L_inf, rms).  "pointwise":
-    ``evaluate(engine, record)``.  "integral": ``evaluate(rows)`` picks the
-    series' rows from the accumulator.  Each calls its public residual
-    function by its module-level name.
-    """
+    """How the engine evaluates one series.  "window": ``evaluate(record)``
+    and ``rate(record)``, the amount and rate at the newest sample
+    (``_Sample``), stacks of one array per field or of one, whose residual's
+    worst norms make the row; ``order`` 1 or 2, the amount's tau difference.
+    "pointwise": ``evaluate(engine, record)`` gives (L_inf, rms).
+    "integral": ``evaluate(rows)`` picks the accumulator's rows."""
 
     kind: str
     evaluate: Callable
+    rate: Callable | None = None
+    order: int = 1
 
 
 LAWS = {
-    "charge": Law("window", _charge_law),
-    "poynting": Law("window", lambda e, r, a, th, d: poynting_residual(e.nabla, *a, th[1], d)),
-    "first_law": Law("window", lambda e, r, a, th, d: _worst(
-        first_law_residual(e.nabla, r[1].state.medium, *(x.state.theta(k) for x in r), d, ap)
-        for k, ap in enumerate(r[1].partners))),
-    "box_rho": Law("window", lambda e, r, a, th, d: box_rho_residual(
-        e.nabla, *(t.rho for t in th), d)),
-    "freeness": Law("window", lambda e, r, a, th, d: freeness_residual(e.nabla, *th, d)),
-    "reciprocity": Law("pointwise", lambda e, r: _worst(
-        reciprocity_residual(r.state.theta(k), r.state.afield(l), r.state.theta(l), r.state.afield(k))
-        for k, l in combinations(range(r.state.n_fields), 2))),
-    "constraint_drift": Law("pointwise", lambda e, r: _worst(constraint_drift_residual(
-        e.nabla, r.state.afield(k), r.state.theta(k)) for k in range(r.state.n_fields))),
+    "charge": Law("window", _charge_amount, _charge_rate),
+    "poynting": Law("window", lambda r: r.W[None],
+                    lambda r: _poynting_rate(r.nabla, r.P, r.source_power)[None]),
+    "first_law": Law("window", lambda r: r.state.medium.kappa * _density(np.moveaxis(r.state.U[:, _J], 1, 0)),
+                     _first_law_rate_of),
+    "box_rho": Law("window", lambda r: r.totals[1].rho[None],
+                   lambda r: r.nabla.from_spectrum(r.nabla._lap(-r.coef(_RHO).sum(axis=0))), 2),
+    "freeness": Law("window", lambda r: _theta(r.totals[1])[None],
+                    lambda r: r.nabla.from_spectrum(_transport(r.nabla, r.coef(_THETA).sum(axis=0)))[None]),
+    "reciprocity": Law("pointwise", _reciprocity_law),
+    "constraint_drift": Law("pointwise", lambda e, r: _worst(
+        _drift(r.state.U[k, 3], div_a) for k, div_a in enumerate(r.div_A))),
     "interaction_power_eh": Law("pointwise", lambda e, r: _worst(
-        interaction_power_eh(r.state.theta(k), ap, r.state.medium)
-        for k, ap in enumerate(r.partners) if ap is not None)),
+        _power_eh(F.scalar, r.state.medium) for F in r.forces if F is not None)),
     "interaction_power_bd": Law("pointwise", lambda e, r: _worst(
-        interaction_power_bd(r.state.theta(k), ap)
-        for k, ap in enumerate(r.partners) if ap is not None)),
+        _power_bd(F.scalar) for F in r.forces if F is not None)),
     "energy_decomposition": Law("pointwise", _energy_law),
     "integral_charge": Law("integral", itemgetter("charge")),
     "integral_energy": Law("integral", itemgetter("energy")),
@@ -764,6 +891,17 @@ def check_specs(grid: Grid, specs):
     return laws, (shared["cadence"], shared.get("region") or BoxRegion(grid), shared.get("surface"))
 
 
+@dataclass
+class _Window:
+    """One cadence's window laws and what they keep between samples: the
+    last two taus, the newest amounts, and each law's ``_open`` residual."""
+
+    names: list
+    tau: list = field(default_factory=list)
+    amounts: dict = field(default_factory=dict)
+    partials: dict = field(default_factory=dict)
+
+
 class DiagnosticsEngine:
     """Evaluates a configured set of residual series along a run.
 
@@ -772,22 +910,24 @@ class DiagnosticsEngine:
     ``specs`` is a list of mappings with keys name, cadence (in steps),
     tolerance, region ({"lo": [...], "hi": [...]}) and surface (FluxSurface's
     arguments), all but the name optional; ``check_specs`` reads them.  Call
-    ``sample(state, step)`` every step; at each window cadence the engine
-    keeps the last two sampled states, evaluates the window they make with the
-    newest, and keeps a tau-integral accumulator for the integral laws; it
-    evaluates each series by its entry in ``LAWS``.
+    ``sample(state, step)`` every step.  It makes one record (``_Sample``)
+    of the state for the laws to share, evaluates each series by its entry
+    in ``LAWS``, and keeps a tau-integral accumulator for the integral laws.
 
-    Windows hold the sampled states, not copies, so a caller must not mutate a
-    state in place after passing it to ``sample`` (rebind instead, as
-    ``step_rk4`` does).  A record of a state lives for one sample.  A series
-    breaches its tolerance if any row is above it or is not finite.
+    A window law is an amount and a rate of the newest sample.  Per cadence
+    the engine keeps the newest amounts and each open window's residual so
+    far (its middle sample's rate and the earlier amount's share), and
+    closes it with the next sample's amounts, once the three taus are found
+    uniformly spaced.  So it keeps no sampled state: a caller may write into
+    one once ``sample`` has returned.  A series breaches its tolerance if
+    any row is above it or is not finite.
     """
 
     def __init__(self, nabla: Nabla, specs):
         self.nabla = nabla
         self.series: dict[str, ResidualSeries] = {}
         self.cadence: dict[str, int] = {}
-        self._windows: dict[int, deque] = {}
+        self._windows: dict[int, _Window] = {}
         self._acc: IntegralLawAccumulator | None = None
         self.delta_w: list[tuple[float, float]] = []
         self.classification: str | None = None
@@ -796,7 +936,7 @@ class DiagnosticsEngine:
             self.series[name] = ResidualSeries(name, tol)
             self.cadence[name] = cad
             if LAWS[name].kind == "window":
-                self._windows.setdefault(cad, deque(maxlen=2))
+                self._windows.setdefault(cad, _Window([])).names.append(name)
         if integral is not None:
             self._acc_cadence, region, surface = integral
             self._acc = IntegralLawAccumulator(nabla, region, surface=surface)
@@ -808,25 +948,37 @@ class DiagnosticsEngine:
         rec = _Sample(self.nabla, state)
         for cad, win in self._windows.items():
             if step % cad == 0:
-                if len(win) == 2:
-                    self._eval_window(cad, (*(_Sample(self.nabla, s) for s in win), rec))
-                win.append(state)
+                self._slide(win, rec)
         for name in self._named("pointwise"):
             if step % self.cadence[name] == 0:
                 self.series[name].append(state.tau, *LAWS[name].evaluate(self, rec))
         if self._acc is not None and step % self._acc_cadence == 0:
             self._acc.sample(rec)
 
-    def _eval_window(self, cad: int, recs):
-        t_m, t, t_p = (r.state.tau for r in recs)
-        delta = t_p - t
-        if not _uniform([t - t_m, delta]):  # run_scenario samples at a fixed cadence
-            raise ValueError(f"centred differences need uniformly spaced snapshots, "
-                             f"got tau = {t_m}, {t}, {t_p}")
-        a, th = zip(*(r.totals for r in recs))
-        for name in self._named("window"):
-            if self.cadence[name] == cad:
-                self.series[name].append(t, *LAWS[name].evaluate(self, recs, a, th, delta))
+    def _slide(self, win: _Window, rec: _Sample):
+        """Close the window centred on the cadence's previous sample with
+        rec's amounts, then open the one centred on rec, law by law."""
+        t = rec.state.tau
+        if len(win.tau) == 2:
+            t_m, t_0 = win.tau
+            if not _uniform([t_0 - t_m, t - t_0]):  # run_scenario samples at a fixed cadence
+                raise ValueError(f"centred differences need uniformly spaced snapshots, "
+                                 f"got tau = {t_m}, {t_0}, {t}")
+        delta = t - win.tau[-1] if win.tau else 0.0  # a zero step opens none, and is refused next
+        for n in win.names:
+            law, amount = LAWS[n], LAWS[n].evaluate(rec)
+            if n in win.partials:
+                self.series[n].append(t_0, *_close(law.order, amount, win.partials[n], t_0 - t_m))
+            # written into the arrays kept, which so stay put on the heap
+            if delta:
+                win.partials[n] = _open(law.order, law.rate(rec), win.amounts[n], amount, delta,
+                                        win.partials.get(n))
+            if n in win.amounts:
+                np.copyto(win.amounts[n], amount)
+            else:
+                win.amounts[n] = amount.copy()  # not a view of the state
+            del amount  # before the next law's
+        win.tau = win.tau[-1:] + [t]
 
     def finalize(self) -> dict[str, ResidualSeries]:
         if self._acc is not None:

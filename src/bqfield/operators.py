@@ -67,7 +67,8 @@ class Nabla:
     copies on spectral, which is the 2/3 rule; none on central4),
     ``band_of_terms`` the same from 1-D factors with no 3-D transform, and
     ``from_spectrum`` scatters into zeros then runs ifftn, in a buffer the
-    caller gives or in a new one.  ``_d`` takes band-sized arrays too.
+    caller gives or in a new one.  ``_d`` and ``_lap`` take band-sized
+    arrays too.
     ``band_k2`` gives the symbol's s^2 on the band, and ``band_frame`` the
     eigenbasis of its curl, in which ``to_helicity`` and ``from_helicity``
     rotate a whole stack of band fields.
@@ -137,6 +138,8 @@ class Nabla:
         return self._ik[a][fh.shape[a - 3]] * fh
 
     def _lap(self, fh):
+        if fh.shape[-3:] != self.grid.n:  # spectral's band, where l_a = k^2 = s_a^2
+            return -self.band_k2() * fh
         if self._lap_symbol is None:
             self._lap_symbol = sum(self._l)
         return -self._lap_symbol * fh

@@ -8,8 +8,10 @@ scenario carry a region or surface.  The second draws the mode, the field
 count, a background, the run length and one series' cadence, and requires
 that a scenario which parses also builds and measures.  The third gives the
 first one's draws to ``DiagnosticsEngine`` from Python, which must read them
-as the parser does.  ``grid.n`` is never drawn, so nothing large is
-allocated.
+as the parser does.  The fourth draws a mode, a field count, a cadence,
+a scheme and a grid of 6^3 to 12^3, and requires that the engine's rows
+match the public residual functions' on the same states.  ``grid.n`` is
+never drawn above 12, so nothing large is allocated.
 """
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
+from test_diagnostics import assert_rows_match, engine_and_residual_rows
 from test_scenario_cli import eigenmode_doc
 
 from bqfield import MODES, DiagnosticsEngine, Nabla, run_scenario
@@ -121,3 +124,15 @@ def test_a_scenario_that_parses_builds_and_measures(mode, n_fields, misplaced_ba
         return
     report = run_scenario(sc)  # build_state, DiagnosticsEngine, the steps
     assert report.exit_code == 0 and report.series[name].rows, (mode, n_fields, steps, name, cadence)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(mode=st.sampled_from(MODES), extra=st.integers(0, 1), cadence=st.integers(1, 2),
+       n=st.integers(6, 12), scheme=st.sampled_from(Nabla.schemes), seed=st.integers(0, 2**16))
+def test_engine_rows_match_the_residual_functions(mode, extra, cadence, n, scheme, seed):
+    """Whatever the mode, field count, cadence, scheme and grid, every
+    window, pointwise and integral row the engine forms from its newest
+    samples is the public residual functions' on the same states, to
+    round-off (``assert_rows_match``)."""
+    M = (2 if mode in ("interaction", "united") else 1) + extra
+    assert_rows_match(*engine_and_residual_rows(mode, M, cadence, n, scheme, seed))

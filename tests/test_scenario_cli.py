@@ -424,22 +424,24 @@ def test_run_nan_residual_mid_run_breaches(tmp_path, monkeypatch):
     """A residual that turns NaN mid-run is a breach: exit 1, and so says
     summary.json.  That holds for a series that reports the worst over its
     fields (first_law) as well.  Each series' first_breach_tau is the tau of
-    its NaN row, the third window's middle state, 3 dtau; null where none."""
+    its NaN row, the third window's middle state, 3 dtau, whose rate is the
+    law's third; null where none."""
     import bqfield.diagnostics as diagnostics
 
     calls = {}
 
     def nan_on_third_call(name):
-        real, calls[name] = getattr(diagnostics, name), []
+        law, calls[name] = diagnostics.LAWS[name], []
 
-        def law(*args, **kwargs):
-            calls[name].append(args)
-            return (float("nan"), float("nan")) if len(calls[name]) == 3 else real(*args, **kwargs)
+        def rate(record):
+            calls[name].append(record)
+            r = law.rate(record)
+            return r * np.nan if len(calls[name]) == 3 else r
 
-        return law
+        return law._replace(rate=rate)
 
-    for name in ("poynting_residual", "first_law_residual"):
-        monkeypatch.setattr(diagnostics, name, nan_on_third_call(name))
+    for name in ("poynting", "first_law"):
+        monkeypatch.setitem(diagnostics.LAWS, name, nan_on_third_call(name))
     doc = eigenmode_doc(tols={"poynting": 1.0})
     doc["diagnostics"].append({"name": "first_law", "tolerance": 1.0})
     report = run_scenario(parse_scenario(doc), out_dir=tmp_path / "out")
