@@ -485,7 +485,7 @@ def _closed_form(nabla: Nabla, adv: slice, h: float, held: _Held):
     gains = np.empty((2,) + s.shape, np.complex128)
     J = None if adv.stop == 7 else held.band_J()
     source = None if J is None else nabla.to_helicity(J)
-    for bx, _ in nabla._band_rows:  # a chunk of k_x planes at a time: no band-sized temporary
+    for bx in nabla._band_rows:  # a chunk of k_x planes at a time: no band-sized temporary
         z = 1j * h * s[bx]
         gains[0, bx] = rk4_gain(z)
         np.conjugate(gains[0, bx], out=gains[1, bx])  # R(-z), z being imaginary

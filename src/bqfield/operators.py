@@ -26,12 +26,13 @@ arrays on the full grid, so they differentiate products that are not
 band-limited exactly.  Between calls the stepper holds Fourier coefficients
 on the band, the wavenumbers its scheme's derivative symbol acts on
 (``to_spectrum``/``from_spectrum``): spectral's 2/3 band, which is all a
-dealiased state has, and central4's whole grid.
+dealiased state has, and central4's whole grid.  Spectral's band transforms
+are pruned (Markel 1971, IEEE Trans. Audio Electroacoust. 19:305): run as
+1-D transforms one axis at a time, they skip the lines the 2/3 rule drops
+on the way in and the lines that are zero on the way out.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 from scipy import fft as sfft
@@ -63,12 +64,17 @@ class Nabla:
     l_a = (30 - 32 cos kh + 2 cos 2kh) / (12 h^2) on central4, the
     5-point stencils' symbols.  The band holds the Fourier coefficients the
     stepper keeps: every |k_i| <= n_i/3 on spectral, the whole grid on
-    central4.  ``to_spectrum`` is fftn then a gather of the band (8 block
-    copies on spectral, which is the 2/3 rule; none on central4),
-    ``band_of_terms`` the same from 1-D factors with no 3-D transform, and
-    ``from_spectrum`` scatters into zeros then runs ifftn, in a buffer the
-    caller gives or in a new one.  ``_d`` and ``_lap`` take band-sized
-    arrays too.
+    central4.  ``to_spectrum`` takes physical arrays onto the band, which on
+    spectral is the 2/3 rule, ``band_of_terms`` the same from 1-D factors
+    with no 3-D transform, and ``from_spectrum`` takes band coefficients
+    back, in a buffer the caller gives or in a new one.  On spectral both
+    are the pruned ``fftn``/``ifftn`` of a band-shaped array, one call per
+    stack: one channel at a time, 1-D transforms along x, y and z that
+    transform only the lines the band keeps or that hold band coefficients,
+    each axis's two runs moved together (or apart) in place, with no
+    full-grid spectrum of the stack and no zero-filled grid.  On central4,
+    whose band is the whole grid, they are fftn and ifftn.  ``_d`` and
+    ``_lap`` take band-sized arrays too.
     ``band_k2`` gives the symbol's s^2 on the band, and ``band_frame`` the
     eigenbasis of its curl, in which ``to_helicity`` and ``from_helicity``
     rotate a whole stack of band fields.
@@ -116,22 +122,51 @@ class Nabla:
         # so a central4 run that takes no Laplacian holds no grid-sized array
         self._lap_symbol = sum(self._l) if scheme == "spectral" else None
         self._band_shape = tuple(s.size for s in self._symbol)
-        self._band_blocks = [tuple((..., *s) for s in zip(*runs)) for runs in product(*self._runs)]
-        # the band's k_x runs in chunks of at most a sixteenth of a run, and
-        # its (k_y, k_z) blocks, as (band, full) index pairs: a rotation runs
-        # one chunk at a time, so its temporaries stay small and in cache
+        # the band's k_x runs in chunks of at most a sixteenth of a run: a
+        # rotation runs one chunk at a time, so its temporaries stay small
+        # and in cache
         self._band_rows = _chunks(self._runs[0])
-        self._band_planes = [tuple(zip(*yz)) for yz in product(*self._runs[1:])]
         self._frame = None
 
     # -- transforms ----------------------------------------------------------
-    def fftn(self, f):
-        return sfft.fftn(f, axes=_AXES, workers=self.workers)
+    def fftn(self, f, out=None):
+        """Forward transform of a stack f over its last three axes.  Given a
+        band-shaped ``out`` (spectral's 2/3 band, smaller than the grid), the
+        band's coefficients only, written there: one channel at a time, the
+        1-D transform along x on the whole channel, then along y on the b_x
+        rows the band keeps and along z on their b_x b_y lines, each axis's
+        two runs made contiguous in place first.  These are fftn's own 1-D
+        transforms in its x, y, z order, so ``out`` is fftn's band bit for
+        bit (for complex f), with one channel of scratch and no full
+        spectrum of the stack."""
+        if out is None:
+            return sfft.fftn(f, axes=_AXES, workers=self.workers)
+        for i in np.ndindex(f.shape[:-3]):
+            _fft_band(f[i], out[i], self._runs, self.workers)
+        return out
 
-    def ifftn(self, fh):
-        """Inverse transform that consumes ``fh``: scipy may overwrite it, so
-        callers pass only an array they made for this call."""
-        return sfft.ifftn(fh, axes=_AXES, workers=self.workers, overwrite_x=True)
+    def ifftn(self, fh, out=None, helical=False):
+        """Inverse transform of a stack over its last three axes.  On the
+        whole grid it consumes ``fh`` (scipy may overwrite it, so callers
+        pass only an array they made for this call).  Band-shaped ``fh``
+        (spectral's 2/3 band) is left as it is, and its physical arrays are
+        written into ``out``, made here if not given, rotated back from
+        ``to_helicity``'s components on the way where ``helical``: see
+        ``from_spectrum``."""
+        if fh.shape[-3:] == self.grid.n:
+            return sfft.ifftn(fh, axes=_AXES, workers=self.workers, overwrite_x=True)
+        if out is None:
+            out = np.empty(fh.shape[:-3] + self.grid.n, fh.dtype)
+        (_, (hx, _)), (_, (hy, _)), z = self._runs
+        if helical:  # a chunk of k_x planes at a time, straight into the corner
+            corner = out[..., : hx.stop, : hy.stop, :]
+            for bx, frame in self._frame_rows():
+                t = np.empty(fh[..., bx, :, :].shape, fh.dtype)
+                _from_helicity(frame, fh[..., bx, :, :], t)
+                _expand(t, corner[..., bx, :, :], *z[1], -1)
+        for i in np.ndindex(out.shape[:-3]):
+            _ifft_band(None if helical else fh[i], out[i], self._runs, self.workers)
+        return out
 
     # -- the symbols: d/dx_a and the Laplacian on Fourier coefficients ----------
     def _d(self, fh, a: int):
@@ -146,16 +181,12 @@ class Nabla:
 
     # -- the band: Fourier coefficients on the wavenumbers of the symbol --------
     def to_spectrum(self, f):
-        """The band coefficients of physical arrays f: fftn, then on spectral
-        a gather of the 2/3 band (8 block copies), which is the 2/3 rule; on
-        central4 the band is the whole grid."""
-        fh = self.fftn(f)
-        if fh.shape[-3:] == self._band_shape:
-            return fh
-        X = np.empty(fh.shape[:-3] + self._band_shape, dtype=fh.dtype)
-        for band, full in self._band_blocks:
-            X[band] = fh[full]
-        return X
+        """The band coefficients of physical arrays f: on spectral the pruned
+        forward ``fftn`` into a new band-shaped array, which is the 2/3 rule;
+        on central4, whose band is the whole grid, fftn."""
+        if self._band_shape == self.grid.n:
+            return self.fftn(f)
+        return self.fftn(f, out=np.empty(f.shape[:-3] + self._band_shape, np.result_type(f, 1j)))
 
     def band_of_terms(self, terms):
         """``to_spectrum`` of rows of rank-1 terms, shape (rows, channels) +
@@ -177,23 +208,26 @@ class Nabla:
 
     def from_spectrum(self, X, out=None, helical=False):
         """The physical arrays of band coefficients X, written into ``out``
-        where given: X scattered into zeros, rotated back from
-        ``to_helicity``'s components on the way where ``helical`` (a chunk
-        of k_x planes at a time, then scattered), and transformed there, so
-        ``out`` also serves as the transform's buffer."""
+        where given, else into a new array, which also serves as the
+        transform's buffer; X is left as it is.  Where ``helical`` X holds
+        ``to_helicity``'s components, rotated back a chunk of k_x planes at
+        a time on the way.  On spectral the pruned inverse ``ifftn``, one
+        channel at a time: X's z runs go into the channel's [:b_x, :b_y, :]
+        corner, only the z gap is zeroed, and the corner is transformed
+        along z; then the [:b_x] slab's second y run moves to n - m, only
+        its gap is zeroed, and the slab is transformed along y; then the
+        same along x on the whole channel.  On central4, whose band is the
+        whole grid, X is copied (or rotated) into the buffer and ifftn runs
+        there."""
+        if self._band_shape != self.grid.n:
+            return self.ifftn(X, out=out, helical=helical)
         if out is None:
-            out = np.zeros(X.shape[:-3] + self.grid.n, dtype=X.dtype)
-        elif self._band_shape != self.grid.n:
-            out.fill(0)
+            out = np.empty(X.shape, X.dtype)
         if helical:
-            for bx, fx, frame in self._frame_rows():
-                t = np.empty(X[..., bx, :, :].shape, X.dtype)
-                _from_helicity(frame, X[..., bx, :, :], t)
-                for band, full in self._band_planes:
-                    out[(..., fx) + full] = t[(...,) + band]
+            for bx, frame in self._frame_rows():
+                _from_helicity(frame, X[..., bx, :, :], out[..., bx, :, :])
         else:
-            for band, full in self._band_blocks:
-                out[full] = X[band]
+            out[...] = X
         f = self.ifftn(out)
         if not np.may_share_memory(f, out):  # scipy did not transform in place
             out[...] = f
@@ -240,22 +274,22 @@ class Nabla:
         multiplies the gains in there), never into X: a component is read
         after others are written."""
         H = np.empty(X.shape, np.result_type(X, 1j))
-        for bx, _, frame in self._frame_rows():
+        for bx, frame in self._frame_rows():
             _to_helicity(frame, X[..., bx, :, :], H[..., bx, :, :])
         return H
 
     def from_helicity(self, H):
         """The band fields whose ``to_helicity`` components are H."""
         X = np.empty(H.shape, H.dtype)
-        for bx, _, frame in self._frame_rows():
+        for bx, frame in self._frame_rows():
             _from_helicity(frame, H[..., bx, :, :], X[..., bx, :, :])
         return X
 
     def _frame_rows(self):
-        """(band k_x chunk, its full-grid k_x, ``band_frame``'s (c, sigma,
-        cy, cz) on the chunk) per chunk of the band's k_x axis."""
+        """(band k_x chunk, ``band_frame``'s (c, sigma, cy, cz) on the
+        chunk) per chunk of the band's k_x axis."""
         c, sigma, cy, cz, _ = self.band_frame()
-        return [(bx, fx, (c[bx], sigma[bx], cy, cz)) for bx, fx in self._band_rows]
+        return [(bx, (c[bx], sigma[bx], cy, cz)) for bx in self._band_rows]
 
     # -- operators on Fourier coefficients ------------------------------------
     def _grad(self, fh):
@@ -380,15 +414,66 @@ def _from_helicity(frame, H, X):
         v[2] -= (cy / 2) * p2
 
 
+def _fft_band(f, X, runs, workers):
+    """X <- the band of one channel f's 3-D DFT (``Nabla.fftn`` with a
+    band-shaped ``out``): along x on the whole channel, along y on the b_x
+    rows kept, along z on the b_x b_y lines kept, each axis's second run
+    moved next to its first before the next transform."""
+    (_, (hx, fx)), (_, (hy, fy)), (_, (hz, fz)) = runs
+    t = sfft.fft(f, axis=0, workers=workers)
+    t[hx] = t[fx]
+    t = t[: hx.stop]
+    _in_place(sfft.fft, t, 1, workers)
+    t[:, hy] = t[:, fy]
+    t = t[:, : hy.stop]
+    _in_place(sfft.fft, t, 2, workers)
+    X[..., : hz.start] = t[..., : hz.start]
+    X[..., hz] = t[..., fz]
+
+
+def _ifft_band(X, f, runs, workers):
+    """f <- one channel's inverse 3-D DFT of band coefficients X, in f's own
+    memory (``Nabla.ifftn`` of a band-shaped array): X's z runs into f's
+    [:b_x, :b_y] corner (None: the corner is already written), then along
+    z, y and x, each axis's second run moved out to its place and the gap
+    zeroed before its transform."""
+    (_, (hx, fx)), (_, (hy, fy)), (_, (hz, fz)) = runs
+    corner = f[: hx.stop, : hy.stop]
+    if X is not None:
+        _expand(X, corner, hz, fz, -1)
+    _in_place(sfft.ifft, corner, 2, workers)
+    _expand(None, f[: hx.stop], hy, fy, 1)
+    _in_place(sfft.ifft, f[: hx.stop], 1, workers)
+    _expand(None, f, hx, fx, 0)
+    _in_place(sfft.ifft, f, 0, workers)
+
+
+def _expand(src, dst, band, full, axis):
+    """dst <- src (dst itself where None) along ``axis`` with its second
+    run, band slice ``band``, moved to the full axis's ``full`` and the gap
+    between the runs zeroed: the first run is 0..band.start."""
+    at = (slice(None),) * (axis % dst.ndim)
+    if src is not None:
+        dst[at + (slice(0, band.start),)] = src[at + (slice(0, band.start),)]
+    dst[at + (full,)] = (dst if src is None else src)[at + (band,)]
+    dst[at + (slice(band.start, full.start),)] = 0
+
+
+def _in_place(transform, a, axis, workers):
+    """a <- transform(a) along ``axis``, in a's own memory."""
+    r = transform(a, axis=axis, overwrite_x=True, workers=workers)
+    if not np.may_share_memory(r, a):  # scipy did not transform in place
+        a[...] = r
+
+
 def _chunks(runs):
-    """Each (band, full) run of slices of an axis cut into chunks of at
-    most a sixteenth of it, as (band, full) pairs."""
+    """Each run of an axis's band cut into chunks of at most a sixteenth of
+    it, as slices of the band."""
     chunks = []
-    for band, full in runs:
+    for band, _ in runs:
         m = band.stop - band.start
         step = max(1, -(-m // 16))
-        chunks += [(slice(band.start + i, band.start + min(i + step, m)),
-                    slice(full.start + i, full.start + min(i + step, m))) for i in range(0, m, step)]
+        chunks += [slice(band.start + i, band.start + min(i + step, m)) for i in range(0, m, step)]
     return chunks
 
 

@@ -828,9 +828,9 @@ def test_engine_sample_forms_each_derived_field_once(monkeypatch, mode, M, trans
     calls = {"transforms": 0, "totals": 0, "partners": 0}
 
     def counted(key, fn, units=lambda *a: 1):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[key] += units(*args)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     def channels(self, f):

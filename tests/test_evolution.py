@@ -207,13 +207,13 @@ class CountingNabla(Nabla):
 
     transforms = 0
 
-    def fftn(self, f):
+    def fftn(self, f, out=None):
         self.transforms += int(np.prod(np.shape(f)[:-3]))
-        return super().fftn(f)
+        return super().fftn(f, out=out)
 
-    def ifftn(self, fh):
+    def ifftn(self, fh, out=None, helical=False):
         self.transforms += int(np.prod(np.shape(fh)[:-3]))
-        return super().ifftn(fh)
+        return super().ifftn(fh, out=out, helical=helical)
 
 
 @pytest.mark.parametrize("scheme", Nabla.schemes)
@@ -795,11 +795,12 @@ def test_zero_source_map_allocation_peak(scheme, pin):
 def test_read_allocation_peak(mode, scheme, pin):
     """tracemalloc's peak over the first read of a stepped state's U on
     16^3, in channels of 16^3 complex values.  The read makes one U and
-    fills it: the held rows copied in, and the advanced rows scattered and
-    transformed in their own slice, rotated back from the characteristic
-    components a chunk of k_x planes at a time on the way (measured 7.33
-    for maxwell and 7.39 for free_theta on spectral, 7.60 and 7.73 on
-    central4, whose band is the whole grid; rotating spectral maxwell's
+    fills it: the held rows copied in, and the advanced rows transformed in
+    their own slice, rotated back from the characteristic components a
+    chunk of k_x planes at a time on the way (measured 7.35 for maxwell and
+    7.38 for free_theta on spectral, 7.41 and 7.47 on central4, whose band
+    is the whole grid, rotated straight into U; 7.60 and 7.73 through a
+    chunk-sized temporary; rotating spectral maxwell's
     whole band first made it 7.99, and a transformed stack joined to the
     held rows 10.0 and 11.0 on spectral).  The pins are the measured values
     rounded up to a whole channel."""

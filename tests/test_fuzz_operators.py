@@ -9,16 +9,21 @@ squared first derivative at O(h^4)).  On spectral the helicity components
 of a stack of band vectors rotate back to the stack, and so do central4's,
 whose frame is built from the stencil's symbol d(k) on the whole grid: the
 stencil's curl and free transport act on its components as their
-eigenvalues, and d(k) vanishes on every Nyquist plane.  Boxes stay under
-13^3 points, so nothing large is allocated.
+eigenvalues, and d(k) vanishes on every Nyquist plane.  The band
+transforms, pruned on spectral, match numpy.fft's on stand-in grids of 1 to
+14 points per axis.  Boxes stay under 14^3 points, so nothing large is
+allocated.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import fft as sfft
 
 from bqfield import Biquaternion, Grid, Medium, Nabla, SimState, apply_box, apply_dminus, apply_dplus, state_rhs
 
@@ -149,3 +154,42 @@ def test_central4_symbol_vanishes_on_every_nyquist_plane(grid):
             assert d[m // 2] == 0
             plane = np.take(s * n[a], m // 2, axis=a)
             assert np.all(plane == 0)
+
+
+@bounded
+@given(st.lists(st.integers(1, 14), min_size=3, max_size=3), st.integers(0, 2**32 - 1),
+       st.sampled_from([(), (3,), (2, 4)]))
+@example([9, 2, 1], 0, (2, 4))
+@example([12, 3, 13], 1, (3,))
+def test_band_transforms_match_numpy_fft(n, seed, lead):
+    """to_spectrum is scipy's fftn gathered to the 2/3 band, bit for bit, and
+    from_spectrum is numpy's ifftn of the band filled out with zeros, to
+    round-off: into a new array, into a strided slice of a larger stack, and
+    from helicity components; it leaves X as it was.  Any n from 1 to 14
+    per axis: n = 3m, where an axis's second run moves onto itself, odd n,
+    and n < 3, where a run is empty.  Grid asks for n >= 4, so this uses a
+    stand-in; Nabla reads only n and h."""
+    n = tuple(n)
+    nab = Nabla(SimpleNamespace(n=n, h=tuple(2 * np.pi / m for m in n)))
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal(lead + n) + 1j * rng.standard_normal(lead + n)
+    kept = np.ix_(*(np.flatnonzero(np.abs(np.fft.fftfreq(m, 1.0 / m)) <= m / 3) for m in n))
+    X = nab.to_spectrum(F)
+    assert np.array_equal(X, sfft.fftn(F, axes=(-3, -2, -1))[(...,) + kept])
+    X0 = X.copy()
+
+    def zero_filled(X):
+        full = np.zeros(X.shape[:-3] + n, complex)
+        full[(...,) + kept] = X
+        return np.fft.ifftn(full, axes=(-3, -2, -1))
+
+    tol = 1e-15 * np.abs(X).max()
+    got = nab.from_spectrum(X)
+    assert np.abs(got - zero_filled(X)).max() <= tol
+    U = np.full(lead[:-1] + (lead[-1] + 3,) + n if lead else (4,) + n, 7.0 + 0j)
+    out = U[..., 3:, :, :, :] if lead else U[3]
+    assert nab.from_spectrum(X, out=out) is out
+    assert np.array_equal(out, got) and np.all(U[..., :3, :, :, :] == 7.0)
+    if lead and lead[-1] in (3, 4):
+        assert np.abs(nab.from_spectrum(X, helical=True) - zero_filled(nab.from_helicity(X))).max() <= tol
+    assert np.array_equal(X, X0)
